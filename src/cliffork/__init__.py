@@ -8,6 +8,7 @@ Modules:
     finite_groups      signed blade groups, closure, small-group identification
     coverings          Pin/Spin membership and covering-group structure
     quotient           semi-simple split, eps homomorphism, symmetry transfer
+    verify             the validation suites behind `cliffork verify`
     cli                command line front end
 """
 

@@ -1,4 +1,4 @@
-"""Command-line surface of the workbench.
+"""Command line front end of the workbench.
 
 Verbs:
   classify   ring / type / group cell of one algebra
@@ -11,22 +11,17 @@ Verbs:
   verify     run a named validation suite; exit 1 with counterexample JSON
              on any falsified check
 
-Output is markdown unless --format json.  Both renderings are deterministic
-for fixed inputs.  CLIFFORK_THREADS caps the worker processes used by the
-sweep suites (default 1, serial).
+This module parses arguments, calls the library and renders the result; the
+suites themselves live in cliffork.verify.  Output is markdown unless
+--format json.  Both renderings are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .classification import (
     TABLE_KINDS,
@@ -35,606 +30,21 @@ from .classification import (
     complex_matrix_dimension,
     complex_ring_label,
 )
-from .core_algebra import (
-    GaussianScalar,
-    MultiVector,
-    SignatureSpec,
-    center_basis,
-    conjugation_sign,
-    involution_sign,
-    reversion_sign,
-    volume_square,
-    volume_square_sign,
-)
-from .coverings import cpt_structure, pt_structure
-from .ext_automorphisms import (
-    MATRIX_NAMES,
-    classify_ext_group,
-    comm_parity,
-    enumerate_signatures,
-    ext_group_report,
-    ext_matrices,
-    predicted_F_square,
-    predicted_K_square,
-    predicted_S_square,
-    predicted_pi_bar,
-    printed_comm_applicable,
-    printed_comm_parity,
-    printed_pi_bar_applicable,
-    printed_pi_bar_mod4,
-    product_square_sign,
-    universal_comm_sign,
-)
-from .finite_groups import vee_factor_check
+from .core_algebra import SignatureSpec, volume_square_sign
+from .coverings import cpt_structure, pt_structure, signature_text
+from .ext_automorphisms import MATRIX_NAMES, ext_group_report
 from .quotient import (
     PHYSICAL_NAMES,
-    apply_transformation,
     central_idempotents,
     epsilon_context,
-    epsilon_map,
     quotient_class,
     quotient_group,
     transfer_report,
 )
-from .spinor_repr import SpinMatrix, build_spinbasis, load_spinbasis, sweep_spinbasis_variants
+from .spinor_repr import SpinMatrix, build_spinbasis, load_spinbasis, signed_lookup
+from .verify import SUITE_NAMES, run_suite
 
 SCHEMA = "cliffork/1"
-
-SUITE_NAMES = (
-    "tables",
-    "example1",
-    "example2",
-    "pseudo",
-    "defining",
-    "commutation",
-    "census",
-    "salingaros",
-    "quotient",
-    "core",
-)
-
-
-def thread_budget() -> int:
-    """Worker cap from CLIFFORK_THREADS; 1 (serial) by default or on junk."""
-    raw = os.environ.get("CLIFFORK_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-_BUNDLE_CACHE: Optional[dict] = None
-
-
-def _bundle() -> dict:
-    """Printed reference grids and worked-example tables shipped with the
-    package; the verify suites compare generated output against these."""
-    global _BUNDLE_CACHE
-    if _BUNDLE_CACHE is None:
-        text = resources.files("cliffork").joinpath("data/printed_tables.json").read_text()
-        _BUNDLE_CACHE = json.loads(text)
-    return _BUNDLE_CACHE
-
-
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-@dataclass
-class SuiteResult:
-    name: str
-    ok: bool
-    checked: int
-    counterexamples: List[dict] = field(default_factory=list)
-    detail: str = ""
-    elapsed: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "checked": self.checked,
-            "counterexamples": self.counterexamples,
-            "detail": self.detail,
-            "elapsed_seconds": round(self.elapsed, 3),
-        }
-
-
-def _match_signed(m: SpinMatrix, pool: Dict[str, SpinMatrix]) -> Optional[str]:
-    for name, e in pool.items():
-        if m == e:
-            return "+" + name
-        if m == -e:
-            return "-" + name
-    return None
-
-
-def _gamma_product(basis, text: str) -> SpinMatrix:
-    # "g013" -> gamma_0 gamma_1 gamma_3; gamma_k is basis unit k+1
-    if text in ("1", "I"):
-        return SpinMatrix.identity(basis.dim)
-    return basis.product_of([int(ch) + 1 for ch in text[1:]])
-
-
-def suite_tables(max_n: Optional[int] = None) -> SuiteResult:
-    """Generated classification grids vs the printed 8x8 references."""
-    want_all = _bundle()["tables"]
-    cex: List[dict] = []
-    checked = 0
-    for kind in TABLE_KINDS:
-        got = build_table(kind, 7)
-        want = want_all[kind]
-        for q in range(8):
-            for p in range(8):
-                checked += 1
-                if got[q][p] != want[q][p]:
-                    cex.append(
-                        {"kind": kind, "p": p, "q": q, "generated": got[q][p], "printed": want[q][p]}
-                    )
-    return SuiteResult("tables", not cex, checked, cex)
-
-
-def suite_example1(max_n: Optional[int] = None) -> SuiteResult:
-    """The worked discrete-symmetry set of the spacetime algebra: its 8x8
-    products against both printed tables, and the group classification."""
-    data = _bundle()["example1"]
-    basis = load_spinbasis("gamma")
-    elements = data["elements"]
-    pool = {name: _gamma_product(basis, name) for name in elements}
-    letters = data["letters"]
-    by_letter = dict(zip(letters, elements))
-    gamma_typos = {tuple(c) for c in data["gamma_typos"]}
-    letter_typos = {tuple(c) for c in data["letter_typos"]}
-
-    cex: List[dict] = []
-    checked = 0
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            got = _match_signed(pool[a] * pool[b], pool)
-            checked += 1
-            if (i, j) not in gamma_typos and got != data["gamma_table"][i][j]:
-                cex.append({"table": "gamma", "row": a, "col": b, "got": got,
-                            "printed": data["gamma_table"][i][j]})
-            la, lb = letters[i], letters[j]
-            prod = pool[by_letter[la]] * pool[by_letter[lb]]
-            got_l = _match_signed(prod, {l: pool[e] for l, e in by_letter.items()})
-            checked += 1
-            if (i, j) not in letter_typos and got_l != data["letter_table"][i][j]:
-                cex.append({"table": "letters", "row": la, "col": lb, "got": got_l,
-                            "printed": data["letter_table"][i][j]})
-
-    ident = pool[elements[0]]
-    squares = tuple(
-        1 if pool[e] * pool[e] == ident else -1 for e in elements[1:]
-    )
-    abelian = all(
-        pool[a] * pool[b] == pool[b] * pool[a] for a in elements for b in elements
-    )
-    order_structure = (squares.count(1), squares.count(-1))
-    group = classify_ext_group(squares, abelian)
-    for key, got, want in (
-        ("signature", list(squares), data["signature"]),
-        ("order_structure", list(order_structure), data["order_structure"]),
-        ("group", group, data["group"]),
-        ("abelian", abelian, False),
-    ):
-        checked += 1
-        if got != want:
-            cex.append({"table": "classification", "check": key, "got": got, "printed": want})
-    return SuiteResult("example1", not cex, checked, cex)
-
-
-def suite_example2(max_n: Optional[int] = None) -> SuiteResult:
-    """End-to-end run on the bundled gamma spinbasis: constructed matrices vs
-    the printed monomials (signs reported), realized signature and group, and
-    the printed 8x8 table up to those per-element signs."""
-    data = _bundle()["example2"]
-    basis = load_spinbasis("gamma")
-    mats = ext_matrices(basis)
-    ident = SpinMatrix.identity(basis.dim)
-    letters = data["letters"]
-
-    cex: List[dict] = []
-    checked = 0
-    printed_pool = {"I": ident}
-    for name, idx in data["monomials"].items():
-        printed_pool[name] = basis.product_of([k + 1 for k in idx])
-    actual = {"I": ident}
-    signs: Dict[str, int] = {"I": 1}
-    for name in letters[1:]:
-        actual[name] = mats[name].matrix
-        checked += 1
-        if actual[name] == printed_pool[name]:
-            signs[name] = 1
-        elif actual[name] == -printed_pool[name]:
-            signs[name] = -1
-        else:
-            signs[name] = 0
-            cex.append({"check": "monomial", "name": name,
-                        "printed_units": data["monomials"][name]})
-
-    report = ext_group_report(basis)
-    for key, got, want in (
-        ("signature", list(report.signature), data["signature"]),
-        ("group", report.group_name, data["group"]),
-        ("order_structure", list(report.order_structure), data["order_structure"]),
-        ("abelian", report.abelian, False),
-    ):
-        checked += 1
-        if got != want:
-            cex.append({"check": key, "got": got, "printed": want})
-
-    letter_typos = {tuple(c) for c in data["letter_typos"]}
-    gamma_typos = {tuple(c) for c in data["gamma_typos"]}
-    gamma_names = {"I": "I", "W": "g0123", "E": "g13", "C": "g02",
-                   "Pi": "g013", "K": "g2", "S": "g0", "F": "g123"}
-    if not cex:
-        for i, a in enumerate(letters):
-            for j, b in enumerate(letters):
-                got = _match_signed(actual[a] * actual[b], actual)
-                if got is None:
-                    cex.append({"table": "letters", "row": a, "col": b,
-                                "got": None, "check": "product left the set"})
-                    continue
-                target = got[1:]
-                got_sign = 1 if got[0] == "+" else -1
-                # printed tables list the products of the printed monomials;
-                # the actual set differs by the recorded per-letter signs
-                adjust = signs[a] * signs[b] * signs[target]
-                checked += 2
-                if (i, j) not in letter_typos:
-                    want = data["letter_table"][i][j]
-                    want_sign = 1 if want[0] == "+" else -1
-                    if target != want[1:] or got_sign * adjust != want_sign:
-                        cex.append({"table": "letters", "row": a, "col": b,
-                                    "got": got, "sign_adjust": adjust, "printed": want})
-                if (i, j) not in gamma_typos:
-                    want = data["gamma_table"][i][j]
-                    want_sign = 1 if want[0] == "+" else -1
-                    if gamma_names[target] != want[1:] or got_sign * adjust != want_sign:
-                        cex.append({"table": "gamma", "row": a, "col": b,
-                                    "got": got, "sign_adjust": adjust, "printed": want})
-    detail = "construction signs: " + ", ".join(
-        f"{n}{'+' if signs[n] > 0 else '-'}" for n in letters[1:]
-    )
-    return SuiteResult("example2", not cex, checked, cex, detail)
-
-
-def _quaternionic_cells(max_n: int) -> List[Tuple[int, int]]:
-    out = []
-    for n in range(2, max_n + 1, 2):
-        for p in range(n + 1):
-            if (2 * p - n) % 8 in (4, 6):
-                out.append((p, n - p))
-    return out
-
-
-def _sweep_cell(args: Tuple[int, int, bool, str]) -> Tuple[int, List[dict]]:
-    """All per-variant checks of one sweep suite on one signature cell.
-    Top-level so a process pool can run cells in parallel."""
-    p, q, tweaks, which = args
-    sig = SignatureSpec(p, q)
-    checked = 0
-    cex: List[dict] = []
-
-    def bad(**kw):
-        cex.append({"sig": str(sig), **kw})
-
-    for basis in sweep_spinbasis_variants(sig, tweaks=tweaks):
-        report = ext_group_report(basis, identify=False)
-        mats = report.matrices
-        census = report.census
-        forms = {name: mats[name].form for name in MATRIX_NAMES}
-        ident = SpinMatrix.identity(basis.dim)
-
-        if which == "pseudo":
-            pi = mats["Pi"].matrix
-            for i, u in enumerate(basis.mats):
-                checked += 1
-                if u * pi != pi * u.conj():
-                    bad(basis=basis.name, check="defining", unit=i + 1)
-            direct = pi * pi.conj()
-            want = predicted_pi_bar(census, forms["Pi"])
-            checked += 1
-            if direct != ident * want:
-                bad(basis=basis.name, check="pi_bar_vs_prediction", predicted=want)
-            checked += 1
-            if report.pi_bar_sign != -1:  # antilinear intertwiner over ring H
-                bad(basis=basis.name, check="pi_bar_commutant", got=report.pi_bar_sign)
-            if printed_pi_bar_applicable(census, forms["Pi"]):
-                checked += 1
-                if report.pi_bar_sign != printed_pi_bar_mod4(census, forms["Pi"]):
-                    bad(basis=basis.name, check="pi_bar_printed_rule")
-        elif which == "defining":
-            relations = {
-                "K": lambda u, x: -(u * x) == x * u.conj(),
-                "S": lambda u, x: u * x == x * u.conj().transpose(),
-                "F": lambda u, x: -(u * x) == x * u.conj().transpose(),
-            }
-            predictors = {"K": predicted_K_square, "S": predicted_S_square,
-                          "F": predicted_F_square}
-            for name, rel in relations.items():
-                x = mats[name].matrix
-                for i, u in enumerate(basis.mats):
-                    checked += 1
-                    if not rel(u, x):
-                        bad(basis=basis.name, check="defining", matrix=name, unit=i + 1)
-                want = predictors[name](census, forms[name])
-                checked += 2
-                if mats[name].square_sign != want:
-                    bad(basis=basis.name, check="square_predicate", matrix=name,
-                        got=mats[name].square_sign, predicted=want)
-                if x * x != ident * mats[name].square_sign:
-                    bad(basis=basis.name, check="square_direct", matrix=name)
-            for name in MATRIX_NAMES:
-                m = mats[name]
-                negatives = sum(1 for i in m.factors if i > sig.p)
-                checked += 1
-                if m.square_sign != product_square_sign(len(m.factors), negatives):
-                    bad(basis=basis.name, check="square_census_rule", matrix=name)
-        elif which == "commutation":
-            for pair, got in report.commutation.items():
-                checked += 1
-                if got != universal_comm_sign(mats[pair[0]].factors, mats[pair[1]].factors):
-                    bad(basis=basis.name, check="universal_rule", pair=list(pair), got=got)
-                parity = comm_parity(pair, forms, census)
-                if parity is not None:
-                    checked += 1
-                    if got != (1 if parity == 0 else -1):
-                        bad(basis=basis.name, check="parity_predicate", pair=list(pair), got=got)
-                if printed_comm_applicable(pair, forms, census):
-                    printed = printed_comm_parity(pair, forms, census)
-                    if printed is not None:
-                        checked += 1
-                        if got != (1 if printed == 0 else -1):
-                            bad(basis=basis.name, check="printed_clause", pair=list(pair), got=got)
-        else:
-            raise ValueError(f"unknown sweep check {which!r}")
-    return checked, cex
-
-
-def _run_sweep(which: str, max_n: int, workers: Optional[int]) -> SuiteResult:
-    cells = _quaternionic_cells(max_n)
-    args = [(p, q, True, which) for p, q in cells]
-    workers = thread_budget() if workers is None else max(1, workers)
-    if workers > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
-            results = list(pool.map(_sweep_cell, args))
-    else:
-        results = [_sweep_cell(a) for a in args]
-    checked = sum(c for c, _ in results)
-    cex = [x for _, xs in results for x in xs]
-    detail = f"{len(cells)} signature cells, p+q <= {max_n}"
-    return SuiteResult(which, not cex, checked, cex, detail)
-
-
-def suite_pseudo(max_n: Optional[int] = None, workers: Optional[int] = None) -> SuiteResult:
-    """Coefficient-conjugation matrix on the quaternionic sweep: defining
-    relation, square of the induced antilinear map both by prediction and
-    directly, and the printed mod-4 rule on its applicable subdomain."""
-    return _run_sweep("pseudo", max_n or 8, workers)
-
-
-def suite_defining(max_n: Optional[int] = None, workers: Optional[int] = None) -> SuiteResult:
-    """K, S, F defining relations and all square-parity predicates vs the
-    direct matrix squares on the quaternionic sweep."""
-    return _run_sweep("defining", max_n or 8, workers)
-
-
-def suite_commutation(max_n: Optional[int] = None, workers: Optional[int] = None) -> SuiteResult:
-    """Every pairwise (anti)commutation among the seven matrices vs the
-    parity predicates and the universal factor-count rule, on the sweep."""
-    return _run_sweep("commutation", max_n or 8, workers)
-
-
-def suite_census(max_n: Optional[int] = None) -> SuiteResult:
-    """Realized seven-sign vectors over the sweep: all must fall in the four
-    admissible minus-count patterns, with at most 64 distinct vectors."""
-    max_n = max_n or 8
-    realized = enumerate_signatures(max_n=max_n, tweaks=True)
-    cex: List[dict] = []
-    checked = 0
-    for signature in sorted(realized):
-        checked += 1
-        minus = sum(1 for s in signature if s == -1)
-        if minus not in (0, 2, 4, 6):
-            cex.append({"signature": list(signature), "minus_count": minus})
-    checked += 1
-    if len(realized) > 64:
-        cex.append({"check": "count", "distinct": len(realized)})
-    detail = f"{len(realized)} distinct signatures realized (bound 64), p+q <= {max_n}"
-    return SuiteResult("census", not cex, checked, cex, detail)
-
-
-def suite_salingaros(max_n: Optional[int] = None) -> SuiteResult:
-    """G(p,q)/Z(p,q) elementary abelian of the predicted order, exhaustively."""
-    max_n = max_n or 6
-    cex: List[dict] = []
-    checked = 0
-    for n in range(max_n + 1):
-        for p in range(n + 1):
-            sig = SignatureSpec(p, n - p)
-            rep = vee_factor_check(sig)
-            checked += 1
-            if not rep.passed:
-                cex.append({"sig": str(sig), "failures": rep.failures})
-    return SuiteResult("salingaros", not cex, checked, cex, f"all (p,q) with p+q <= {max_n}")
-
-
-# printed covering labels of the odd-dimensional collapse
-_TODD_CASES: Tuple[Tuple[str, int, int, str, Tuple[str, ...]], ...] = (
-    ("R", 1, 0, "pin^{b}", ("1", "T")),
-    ("R", 2, 1, "pin^{a,b,c}", ("1", "P", "T", "PT")),
-    ("R", 5, 0, "pin^{b,d,f}", ("1", "T", "C", "CT")),
-    ("R", 0, 3, "pin^{b,e,g}", ("1", "T", "CP", "CPT")),
-    ("C", 3, 2, "pin^{b}", ("1", "T")),
-    ("C", 1, 4, "pin^{b,d}", ("1", "T", "C")),
-    ("C", 4, 1, "pin^{b,e,g}", ("1", "T", "CP", "CPT")),
-    ("C", 3, 0, "pin^{c,d,g}", ("1", "PT", "C", "CPT")),
-    ("C", 2, 1, "pin^{a,b,c}", ("1", "P", "T", "PT")),
-    ("C", 0, 3, "pin^{c,e,f}", ("1", "PT", "CP", "CT")),
-)
-
-
-def _quotient_contexts(max_n: int):
-    for n in range(1, max_n + 1, 2):
-        for p in range(n + 1):
-            q = n - p
-            if (p - q) % 8 in (1, 5):
-                yield epsilon_context(p, q)
-            yield epsilon_context(SignatureSpec(p, q, "C"))
-
-
-def suite_quotient(max_n: Optional[int] = None) -> SuiteResult:
-    """Idempotent identities, collapse-map homomorphism law, transfer
-    predicates vs direct fixed-point tests, and the printed covering labels."""
-    max_n = max_n or 7
-    cex: List[dict] = []
-    checked = 0
-
-    for ctx in _quotient_contexts(max_n):
-        lam_p, lam_m = central_idempotents(ctx)
-        one = MultiVector.scalar(ctx.sig, 1)
-        for label, val in (
-            ("lam+^2", lam_p * lam_p - lam_p),
-            ("lam-^2", lam_m * lam_m - lam_m),
-            ("lam+lam-", lam_p * lam_m),
-            ("sum", lam_p + lam_m - one),
-        ):
-            checked += 1
-            if not val.is_zero():
-                cex.append({"sig": str(ctx.sig), "check": f"idempotent {label}"})
-
-        rep = transfer_report(ctx)
-        for name in PHYSICAL_NAMES[1:]:
-            direct = (apply_transformation(ctx.ew, name) - ctx.ew).is_zero()
-            checked += 1
-            if rep.entries[name].transfers != direct:
-                cex.append({"sig": str(ctx.sig), "check": "transfer", "name": name})
-        checked += 1
-        if rep.entries["P"].transfers:
-            cex.append({"sig": str(ctx.sig), "check": "involution transferred"})
-
-        if ctx.sig.n <= 5:
-            dim = 1 << ctx.sig.n
-            images = [epsilon_map(MultiVector.from_mask(ctx.sig, m), ctx) for m in range(dim)]
-            checked += 1
-            if not (epsilon_map(ctx.ew, ctx) - MultiVector.scalar(ctx.target, 1)).is_zero():
-                cex.append({"sig": str(ctx.sig), "check": "eps(ew) != 1"})
-            for a in range(dim):
-                xa = MultiVector.from_mask(ctx.sig, a)
-                checked += 1
-                if not epsilon_map(xa - ctx.ew * xa, ctx).is_zero():
-                    cex.append({"sig": str(ctx.sig), "check": "kernel", "mask": a})
-                for b in range(dim):
-                    checked += 1
-                    lhs = epsilon_map(xa * MultiVector.from_mask(ctx.sig, b), ctx)
-                    if not (lhs - images[a] * images[b]).is_zero():
-                        cex.append({"sig": str(ctx.sig), "check": "homomorphism",
-                                    "a": a, "b": b})
-                        break
-
-    for fld, p, q, label, survivors in _TODD_CASES:
-        ctx = epsilon_context(SignatureSpec(p, q, fld))
-        g = quotient_group(ctx)
-        checked += 2
-        if g.label != label:
-            cex.append({"sig": str(ctx.sig), "check": "covering label",
-                        "got": g.label, "printed": label})
-        if g.survivors != survivors:
-            cex.append({"sig": str(ctx.sig), "check": "survivors",
-                        "got": list(g.survivors), "printed": list(survivors)})
-        checked += 1
-        if len(survivors) == 3:
-            if g.cayley is not None:
-                cex.append({"sig": str(ctx.sig), "check": "non-closed set got a table"})
-        elif g.cayley is None or g.abstract not in ("Z2", "Z2xZ2"):
-            cex.append({"sig": str(ctx.sig), "check": "cayley", "abstract": g.abstract})
-    return SuiteResult("quotient", not cex, checked, cex,
-                       f"odd contexts to p+q <= {max_n}, collapse maps to 5")
-
-
-def suite_core(max_n: Optional[int] = None) -> SuiteResult:
-    """Per-blade involution signs, involution-by-volume agreement, the
-    multiplicativity of coefficient conjugation, volume squares and the
-    center, exhaustively over all signatures with p+q <= the bound."""
-    max_n = max_n or 6
-    cex: List[dict] = []
-    checked = 0
-    for n in range(max_n + 1):
-        for p in range(n + 1):
-            sig = SignatureSpec(p, n - p)
-            dim = 1 << n
-
-            for mask in range(dim):
-                x = MultiVector.from_mask(sig, mask)
-                k = mask.bit_count()
-                checked += 4
-                if x.grade_involution() != x * involution_sign(k):
-                    cex.append({"sig": str(sig), "mask": mask, "check": "involution sign"})
-                if x.reversion() != x * reversion_sign(k):
-                    cex.append({"sig": str(sig), "mask": mask, "check": "reversion sign"})
-                if x.clifford_conjugation() != x * conjugation_sign(k):
-                    cex.append({"sig": str(sig), "mask": mask, "check": "conjugation sign"})
-                if x.clifford_conjugation() != x.grade_involution().reversion():
-                    cex.append({"sig": str(sig), "mask": mask, "check": "composite"})
-                if n % 2 == 0 and n > 0:
-                    checked += 1
-                    if x.involution_by_omega() != x.grade_involution():
-                        cex.append({"sig": str(sig), "mask": mask, "check": "omega involution"})
-
-            for a in range(dim):
-                x = MultiVector.from_mask(sig, a, GaussianScalar.I if a & 1 else 1)
-                xb = x.pseudo_conjugation()
-                for b in range(dim):
-                    y = MultiVector.from_mask(sig, b)
-                    checked += 1
-                    if (x * y).pseudo_conjugation() != xb * y.pseudo_conjugation():
-                        cex.append({"sig": str(sig), "check": "pseudo multiplicativity",
-                                    "a": a, "b": b})
-                        break
-
-            checked += 1
-            if volume_square(sig) != GaussianScalar.of(volume_square_sign(p, n - p)):
-                cex.append({"sig": str(sig), "check": "volume square"})
-            if n > 0:
-                gens = [MultiVector.unit(sig, i) for i in range(1, n + 1)]
-                central = [m for m in range(dim)
-                           if all(MultiVector.from_mask(sig, m) * g
-                                  == g * MultiVector.from_mask(sig, m) for g in gens)]
-                expected = [0] if n % 2 == 0 else [0, dim - 1]
-                checked += 1
-                if central != expected:
-                    cex.append({"sig": str(sig), "check": "center", "got": central})
-                checked += 1
-                if len(center_basis(sig)) != len(expected):
-                    cex.append({"sig": str(sig), "check": "center basis size"})
-    return SuiteResult("core", not cex, checked, cex, f"all (p,q) with p+q <= {max_n}")
-
-
-_SUITE_FUNCS = {
-    "tables": suite_tables,
-    "example1": suite_example1,
-    "example2": suite_example2,
-    "pseudo": suite_pseudo,
-    "defining": suite_defining,
-    "commutation": suite_commutation,
-    "census": suite_census,
-    "salingaros": suite_salingaros,
-    "quotient": suite_quotient,
-    "core": suite_core,
-}
-
-
-def run_suite(name: str, max_n: Optional[int] = None) -> SuiteResult:
-    if name not in _SUITE_FUNCS:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    t0 = time.monotonic()
-    result = _SUITE_FUNCS[name](max_n)
-    result.elapsed = time.monotonic() - t0
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +56,6 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
            "|" + "|".join(" --- " for _ in headers) + "|"]
     out += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
     return "\n".join(out)
-
-
-def _signature_text(signature: Sequence[int]) -> str:
-    return "(" + ",".join("+" if s > 0 else "-" for s in signature) + ")"
 
 
 def _emit(payload: dict, lines: List[str], fmt: str) -> str:
@@ -708,13 +114,8 @@ def _signed_letter_table(mats, dim: int) -> Tuple[List[str], List[List[str]]]:
     elements = ["I"] + list(MATRIX_NAMES)
     pool = {"I": SpinMatrix.identity(dim)}
     pool.update({name: mats[name].matrix for name in MATRIX_NAMES})
-    cells = []
-    for a in elements:
-        row = []
-        for b in elements:
-            got = _match_signed(pool[a] * pool[b], pool)
-            row.append(got if got else "?")
-        cells.append(row)
+    by_matrix = signed_lookup(pool)
+    cells = [[by_matrix.get(pool[a] * pool[b], "?") for b in elements] for a in elements]
     return elements, cells
 
 
@@ -751,7 +152,7 @@ def _cmd_ext_group(args) -> Tuple[int, str]:
         "notes": list(report.notes),
     }
     lines = [f"# Extended automorphisms of {report.sig} ({basis.name} basis)", ""]
-    lines += [f"- signature: {_signature_text(report.signature)}",
+    lines += [f"- signature: {signature_text(report.signature)}",
               f"- group: {report.group_name} "
               f"(order structure {report.order_structure}, "
               f"{'Abelian' if report.abelian else 'non-Abelian'})",
@@ -799,8 +200,8 @@ def _cmd_cover(args) -> Tuple[int, str]:
     kind = "CPT" if len(rep.admissible[0]) == 7 else "PT"
     lines = [f"# {kind} covering structure of {where}", "",
              f"- ring: {rep.ring}",
-             f"- signature: {_signature_text(rep.signature) if rep.signature else 'not pinned'}",
-             f"- admissible: {', '.join(_signature_text(s) for s in rep.admissible)}",
+             f"- signature: {signature_text(rep.signature) if rep.signature else 'not pinned'}",
+             f"- admissible: {', '.join(signature_text(s) for s in rep.admissible)}",
              f"- cover group: {rep.cover_group}",
              f"- automorphism group: {rep.automorphism_group}",
              f"- Cliffordian: {rep.cliffordian}"]
@@ -906,6 +307,8 @@ def _cmd_quotient(args) -> Tuple[int, str]:
 
 
 def _cmd_verify(args) -> Tuple[int, str]:
+    if args.max is not None and args.max < 0:
+        raise ValueError(f"--max must be a nonnegative p+q bound, got {args.max}")
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     results = [run_suite(name, args.max) for name in names]
     ok = all(r.ok for r in results)

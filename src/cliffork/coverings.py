@@ -31,6 +31,7 @@ from .ext_automorphisms import (
     MATRIX_NAMES,
     ExtMatrix,
     classify_ext_group,
+    commutation_profile,
     ext_matrices,
     matrix_C,
     matrix_E,
@@ -116,7 +117,8 @@ def pt_cover_name(signature: Sequence[int]) -> str:
     return PT_COVER_BY_MINUS[minus_count(signature)]
 
 
-def _sig_str(signature: Sequence[int]) -> str:
+def signature_text(signature: Sequence[int]) -> str:
+    """Sign vector as text, e.g. (+,-,-)."""
     return "(" + ",".join("+" if s > 0 else "-" for s in signature) + ")"
 
 
@@ -134,7 +136,11 @@ def signed_cover_group(
 
     This is the double cover itself, not the matrix group: collapsed
     realizations (several names landing on the same matrix up to sign)
-    still produce the full-order table.
+    still produce the full-order table.  So it stays beside the BFS closure
+    of `ext_group_report(identify=True)`, which names the matrix group, and
+    it cannot stand in for the CLI's letter table either: where names
+    coincide up to sign (Pi = I at Cl(2,0)) the cocycle names the XOR code,
+    not the first matching name.
     """
     codes = sorted({0} | {_CODE[nm] for nm in names})
     code_set = set(codes)
@@ -228,7 +234,7 @@ def pt_profile(basis: SpinBasis) -> Dict[str, object]:
     identified double cover; internal consistency is asserted."""
     w = matrix_W(basis)
     e = matrix_E(basis)
-    c = matrix_C(basis)
+    c = matrix_C(basis, e)
     signature = (w.square_sign, e.square_sign, c.square_sign)
     comm = {
         ("W", "E"): matrix_comm_sign(w.matrix, e.matrix),
@@ -265,7 +271,7 @@ def _pt_complex(n: int) -> CoveringReport:
         signature = (-1, -1, -1)
     cover = pt_cover_name(signature)
     notes = [
-        f"over C the two covers alternate with n mod 4: {_sig_str(signature)}",
+        f"over C the two covers alternate with n mod 4: {signature_text(signature)}",
         f"pin^{{a,b,c}}({n},C) = (spin+({n},C) . {cover}) / Z2",
     ]
     if n % 2:
@@ -359,7 +365,7 @@ def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] =
         admissible = (signature,)
         notes.append(
             f"ring C, type {t}: structure carried by pin^{{a,b,c}}"
-            f"({sig.n - 1},C), here {_sig_str(signature)}"
+            f"({sig.n - 1},C), here {signature_text(signature)}"
         )
 
     if basis is None and t in (0, 2, 4, 6) and sig.n <= 10:
@@ -370,17 +376,17 @@ def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] =
         predicted = predicted_pt_signature(basis)
         if realized != predicted:
             raise AssertionError(
-                f"{sig}: census predicts {_sig_str(predicted)}, matrices "
-                f"square to {_sig_str(realized)}"
+                f"{sig}: census predicts {signature_text(predicted)}, matrices "
+                f"square to {signature_text(realized)}"
             )
         if signature is not None and realized != signature:
             raise AssertionError(
-                f"{sig}: type table says {_sig_str(signature)}, matrices "
-                f"square to {_sig_str(realized)}"
+                f"{sig}: type table says {signature_text(signature)}, matrices "
+                f"square to {signature_text(realized)}"
             )
         if realized not in admissible:
             raise AssertionError(
-                f"{sig}: realized {_sig_str(realized)} is not admissible"
+                f"{sig}: realized {signature_text(realized)} is not admissible"
             )
         signature = realized
         notes.append(f"checked against basis {basis.name}")
@@ -389,7 +395,7 @@ def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] =
     aut = PT_AUT_BY_MINUS[minus_count(signature)] if signature else None
     if signature:
         notes.append(
-            f"pin^{_sig_str(signature)}({p},{qq}) = "
+            f"pin^{signature_text(signature)}({p},{qq}) = "
             f"(spin+({p},{qq}) . {cover}) / Z2"
         )
     return CoveringReport(
@@ -456,13 +462,10 @@ def cpt_structure(sig_or_p, q: Optional[int] = None, basis: Optional[SpinBasis] 
     mc = minus_count(signature)
     if mc not in (0, 2, 4, 6):
         raise ValueError(
-            f"{sig}: sign pattern {_sig_str(signature)} falls outside the "
+            f"{sig}: sign pattern {signature_text(signature)} falls outside the "
             "five-cover table"
         )
-    pairs = [(x, y) for i, x in enumerate(MATRIX_NAMES) for y in MATRIX_NAMES[i + 1:]]
-    abelian = all(
-        matrix_comm_sign(mats[x].matrix, mats[y].matrix) == 1 for x, y in pairs
-    )
+    abelian = all(s == 1 for s in commutation_profile(mats).values())
     if mc == 4:
         cover = CPT_COVER_FOUR_MINUS[abelian]
     else:
@@ -518,7 +521,6 @@ def multivector_inverse(x: MultiVector) -> Optional[MultiVector]:
     rows = [list(r) for r in regular_representation(x)]
     rhs = [_ONE if i == 0 else zero for i in range(dim)]
     # Gaussian elimination over the exact scalars
-    perm = list(range(dim))
     for col in range(dim):
         pivot = next((r for r in range(col, dim) if rows[r][col]), None)
         if pivot is None:
@@ -533,7 +535,6 @@ def multivector_inverse(x: MultiVector) -> Optional[MultiVector]:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
                 rhs[r] = rhs[r] - f * rhs[col]
-    del perm
     coeffs = {mask: rhs[mask] for mask in range(dim) if rhs[mask]}
     return MultiVector(sig, coeffs)
 

@@ -12,8 +12,12 @@ For an even-dimensional basis E_1..E_n the eight-element set
     F conj(E_i)^T F^-1  = -E_i
 
 Each matrix is a product of unit matrices selected by the census (real or
-imaginary, symmetric or skew); every defining relation is verified on
-construction, and each square is forced to be exactly +-I.
+imaginary, symmetric or skew, read from SpinBasis.unit_species); every
+defining relation is verified on construction, and each square is forced to
+be exactly +-I.  Those construction checks stay even though the `pseudo` and
+`defining` sweeps check the same relations again: they keep every caller
+right-or-raise, a user-supplied basis (`ext-group --basis FILE`) included,
+while the sweeps re-check to count the checks and to report counterexamples.
 
 Two independent prediction routes accompany the constructions: the universal
 factor-count commutation rule, and the printed parity predicates in terms of
@@ -32,33 +36,10 @@ from .spinor_repr import (
     SpinBasis,
     SpinMatrix,
     UnitCensus,
-    build_spinbasis,
-    classify_matrix,
     sweep_spinbasis_variants,
 )
 
 MATRIX_NAMES = ("W", "E", "C", "Pi", "K", "S", "F")
-
-# unit species by (reality, symmetry)
-_SPECIES = {
-    ("real", "symmetric"): "v",
-    ("real", "skew"): "u",
-    ("imaginary", "symmetric"): "l",
-    ("imaginary", "skew"): "m",
-}
-
-
-def unit_species(basis: SpinBasis) -> Dict[str, Tuple[int, ...]]:
-    """1-based unit indices per census species."""
-    out: Dict[str, List[int]] = {"v": [], "u": [], "l": [], "m": []}
-    for i, mat in enumerate(basis.mats, start=1):
-        c = classify_matrix(mat)
-        key = (c.reality, c.symmetry)
-        if key not in _SPECIES:
-            raise ValueError(f"unit {i} is not census-classifiable: {c}")
-        out[_SPECIES[key]].append(i)
-    return {k: tuple(v) for k, v in out.items()}
-
 
 @dataclass(frozen=True)
 class ExtMatrix:
@@ -92,13 +73,6 @@ def _require_even(basis: SpinBasis):
         )
 
 
-def _product(basis: SpinBasis, indices: Sequence[int]) -> SpinMatrix:
-    out = SpinMatrix.identity(basis.dim)
-    for i in indices:
-        out = out * basis.unit(i)
-    return out
-
-
 def _check(condition: bool, message: str):
     if not condition:
         raise AssertionError(message)
@@ -111,7 +85,7 @@ def _check(condition: bool, message: str):
 def matrix_W(basis: SpinBasis) -> ExtMatrix:
     _require_even(basis)
     factors = tuple(range(1, basis.sig.n + 1))
-    w = _product(basis, factors)
+    w = basis.product_of(factors)
     for i, e in enumerate(basis.mats, start=1):
         _check(w * e == -(e * w), f"W failed the involution relation at unit {i}")
     return ExtMatrix("W", w, factors, "volume", (w * w).sign_of_identity_multiple())
@@ -119,24 +93,23 @@ def matrix_W(basis: SpinBasis) -> ExtMatrix:
 
 def matrix_E(basis: SpinBasis) -> ExtMatrix:
     _require_even(basis)
-    sp = unit_species(basis)
+    sp = basis.unit_species()
     skew = tuple(sorted(sp["u"] + sp["m"]))
     sym = tuple(sorted(sp["v"] + sp["l"]))
     factors, form = (skew, "skew") if len(skew) % 2 == 0 else (sym, "sym")
-    e_mat = _product(basis, factors)
+    e_mat = basis.product_of(factors)
     for i, u in enumerate(basis.mats, start=1):
         _check(u * e_mat == e_mat * u.transpose(), f"E relation failed at unit {i}")
     return ExtMatrix("E", e_mat, factors, form, (e_mat * e_mat).sign_of_identity_multiple())
 
 
-def matrix_C(basis: SpinBasis) -> ExtMatrix:
+def matrix_C(basis: SpinBasis, e: Optional[ExtMatrix] = None) -> ExtMatrix:
     _require_even(basis)
-    e = matrix_E(basis)
-    sp = unit_species(basis)
-    skew = tuple(sorted(sp["u"] + sp["m"]))
-    sym = tuple(sorted(sp["v"] + sp["l"]))
-    factors, form = (sym, "sym") if e.form == "skew" else (skew, "skew")
-    c_mat = _product(basis, factors)
+    e = e or matrix_E(basis)
+    # the units E leaves out: the symmetric ones when E is skew, and vice versa
+    factors = _symdiff(range(1, basis.sig.n + 1), e.factors)
+    form = "sym" if e.form == "skew" else "skew"
+    c_mat = basis.product_of(factors)
     for i, u in enumerate(basis.mats, start=1):
         _check(u * c_mat == -(c_mat * u.transpose()), f"C relation failed at unit {i}")
     return ExtMatrix("C", c_mat, factors, form, (c_mat * c_mat).sign_of_identity_multiple())
@@ -144,7 +117,7 @@ def matrix_C(basis: SpinBasis) -> ExtMatrix:
 
 def matrix_Pi(basis: SpinBasis) -> ExtMatrix:
     _require_even(basis)
-    sp = unit_species(basis)
+    sp = basis.unit_species()
     imag = tuple(sorted(sp["l"] + sp["m"]))
     real = tuple(sorted(sp["v"] + sp["u"]))
     if len(imag) % 2 == 0:
@@ -153,7 +126,7 @@ def matrix_Pi(basis: SpinBasis) -> ExtMatrix:
         factors, form = real, "real"
     else:
         raise ValueError("no pseudo intertwiner: odd imaginary and even real counts")
-    pi = _product(basis, factors)
+    pi = basis.product_of(factors)
     for i, u in enumerate(basis.mats, start=1):
         _check(u * pi == pi * u.conj(), f"Pi relation failed at unit {i}")
     return ExtMatrix("Pi", pi, factors, form, (pi * pi).sign_of_identity_multiple())
@@ -200,7 +173,7 @@ def matrix_F(basis: SpinBasis, pi: Optional[ExtMatrix] = None, c: Optional[ExtMa
 def ext_matrices(basis: SpinBasis) -> Dict[str, ExtMatrix]:
     w = matrix_W(basis)
     e = matrix_E(basis)
-    c = matrix_C(basis)
+    c = matrix_C(basis, e)
     pi = matrix_Pi(basis)
     k = matrix_K(basis, pi, w)
     s = matrix_S(basis, pi, e)
@@ -521,6 +494,15 @@ def admissible_groups(signature: Sequence[int], typ: int) -> frozenset:
 
 
 def ext_group_report(basis: SpinBasis, identify: bool = True) -> ExtGroupReport:
+    """Matrices, census, signature, commutation ledger and group label of one
+    basis, all from a single classification of its units.
+
+    With identify=True the matrix group is also closed by BFS and named.
+    That is the group the matrices actually generate, which can be smaller
+    than the formal order-16 double cover `coverings.signed_cover_group`
+    builds from the sign cocycle: the two disagree on 21 of the 25 even
+    cells with p+q <= 8 (Cl(6,2): Z4xZ2 here, Z4xZ2xZ2 there).  Both stay.
+    """
     mats = ext_matrices(basis)
     census = basis.unit_census()
     signature = tuple(mats[name].square_sign for name in MATRIX_NAMES)
@@ -558,17 +540,20 @@ def ext_group_report(basis: SpinBasis, identify: bool = True) -> ExtGroupReport:
     return report
 
 
+def quaternionic_cells(max_n: int) -> List[SignatureSpec]:
+    """Every quaternionic signature (types 4 and 6) with p + q <= max_n."""
+    return [SignatureSpec(p, n - p)
+            for n in range(2, max_n + 1, 2)
+            for p in range(n + 1)
+            if (2 * p - n) % 8 in (4, 6)]
+
+
 def quaternionic_signatures(max_n: int = 10, tweaks: bool = False):
     """Yield (sig, basis, report) over every quaternionic signature with
     p + q <= max_n and every census-split variant."""
-    for n in range(2, max_n + 1, 2):
-        for p in range(n + 1):
-            q = n - p
-            if (p - q) % 8 not in (4, 6):
-                continue
-            sig = SignatureSpec(p, q)
-            for basis in sweep_spinbasis_variants(sig, tweaks=tweaks):
-                yield sig, basis, ext_group_report(basis, identify=False)
+    for sig in quaternionic_cells(max_n):
+        for basis in sweep_spinbasis_variants(sig, tweaks=tweaks):
+            yield sig, basis, ext_group_report(basis, identify=False)
 
 
 def enumerate_signatures(max_n: int = 10, tweaks: bool = False) -> Dict[Tuple[int, ...], List[str]]:

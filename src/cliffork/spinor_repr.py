@@ -117,7 +117,6 @@ class SpinMatrix:
         return SpinMatrix([[a.conjugate() for a in row] for row in self.rows])
 
     def kron(self, other: "SpinMatrix") -> "SpinMatrix":
-        m = other.dim
         out = []
         for r1 in self.rows:
             for r2 in other.rows:
@@ -173,6 +172,19 @@ MAT_B = SpinMatrix([[0, 1], [1, 0]])  # real symmetric, squares to +I
 MAT_J = SpinMatrix([[0, 1], [-1, 0]])  # real skew, squares to -I
 
 
+def signed_lookup(pool: Dict[str, SpinMatrix]) -> Dict[SpinMatrix, str]:
+    """{matrix: "+name", -matrix: "-name"} over a named pool.
+
+    Inserted in pool order without overwriting, so when several names agree
+    up to sign the first one wins, exactly as a scan of the pool would.
+    """
+    out: Dict[SpinMatrix, str] = {}
+    for name, m in pool.items():
+        out.setdefault(m, "+" + name)
+        out.setdefault(-m, "-" + name)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # census classification of a single matrix
 
@@ -201,6 +213,15 @@ def classify_matrix(m: SpinMatrix) -> MatrixClass:
     else:
         symmetry = "mixed"
     return MatrixClass(reality, symmetry)
+
+
+# census species letter by (reality, symmetry); see UnitCensus
+_CENSUS_LETTER = {
+    ("real", "symmetric"): "v",
+    ("real", "skew"): "u",
+    ("imaginary", "symmetric"): "l",
+    ("imaginary", "skew"): "m",
+}
 
 
 @dataclass(frozen=True)
@@ -245,6 +266,7 @@ class SpinBasis:
         self.mats = list(mats)
         self.name = name
         self._blade_cache: Dict[int, SpinMatrix] = {}
+        self._species: Optional[Dict[str, Tuple[int, ...]]] = None
         if len(self.mats) != sig.n:
             raise ValueError(f"{sig} needs {sig.n} units, got {len(self.mats)}")
         self.dim = self.mats[0].dim if self.mats else 1
@@ -281,25 +303,30 @@ class SpinBasis:
             out = out * self.unit(i)
         return out
 
+    def unit_species(self) -> Dict[str, Tuple[int, ...]]:
+        """1-based unit indices per census species (v, u, l, m).
+
+        This is the only place a unit is classified: the result is computed
+        once per basis and memoised beside the blade cache (nothing mutates
+        `mats` after construction), and every census-driven construction
+        reads it from here.
+        """
+        if self._species is None:
+            species: Dict[str, Tuple[int, ...]] = {"v": (), "u": (), "l": (), "m": ()}
+            for idx, mat in enumerate(self.mats, start=1):
+                c = classify_matrix(mat)
+                letter = _CENSUS_LETTER.get((c.reality, c.symmetry))
+                if letter is None:
+                    raise ValueError(
+                        f"unit {idx} is not classifiable (reality={c.reality}, "
+                        f"symmetry={c.symmetry})"
+                    )
+                species[letter] += (idx,)
+            self._species = species
+        return dict(self._species)
+
     def unit_census(self) -> UnitCensus:
-        v = l = u = m = 0
-        for idx, mat in enumerate(self.mats, start=1):
-            c = classify_matrix(mat)
-            key = (c.reality, c.symmetry)
-            if key == ("real", "symmetric"):
-                v += 1
-            elif key == ("real", "skew"):
-                u += 1
-            elif key == ("imaginary", "symmetric"):
-                l += 1
-            elif key == ("imaginary", "skew"):
-                m += 1
-            else:
-                raise ValueError(
-                    f"unit {idx} is not classifiable (reality={c.reality}, "
-                    f"symmetry={c.symmetry})"
-                )
-        return UnitCensus(v=v, l=l, u=u, m=m)
+        return UnitCensus(**{k: len(v) for k, v in self.unit_species().items()})
 
     def validate(self) -> None:
         """Anticommutation and metric squares; raises naming the offender."""

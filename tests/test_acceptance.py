@@ -14,7 +14,7 @@ fixtures.  Together: computation == bundle == independent transcript.
 
 import time
 
-from cliffork.cli import _bundle, run_suite
+from cliffork.verify import _bundle, run_suite
 from cliffork.classification import build_table
 from cliffork.ext_automorphisms import ext_group_report
 from cliffork.spinor_repr import load_spinbasis

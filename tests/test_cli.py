@@ -6,12 +6,11 @@ import sys
 
 import pytest
 
-from cliffork import cli
-from cliffork.cli import (
-    SCHEMA,
+from cliffork import verify
+from cliffork.cli import SCHEMA, run
+from cliffork.verify import (
     SUITE_NAMES,
     SuiteResult,
-    run,
     run_suite,
     suite_pseudo,
     thread_budget,
@@ -173,6 +172,14 @@ class TestExtGroupVerb:
             assert len(row) == 8
             assert all(cell[0] in "+-" for cell in row)
 
+    def test_first_name_wins_where_names_coincide(self, capsys):
+        # at Cl(2,0): Pi = I, K = W, S = E = I and F = C = W, so each cell
+        # shows the first name of the pool that the product matches
+        _, payload = run_json(capsys, ["ext-group", "--p", "2", "--q", "0"])
+        even, odd = ["+I", "+W"] * 4, ["+W", "-I"] * 4
+        assert payload["table"]["elements"] == ["I", "W", "E", "C", "Pi", "K", "S", "F"]
+        assert payload["table"]["cells"] == [even, odd] * 4
+
     def test_file_basis_round_trips(self, capsys, tmp_path):
         basis = build_spinbasis(SignatureSpec(1, 3))
         path = tmp_path / "basis.json"
@@ -278,7 +285,7 @@ class TestVerifyVerb:
                 counterexamples=[{"cell": [0, 0], "got": "?", "want": "R"}],
             )
 
-        monkeypatch.setitem(cli._SUITE_FUNCS, "tables", broken)
+        monkeypatch.setitem(verify._SUITE_FUNCS, "tables", broken)
         code, out = run_text(capsys, ["verify", "--suite", "tables"])
         assert code == 1
         lines = out.splitlines()
@@ -287,9 +294,21 @@ class TestVerifyVerb:
         assert blob["suite"] == "tables"
         assert blob["counterexamples"][0]["want"] == "R"
 
+    def test_zero_bound_is_honoured(self, capsys):
+        code, payload = run_json(capsys, ["verify", "--suite", "all", "--max", "0"])
+        assert code == 0
+        bounded = {s["name"]: s["detail"] for s in payload["suites"] if "p+q <=" in s["detail"]}
+        assert set(bounded) == {"pseudo", "defining", "commutation", "census",
+                                "salingaros", "quotient", "core"}
+        assert all("p+q <= 0" in detail for detail in bounded.values())
+
+    def test_negative_bound_is_usage_error(self, capsys):
+        assert run(["verify", "--suite", "core", "--max", "-1"]) == 2
+        assert "--max" in capsys.readouterr().err
+
     def test_every_announced_suite_is_runnable(self):
         assert len(SUITE_NAMES) == 10
-        assert set(SUITE_NAMES) == set(cli._SUITE_FUNCS)
+        assert set(SUITE_NAMES) == set(verify._SUITE_FUNCS)
 
     @pytest.mark.parametrize("name", ["tables", "example1", "example2"])
     def test_printed_oracle_suites_pass(self, name):
@@ -356,12 +375,12 @@ class TestBundledData:
     # the shipped oracle file must agree with the independent transcription
     # kept in the test fixtures
     def test_grids_match_reference_transcription(self):
-        bundle = cli._bundle()
+        bundle = verify._bundle()
         for kind, grid in GRID_BY_KIND.items():
             assert bundle["tables"][kind] == grid
 
     def test_worked_example_tables_match_reference_transcription(self):
-        bundle = cli._bundle()
+        bundle = verify._bundle()
         ex1 = bundle["example1"]
         assert ex1["gamma_table"] == EXAMPLE1_GAMMA_PRINTED
         assert {tuple(c) for c in ex1["gamma_typos"]} == EXAMPLE1_GAMMA_TYPOS

@@ -1,6 +1,7 @@
 """Extended automorphism matrices: constructions, squares, commutation."""
 
 import math
+import sys
 
 import pytest
 
@@ -30,7 +31,6 @@ from cliffork.ext_automorphisms import (
     product_square_sign,
     quaternionic_signatures,
     signed_order_structure,
-    unit_species,
     universal_comm_sign,
 )
 from cliffork.spinor_repr import SpinMatrix, build_spinbasis, load_spinbasis
@@ -49,7 +49,7 @@ def _subset_products(basis):
 
 def test_gamma_species_and_census():
     basis = load_spinbasis("gamma")
-    sp = unit_species(basis)
+    sp = basis.unit_species()
     assert sp == {"v": (1,), "u": (2, 4), "l": (3,), "m": ()}
     c = basis.unit_census()
     assert (c.v, c.l, c.u, c.m) == (1, 1, 2, 0)
@@ -104,6 +104,27 @@ def test_gamma_commutation_spot_cells():
     assert prof[("W", "E")] == 1
     assert prof[("W", "C")] == 1
     assert prof[("E", "C")] == 1
+
+
+@pytest.mark.parametrize("p,q", [(1, 3), (2, 2), (4, 0)])
+def test_each_unit_is_classified_once(monkeypatch, p, q):
+    from cliffork import spinor_repr
+    from cliffork.coverings import pt_structure
+
+    calls = []
+    classify = spinor_repr.classify_matrix
+    # count every route to the classifier, including copies bound by import
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cliffork") and getattr(module, "classify_matrix", None) is classify:
+            monkeypatch.setattr(module, "classify_matrix",
+                                lambda m: calls.append(m) or classify(m))
+    basis = build_spinbasis(SignatureSpec(p, q))
+    ext_group_report(basis)
+    assert len(calls) == basis.sig.n
+    calls.clear()
+    fresh = build_spinbasis(SignatureSpec(p, q))
+    pt_structure(fresh.sig, basis=fresh)
+    assert len(calls) == fresh.sig.n
 
 
 # ---------------------------------------------------------------------------
