@@ -38,17 +38,8 @@ _CELL_PREFIX = {
 }
 
 
-def _pq(sig_or_p, q=None):
-    if isinstance(sig_or_p, SignatureSpec):
-        return sig_or_p.p, sig_or_p.q
-    if q is None:
-        raise TypeError("pass a SignatureSpec or both p and q")
-    return int(sig_or_p), int(q)
-
-
 def type_index(sig_or_p, q=None) -> int:
-    p, q = _pq(sig_or_p, q)
-    return (p - q) % 8
+    return SignatureSpec.of(sig_or_p, q).type_index()
 
 
 def is_simple(sig_or_p, q=None) -> bool:
@@ -62,9 +53,8 @@ def ring_label(sig_or_p, q=None) -> str:
 
 def matrix_dimension(sig_or_p, q=None) -> int:
     """Size d of the irreducible matrix algebra K(d) (per simple factor)."""
-    p, q = _pq(sig_or_p, q)
-    n = p + q
-    t = (p - q) % 8
+    sig = SignatureSpec.of(sig_or_p, q)
+    n, t = sig.n, sig.type_index()
     if t in (0, 2):
         return 1 << (n // 2)
     if t in (3, 7):
@@ -78,25 +68,28 @@ def matrix_dimension(sig_or_p, q=None) -> int:
 
 def periodic_table_cell(sig_or_p, q=None) -> str:
     """Table-1 cell text, e.g. 'R', '2R(8)', 'H(16)'."""
-    p, q = _pq(sig_or_p, q)
-    ring = ring_label(p, q)
-    d = matrix_dimension(p, q)
+    sig = SignatureSpec.of(sig_or_p, q)
+    ring = ring_label(sig)
+    d = matrix_dimension(sig)
     return ring if d == 1 else f"{ring}({d})"
 
 
 def complex_ring_label(n: int) -> str:
+    if n < 0:
+        raise ValueError(f"complex dimension {n} is negative")
     return "C" if n % 2 == 0 else "2C"
 
 
 def complex_matrix_dimension(n: int) -> int:
+    if n < 0:
+        raise ValueError(f"complex dimension {n} is negative")
     return 1 << (n // 2)
 
 
 def salingaros_cell(sig_or_p, q=None) -> str:
     """Printed finite-group table cell: N_k, Omega_k or S_k."""
-    p, q = _pq(sig_or_p, q)
-    n = p + q
-    t = (p - q) % 8
+    sig = SignatureSpec.of(sig_or_p, q)
+    n, t = sig.n, sig.type_index()
     if t in (0, 2):
         return "N_1" if n == 0 else f"N_{n - 1}"  # printed corner at (0,0)
     if t in (4, 6):
@@ -110,10 +103,10 @@ def salingaros_cell(sig_or_p, q=None) -> str:
 
 def salingaros_group_label(sig_or_p, q=None) -> str:
     """Honest group label; differs from the printed table only at (0,0)."""
-    p, q = _pq(sig_or_p, q)
-    if p == q == 0:
+    sig = SignatureSpec.of(sig_or_p, q)
+    if sig.n == 0:
         return "Z2"
-    return salingaros_cell(p, q)
+    return salingaros_cell(sig)
 
 
 def representation_cell(sig_or_p, q=None, epsilon: bool = False) -> str:
@@ -122,11 +115,11 @@ def representation_cell(sig_or_p, q=None, epsilon: bool = False) -> str:
     The subscript is half the Table-1 matrix dimension. With epsilon=True the
     double-factor prefix '2' is rendered as 'e' (the idempotent-split form).
     """
-    p, q = _pq(sig_or_p, q)
-    prefix = _CELL_PREFIX[(p - q) % 8]
+    sig = SignatureSpec.of(sig_or_p, q)
+    prefix = _CELL_PREFIX[sig.type_index()]
     if epsilon and prefix.startswith("2"):
         prefix = "e" + prefix[1:]
-    return f"{prefix}_{matrix_dimension(p, q) // 2}"
+    return f"{prefix}_{matrix_dimension(sig) // 2}"
 
 
 _TABLE_BUILDERS = {
@@ -150,18 +143,18 @@ def build_table(kind: str, max_index: int = 7) -> List[List[str]]:
 
 
 def classification_summary(sig_or_p, q=None) -> Dict[str, Union[str, int, bool]]:
-    p, q = _pq(sig_or_p, q)
+    sig = SignatureSpec.of(sig_or_p, q)
     return {
-        "p": p,
-        "q": q,
-        "n": p + q,
-        "type": type_index(p, q),
-        "ring": ring_label(p, q),
-        "simple": is_simple(p, q),
-        "matrix_dimension": matrix_dimension(p, q),
-        "algebra_cell": periodic_table_cell(p, q),
-        "group_cell": salingaros_cell(p, q),
-        "group_label": salingaros_group_label(p, q),
-        "representation_cell": representation_cell(p, q),
-        "representation_cell_eps": representation_cell(p, q, epsilon=True),
+        "p": sig.p,
+        "q": sig.q,
+        "n": sig.n,
+        "type": sig.type_index(),
+        "ring": ring_label(sig),
+        "simple": is_simple(sig),
+        "matrix_dimension": matrix_dimension(sig),
+        "algebra_cell": periodic_table_cell(sig),
+        "group_cell": salingaros_cell(sig),
+        "group_label": salingaros_group_label(sig),
+        "representation_cell": representation_cell(sig),
+        "representation_cell_eps": representation_cell(sig, epsilon=True),
     }

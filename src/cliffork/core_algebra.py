@@ -173,6 +173,17 @@ class SignatureSpec:
         if self.field not in ("R", "C"):
             raise ValueError(f"field must be 'R' or 'C', got {self.field!r}")
 
+    @staticmethod
+    def of(sig_or_p, q=None) -> "SignatureSpec":
+        """A SignatureSpec as given, or the real signature of counts p and q."""
+        if isinstance(sig_or_p, SignatureSpec):
+            if q is not None:
+                raise TypeError("pass either a SignatureSpec or two counts, not both")
+            return sig_or_p
+        if q is None:
+            raise TypeError("pass a SignatureSpec or both p and q")
+        return SignatureSpec(int(sig_or_p), int(q))
+
     @property
     def n(self) -> int:
         return self.p + self.q

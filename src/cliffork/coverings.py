@@ -30,9 +30,7 @@ from .core_algebra import (
 from .ext_automorphisms import (
     MATRIX_NAMES,
     ExtMatrix,
-    classify_ext_group,
-    commutation_profile,
-    ext_matrices,
+    ext_group_report,
     matrix_C,
     matrix_E,
     matrix_W,
@@ -125,7 +123,8 @@ def signature_text(signature: Sequence[int]) -> str:
 # ---------------------------------------------------------------------------
 # the formal double cover, read off the matrices
 
-_CODE = {"I": 0, "W": 1, "E": 2, "C": 3, "Pi": 4, "K": 5, "S": 6, "F": 7}
+# a name's code is its position after I; codes XOR as the names compose
+_CODE = {name: code for code, name in enumerate(("I",) + MATRIX_NAMES)}
 
 
 def signed_cover_group(
@@ -425,12 +424,7 @@ def cpt_structure(sig_or_p, q: Optional[int] = None, basis: Optional[SpinBasis] 
     abelianness; the abstract order-16 cover is rebuilt from the matrix
     cocycle and must match.
     """
-    if isinstance(sig_or_p, SignatureSpec):
-        sig = sig_or_p
-    else:
-        if q is None:
-            raise TypeError("pass a SignatureSpec or both p and q")
-        sig = SignatureSpec(int(sig_or_p), int(q))
+    sig = SignatureSpec.of(sig_or_p, q)
     if sig.field == "C":
         raise ValueError(
             "CPT reports live on real signatures; mark the complex algebra"
@@ -457,29 +451,22 @@ def cpt_structure(sig_or_p, q: Optional[int] = None, basis: Optional[SpinBasis] 
         )
     if basis is None:
         basis = build_spinbasis(sig)
-    mats = ext_matrices(basis)
-    signature = tuple(mats[nm].square_sign for nm in MATRIX_NAMES)
+    report = ext_group_report(basis, identify=False)
+    signature, abelian = report.signature, report.abelian
     mc = minus_count(signature)
-    if mc not in (0, 2, 4, 6):
-        raise ValueError(
-            f"{sig}: sign pattern {signature_text(signature)} falls outside the "
-            "five-cover table"
-        )
-    abelian = all(s == 1 for s in commutation_profile(mats).values())
     if mc == 4:
         cover = CPT_COVER_FOUR_MINUS[abelian]
     else:
         cover = CPT_COVER_BY_MINUS[mc]
-    abstract = identify_small_group(signed_cover_group(mats))
+    abstract = identify_small_group(signed_cover_group(report.matrices))
     if abstract != CPT_ABSTRACT[cover]:
         raise AssertionError(
             f"{sig}: cover table says {cover} (= {CPT_ABSTRACT[cover]}), "
             f"matrix cocycle builds {abstract}"
         )
-    group_label = classify_ext_group(signature, abelian)
     notes = (
         f"ring H: minus-count {mc}, {'Abelian' if abelian else 'Non-Abelian'}",
-        f"automorphism group {group_label}, double cover {cover} = {abstract}",
+        f"automorphism group {report.group_name}, double cover {cover} = {abstract}",
         f"basis {basis.name}",
     )
     return CoveringReport(
@@ -490,7 +477,7 @@ def cpt_structure(sig_or_p, q: Optional[int] = None, basis: Optional[SpinBasis] 
         signature=signature,
         admissible=(signature,),
         cover_group=cover,
-        automorphism_group=group_label,
+        automorphism_group=report.group_name,
         cliffordian=not abelian,
         notes=notes,
     )
@@ -631,12 +618,7 @@ def odd_dimensional_decomposition_report(sig_or_p, q: Optional[int] = None) -> O
     cases additionally carry their unitary-group dress, the branch letter
     ('i' vs the double unit 'e') decided by the sign of w^2.
     """
-    if isinstance(sig_or_p, SignatureSpec):
-        sig = sig_or_p
-    else:
-        if q is None:
-            raise TypeError("pass a SignatureSpec or both p and q")
-        sig = SignatureSpec(int(sig_or_p), int(q))
+    sig = SignatureSpec.of(sig_or_p, q)
     p, qq, n = sig.p, sig.q, sig.n
     if n % 2 == 0:
         raise ValueError(f"Cl({p},{qq}) is even-dimensional, nothing to split")

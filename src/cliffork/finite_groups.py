@@ -2,9 +2,9 @@
 
 GroupTable is a plain multiplication table over canonical element labels;
 generate_group closes a generating set by breadth-first search under exact
-equality. identify_small_group names any group of order <= 16 that occurs in
-this workbench (fingerprint match against a constructed catalog, with a
-backtracking isomorphism fallback for safety).
+equality. identify_small_group names any 2-group of order <= 16 (fingerprint
+match against a constructed catalog, every match confirmed by a backtracking
+isomorphism search).
 
 The vee group of Cl(p,q) is the set of 2^(n+1) signed basis blades; the
 factor theorem (quotient by the center is elementary abelian of even 2-rank)
@@ -13,6 +13,7 @@ is checked by directly building the coset table.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -282,6 +283,22 @@ def _two_generator(modulus: int, twist: int, btwist: int) -> GroupTable:
     return GroupTable(labels, table, idx(0, 0))
 
 
+def _split_extension(normal: GroupTable, m: int, phi: Sequence[int]) -> GroupTable:
+    """normal x| Z_m, the generator b of Z_m acting by the automorphism phi
+    (a permutation of normal's indices).  Element x b^e has index e*|normal| + x."""
+    n = normal.order
+    powers = [list(range(n))]  # powers[e][x] = phi^e(x)
+    for _ in range(m - 1):
+        powers.append([phi[x] for x in powers[-1]])
+    table = [
+        [((e1 + e2) % m) * n + normal.table[x1][powers[e1][x2]]
+         for e2 in range(m) for x2 in range(n)]
+        for e1 in range(m) for x1 in range(n)
+    ]
+    labels = [f"{normal.elements[x]}b{e}" for e in range(m) for x in range(n)]
+    return GroupTable(labels, table, normal.neutral)
+
+
 def _pauli_group() -> GroupTable:
     a = SpinMatrix([[1, 0], [0, -1]])
     b = SpinMatrix([[0, 1], [1, 0]])
@@ -289,13 +306,10 @@ def _pauli_group() -> GroupTable:
     return generate_group_from_matrices([a, b, i_ident])
 
 
-_CATALOG: Optional[Dict[str, GroupTable]] = None
-
-
+@functools.cache
 def _catalog() -> Dict[str, GroupTable]:
-    global _CATALOG
-    if _CATALOG is not None:
-        return _CATALOG
+    """Every group of order 1, 2, 4, 8 and 16 (Besche-Eick-O'Brien count:
+    14 of order 16), by name."""
     z2, z4, z8, z16 = _cyclic(2), _cyclic(4), _cyclic(8), _cyclic(16)
     cat: Dict[str, GroupTable] = {
         "1": _cyclic(1),
@@ -320,9 +334,14 @@ def _catalog() -> Dict[str, GroupTable]:
     cat["D4xZ2"] = direct_product(cat["D4"], z2)
     cat["Q4xZ2"] = direct_product(cat["Q4"], z2)
     cat["D4oZ4"] = _pauli_group()  # central product, the 2x2 Pauli group
+    # SmallGroup(16,4): b a b^-1 = a^-1 with b of order 4
+    cat["Z4:Z4"] = _split_extension(z4, 4, [(-k) % 4 for k in range(4)])
+    # SmallGroup(16,3): on Z4xZ2 = <a> x <c>, b a b^-1 = ac and b c b^-1 = c
+    cat["(Z4xZ2):Z2"] = _split_extension(
+        cat["Z4xZ2"], 2, [2 * k + (k + j) % 2 for k in range(4) for j in range(2)]
+    )
     for t in cat.values():
         t.validate()
-    _CATALOG = cat
     return cat
 
 
@@ -397,11 +416,8 @@ def identify_small_group(t: GroupTable) -> str:
     if t.order > 16:
         raise ValueError(f"identification limited to order <= 16, got {t.order}")
     fp = _fingerprint(t)
-    hits = [name for name, ref in _catalog().items() if _fingerprint(ref) == fp]
-    if len(hits) == 1:
-        return hits[0]
-    for name in hits:
-        if _find_isomorphism(t, _catalog()[name]):
+    for name, ref in _catalog().items():
+        if _fingerprint(ref) == fp and _find_isomorphism(t, ref):
             return name
     raise ValueError(f"group with fingerprint {fp} is not in the catalog")
 
@@ -428,14 +444,10 @@ def vee_group(sig: SignatureSpec) -> GroupTable:
 
 
 def group_center_type(sig_or_p, q: Optional[int] = None) -> str:
-    if isinstance(sig_or_p, SignatureSpec):
-        p, q = sig_or_p.p, sig_or_p.q
-    else:
-        p = sig_or_p
-    n = p + q
-    if n % 2 == 0:
+    sig = SignatureSpec.of(sig_or_p, q)
+    if sig.n % 2 == 0:
         return "Z2"
-    return "Z2xZ2" if volume_square_sign(p, q) == 1 else "Z4"
+    return "Z2xZ2" if volume_square_sign(sig.p, sig.q) == 1 else "Z4"
 
 
 @dataclass

@@ -61,12 +61,6 @@ PHYSICAL_NAMES = ("1", "P", "T", "PT", "C", "CP", "CT", "CPT")
 _CODE_BY_NAME = {"1": 0, "P": 1, "T": 2, "PT": 3, "C": 4, "CP": 5, "CT": 6, "CPT": 7}
 _NAME_BY_CODE = {v: k for k, v in _CODE_BY_NAME.items()}
 
-# extended-automorphism matrix carrying each transformation
-MATRIX_BY_NAME = {"P": "W", "T": "E", "PT": "C", "C": "Pi", "CP": "K", "CT": "S", "CPT": "F"}
-
-# covering superscript letters index the same matrices
-_LETTER_BY_MATRIX = {"W": "a", "E": "b", "C": "c", "Pi": "d", "K": "e", "S": "f", "F": "g"}
-
 
 # ---------------------------------------------------------------------------
 # context
@@ -85,21 +79,13 @@ class EpsilonContext:
     target_labels: Tuple[SignatureSpec, ...]  # catalog decompositions
 
 
-def _as_sig(sig_or_p, q=None) -> SignatureSpec:
-    if isinstance(sig_or_p, SignatureSpec):
-        if q is not None:
-            raise TypeError("pass either a SignatureSpec or two counts, not both")
-        return sig_or_p
-    return SignatureSpec(int(sig_or_p), int(q))
-
-
 def epsilon_context(sig_or_p, q=None) -> EpsilonContext:
     """Build the collapse context for an odd-dimensional algebra.
 
     Real algebras need omega^2 = +1, i.e. p-q = 1,5 (mod 8); the other odd
     real types only admit the collapse after complexification (field 'C').
     """
-    sig = _as_sig(sig_or_p, q)
+    sig = SignatureSpec.of(sig_or_p, q)
     if sig.n % 2 == 0:
         raise ValueError(f"{sig} is even-dimensional: the volume element is not central")
     omega = volume_element(sig)

@@ -548,14 +548,28 @@ def load_spinbasis(source: str) -> SpinBasis:
 
     Schema: {"name": str, "p": int, "q": int, "matrices": [[[scalar text]]]}.
     Validates anticommutation, metric squares, and unit classifiability.
+    A file that cannot be read or parsed, or lacks a key, raises ValueError
+    naming the source.
     """
     if source == "gamma":
-        payload = json.loads(
-            resources.files("cliffork").joinpath("data/gamma_basis.json").read_text()
-        )
+        text = resources.files("cliffork").joinpath("data/gamma_basis.json").read_text()
     else:
-        with open(source) as fh:
-            payload = json.load(fh)
+        try:
+            with open(source) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read basis file {source!r}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"cannot read basis file {source!r}: {exc.reason}") from exc
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"basis file {source!r} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"basis file {source!r} does not hold a JSON object")
+    missing = [key for key in ("p", "q", "matrices") if key not in payload]
+    if missing:
+        raise ValueError(f"basis file {source!r} lacks {', '.join(map(repr, missing))}")
     sig = SignatureSpec(int(payload["p"]), int(payload["q"]))
     mats = [SpinMatrix.from_lists(m) for m in payload["matrices"]]
     basis = SpinBasis(sig, mats, name=payload.get("name", source))

@@ -3,15 +3,15 @@
 Each suite recomputes one family of results against an independent route
 (the printed tables under `data/`, the census predicates, or a direct
 matrix or multivector check) and returns a SuiteResult with its check count
-and counterexamples.  CLIFFORK_THREADS caps the worker processes of the
-pseudo, defining and commutation sweeps (default 1, serial).
+and counterexamples.  The pseudo, defining and commutation sweeps read the
+quaternionic cells through `quaternionic_signatures`, the iterator the
+census suite reaches through `enumerate_signatures`.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -46,6 +46,7 @@ from .ext_automorphisms import (
     printed_pi_bar_mod4,
     product_square_sign,
     quaternionic_cells,
+    quaternionic_signatures,
     universal_comm_sign,
 )
 from .finite_groups import vee_factor_check
@@ -58,19 +59,7 @@ from .quotient import (
     quotient_group,
     transfer_report,
 )
-from .spinor_repr import SpinMatrix, load_spinbasis, signed_lookup, sweep_spinbasis_variants
-
-
-def thread_budget() -> int:
-    """Worker cap from CLIFFORK_THREADS; 1 (serial) by default or on junk.
-
-    The process pool it sizes stays until the sweeps run fast enough
-    serially (a monomial matrix kernel); then pool and variable go together.
-    """
-    try:
-        return max(1, int(os.environ.get("CLIFFORK_THREADS", "")))
-    except ValueError:
-        return 1
+from .spinor_repr import SpinBasis, SpinMatrix, load_spinbasis, signed_lookup
 
 
 @functools.cache
@@ -252,124 +241,105 @@ def suite_example2(max_n: Optional[int] = None) -> SuiteResult:
     return SuiteResult("example2", not cex, checked, cex, detail)
 
 
-def _sweep_cell(args: Tuple[SignatureSpec, bool, str]) -> Tuple[int, List[dict]]:
-    """All per-variant checks of one sweep suite on one signature cell.
-    Top-level so a process pool can run cells in parallel."""
-    sig, tweaks, which = args
-    checked = 0
-    cex: List[dict] = []
-
-    def bad(**kw):
-        cex.append({"sig": str(sig), **kw})
-
-    for basis in sweep_spinbasis_variants(sig, tweaks=tweaks):
-        report = ext_group_report(basis, identify=False)
-        mats = report.matrices
-        census = report.census
-        forms = {name: mats[name].form for name in MATRIX_NAMES}
-        ident = SpinMatrix.identity(basis.dim)
-
-        if which == "pseudo":
-            pi = mats["Pi"].matrix
-            for i, u in enumerate(basis.mats):
-                checked += 1
-                if u * pi != pi * u.conj():
-                    bad(basis=basis.name, check="defining", unit=i + 1)
-            direct = pi * pi.conj()
-            want = predicted_pi_bar(census, forms["Pi"])
-            checked += 1
-            if direct != ident * want:
-                bad(basis=basis.name, check="pi_bar_vs_prediction", predicted=want)
-            checked += 1
-            if report.pi_bar_sign != -1:  # antilinear intertwiner over ring H
-                bad(basis=basis.name, check="pi_bar_commutant", got=report.pi_bar_sign)
-            if printed_pi_bar_applicable(census, forms["Pi"]):
-                checked += 1
-                if report.pi_bar_sign != printed_pi_bar_mod4(census, forms["Pi"]):
-                    bad(basis=basis.name, check="pi_bar_printed_rule")
-        elif which == "defining":
-            relations = {
-                "K": lambda u, x: -(u * x) == x * u.conj(),
-                "S": lambda u, x: u * x == x * u.conj().transpose(),
-                "F": lambda u, x: -(u * x) == x * u.conj().transpose(),
-            }
-            predictors = {"K": predicted_K_square, "S": predicted_S_square,
-                          "F": predicted_F_square}
-            for name, rel in relations.items():
-                x = mats[name].matrix
-                for i, u in enumerate(basis.mats):
-                    checked += 1
-                    if not rel(u, x):
-                        bad(basis=basis.name, check="defining", matrix=name, unit=i + 1)
-                want = predictors[name](census, forms[name])
-                checked += 2
-                if mats[name].square_sign != want:
-                    bad(basis=basis.name, check="square_predicate", matrix=name,
-                        got=mats[name].square_sign, predicted=want)
-                if x * x != ident * mats[name].square_sign:
-                    bad(basis=basis.name, check="square_direct", matrix=name)
-            for name in MATRIX_NAMES:
-                m = mats[name]
-                negatives = sum(1 for i in m.factors if i > sig.p)
-                checked += 1
-                if m.square_sign != product_square_sign(len(m.factors), negatives):
-                    bad(basis=basis.name, check="square_census_rule", matrix=name)
-        elif which == "commutation":
-            for pair, got in report.commutation.items():
-                checked += 1
-                if got != universal_comm_sign(mats[pair[0]].factors, mats[pair[1]].factors):
-                    bad(basis=basis.name, check="universal_rule", pair=list(pair), got=got)
-                parity = comm_parity(pair, forms, census)
-                if parity is not None:
-                    checked += 1
-                    if got != (1 if parity == 0 else -1):
-                        bad(basis=basis.name, check="parity_predicate", pair=list(pair), got=got)
-                if printed_comm_applicable(pair, forms, census):
-                    printed = printed_comm_parity(pair, forms, census)
-                    if printed is not None:
-                        checked += 1
-                        if got != (1 if printed == 0 else -1):
-                            bad(basis=basis.name, check="printed_clause", pair=list(pair), got=got)
-        else:
-            raise ValueError(f"unknown sweep check {which!r}")
-    return checked, cex
+def _flag(cex: List[dict], sig: SignatureSpec, basis: SpinBasis, **kw) -> None:
+    cex.append({"sig": str(sig), "basis": basis.name, **kw})
 
 
-def _run_sweep(which: str, max_n: int, workers: Optional[int]) -> SuiteResult:
-    cells = quaternionic_cells(max_n)
-    args = [(sig, True, which) for sig in cells]
-    workers = thread_budget() if workers is None else max(1, workers)
-    if workers > 1 and len(args) > 1:
-        # imported here: every CLI process imports this module, few use the pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
-            results = list(pool.map(_sweep_cell, args))
-    else:
-        results = [_sweep_cell(a) for a in args]
-    checked = sum(c for c, _ in results)
-    cex = [x for _, xs in results for x in xs]
-    detail = f"{len(cells)} signature cells, p+q <= {max_n}"
-    return SuiteResult(which, not cex, checked, cex, detail)
+def _sweep_result(name: str, max_n: int, checked: int, cex: List[dict]) -> SuiteResult:
+    detail = f"{len(quaternionic_cells(max_n))} signature cells, p+q <= {max_n}"
+    return SuiteResult(name, not cex, checked, cex, detail)
 
 
-def suite_pseudo(max_n: int = 8, workers: Optional[int] = None) -> SuiteResult:
+def suite_pseudo(max_n: int = 8) -> SuiteResult:
     """Coefficient-conjugation matrix on the quaternionic sweep: defining
     relation, square of the induced antilinear map both by prediction and
     directly, and the printed mod-4 rule on its applicable subdomain."""
-    return _run_sweep("pseudo", max_n, workers)
+    checked = 0
+    cex: List[dict] = []
+    for sig, basis, report in quaternionic_signatures(max_n, tweaks=True):
+        census = report.census
+        pi, form = report.matrices["Pi"].matrix, report.matrices["Pi"].form
+        for i, u in enumerate(basis.mats):
+            checked += 1
+            if u * pi != pi * u.conj():
+                _flag(cex, sig, basis, check="defining", unit=i + 1)
+        direct = pi * pi.conj()
+        want = predicted_pi_bar(census, form)
+        checked += 1
+        if direct != SpinMatrix.identity(basis.dim) * want:
+            _flag(cex, sig, basis, check="pi_bar_vs_prediction", predicted=want)
+        checked += 1
+        if report.pi_bar_sign != -1:  # antilinear intertwiner over ring H
+            _flag(cex, sig, basis, check="pi_bar_commutant", got=report.pi_bar_sign)
+        if printed_pi_bar_applicable(census, form):
+            checked += 1
+            if report.pi_bar_sign != printed_pi_bar_mod4(census, form):
+                _flag(cex, sig, basis, check="pi_bar_printed_rule")
+    return _sweep_result("pseudo", max_n, checked, cex)
 
 
-def suite_defining(max_n: int = 8, workers: Optional[int] = None) -> SuiteResult:
+_DEFINING_RELATIONS = {
+    "K": lambda u, x: -(u * x) == x * u.conj(),
+    "S": lambda u, x: u * x == x * u.conj().transpose(),
+    "F": lambda u, x: -(u * x) == x * u.conj().transpose(),
+}
+_SQUARE_PREDICTORS = {"K": predicted_K_square, "S": predicted_S_square, "F": predicted_F_square}
+
+
+def suite_defining(max_n: int = 8) -> SuiteResult:
     """K, S, F defining relations and all square-parity predicates vs the
     direct matrix squares on the quaternionic sweep."""
-    return _run_sweep("defining", max_n, workers)
+    checked = 0
+    cex: List[dict] = []
+    for sig, basis, report in quaternionic_signatures(max_n, tweaks=True):
+        mats, census = report.matrices, report.census
+        ident = SpinMatrix.identity(basis.dim)
+        for name, rel in _DEFINING_RELATIONS.items():
+            x = mats[name].matrix
+            for i, u in enumerate(basis.mats):
+                checked += 1
+                if not rel(u, x):
+                    _flag(cex, sig, basis, check="defining", matrix=name, unit=i + 1)
+            want = _SQUARE_PREDICTORS[name](census, mats[name].form)
+            checked += 2
+            if mats[name].square_sign != want:
+                _flag(cex, sig, basis, check="square_predicate", matrix=name,
+                      got=mats[name].square_sign, predicted=want)
+            if x * x != ident * mats[name].square_sign:
+                _flag(cex, sig, basis, check="square_direct", matrix=name)
+        for name in MATRIX_NAMES:
+            m = mats[name]
+            negatives = sum(1 for i in m.factors if i > sig.p)
+            checked += 1
+            if m.square_sign != product_square_sign(len(m.factors), negatives):
+                _flag(cex, sig, basis, check="square_census_rule", matrix=name)
+    return _sweep_result("defining", max_n, checked, cex)
 
 
-def suite_commutation(max_n: int = 8, workers: Optional[int] = None) -> SuiteResult:
+def suite_commutation(max_n: int = 8) -> SuiteResult:
     """Every pairwise (anti)commutation among the seven matrices vs the
     parity predicates and the universal factor-count rule, on the sweep."""
-    return _run_sweep("commutation", max_n, workers)
+    checked = 0
+    cex: List[dict] = []
+    for sig, basis, report in quaternionic_signatures(max_n, tweaks=True):
+        mats, census = report.matrices, report.census
+        forms = {name: mats[name].form for name in MATRIX_NAMES}
+        for pair, got in report.commutation.items():
+            checked += 1
+            if got != universal_comm_sign(mats[pair[0]].factors, mats[pair[1]].factors):
+                _flag(cex, sig, basis, check="universal_rule", pair=list(pair), got=got)
+            parity = comm_parity(pair, forms, census)
+            if parity is not None:
+                checked += 1
+                if got != (1 if parity == 0 else -1):
+                    _flag(cex, sig, basis, check="parity_predicate", pair=list(pair), got=got)
+            if printed_comm_applicable(pair, forms, census):
+                printed = printed_comm_parity(pair, forms, census)
+                if printed is not None:
+                    checked += 1
+                    if got != (1 if printed == 0 else -1):
+                        _flag(cex, sig, basis, check="printed_clause", pair=list(pair), got=got)
+    return _sweep_result("commutation", max_n, checked, cex)
 
 
 def suite_census(max_n: int = 8) -> SuiteResult:

@@ -3,8 +3,7 @@
 Each test runs one criterion end to end and prints a single PASS/FAIL line
 (visible with `pytest tests/test_acceptance.py -v -s`).  Comparisons are
 zero-tolerance: grids cell-for-cell, matrices entry-for-entry, signs exact.
-The sweeps run serially here so the timing limits do not depend on
-CLIFFORK_THREADS.
+The sweeps run serially.
 
 Criteria 1-3 compose two independent routes: the verify suites compare
 generated output against the oracle tables bundled with the package, and

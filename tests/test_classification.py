@@ -77,6 +77,19 @@ def test_complex_labels():
     assert complex_matrix_dimension(5) == 4
 
 
+@pytest.mark.parametrize("cell", [type_index, ring_label, matrix_dimension,
+                                  periodic_table_cell, salingaros_cell, classification_summary])
+def test_negative_counts_are_rejected(cell):
+    with pytest.raises(ValueError, match=r"signature \(-1,0\) has a negative count"):
+        cell(-1, 0)
+
+
+@pytest.mark.parametrize("label", [complex_ring_label, complex_matrix_dimension])
+def test_negative_complex_dimension_is_named(label):
+    with pytest.raises(ValueError, match="complex dimension -2 is negative"):
+        label(-2)
+
+
 def test_representation_cell_eps_prefix():
     assert representation_cell(1, 0) == "2R^0_0"
     assert representation_cell(1, 0, epsilon=True) == "eR^0_0"

@@ -12,8 +12,6 @@ from cliffork.verify import (
     SUITE_NAMES,
     SuiteResult,
     run_suite,
-    suite_pseudo,
-    thread_budget,
 )
 from cliffork.spinor_repr import SignatureSpec, build_spinbasis, save_spinbasis
 
@@ -82,6 +80,29 @@ class TestExitCodes:
     def test_incoherent_requests_exit_two(self, capsys, argv):
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["classify", "--p", "-1", "--q", "0"], "signature (-1,0) has a negative count"),
+            (["classify", "--complex", "-2"], "complex dimension -2 is negative"),
+            (["ext-group", "--basis", "/nonexistent.json"],
+             "cannot read basis file '/nonexistent.json'"),
+        ],
+        ids=["negative-count", "negative-complex", "missing-basis-file"],
+    )
+    def test_bad_inputs_exit_two_with_one_error_line(self, capsys, argv, message):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+
+    def test_basis_file_without_p_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({"q": 3, "matrices": []}))
+        assert run(["ext-group", "--basis", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: basis file {str(path)!r} lacks 'p'\n"
 
     def test_malformed_mark_is_usage_error(self, capsys):
         assert run(["quotient", "--complex", "5", "--mark", "banana"]) == 2
@@ -317,25 +338,29 @@ class TestVerifyVerb:
         assert result.counterexamples == []
 
 
-class TestThreadBudget:
-    def test_defaults_to_serial(self, monkeypatch):
-        monkeypatch.delenv("CLIFFORK_THREADS", raising=False)
-        assert thread_budget() == 1
+# check count and detail of each quaternionic sweep at p+q <= 6
+SWEEP_PINS = {
+    "pseudo": (699, "8 signature cells, p+q <= 6"),
+    "defining": (2574, "8 signature cells, p+q <= 6"),
+    "commutation": (5028, "8 signature cells, p+q <= 6"),
+    "census": (18, "17 distinct signatures realized (bound 64), p+q <= 6"),
+}
 
-    @pytest.mark.parametrize(
-        "raw,want",
-        [("4", 4), ("1", 1), ("0", 1), ("-2", 1), ("junk", 1), ("", 1)],
-    )
-    def test_environment_parsing(self, monkeypatch, raw, want):
-        monkeypatch.setenv("CLIFFORK_THREADS", raw)
-        assert thread_budget() == want
 
-    def test_parallel_sweep_agrees_with_serial(self):
-        serial = suite_pseudo(max_n=4, workers=1)
-        parallel = suite_pseudo(max_n=4, workers=2)
-        assert serial.ok and parallel.ok
-        assert serial.checked == parallel.checked
-        assert serial.counterexamples == parallel.counterexamples == []
+@pytest.fixture(scope="module")
+def sweeps_at_six():
+    return {name: run_suite(name, 6) for name in SWEEP_PINS}
+
+
+class TestSweepSuites:
+    def test_check_counts_at_bound_six(self, sweeps_at_six):
+        assert all(r.ok for r in sweeps_at_six.values())
+        assert {name: r.checked for name, r in sweeps_at_six.items()} == \
+            {name: pin[0] for name, pin in SWEEP_PINS.items()}
+
+    def test_details_at_bound_six(self, sweeps_at_six):
+        assert {name: r.detail for name, r in sweeps_at_six.items()} == \
+            {name: pin[1] for name, pin in SWEEP_PINS.items()}
 
 
 class TestDeterminism:

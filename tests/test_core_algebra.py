@@ -292,6 +292,18 @@ def test_volume_element_commutation_parity():
                 assert om * g == -(g * om)
 
 
+def test_signature_of_passes_a_spec_through_or_builds_one():
+    sig = SignatureSpec(1, 3, "C")
+    assert SignatureSpec.of(sig) is sig
+    assert SignatureSpec.of(1, 3) == SignatureSpec(1, 3)
+    with pytest.raises(TypeError):
+        SignatureSpec.of(sig, 3)
+    with pytest.raises(TypeError):
+        SignatureSpec.of(1)
+    with pytest.raises(ValueError, match=r"signature \(-1,0\) has a negative count"):
+        SignatureSpec.of(-1, 0)
+
+
 def test_signature_validation():
     with pytest.raises(ValueError):
         SignatureSpec(-1, 2)

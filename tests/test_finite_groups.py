@@ -155,6 +155,104 @@ def test_identify_rejects_unknown_and_large():
         identify_small_group(vee_group(SignatureSpec(4, 0)))
 
 
+def _comm(x, y):
+    return x * y * x**-1 * y**-1
+
+
+# every catalog group from a textbook presentation (SmallGroup ids for the
+# two groups whose fingerprints coincide with another catalog entry)
+PRESENTATIONS = {
+    "1": ("a", lambda a: [a]),
+    "Z2": ("a", lambda a: [a**2]),
+    "Z4": ("a", lambda a: [a**4]),
+    "Z8": ("a", lambda a: [a**8]),
+    "Z16": ("a", lambda a: [a**16]),
+    "Z2xZ2": ("a b", lambda a, b: [a**2, b**2, _comm(a, b)]),
+    "Z4xZ2": ("a b", lambda a, b: [a**4, b**2, _comm(a, b)]),
+    "Z8xZ2": ("a b", lambda a, b: [a**8, b**2, _comm(a, b)]),
+    "Z4xZ4": ("a b", lambda a, b: [a**4, b**4, _comm(a, b)]),
+    "Z2xZ2xZ2": ("a b c", lambda a, b, c: [a**2, b**2, c**2, _comm(a, b), _comm(a, c),
+                                           _comm(b, c)]),
+    "Z4xZ2xZ2": ("a b c", lambda a, b, c: [a**4, b**2, c**2, _comm(a, b), _comm(a, c),
+                                           _comm(b, c)]),
+    "Z2xZ2xZ2xZ2": ("a b c d", lambda a, b, c, d: [
+        a**2, b**2, c**2, d**2, _comm(a, b), _comm(a, c), _comm(a, d), _comm(b, c),
+        _comm(b, d), _comm(c, d)]),
+    "D4": ("a b", lambda a, b: [a**4, b**2, (a * b)**2]),
+    "Q4": ("a b", lambda a, b: [a**4, a**2 * b**-2, b * a * b**-1 * a]),
+    "D8": ("a b", lambda a, b: [a**8, b**2, (a * b)**2]),
+    "Q16": ("a b", lambda a, b: [a**8, a**4 * b**-2, b * a * b**-1 * a]),
+    "SD16": ("a b", lambda a, b: [a**8, b**2, b * a * b**-1 * a**-3]),
+    "M16": ("a b", lambda a, b: [a**8, b**2, b * a * b**-1 * a**-5]),
+    "D4xZ2": ("a b c", lambda a, b, c: [a**4, b**2, (a * b)**2, c**2, _comm(a, c),
+                                        _comm(b, c)]),
+    "Q4xZ2": ("a b c", lambda a, b, c: [a**4, a**2 * b**-2, b * a * b**-1 * a, c**2,
+                                        _comm(a, c), _comm(b, c)]),
+    "D4oZ4": ("a b c", lambda a, b, c: [a**4, b**2, (a * b)**2, c**2 * a**-2, _comm(a, c),
+                                        _comm(b, c)]),
+    # SmallGroup(16,4)
+    "Z4:Z4": ("a b", lambda a, b: [a**4, b**4, b * a * b**-1 * a]),
+    # SmallGroup(16,3)
+    "(Z4xZ2):Z2": ("a b c", lambda a, b, c: [a**4, b**2, c**2, _comm(a, c), _comm(b, c),
+                                             b * a * b**-1 * (a * c)**-1]),
+}
+
+
+def _presented(name):
+    from sympy.combinatorics.fp_groups import FpGroup
+    from sympy.combinatorics.free_groups import free_group
+
+    names, relators = PRESENTATIONS[name]
+    free, *gens = free_group(names)
+    return FpGroup(free, relators(*gens))
+
+
+def _table_of(group) -> GroupTable:
+    """Multiplication table of a finite presented group, built from its
+    regular action on the cosets of the trivial subgroup."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    cosets = group.coset_table([])
+    # columns alternate generator, inverse generator
+    regular = PermutationGroup([Permutation([row[2 * k] for row in cosets])
+                                for k in range(len(group.generators))])
+    elements = list(regular.generate())
+    index = {g: i for i, g in enumerate(elements)}
+    table = [[index[x * y] for y in elements] for x in elements]
+    return GroupTable([str(g) for g in elements], table, index[regular.identity])
+
+
+def _as_permutation_group(t: GroupTable):
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    return PermutationGroup([Permutation([t.table[j][i] for j in range(t.order)])
+                             for i in range(t.order)])
+
+
+def test_catalog_holds_every_group_of_order_16():
+    assert sorted(PRESENTATIONS) == sorted(_catalog())
+    assert sum(1 for t in _catalog().values() if t.order == 16) == 14
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_identify_group_from_presentation(name):
+    from sympy.combinatorics.homomorphisms import is_isomorphic
+
+    group = _presented(name)
+    assert identify_small_group(_table_of(group)) == name
+    # independent oracle: the catalog entry is the presented group
+    assert is_isomorphic(group, _as_permutation_group(_catalog()[name]))
+
+
+@pytest.mark.parametrize("name,twin", [("Z4:Z4", "Q4xZ2"), ("(Z4xZ2):Z2", "D4oZ4")])
+def test_fingerprint_twins_are_not_isomorphic(name, twin):
+    from sympy.combinatorics.homomorphisms import is_isomorphic
+
+    cat = _catalog()
+    assert identify_small_group(cat[name]) == name
+    assert not is_isomorphic(_presented(name), _as_permutation_group(cat[twin]))
+
+
 # ---------------------------------------------------------------------------
 # vee groups
 

@@ -223,6 +223,29 @@ def test_load_rejects_bad_bases(tmp_path):
         load_spinbasis(str(path2))
 
 
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (None, "cannot read basis file"),
+        (b"\xff\xfe", "cannot read basis file"),
+        (b'{"p": 1,', "is not valid JSON"),
+        (b"[1, 3]", "does not hold a JSON object"),
+        (b'{"q": 3, "matrices": []}', "lacks 'p'"),
+        (b'{"p": 1, "matrices": []}', "lacks 'q'"),
+        (b'{"p": 1, "q": 3}', "lacks 'matrices'"),
+    ],
+    ids=["missing", "undecodable", "invalid-json", "not-an-object", "no-p", "no-q",
+         "no-matrices"],
+)
+def test_load_errors_name_the_source(tmp_path, content, message):
+    path = tmp_path / "basis.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ValueError, match=message) as info:
+        load_spinbasis(str(path))
+    assert str(path) in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # idempotents
 
