@@ -28,7 +28,7 @@ agree with the matrix truth on every variant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .classification import type_index
 from .core_algebra import SignatureSpec, volume_square_sign
@@ -36,6 +36,7 @@ from .spinor_repr import (
     SpinBasis,
     SpinMatrix,
     UnitCensus,
+    check_spinor_size,
     sweep_spinbasis_variants,
 )
 
@@ -541,19 +542,24 @@ def ext_group_report(basis: SpinBasis, identify: bool = True) -> ExtGroupReport:
 
 
 def quaternionic_cells(max_n: int) -> List[SignatureSpec]:
-    """Every quaternionic signature (types 4 and 6) with p + q <= max_n."""
+    """Every quaternionic signature (types 4 and 6) with p + q <= max_n.
+    Raises ValueError when max_n passes the spinor size limit."""
+    check_spinor_size(max_n)
     return [SignatureSpec(p, n - p)
             for n in range(2, max_n + 1, 2)
             for p in range(n + 1)
             if (2 * p - n) % 8 in (4, 6)]
 
 
-def quaternionic_signatures(max_n: int = 10, tweaks: bool = False):
-    """Yield (sig, basis, report) over every quaternionic signature with
-    p + q <= max_n and every census-split variant."""
-    for sig in quaternionic_cells(max_n):
-        for basis in sweep_spinbasis_variants(sig, tweaks=tweaks):
-            yield sig, basis, ext_group_report(basis, identify=False)
+def quaternionic_signatures(max_n: int = 10, tweaks: bool = False) -> Iterator[Tuple]:
+    """(sig, basis, report) over every quaternionic signature with
+    p + q <= max_n and every census-split variant.  The cells are listed,
+    and the size limit checked, when this is called, before any basis is
+    built."""
+    cells = quaternionic_cells(max_n)
+    return ((sig, basis, ext_group_report(basis, identify=False))
+            for sig in cells
+            for basis in sweep_spinbasis_variants(sig, tweaks=tweaks))
 
 
 def enumerate_signatures(max_n: int = 10, tweaks: bool = False) -> Dict[Tuple[int, ...], List[str]]:

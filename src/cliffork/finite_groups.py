@@ -354,6 +354,16 @@ def _fingerprint(t: GroupTable) -> Tuple:
     )
 
 
+@functools.cache
+def _catalog_by_fingerprint() -> Dict[Tuple, List[Tuple[str, GroupTable]]]:
+    """The catalog grouped by _fingerprint, in catalog order; each catalog
+    fingerprint is computed once."""
+    out: Dict[Tuple, List[Tuple[str, GroupTable]]] = {}
+    for name, ref in _catalog().items():
+        out.setdefault(_fingerprint(ref), []).append((name, ref))
+    return out
+
+
 def _find_isomorphism(t1: GroupTable, t2: GroupTable) -> bool:
     """Backtracking isomorphism search; both orders must be small (<= 16)."""
     if t1.order != t2.order:
@@ -416,8 +426,8 @@ def identify_small_group(t: GroupTable) -> str:
     if t.order > 16:
         raise ValueError(f"identification limited to order <= 16, got {t.order}")
     fp = _fingerprint(t)
-    for name, ref in _catalog().items():
-        if _fingerprint(ref) == fp and _find_isomorphism(t, ref):
+    for name, ref in _catalog_by_fingerprint().get(fp, ()):
+        if _find_isomorphism(t, ref):
             return name
     raise ValueError(f"group with fingerprint {fp} is not in the catalog")
 

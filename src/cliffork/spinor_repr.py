@@ -14,8 +14,23 @@ Construction routes:
 
 Types 1 and 5 are semi-simple and have no faithful irreducible of the table
 dimension; build_spinbasis rejects them (the quotient module handles the
-split). All matrix entries stay in {0, +-1, +-i}, so every comparison
-downstream is exact.
+split), and it rejects any basis above MAX_SPINOR_DIM.
+
+Every constructed unit is monomial: one nonzero entry per row and column,
+taken from {+-1, +-i}.  So is every product of units (blade images, the
+W..F matrices, their closure: the image of Salingaros' vee group).
+SpinMatrix therefore has two internal forms, chosen from the entries:
+
+  * monomial form, a (column permutation, Z/4 phase) pair of int tuples, on
+    which products, -, conj, transpose, scaling by i^k, kron, the +-I test,
+    == and hash are O(d) integer work;
+  * dense form, d x d exact Gaussian rationals, for every other matrix: a
+    user-loaded non-monomial basis (`ext-group --basis FILE`) or the image
+    of a general multivector.
+
+The form is canonical: any result that is monomial with unit entries is
+stored in monomial form, whichever path computed it, so == and hash stay
+exact across the two forms and every comparison downstream is exact.
 """
 
 from __future__ import annotations
@@ -41,54 +56,126 @@ _I = GaussianScalar.I
 
 
 # ---------------------------------------------------------------------------
-# exact dense matrices
+# exact matrices: monomial and dense forms
+
+_UNITS = (_ONE, _I, -_ONE, -_I)  # i^k for k = 0..3
+_PHASE = {u: k for k, u in enumerate(_UNITS)}
+
+
+def _monomial_form(rows) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """(perm, phase) when rows has one nonzero per row and per column and
+    each nonzero is a unit i^k; None otherwise."""
+    perm, phase = [], []
+    for row in rows:
+        cols = [j for j, a in enumerate(row) if a]
+        if len(cols) != 1:
+            return None
+        k = _PHASE.get(row[cols[0]])
+        if k is None:
+            return None
+        perm.append(cols[0])
+        phase.append(k)
+    if len(set(perm)) != len(perm):
+        return None
+    return tuple(perm), tuple(phase)
+
+
+def _dense_product(arows, brows) -> List[List[GaussianScalar]]:
+    n = len(brows)
+    out = []
+    for row in arows:
+        acc = [_ZERO] * n
+        for k, a in enumerate(row):
+            if not a:
+                continue
+            for j, b in enumerate(brows[k]):
+                if b:
+                    acc[j] = acc[j] + a * b
+        out.append(acc)
+    return out
 
 
 class SpinMatrix:
-    """Immutable dense matrix of Gaussian rationals."""
+    """Immutable square matrix of Gaussian rationals, in one of two forms.
 
-    __slots__ = ("rows",)
+    Monomial form: one nonzero entry per row and per column, each a unit
+    i^k.  It is stored as two int tuples, `perm` (row r holds its entry in
+    column perm[r]) and `phase` (that entry is i^phase[r]).  Products, -,
+    conj, transpose, scaling by i^k, kron, the +-I test, == and hash are
+    O(d) integer tuple work on it.
+
+    Dense form: every other matrix, for instance the image of a general
+    multivector or a user-loaded unit such as [[3/5,4/5],[4/5,-3/5]].  It
+    keeps the d x d GaussianScalar entries; `perm` and `phase` are None.
+
+    The form is canonical: a result that is monomial with unit entries is
+    stored in monomial form whichever path computed it, so == and hash are
+    exact across the two forms (R*R for the R above equals and hashes like
+    the identity).  `rows` is the read-only dense view of either form.
+    """
+
+    __slots__ = ("perm", "phase", "_dense")
 
     def __init__(self, rows: Sequence[Sequence]):
-        self.rows = tuple(tuple(GaussianScalar.of(x) for x in row) for row in rows)
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
+        dense = tuple(tuple(GaussianScalar.of(x) for x in row) for row in rows)
+        n = len(dense)
+        if any(len(r) != n for r in dense):
             raise ValueError("SpinMatrix must be square")
+        form = _monomial_form(dense)
+        if form is None:
+            self.perm = self.phase = None
+            self._dense = dense
+        else:
+            self.perm, self.phase = form
+            self._dense = None
+
+    @property
+    def rows(self) -> Tuple[Tuple[GaussianScalar, ...], ...]:
+        if self.perm is None:
+            return self._dense
+        d = len(self.perm)
+        out = []
+        for col, k in zip(self.perm, self.phase):
+            row = [_ZERO] * d
+            row[col] = _UNITS[k]
+            out.append(tuple(row))
+        return tuple(out)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._dense if self.perm is None else self.perm)
 
     @classmethod
     def identity(cls, n: int) -> "SpinMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return _monomial(tuple(range(n)), (0,) * n)
 
     @classmethod
     def zero(cls, n: int) -> "SpinMatrix":
         return cls([[0] * n for _ in range(n)])
 
     def __mul__(self, other):
-        if isinstance(other, SpinMatrix):
-            if other.dim != self.dim:
+        if not isinstance(other, SpinMatrix):
+            return self._scaled(GaussianScalar.of(other))
+        a, b = self.perm, other.perm
+        if a is not None and b is not None:
+            if len(a) != len(b):
                 raise ValueError("dimension mismatch")
-            n = self.dim
-            orows = other.rows
-            out = []
-            for row in self.rows:
-                acc = [_ZERO] * n
-                for k, a in enumerate(row):
-                    if not a:
-                        continue
-                    for j, b in enumerate(orows[k]):
-                        if b:
-                            acc[j] = acc[j] + a * b
-                out.append(acc)
-            return SpinMatrix(out)
-        c = GaussianScalar.of(other)
-        return SpinMatrix([[c * a for a in row] for row in self.rows])
+            bphase = other.phase
+            return _monomial(
+                tuple([b[k] for k in a]),
+                tuple([(x + bphase[k]) & 3 for x, k in zip(self.phase, a)]),
+            )
+        if other.dim != self.dim:
+            raise ValueError("dimension mismatch")
+        return SpinMatrix(_dense_product(self.rows, other.rows))
 
     def __rmul__(self, other):
-        c = GaussianScalar.of(other)
+        return self._scaled(GaussianScalar.of(other))
+
+    def _scaled(self, c: GaussianScalar) -> "SpinMatrix":
+        k = _PHASE.get(c)
+        if self.perm is not None and k is not None:
+            return _monomial(self.perm, tuple([(x + k) & 3 for x in self.phase]))
         return SpinMatrix([[c * a for a in row] for row in self.rows])
 
     def __add__(self, other: "SpinMatrix") -> "SpinMatrix":
@@ -102,40 +189,58 @@ class SpinMatrix:
         return self + (-other)
 
     def __neg__(self) -> "SpinMatrix":
-        return SpinMatrix([[-a for a in row] for row in self.rows])
+        if self.perm is None:
+            return SpinMatrix([[-a for a in row] for row in self._dense])
+        return _monomial(self.perm, tuple([(x + 2) & 3 for x in self.phase]))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SpinMatrix) and self.rows == other.rows
+        # one form per matrix, so a monomial never equals a dense matrix
+        return (
+            isinstance(other, SpinMatrix)
+            and self.perm == other.perm
+            and self.phase == other.phase
+            and self._dense == other._dense
+        )
 
     def __hash__(self):
-        return hash(self.rows)
+        if self.perm is None:
+            return hash(self._dense)
+        return hash((self.perm, self.phase))
 
     def transpose(self) -> "SpinMatrix":
-        return SpinMatrix(list(zip(*self.rows)))
+        if self.perm is None:
+            return SpinMatrix(list(zip(*self._dense)))
+        perm = [0] * len(self.perm)
+        phase = [0] * len(self.perm)
+        for r, (c, k) in enumerate(zip(self.perm, self.phase)):
+            perm[c] = r
+            phase[c] = k
+        return _monomial(tuple(perm), tuple(phase))
 
     def conj(self) -> "SpinMatrix":
-        return SpinMatrix([[a.conjugate() for a in row] for row in self.rows])
+        if self.perm is None:
+            return SpinMatrix([[a.conjugate() for a in row] for row in self._dense])
+        return _monomial(self.perm, tuple([-x & 3 for x in self.phase]))
 
     def kron(self, other: "SpinMatrix") -> "SpinMatrix":
-        out = []
-        for r1 in self.rows:
-            for r2 in other.rows:
-                out.append([a * b for a in r1 for b in r2])
-        return SpinMatrix(out)
-
-    def trace(self) -> GaussianScalar:
-        t = _ZERO
-        for i in range(self.dim):
-            t = t + self.rows[i][i]
-        return t
-
-    def is_zero(self) -> bool:
-        return all(not a for row in self.rows for a in row)
+        if self.perm is None or other.perm is None:
+            return SpinMatrix(
+                [[a * b for a in r1 for b in r2] for r1 in self.rows for r2 in other.rows]
+            )
+        d = len(other.perm)
+        return _monomial(
+            tuple([c1 * d + c2 for c1 in self.perm for c2 in other.perm]),
+            tuple([(k1 + k2) & 3 for k1 in self.phase for k2 in other.phase]),
+        )
 
     def scalar_multiple_of_identity(self) -> Optional[GaussianScalar]:
         """c with self == c*I, or None."""
-        c = self.rows[0][0]
-        for i, row in enumerate(self.rows):
+        if self.perm is not None:
+            if self.perm != tuple(range(len(self.perm))) or len(set(self.phase)) > 1:
+                return None
+            return _UNITS[self.phase[0]]
+        c = self._dense[0][0]
+        for i, row in enumerate(self._dense):
             for j, a in enumerate(row):
                 if (a != c) if i == j else bool(a):
                     return None
@@ -164,6 +269,15 @@ class SpinMatrix:
 
     def __repr__(self) -> str:
         return f"<SpinMatrix {self.dim}x{self.dim}>"
+
+
+def _monomial(perm: Tuple[int, ...], phase: Tuple[int, ...]) -> SpinMatrix:
+    """A SpinMatrix in monomial form, built without the entry scan."""
+    m = object.__new__(SpinMatrix)
+    m.perm = perm
+    m.phase = phase
+    m._dense = None
+    return m
 
 
 # the 2x2 building blocks
@@ -196,7 +310,12 @@ class MatrixClass:
 
 
 def classify_matrix(m: SpinMatrix) -> MatrixClass:
-    entries = [a for row in m.rows for a in row if a]
+    if m.perm is not None:
+        # one entry per phase parity present: i^0 stands for the real
+        # (even) phases, i^1 for the imaginary (odd) ones
+        entries = [_UNITS[k] for k in {k & 1 for k in m.phase}]
+    else:
+        entries = [a for row in m.rows for a in row if a]
     if not entries:
         reality = "zero"
     elif all(a.im == 0 for a in entries):
@@ -460,15 +579,33 @@ def _extend_with_volume(sub: List[SpinMatrix], target_square: int) -> SpinMatrix
 # ---------------------------------------------------------------------------
 # public constructors
 
+# Largest spinor dimension build_spinbasis constructs.  A basis for p+q = n
+# has dimension 2^(n//2), so this admits p+q <= 25.  Cold `cliffork
+# ext-group --p N --q 0` on a 2-core host: 0.3 s at N = 20, 0.5 s at 24,
+# 1.0 s at 26, 1.9 s at 28 (doubling with each step of 2 from there on).
+MAX_SPINOR_DIM = 4096
+
+
+def check_spinor_size(n: int) -> None:
+    """Raise ValueError when p+q = n needs a spinor dimension above
+    MAX_SPINOR_DIM."""
+    dim = 1 << (n // 2)
+    if dim > MAX_SPINOR_DIM:
+        raise ValueError(
+            f"p+q = {n} needs spinor dimension {dim}, above the limit "
+            f"MAX_SPINOR_DIM = {MAX_SPINOR_DIM} (p+q <= {2 * MAX_SPINOR_DIM.bit_length() - 1})"
+        )
+
 
 def build_spinbasis(sig: SignatureSpec, variant: Optional[int] = None) -> SpinBasis:
     """Construct an exact spinor basis for sig.
 
     variant indexes the census split for quaternionic types (default 0, the
     first admissible split); other types have a single canonical construction
-    and reject variant != 0.
+    and reject variant != 0.  Raises ValueError above MAX_SPINOR_DIM.
     """
     p, q, n = sig.p, sig.q, sig.n
+    check_spinor_size(n)
 
     if sig.field == "C":
         if variant not in (None, 0):

@@ -88,8 +88,13 @@ class TestExitCodes:
             (["classify", "--complex", "-2"], "complex dimension -2 is negative"),
             (["ext-group", "--basis", "/nonexistent.json"],
              "cannot read basis file '/nonexistent.json'"),
+            (["ext-group", "--p", "26", "--q", "0"],
+             "p+q = 26 needs spinor dimension 8192, above the limit MAX_SPINOR_DIM = 4096"),
+            (["verify", "--suite", "pseudo", "--max", "30"],
+             "p+q = 30 needs spinor dimension 32768, above the limit MAX_SPINOR_DIM = 4096"),
         ],
-        ids=["negative-count", "negative-complex", "missing-basis-file"],
+        ids=["negative-count", "negative-complex", "missing-basis-file", "basis-too-large",
+             "sweep-bound-too-large"],
     )
     def test_bad_inputs_exit_two_with_one_error_line(self, capsys, argv, message):
         assert run(argv) == 2
@@ -200,6 +205,25 @@ class TestExtGroupVerb:
         even, odd = ["+I", "+W"] * 4, ["+W", "-I"] * 4
         assert payload["table"]["elements"] == ["I", "W", "E", "C", "Pi", "K", "S", "F"]
         assert payload["table"]["cells"] == [even, odd] * 4
+
+    def test_p_plus_q_twenty_runs_below_the_size_limit(self, capsys):
+        code, payload = run_json(capsys, ["ext-group", "--p", "20", "--q", "0"])
+        assert code == 0
+        assert payload["basis"] == "quat(20,0,split=(19, 1, 0, 1))"
+        assert payload["signature"] == [1, -1, 1, -1, 1, 1, 1]
+        assert (payload["group"], payload["abstract_signed_group"]) == ("D4", "D4")
+
+    def test_non_monomial_basis_file_matches_the_built_basis(self, capsys, tmp_path):
+        # two anticommuting real symmetric units of Cl(2,0), neither monomial;
+        # their products land on the monomial matrices of the built basis
+        path = tmp_path / "rotated.json"
+        path.write_text(json.dumps({"name": "rotated", "p": 2, "q": 0, "matrices": [
+            [["3/5", "4/5"], ["4/5", "-3/5"]], [["-4/5", "3/5"], ["3/5", "4/5"]]]}))
+        _, from_file = run_json(capsys, ["ext-group", "--basis", str(path)])
+        _, built = run_json(capsys, ["ext-group", "--p", "2", "--q", "0"])
+        assert from_file.pop("basis") == "rotated"
+        built.pop("basis")
+        assert from_file == built
 
     def test_file_basis_round_trips(self, capsys, tmp_path):
         basis = build_spinbasis(SignatureSpec(1, 3))
@@ -347,6 +371,16 @@ SWEEP_PINS = {
 }
 
 
+# the same at p+q <= 10, past the acceptance gate's own domain (p+q <= 8):
+# the comm_parity_correction cross-term and the census bound of 64 hold there
+SWEEP_PINS_AT_TEN = {
+    "pseudo": (4602, "17 signature cells, p+q <= 10"),
+    "defining": (16044, "17 signature cells, p+q <= 10"),
+    "commutation": (23340, "17 signature cells, p+q <= 10"),
+    "census": (32, "31 distinct signatures realized (bound 64), p+q <= 10"),
+}
+
+
 @pytest.fixture(scope="module")
 def sweeps_at_six():
     return {name: run_suite(name, 6) for name in SWEEP_PINS}
@@ -361,6 +395,12 @@ class TestSweepSuites:
     def test_details_at_bound_six(self, sweeps_at_six):
         assert {name: r.detail for name, r in sweeps_at_six.items()} == \
             {name: pin[1] for name, pin in SWEEP_PINS.items()}
+
+    @pytest.mark.parametrize("name", SWEEP_PINS_AT_TEN)
+    def test_pins_at_bound_ten(self, name):
+        result = run_suite(name, 10)
+        assert (result.ok, result.counterexamples) == (True, [])
+        assert (result.checked, result.detail) == SWEEP_PINS_AT_TEN[name]
 
 
 class TestDeterminism:

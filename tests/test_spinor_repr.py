@@ -1,8 +1,10 @@
 """Spinor basis construction and exact matrix checks."""
 
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffork.classification import matrix_dimension, type_index
 from cliffork.core_algebra import GaussianScalar, MultiVector, SignatureSpec
@@ -10,9 +12,11 @@ from cliffork.spinor_repr import (
     MAT_A,
     MAT_B,
     MAT_J,
+    MAX_SPINOR_DIM,
     SpinBasis,
     SpinMatrix,
     build_spinbasis,
+    check_spinor_size,
     classify_matrix,
     idempotent_rank,
     load_spinbasis,
@@ -75,6 +79,197 @@ def test_matrix_serialization_round_trip():
 
 
 # ---------------------------------------------------------------------------
+# the monomial kernel against plain dense arithmetic on .rows
+
+ZERO, ONE = GaussianScalar.ZERO, GaussianScalar.ONE
+UNITS = (ONE, I_, -ONE, -I_)  # i^k
+
+
+def ref_mul(x, y):
+    n = len(x)
+    out = [[ZERO] * n for _ in range(n)]
+    for r in range(n):
+        for k in range(n):
+            if x[r][k]:
+                for c in range(n):
+                    out[r][c] = out[r][c] + x[r][k] * y[k][c]
+    return tuple(map(tuple, out))
+
+
+def ref_kron(x, y):
+    return tuple(tuple(a * b for a in r1 for b in r2) for r1 in x for r2 in y)
+
+
+def ref_map(f, x):
+    return tuple(tuple(f(a) for a in row) for row in x)
+
+
+def ref_transpose(x):
+    return tuple(zip(*x))
+
+
+def ref_scalar_of_identity(x):
+    c = x[0][0]
+    ok = all(a == (c if i == j else ZERO) for i, row in enumerate(x) for j, a in enumerate(row))
+    return c if ok else None
+
+
+def ref_class(x):
+    entries = [a for row in x for a in row if a]
+    if all(a.im == 0 for a in entries):
+        reality = "real"
+    elif all(a.re == 0 for a in entries):
+        reality = "imaginary"
+    else:
+        reality = "mixed"
+    t = ref_transpose(x)
+    if t == x:
+        symmetry = "symmetric"
+    elif t == ref_map(lambda a: -a, x):
+        symmetry = "skew"
+    else:
+        symmetry = "mixed"
+    return reality, symmetry
+
+
+def assert_matches(m, ref):
+    """m has the reference entries and is the canonical matrix for them."""
+    assert m.rows == ref
+    rebuilt = SpinMatrix(ref)
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+    assert (m.perm, m.phase) == (rebuilt.perm, rebuilt.phase)
+
+
+@functools.cache
+def kernel_bases():
+    """Bases of dimension 2..16: every constructible real signature with
+    2 <= p+q <= 9 (quaternionic split variants and their tweaks included),
+    plus a complex basis and a marked complex basis per p+q."""
+    out = []
+    for n in range(2, 10):
+        for p in range(n + 1):
+            if (2 * p - n) % 8 not in (1, 5):
+                out += sweep_spinbasis_variants(SignatureSpec(p, n - p))
+        out.append(build_spinbasis(SignatureSpec(n, 0, field="C")))
+        out.append(build_spinbasis(SignatureSpec(n // 2, n - n // 2, field="C")))
+    return out
+
+
+def test_kernel_bases_cover_dimensions_two_to_sixteen():
+    bases = kernel_bases()
+    assert {b.dim for b in bases} == {2, 4, 8, 16}
+    assert any(",flipped" in b.name for b in bases)
+    assert any(b.sig.field == "C" for b in bases)
+    assert all(m.perm is not None for b in bases for m in b.mats)
+
+
+WORD_OPS = ("mul", "lmul", "neg", "conj", "transpose", "scale", "rscale")
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_unit_words_match_dense_reference(data):
+    basis = data.draw(st.sampled_from(kernel_bases()), label="basis")
+    units = st.integers(1, basis.sig.n)
+    m = basis.unit(data.draw(units))
+    ref = m.rows
+    for op in data.draw(st.lists(st.sampled_from(WORD_OPS), max_size=8), label="word"):
+        if op in ("mul", "lmul"):
+            u = basis.unit(data.draw(units))
+            if op == "mul":
+                m, ref = m * u, ref_mul(ref, u.rows)
+            else:
+                m, ref = u * m, ref_mul(u.rows, ref)
+        elif op == "neg":
+            m, ref = -m, ref_map(lambda a: -a, ref)
+        elif op == "conj":
+            m, ref = m.conj(), ref_map(lambda a: a.conjugate(), ref)
+        elif op == "transpose":
+            m, ref = m.transpose(), ref_transpose(ref)
+        elif op == "scale":
+            c = UNITS[data.draw(st.integers(0, 3))]
+            m, ref = m * c, ref_map(lambda a: a * c, ref)
+        else:  # a GaussianScalar on the left does not defer, so ints here
+            c = data.draw(st.sampled_from([1, -1]))
+            m, ref = c * m, ref_map(lambda a: a * c, ref)
+        assert_matches(m, ref)
+    assert m.perm is not None
+    assert m.scalar_multiple_of_identity() == ref_scalar_of_identity(ref)
+    c = classify_matrix(m)
+    assert (c.reality, c.symmetry) == ref_class(ref)
+    block = data.draw(st.sampled_from([MAT_A, MAT_B, MAT_J, MAT_J * I_, SpinMatrix.identity(2)]))
+    assert_matches(m.kron(block), ref_kron(ref, block.rows))
+    assert_matches(block.kron(m), ref_kron(block.rows, ref))
+
+
+@st.composite
+def monomials(draw, d):
+    """Any monomial matrix with unit entries, not only products of units
+    (whose permutations all commute)."""
+    perm = draw(st.permutations(range(d)))
+    phase = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
+    return SpinMatrix([[UNITS[k] if c == col else 0 for c in range(d)]
+                       for col, k in zip(perm, phase)])
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_general_monomials_match_dense_reference(data):
+    d = data.draw(st.integers(1, 8))
+    a, b = data.draw(monomials(d)), data.draw(monomials(d))
+    assert a.perm is not None
+    assert_matches(a * b, ref_mul(a.rows, b.rows))
+    assert_matches(a.transpose().conj(), ref_map(lambda x: x.conjugate(), ref_transpose(a.rows)))
+    assert_matches(a.kron(b), ref_kron(a.rows, b.rows))
+
+
+# a real symmetric unit that is not monomial
+R = SpinMatrix([["3/5", "4/5"], ["4/5", "-3/5"]])
+
+
+def test_dense_product_landing_on_identity_is_canonical():
+    assert R.perm is None
+    ident = SpinMatrix.identity(2)
+    assert R * R == ident and hash(R * R) == hash(ident)
+    assert (R * R).perm == (0, 1)
+    assert (R * R).sign_of_identity_multiple() == 1
+    assert R != ident and R * MAT_J != MAT_J
+    assert classify_matrix(R) == classify_matrix(MAT_A)
+    # SpinMatrix(rows) of a monomial result picks the monomial form
+    assert SpinMatrix([[0, "-1"], [I_, 0]]).perm == (1, 0)
+    assert SpinMatrix([[2, 0], [0, 2]]).perm is None
+    assert SpinMatrix([[1, 0], [1, 0]]).perm is None
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_dense_path_matches_reference_and_lands_canonically(data):
+    basis = data.draw(st.sampled_from(kernel_bases()), label="basis")
+    m = basis.product_of(data.draw(st.lists(st.integers(1, basis.sig.n), min_size=1, max_size=5)))
+    rd = R.kron(SpinMatrix.identity(basis.dim // 2))  # dense, squares to +I
+    assert rd.perm is None
+    assert_matches(rd * m, ref_mul(rd.rows, m.rows))
+    assert_matches(m * rd, ref_mul(m.rows, rd.rows))
+    assert_matches(-rd, ref_map(lambda a: -a, rd.rows))
+    assert_matches(rd.transpose().conj(), ref_transpose(rd.rows))
+    # dense results that land on a monomial compare and hash like it
+    wide = m.kron(SpinMatrix.identity(2))
+    for back, want in ((rd * (rd * m), m), ((m * rd) * rd, m),
+                       ((m * 2) * GaussianScalar.of("1/2"), m), ((m + m) - m, m),
+                       (m.kron(R) * SpinMatrix.identity(basis.dim).kron(R), wide)):
+        assert back.perm is not None
+        assert back == want and hash(back) == hash(want)
+
+
+def test_image_of_a_blade_is_the_blade_image():
+    sig = SignatureSpec(2, 2)
+    basis = build_spinbasis(sig)
+    img = basis.image(MultiVector.blade(sig, (1, 3)))
+    assert img == basis.blade_image(0b101) and hash(img) == hash(basis.blade_image(0b101))
+    assert img.perm is not None
+
+
+# ---------------------------------------------------------------------------
 # constructions
 
 
@@ -104,6 +299,14 @@ def test_types_0_and_2_are_all_real(sig):
     census = build_spinbasis(sig).unit_census()
     assert census.a == 0
     assert (census.v, census.u) == (sig.p, sig.q)
+
+
+def test_size_limit_names_itself():
+    check_spinor_size(25)
+    assert MAX_SPINOR_DIM == 1 << 12
+    for sig in (SignatureSpec(26, 0), SignatureSpec(13, 14, field="C")):
+        with pytest.raises(ValueError, match="above the limit MAX_SPINOR_DIM = 4096"):
+            build_spinbasis(sig)
 
 
 def test_semi_simple_types_rejected():
