@@ -419,6 +419,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # an internal invariant failed on this input: that is a falsified
+        # check, so exit 1 with the counterexample rather than a traceback
+        check = " ".join(str(exc).split()) or "assertion failed"
+        payload = {"schema": SCHEMA, "verb": args.verb, "ok": False,
+                   "counterexamples": [{"check": check, "args": vars(args)}]}
+        print(json.dumps(payload, indent=1, sort_keys=True))
+        print(f"error: {args.verb}: internal check failed: {check}", file=sys.stderr)
+        return 1
     print(text)
     return code
 

@@ -1,69 +1,98 @@
 """Exact multivector arithmetic for real and complex Clifford algebras.
 
-Everything runs on Gaussian rationals (pairs of fractions.Fraction), so all
-comparisons downstream are exact equalities. Blades are encoded as bitmasks
-over the generators e1..en; generator i squares to +1 for i <= p and to -1
-for i > p.
+Everything runs on Gaussian rationals, so all comparisons downstream are
+exact equalities.  Each component of a Gaussian scalar is a Python int when
+it is integral and a fractions.Fraction (denominator > 1) otherwise; every
+value the suites compute is a Gaussian integer or a dyadic rational, so
+their sums and products stay in int arithmetic.  Blades are encoded as
+bitmasks over the generators e1..en; generator i squares to +1 for i <= p
+and to -1 for i > p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
+
+Rational = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
 # scalars
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _canonical_rational(x) -> Rational:
+    """x as an exact rational in canonical form: an int when x is integral,
+    else a Fraction with denominator > 1.  Accepts ints, Fractions and
+    numeric strings such as '3/2'; raises TypeError for anything else."""
     if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot build an exact fraction from {type(x).__name__}")
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class GaussianScalar:
-    """Exact complex rational a + b*i with Fraction components."""
+    """Exact complex rational re + im*i.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    The form is canonical: `re` and `im` are ints when integral and
+    Fractions (denominator > 1) otherwise, chosen from the value whichever
+    path built it.  Arithmetic on integral scalars therefore stays in int
+    arithmetic; only division and parsing can produce a Fraction.  An int
+    compares and hashes equal to the Fraction of the same value, so == and
+    hash are exact.
+
+    GaussianScalar(re, im) validates and normalises its arguments; results
+    of arithmetic are built by `_gaussian`, which only normalises.
+    """
+
+    re: Rational
+    im: Rational
+
+    def __init__(self, re=0, im=0):
+        _set_re(self, _canonical_rational(re))
+        _set_im(self, _canonical_rational(im))
 
     @staticmethod
     def of(x) -> "GaussianScalar":
-        if isinstance(x, GaussianScalar):
-            return x
-        return GaussianScalar(_as_fraction(x))
+        """x itself if it is a GaussianScalar, else the real scalar x
+        (an int, a Fraction or a numeric string); raises TypeError."""
+        z = _operand(x)
+        return GaussianScalar(x) if z is None else z
 
     def __add__(self, other) -> "GaussianScalar":
-        o = GaussianScalar.of(other)
-        return GaussianScalar(self.re + o.re, self.im + o.im)
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return _gaussian(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "GaussianScalar":
-        o = GaussianScalar.of(other)
-        return GaussianScalar(self.re - o.re, self.im - o.im)
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return _gaussian(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other) -> "GaussianScalar":
-        return GaussianScalar.of(other) - self
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return _gaussian(o.re - self.re, o.im - self.im)
 
     def __neg__(self) -> "GaussianScalar":
-        return GaussianScalar(-self.re, -self.im)
+        return _gaussian(-self.re, -self.im)
 
     def __mul__(self, other) -> "GaussianScalar":
-        o = GaussianScalar.of(other)
-        if not self or not o:
-            return _GS_ZERO
-        return GaussianScalar(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        a, b, c, d = self.re, self.im, o.re, o.im
+        return _gaussian(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -71,13 +100,17 @@ class GaussianScalar:
         d = self.re * self.re + self.im * self.im
         if d == 0:
             raise ZeroDivisionError("inverse of zero Gaussian scalar")
-        return GaussianScalar(self.re / d, -self.im / d)
+        # Fraction(x, d), never x / d, which would be a float for ints
+        return _gaussian(Fraction(self.re, d), Fraction(-self.im, d))
 
     def __truediv__(self, other) -> "GaussianScalar":
-        return self * GaussianScalar.of(other).inverse()
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
 
     def conjugate(self) -> "GaussianScalar":
-        return GaussianScalar(self.re, -self.im)
+        return _gaussian(self.re, -self.im)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -96,9 +129,38 @@ class GaussianScalar:
         return f"GaussianScalar({format_gaussian(self)!r})"
 
 
+_set_re = GaussianScalar.re.__set__
+_set_im = GaussianScalar.im.__set__
+_new = object.__new__
+
+
+def _gaussian(re: Rational, im: Rational) -> GaussianScalar:
+    """The scalar re + im*i from exact arithmetic results, without the type
+    checks of GaussianScalar(re, im): an int stays as it is, and a Fraction
+    that landed on an integer becomes an int."""
+    if type(re) is not int and re.denominator == 1:
+        re = re.numerator
+    if type(im) is not int and im.denominator == 1:
+        im = im.numerator
+    z = _new(GaussianScalar)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
+
+
+def _operand(x) -> Optional[GaussianScalar]:
+    """x as a GaussianScalar when it is one or a rational, else None (so the
+    caller returns NotImplemented and the other operand gets its turn)."""
+    if type(x) is GaussianScalar:
+        return x
+    if isinstance(x, (int, Fraction)):
+        return _gaussian(x, 0)
+    return None
+
+
 _GS_ZERO = GaussianScalar()
-_GS_ONE = GaussianScalar(Fraction(1))
-_GS_I = GaussianScalar(Fraction(0), Fraction(1))
+_GS_ONE = GaussianScalar(1)
+_GS_I = GaussianScalar(0, 1)
 
 GaussianScalar.ZERO = _GS_ZERO
 GaussianScalar.ONE = _GS_ONE
@@ -278,7 +340,13 @@ def conjugation_sign(grade: int) -> int:
 
 
 class MultiVector:
-    """Element of Cl(p,q) (or its complexification) with exact coefficients."""
+    """Element of Cl(p,q) (or its complexification) with exact coefficients.
+
+    MultiVector(sig, coeffs) checks every mask and coefficient and drops
+    zeros; results of the ring operations and involutions, which already
+    hold nonzero GaussianScalars on valid masks, are built by `_multivector`
+    without that pass.
+    """
 
     __slots__ = ("sig", "_c")
 
@@ -330,7 +398,7 @@ class MultiVector:
         return sorted({m.bit_count() for m in self._c})
 
     def grade_projection(self, k: int) -> "MultiVector":
-        return MultiVector(self.sig, {m: c for m, c in self._c.items() if m.bit_count() == k})
+        return _multivector(self.sig, {m: c for m, c in self._c.items() if m.bit_count() == k})
 
     def is_zero(self) -> bool:
         return not self._c
@@ -344,7 +412,7 @@ class MultiVector:
     # ring operations
 
     def _check_sig(self, other: "MultiVector"):
-        if self.sig != other.sig:
+        if self.sig is not other.sig and self.sig != other.sig:
             raise ValueError(f"signature mismatch: {self.sig} vs {other.sig}")
 
     def __add__(self, other) -> "MultiVector":
@@ -353,12 +421,16 @@ class MultiVector:
         self._check_sig(other)
         out = dict(self._c)
         for m, c in other._c.items():
-            s = out.get(m, _GS_ZERO) + c
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+                continue
+            s = s + c
             if s:
                 out[m] = s
             else:
-                out.pop(m, None)
-        return MultiVector(self.sig, out)
+                del out[m]
+        return _multivector(self.sig, out)
 
     __radd__ = __add__
 
@@ -371,31 +443,40 @@ class MultiVector:
         return (-self) + other
 
     def __neg__(self) -> "MultiVector":
-        return MultiVector(self.sig, {m: -c for m, c in self._c.items()})
+        return _multivector(self.sig, {m: -c for m, c in self._c.items()})
 
     def __mul__(self, other) -> "MultiVector":
         if not isinstance(other, MultiVector):
             c = GaussianScalar.of(other)
-            return MultiVector(self.sig, {m: v * c for m, v in self._c.items()})
+            if not c:
+                return _multivector(self.sig, {})
+            return _multivector(self.sig, {m: v * c for m, v in self._c.items()})
         self._check_sig(other)
+        sig = self.sig
         acc: Dict[int, GaussianScalar] = {}
         for ma, ca in self._c.items():
             for mb, cb in other._c.items():
-                mask, sgn = blade_product(self.sig, ma, mb)
+                mask, sgn = blade_product(sig, ma, mb)
                 term = ca * cb
                 if sgn < 0:
                     term = -term
-                s = acc.get(mask, _GS_ZERO) + term
+                s = acc.get(mask)
+                if s is None:
+                    acc[mask] = term  # a product of nonzero scalars is nonzero
+                    continue
+                s = s + term
                 if s:
                     acc[mask] = s
                 else:
-                    acc.pop(mask, None)
-        return MultiVector(self.sig, acc)
+                    del acc[mask]
+        return _multivector(sig, acc)
 
     def __rmul__(self, other) -> "MultiVector":
         # only scalars end up here
         c = GaussianScalar.of(other)
-        return MultiVector(self.sig, {m: c * v for m, v in self._c.items()})
+        if not c:
+            return _multivector(self.sig, {})
+        return _multivector(self.sig, {m: c * v for m, v in self._c.items()})
 
     def __pow__(self, k: int) -> "MultiVector":
         if k < 0:
@@ -414,7 +495,7 @@ class MultiVector:
             if isinstance(other, (int, Fraction, GaussianScalar)):
                 return self == MultiVector.scalar(self.sig, other)
             return NotImplemented
-        return self.sig == other.sig and self._c == other._c
+        return (self.sig is other.sig or self.sig == other.sig) and self._c == other._c
 
     def __hash__(self):
         return hash((self.sig, frozenset(self._c.items())))
@@ -422,19 +503,19 @@ class MultiVector:
     # the four involutive coefficient/blade maps
 
     def grade_involution(self) -> "MultiVector":
-        return MultiVector(
+        return _multivector(
             self.sig,
             {m: (c if involution_sign(m.bit_count()) > 0 else -c) for m, c in self._c.items()},
         )
 
     def reversion(self) -> "MultiVector":
-        return MultiVector(
+        return _multivector(
             self.sig,
             {m: (c if reversion_sign(m.bit_count()) > 0 else -c) for m, c in self._c.items()},
         )
 
     def clifford_conjugation(self) -> "MultiVector":
-        return MultiVector(
+        return _multivector(
             self.sig,
             {m: (c if conjugation_sign(m.bit_count()) > 0 else -c) for m, c in self._c.items()},
         )
@@ -443,21 +524,22 @@ class MultiVector:
         """Antilinear automorphism: conjugate coefficients, flip the sign of
         every generator that squares to -1 (count taken from the signature
         unless positive_count overrides the split)."""
+        n = self.sig.n
         p = self.sig.p if positive_count is None else positive_count
-        if not 0 <= p <= self.sig.n:
-            raise ValueError(f"positive_count {p} outside 0..{self.sig.n}")
-        neg_mask = ((1 << self.sig.n) - 1) & ~((1 << p) - 1)
+        if not 0 <= p <= n:
+            raise ValueError(f"positive_count {p} outside 0..{n}")
+        neg_mask = ((1 << n) - 1) & ~((1 << p) - 1)
         out = {}
         for m, c in self._c.items():
-            c = c.conjugate()
             if (m & neg_mask).bit_count() & 1:
-                c = -c
-            out[m] = c
-        return MultiVector(self.sig, out)
+                out[m] = _gaussian(-c.re, c.im)  # -conjugate(c)
+            else:
+                out[m] = c.conjugate()
+        return _multivector(self.sig, out)
 
     def complex_conjugation(self) -> "MultiVector":
         """Coefficient-wise conjugation, blades untouched."""
-        return MultiVector(self.sig, {m: c.conjugate() for m, c in self._c.items()})
+        return _multivector(self.sig, {m: c.conjugate() for m, c in self._c.items()})
 
     def involution_by_omega(self) -> "MultiVector":
         """omega * x * omega^(-1). Agrees with grade_involution; only inner
@@ -493,6 +575,15 @@ class MultiVector:
 
     def __repr__(self) -> str:
         return f"<{self.sig} | {self}>"
+
+
+def _multivector(sig: SignatureSpec, coeffs: Dict[int, GaussianScalar]) -> MultiVector:
+    """A MultiVector over coeffs as given: nonzero GaussianScalars on masks
+    inside the algebra, which the caller guarantees."""
+    x = _new(MultiVector)
+    x.sig = sig
+    x._c = coeffs
+    return x
 
 
 # ---------------------------------------------------------------------------

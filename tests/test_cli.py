@@ -1,18 +1,22 @@
 """Command line front end: exit codes, payload pins, determinism, suites."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cliffork import verify
+from cliffork import cli, verify
 from cliffork.cli import SCHEMA, run
 from cliffork.verify import (
     SUITE_NAMES,
     SuiteResult,
     run_suite,
 )
+from cliffork.classification import TABLE_KINDS
 from cliffork.spinor_repr import SignatureSpec, build_spinbasis, save_spinbasis
 
 from fixtures_tables import (
@@ -112,6 +116,23 @@ class TestExitCodes:
     def test_malformed_mark_is_usage_error(self, capsys):
         assert run(["quotient", "--complex", "5", "--mark", "banana"]) == 2
 
+    def test_internal_assertion_exits_one_with_counterexample(self, capsys, monkeypatch):
+        def falsified(args):
+            raise AssertionError("idempotents do not sum to 1")
+
+        monkeypatch.setitem(cli._HANDLERS, "quotient", falsified)
+        assert run(["quotient", "--p", "2", "--q", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: quotient: internal check failed: idempotents do not sum to 1\n"
+        payload = json.loads(captured.out)
+        assert payload["ok"] is False
+        assert payload["verb"] == "quotient"
+        assert payload["counterexamples"] == [{
+            "check": "idempotents do not sum to 1",
+            "args": {"verb": "quotient", "p": 2, "q": 1, "complex": None, "mark": None,
+                     "format": "markdown"},
+        }]
+
     def test_verify_requires_a_known_suite(self, capsys):
         assert run(["verify"]) == 2
         assert run(["verify", "--suite", "nonsense"]) == 2
@@ -119,6 +140,46 @@ class TestExitCodes:
     def test_run_suite_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("nonsense")
+
+
+_SMALL = st.integers(0, 5)
+_FMT = st.sampled_from([[], ["--format", "json"]])
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+_MARKS = st.lists(st.tuples(_SMALL, _SMALL), max_size=2).map(
+    lambda marks: [a for p, q in marks for a in ("--mark", f"{p},{q}")])
+_VERB_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["classify", "cover", "quotient"]).map(lambda v: [v]),
+              _opt("--p", _SMALL), _opt("--q", _SMALL),
+              _opt("--complex", st.integers(0, 6)), _MARKS, _FMT),
+    st.tuples(st.just(["cover", "--cpt"]), _opt("--p", _SMALL), _opt("--q", _SMALL),
+              _opt("--complex", st.integers(0, 6)), _MARKS, _FMT),
+    st.tuples(st.just(["ext-group"]), _opt("--p", _SMALL), _opt("--q", _SMALL),
+              st.sampled_from([[], ["--basis", "gamma"]]), _FMT),
+    st.tuples(st.just(["table", "--kind"]), st.sampled_from(TABLE_KINDS).map(lambda k: [k]),
+              _opt("--max", st.integers(0, 7)), _FMT),
+    st.tuples(st.just(["verify", "--suite"]),
+              st.sampled_from(SUITE_NAMES + ("all",)).map(lambda s: [s]),
+              _opt("--max", st.integers(0, 2)), _FMT),
+).map(lambda parts: [a for part in parts for a in part])
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_VERB_ARGV)
+def test_small_integer_argv_never_reaches_a_traceback(argv):
+    """Every verb keeps the exit contract on small-integer arguments:
+    0 ok, 1 falsified check, 2 usage or incoherent request."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().count("error:") <= 1
 
 
 class TestClassifyVerb:
@@ -381,9 +442,23 @@ SWEEP_PINS_AT_TEN = {
 }
 
 
+# and at p+q <= 12, where the census already counts the 32 signatures it finds at 14
+SWEEP_PINS_AT_TWELVE = {
+    "pseudo": (9492, "24 signature cells, p+q <= 12"),
+    "defining": (32508, "24 signature cells, p+q <= 12"),
+    "commutation": (41964, "24 signature cells, p+q <= 12"),
+    "census": (33, "32 distinct signatures realized (bound 64), p+q <= 12"),
+}
+
+
 @pytest.fixture(scope="module")
 def sweeps_at_six():
     return {name: run_suite(name, 6) for name in SWEEP_PINS}
+
+
+@pytest.fixture(scope="module")
+def sweeps_at_twelve():
+    return {name: run_suite(name, 12) for name in SWEEP_PINS_AT_TWELVE}
 
 
 class TestSweepSuites:
@@ -401,6 +476,11 @@ class TestSweepSuites:
         result = run_suite(name, 10)
         assert (result.ok, result.counterexamples) == (True, [])
         assert (result.checked, result.detail) == SWEEP_PINS_AT_TEN[name]
+
+    def test_pins_at_bound_twelve(self, sweeps_at_twelve):
+        assert {name: (r.ok, r.counterexamples, r.checked, r.detail)
+                for name, r in sweeps_at_twelve.items()} == \
+            {name: (True, [], *pin) for name, pin in SWEEP_PINS_AT_TWELVE.items()}
 
 
 class TestDeterminism:

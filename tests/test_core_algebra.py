@@ -1,7 +1,9 @@
 """Core multivector arithmetic checks.
 
 The blade product is verified against an independent permutation-sort oracle
-before anything else relies on it.
+before anything else relies on it.  Gaussian scalars and multivector
+products are checked against a plain reference on (Fraction, Fraction)
+pairs, the exact arithmetic the int-backed canonical form replaces.
 """
 
 import itertools
@@ -28,6 +30,7 @@ from cliffork.core_algebra import (
     volume_square,
     volume_square_sign,
 )
+from cliffork.spinor_repr import SpinMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +136,201 @@ def test_gaussian_parse_forms():
     assert parse_gaussian("2-i") == GaussianScalar(Fraction(2), Fraction(-1))
     assert parse_gaussian("1/2+3/4i") == GaussianScalar(Fraction(1, 2), Fraction(3, 4))
     assert parse_gaussian("-3i") == GaussianScalar(Fraction(0), Fraction(-3))
+
+
+def test_scalar_on_the_left_defers_to_the_other_operand():
+    i = GaussianScalar.I
+    m = SpinMatrix([[0, 1], [-1, 0]])
+    assert i * m == m * i == SpinMatrix([[0, i], [-i, 0]])
+    x = MultiVector.unit(SignatureSpec(1, 1), 2)
+    assert i * x == x * i
+    assert (i * x).coeff(0b10) == i
+    assert i + x == x + i
+    assert (i + x).scalar_part() == i
+
+
+@pytest.mark.parametrize("other", [SpinMatrix.identity(2), MultiVector.scalar(SignatureSpec(1, 0), 1),
+                                   0.5, object()], ids=lambda o: type(o).__name__)
+def test_of_rejects_what_is_not_a_rational_or_a_scalar(other):
+    with pytest.raises(TypeError):
+        GaussianScalar.of(other)
+    if not isinstance(other, (SpinMatrix, MultiVector)):
+        with pytest.raises(TypeError):
+            GaussianScalar.I * other
+        with pytest.raises(TypeError):
+            GaussianScalar.I + other
+
+
+# ---------------------------------------------------------------------------
+# the int-backed canonical form against a plain (Fraction, Fraction) reference
+
+
+def is_canonical(z):
+    """re and im are ints exactly when integral, Fractions otherwise."""
+    return all(type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+               for v in (z.re, z.im))
+
+
+def ref(z):
+    return Fraction(z.re), Fraction(z.im)
+
+
+def ref_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def ref_neg(a):
+    return -a[0], -a[1]
+
+
+def ref_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def ref_inverse(a):
+    d = a[0] * a[0] + a[1] * a[1]
+    return a[0] / d, -a[1] / d
+
+
+def ref_format(a):
+    re, im = a
+    if im == 0:
+        return str(re)
+    imtxt = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+    if re == 0:
+        return imtxt
+    return f"{re}{'+' if im > 0 else ''}{imtxt}"
+
+
+RATIONALS = st.one_of(st.integers(-12, 12), st.fractions(max_denominator=8))
+SCALARS = st.builds(GaussianScalar, RATIONALS, RATIONALS)
+
+
+@given(x=SCALARS, y=SCALARS, r=RATIONALS)
+def test_scalar_kernel_matches_fraction_pair_reference(x, y, r):
+    a, b = ref(x), ref(y)
+    rr = (Fraction(r), Fraction(0))
+    results = [
+        (x + y, ref_add(a, b)),
+        (x - y, ref_add(a, ref_neg(b))),
+        (x * y, ref_mul(a, b)),
+        (-x, ref_neg(a)),
+        (x.conjugate(), (a[0], -a[1])),
+        (x + r, ref_add(a, rr)),
+        (r + x, ref_add(a, rr)),
+        (r - x, ref_add(rr, ref_neg(a))),
+        (x * r, ref_mul(a, rr)),
+        (r * x, ref_mul(a, rr)),
+    ]
+    if y:
+        results += [(y.inverse(), ref_inverse(b)), (x / y, ref_mul(a, ref_inverse(b)))]
+    for got, want in results:
+        assert ref(got) == want
+        assert is_canonical(got)
+    assert (x == y) == (a == b)
+    assert hash(x) == hash(a)
+    assert bool(x) == (a != (0, 0))
+
+
+@given(x=SCALARS)
+def test_text_round_trip_matches_fraction_pair_reference(x):
+    text = format_gaussian(x)
+    assert text == ref_format(ref(x))
+    back = parse_gaussian(text)
+    assert back == x
+    assert (type(back.re), type(back.im)) == (type(x.re), type(x.im))
+
+
+def test_canonical_form_on_results_that_land_on_integers():
+    half = GaussianScalar(Fraction(1, 2))
+    one_plus_i = GaussianScalar(1, 1)
+    cases = {
+        "half plus half": half + half,
+        "(1+i)(1+i)/2": one_plus_i * one_plus_i / 2,
+        "inverse of i": GaussianScalar.I.inverse(),
+        "Fraction(4, 2)": GaussianScalar(Fraction(4, 2)),
+        "half times two": half * 2,
+    }
+    for name, z in cases.items():
+        assert (type(z.re), type(z.im)) == (int, int), name
+    assert half + half == GaussianScalar.ONE
+    assert one_plus_i * one_plus_i / 2 == GaussianScalar.I
+    assert GaussianScalar.I.inverse() == -GaussianScalar.I
+    assert type(half.re) is Fraction and type(half.im) is int
+    three = parse_gaussian("3/1")
+    assert three == GaussianScalar.of(3)
+    assert (type(three.re), type(three.im)) == (int, int)
+    assert type(GaussianScalar(True).re) is int
+
+
+def ref_multivector(x):
+    return {m: ref(c) for m, c in x.items()}
+
+
+def ref_mv_product(sig, a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mask, sign = oracle_blade_product(sig, ma, mb)
+            term = ref_mul(ca, cb)
+            out[mask] = ref_add(out.get(mask, (0, 0)), term if sign > 0 else ref_neg(term))
+    return {m: c for m, c in out.items() if c != (0, 0)}
+
+
+def ref_mv_sum(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = ref_add(out.get(m, (0, 0)), c)
+    return {m: c for m, c in out.items() if c != (0, 0)}
+
+
+def ref_blade_signs(sig, m, which):
+    k = m.bit_count()
+    if which == "grade":
+        return -1 if k % 2 else 1
+    if which == "reversion":
+        return -1 if (k * (k - 1) // 2) % 2 else 1
+    if which == "clifford":
+        return -1 if (k * (k + 1) // 2) % 2 else 1
+    negatives = sum(1 for i in blade_indices(m) if sig.metric(i) < 0)
+    return -1 if negatives % 2 else 1
+
+
+@st.composite
+def small_multivectors(draw, count=2):
+    n = draw(st.integers(0, 4))
+    p = draw(st.integers(0, n))
+    sig = SignatureSpec(p, n - p)
+    coeffs = st.dictionaries(st.integers(0, (1 << n) - 1),
+                             st.builds(GaussianScalar, st.fractions(max_denominator=8),
+                                       st.fractions(max_denominator=8)), max_size=5)
+    return sig, [MultiVector(sig, draw(coeffs)) for _ in range(count)]
+
+
+@given(data=small_multivectors())
+@settings(max_examples=150)
+def test_multivector_kernel_matches_fraction_pair_reference(data):
+    sig, (x, y) = data
+    a, b = ref_multivector(x), ref_multivector(y)
+    assert all(c != (0, 0) for c in a.values())
+    results = [
+        (x * y, ref_mv_product(sig, a, b)),
+        (x + y, ref_mv_sum(a, b)),
+        (x - y, ref_mv_sum(a, {m: ref_neg(c) for m, c in b.items()})),
+        (-x, {m: ref_neg(c) for m, c in a.items()}),
+    ]
+    for method, which in [(MultiVector.grade_involution, "grade"),
+                          (MultiVector.reversion, "reversion"),
+                          (MultiVector.clifford_conjugation, "clifford")]:
+        results.append((method(x), {m: c if ref_blade_signs(sig, m, which) > 0 else ref_neg(c)
+                                    for m, c in a.items()}))
+    results.append((x.pseudo_conjugation(),
+                    {m: (c[0], -c[1]) if ref_blade_signs(sig, m, "pseudo") > 0
+                     else (-c[0], c[1]) for m, c in a.items()}))
+    for got, want in results:
+        assert ref_multivector(got) == want
+        assert all(is_canonical(c) for _, c in got.items())
+    assert (x == y) == (a == b)
 
 
 # ---------------------------------------------------------------------------
