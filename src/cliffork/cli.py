@@ -32,7 +32,7 @@ from .classification import (
 )
 from .core_algebra import SignatureSpec, volume_square_sign
 from .coverings import cpt_structure, pt_structure, signature_text
-from .ext_automorphisms import MATRIX_NAMES, ext_group_report
+from .ext_automorphisms import MATRIX_NAMES, ext_group_report, signed_letter_table
 from .quotient import (
     PHYSICAL_NAMES,
     central_idempotents,
@@ -41,7 +41,7 @@ from .quotient import (
     quotient_group,
     transfer_report,
 )
-from .spinor_repr import SpinMatrix, build_spinbasis, load_spinbasis, signed_lookup
+from .spinor_repr import build_spinbasis, load_spinbasis
 from .verify import SUITE_NAMES, run_suite
 
 SCHEMA = "cliffork/1"
@@ -110,15 +110,6 @@ def _cmd_table(args) -> Tuple[int, str]:
     return 0, _emit(payload, lines, args.format)
 
 
-def _signed_letter_table(mats, dim: int) -> Tuple[List[str], List[List[str]]]:
-    elements = ["I"] + list(MATRIX_NAMES)
-    pool = {"I": SpinMatrix.identity(dim)}
-    pool.update({name: mats[name].matrix for name in MATRIX_NAMES})
-    by_matrix = signed_lookup(pool)
-    cells = [[by_matrix.get(pool[a] * pool[b], "?") for b in elements] for a in elements]
-    return elements, cells
-
-
 def _cmd_ext_group(args) -> Tuple[int, str]:
     if args.basis is not None:
         if args.p is not None or args.q is not None:
@@ -129,7 +120,8 @@ def _cmd_ext_group(args) -> Tuple[int, str]:
             raise ValueError("ext-group needs --p and --q, or --basis <file|gamma>")
         basis = build_spinbasis(SignatureSpec(args.p, args.q))
     report = ext_group_report(basis)
-    elements, cells = _signed_letter_table(report.matrices, basis.dim)
+    elements, cells = signed_letter_table(report.matrices)
+    cells = [[cell or "?" for cell in row] for row in cells]
 
     payload = {
         "schema": SCHEMA, "verb": "ext-group", "sig": str(report.sig),

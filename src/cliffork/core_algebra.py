@@ -118,10 +118,6 @@ class GaussianScalar:
     def is_real(self) -> bool:
         return self.im == 0
 
-    def is_imaginary(self) -> bool:
-        """Purely imaginary (zero counts as neither real-only nor imaginary-only)."""
-        return self.re == 0 and self.im != 0
-
     def __str__(self) -> str:
         return format_gaussian(self)
 
@@ -396,9 +392,6 @@ class MultiVector:
 
     def grades(self) -> List[int]:
         return sorted({m.bit_count() for m in self._c})
-
-    def grade_projection(self, k: int) -> "MultiVector":
-        return _multivector(self.sig, {m: c for m, c in self._c.items() if m.bit_count() == k})
 
     def is_zero(self) -> bool:
         return not self._c

@@ -15,7 +15,7 @@ Three layers, all exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classification import ring_label, type_index
@@ -31,9 +31,7 @@ from .ext_automorphisms import (
     MATRIX_NAMES,
     ExtMatrix,
     ext_group_report,
-    matrix_C,
-    matrix_E,
-    matrix_W,
+    ext_matrices,
     matrix_comm_sign,
 )
 from .finite_groups import GroupTable, identify_small_group
@@ -66,15 +64,6 @@ CPT_ABSTRACT = {
     "Q4xZ2": "Q4xZ2",
     "D4xZ2": "D4xZ2",
     "*Z4xZ2xZ2": "D4oZ4",
-}
-
-# spin(n) for n <= 6 in unitary-group dress; metadata only
-SPIN_UNITARY = {
-    2: "U(1)",
-    3: "Sp(1)~SU(2)",
-    4: "SU(2)xSU(2)",
-    5: "Sp(2)",
-    6: "SU(4)",
 }
 
 _ALL_SIGNATURES = tuple(
@@ -231,9 +220,8 @@ def predicted_pt_signature(basis: SpinBasis) -> Tuple[int, int, int]:
 def pt_profile(basis: SpinBasis) -> Dict[str, object]:
     """Computed PT data for one basis: matrix squares, commutation, and the
     identified double cover; internal consistency is asserted."""
-    w = matrix_W(basis)
-    e = matrix_E(basis)
-    c = matrix_C(basis, e)
+    ext = ext_matrices(basis)
+    w, e, c = ext["W"], ext["E"], ext["C"]
     signature = (w.square_sign, e.square_sign, c.square_sign)
     comm = {
         ("W", "E"): matrix_comm_sign(w.matrix, e.matrix),
@@ -432,19 +420,8 @@ def cpt_structure(sig_or_p, q: Optional[int] = None, basis: Optional[SpinBasis] 
     ring = ring_label(sig.p, sig.q)
     if ring == "R":
         rep = pt_structure(sig, basis=basis)
-        return CoveringReport(
-            sig=rep.sig,
-            n=rep.n,
-            field=rep.field,
-            ring=rep.ring,
-            signature=rep.signature,
-            admissible=rep.admissible,
-            cover_group=rep.cover_group,
-            automorphism_group=rep.automorphism_group,
-            cliffordian=rep.cliffordian,
-            notes=rep.notes
-            + ("ring R: no new covers, reduced to the PT structure",),
-        )
+        return replace(rep, notes=rep.notes + (
+            "ring R: no new covers, reduced to the PT structure",))
     if ring != "H":
         raise ValueError(
             f"CPT covering table needs ring R or H, got {ring} for {sig}"

@@ -1,15 +1,10 @@
 """The extended automorphism matrices of a spinor basis.
 
 For an even-dimensional basis E_1..E_n the eight-element set
-{I, W, E, C, Pi, K, S, F} realizes the discrete (anti)automorphisms:
-
-    W  E_i W^-1        = -E_i          (grade involution)
-    E_i E               =  E E_i^T      (reversion intertwiner)
-    E_i C               = -C E_i^T      (conjugation intertwiner)
-    E_i Pi              =  Pi conj(E_i) (pseudo intertwiner)
-    K conj(E_i) K^-1    = -E_i
-    S conj(E_i)^T S^-1  =  E_i
-    F conj(E_i)^T F^-1  = -E_i
+{I, W, E, C, Pi, K, S, F} realizes the discrete (anti)automorphisms.  Each
+of the seven is fixed by one relation with every unit E_i, and
+DEFINING_RELATIONS holds the seven relations; `ext_matrices` and the
+`pseudo` and `defining` sweeps all read them from there.
 
 Each matrix is a product of unit matrices selected by the census (real or
 imaginary, symmetric or skew, read from SpinBasis.unit_species); every
@@ -37,6 +32,7 @@ from .spinor_repr import (
     SpinMatrix,
     UnitCensus,
     check_spinor_size,
+    signed_lookup,
     sweep_spinbasis_variants,
 )
 
@@ -67,125 +63,76 @@ class ExtGroupReport:
     notes: List[str] = field(default_factory=list)
 
 
-def _require_even(basis: SpinBasis):
-    if basis.sig.n % 2:
-        raise ValueError(
-            f"extended automorphism matrices need even n, got {basis.sig}"
-        )
-
-
-def _check(condition: bool, message: str):
-    if not condition:
-        raise AssertionError(message)
-
-
-# ---------------------------------------------------------------------------
-# the seven constructions
-
-
-def matrix_W(basis: SpinBasis) -> ExtMatrix:
-    _require_even(basis)
-    factors = tuple(range(1, basis.sig.n + 1))
-    w = basis.product_of(factors)
-    for i, e in enumerate(basis.mats, start=1):
-        _check(w * e == -(e * w), f"W failed the involution relation at unit {i}")
-    return ExtMatrix("W", w, factors, "volume", (w * w).sign_of_identity_multiple())
-
-
-def matrix_E(basis: SpinBasis) -> ExtMatrix:
-    _require_even(basis)
-    sp = basis.unit_species()
-    skew = tuple(sorted(sp["u"] + sp["m"]))
-    sym = tuple(sorted(sp["v"] + sp["l"]))
-    factors, form = (skew, "skew") if len(skew) % 2 == 0 else (sym, "sym")
-    e_mat = basis.product_of(factors)
-    for i, u in enumerate(basis.mats, start=1):
-        _check(u * e_mat == e_mat * u.transpose(), f"E relation failed at unit {i}")
-    return ExtMatrix("E", e_mat, factors, form, (e_mat * e_mat).sign_of_identity_multiple())
-
-
-def matrix_C(basis: SpinBasis, e: Optional[ExtMatrix] = None) -> ExtMatrix:
-    _require_even(basis)
-    e = e or matrix_E(basis)
-    # the units E leaves out: the symmetric ones when E is skew, and vice versa
-    factors = _symdiff(range(1, basis.sig.n + 1), e.factors)
-    form = "sym" if e.form == "skew" else "skew"
-    c_mat = basis.product_of(factors)
-    for i, u in enumerate(basis.mats, start=1):
-        _check(u * c_mat == -(c_mat * u.transpose()), f"C relation failed at unit {i}")
-    return ExtMatrix("C", c_mat, factors, form, (c_mat * c_mat).sign_of_identity_multiple())
-
-
-def matrix_Pi(basis: SpinBasis) -> ExtMatrix:
-    _require_even(basis)
-    sp = basis.unit_species()
-    imag = tuple(sorted(sp["l"] + sp["m"]))
-    real = tuple(sorted(sp["v"] + sp["u"]))
-    if len(imag) % 2 == 0:
-        factors, form = imag, "imaginary"
-    elif len(real) % 2 == 1:
-        factors, form = real, "real"
-    else:
-        raise ValueError("no pseudo intertwiner: odd imaginary and even real counts")
-    pi = basis.product_of(factors)
-    for i, u in enumerate(basis.mats, start=1):
-        _check(u * pi == pi * u.conj(), f"Pi relation failed at unit {i}")
-    return ExtMatrix("Pi", pi, factors, form, (pi * pi).sign_of_identity_multiple())
+# name -> relation(u, x), true when x satisfies the relation at the unit u
+DEFINING_RELATIONS = {
+    "W": lambda u, x: x * u == -(u * x),  # W u W^-1 = -u: grade involution
+    "E": lambda u, x: u * x == x * u.transpose(),  # reversion intertwiner
+    "C": lambda u, x: u * x == -(x * u.transpose()),  # conjugation intertwiner
+    "Pi": lambda u, x: u * x == x * u.conj(),  # pseudo intertwiner
+    "K": lambda u, x: -(u * x) == x * u.conj(),  # K conj(u) K^-1 = -u
+    "S": lambda u, x: u * x == x * u.conj().transpose(),  # S conj(u)^T S^-1 = u
+    "F": lambda u, x: -(u * x) == x * u.conj().transpose(),  # F conj(u)^T F^-1 = -u
+}
 
 
 def _symdiff(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
     return tuple(sorted(set(a) ^ set(b)))
 
 
-def matrix_K(basis: SpinBasis, pi: Optional[ExtMatrix] = None, w: Optional[ExtMatrix] = None) -> ExtMatrix:
-    pi = pi or matrix_Pi(basis)
-    w = w or matrix_W(basis)
-    k = pi.matrix * w.matrix
+def _checked(basis: SpinBasis, name: str, matrix: SpinMatrix,
+             factors: Tuple[int, ...], form: str) -> ExtMatrix:
+    relation = DEFINING_RELATIONS[name]
     for i, u in enumerate(basis.mats, start=1):
-        _check(-(u * k) == k * u.conj(), f"K relation failed at unit {i}")
-    form = "real" if pi.form == "imaginary" else "imaginary"
-    return ExtMatrix("K", k, _symdiff(pi.factors, w.factors), form,
-                     (k * k).sign_of_identity_multiple())
-
-
-def matrix_S(basis: SpinBasis, pi: Optional[ExtMatrix] = None, e: Optional[ExtMatrix] = None) -> ExtMatrix:
-    pi = pi or matrix_Pi(basis)
-    e = e or matrix_E(basis)
-    s = pi.matrix * e.matrix
-    for i, u in enumerate(basis.mats, start=1):
-        _check(u * s == s * u.conj().transpose(), f"S relation failed at unit {i}")
-    # census form: c = imag-sym + real-skew factors, d = imag-skew + real-sym
-    form = "c" if (pi.form == "imaginary") == (e.form == "skew") else "d"
-    return ExtMatrix("S", s, _symdiff(pi.factors, e.factors), form,
-                     (s * s).sign_of_identity_multiple())
-
-
-def matrix_F(basis: SpinBasis, pi: Optional[ExtMatrix] = None, c: Optional[ExtMatrix] = None) -> ExtMatrix:
-    pi = pi or matrix_Pi(basis)
-    c = c or matrix_C(basis)
-    f = pi.matrix * c.matrix
-    for i, u in enumerate(basis.mats, start=1):
-        _check(-(u * f) == f * u.conj().transpose(), f"F relation failed at unit {i}")
-    form = "c" if (pi.form == "imaginary") == (c.form == "skew") else "d"
-    return ExtMatrix("F", f, _symdiff(pi.factors, c.factors), form,
-                     (f * f).sign_of_identity_multiple())
+        if not relation(u, matrix):
+            raise AssertionError(f"{name} relation failed at unit {i}")
+    return ExtMatrix(name, matrix, factors, form, (matrix * matrix).sign_of_identity_multiple())
 
 
 def ext_matrices(basis: SpinBasis) -> Dict[str, ExtMatrix]:
-    w = matrix_W(basis)
-    e = matrix_E(basis)
-    c = matrix_C(basis, e)
-    pi = matrix_Pi(basis)
-    k = matrix_K(basis, pi, w)
-    s = matrix_S(basis, pi, e)
-    f = matrix_F(basis, pi, c)
+    """W, E, C, Pi, K, S, F of an even-dimensional basis, in that order,
+    each checked against its DEFINING_RELATIONS entry on every unit.
+
+    W is the volume product.  E takes the skew units when they are even in
+    number, else the symmetric ones; C takes the other class.  Pi takes the
+    imaginary units when they are even in number, else the real ones.  K, S
+    and F are Pi times W, E and C; the census form of S and F is c
+    (imag-sym + real-skew factors) or d (imag-skew + real-sym).
+    """
+    n = basis.sig.n
+    if n % 2:
+        raise ValueError(f"extended automorphism matrices need even n, got {basis.sig}")
+    sp = basis.unit_species()
+    units = tuple(range(1, n + 1))
+    skew, sym = tuple(sorted(sp["u"] + sp["m"])), tuple(sorted(sp["v"] + sp["l"]))
+    imag, real = tuple(sorted(sp["l"] + sp["m"])), tuple(sorted(sp["v"] + sp["u"]))
+    if len(skew) % 2 == 0:
+        (e_factors, e_form), (c_factors, c_form) = (skew, "skew"), (sym, "sym")
+    else:
+        (e_factors, e_form), (c_factors, c_form) = (sym, "sym"), (skew, "skew")
+    pi_factors, pi_form = (imag, "imaginary") if len(imag) % 2 == 0 else (real, "real")
+    w = _checked(basis, "W", basis.product_of(units), units, "volume")
+    e = _checked(basis, "E", basis.product_of(e_factors), e_factors, e_form)
+    c = _checked(basis, "C", basis.product_of(c_factors), c_factors, c_form)
+    pi = _checked(basis, "Pi", basis.product_of(pi_factors), pi_factors, pi_form)
+    pi_im = pi_form == "imaginary"
+    k = _checked(basis, "K", pi.matrix * w.matrix, _symdiff(pi_factors, units),
+                 "real" if pi_im else "imaginary")
+    s = _checked(basis, "S", pi.matrix * e.matrix, _symdiff(pi_factors, e_factors),
+                 "c" if pi_im == (e_form == "skew") else "d")
+    f = _checked(basis, "F", pi.matrix * c.matrix, _symdiff(pi_factors, c_factors),
+                 "c" if pi_im == (c_form == "skew") else "d")
     return {m.name: m for m in (w, e, c, pi, k, s, f)}
 
 
-def pi_bar_sign(basis: SpinBasis, pi: Optional[ExtMatrix] = None) -> int:
-    """Sign of Pi * conj(Pi), always exactly +-I."""
-    pi = pi or matrix_Pi(basis)
-    return (pi.matrix * pi.matrix.conj()).sign_of_identity_multiple()
+def signed_letter_table(mats: Dict[str, ExtMatrix]) -> Tuple[List[str], List[List[Optional[str]]]]:
+    """The letters I, W, ..., F and their signed multiplication table: cell
+    (a, b) names a * b as a signed letter ("-K"), or is None when the
+    product is not one of the eight up to sign."""
+    elements = ["I"] + list(MATRIX_NAMES)
+    pool = {"I": SpinMatrix.identity(mats["W"].matrix.dim)}
+    pool.update((name, mats[name].matrix) for name in MATRIX_NAMES)
+    by_matrix = signed_lookup(pool)
+    return elements, [[by_matrix.get(pool[a] * pool[b]) for b in elements] for a in elements]
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +383,6 @@ def classify_ext_group(signature: Sequence[int], abelian: bool) -> str:
     )
 
 
-ADMISSIBLE_MINUS_COUNTS = (0, 2, 4, 6)
-
-
 def signed_order_structure(signature: Sequence[int]) -> Tuple[int, int]:
     plus = sum(1 for s in signature if s == 1)
     return plus, len(signature) - plus
@@ -516,7 +460,7 @@ def ext_group_report(basis: SpinBasis, identify: bool = True) -> ExtGroupReport:
         census=census,
         matrices=mats,
         signature=signature,
-        pi_bar_sign=pi_bar_sign(basis, mats["Pi"]),
+        pi_bar_sign=(mats["Pi"].matrix * mats["Pi"].matrix.conj()).sign_of_identity_multiple(),
         commutation=prof,
         abelian=abelian,
         order_structure=signed_order_structure(signature),

@@ -41,9 +41,6 @@ class GroupTable:
     def order(self) -> int:
         return len(self.elements)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def inverse(self, i: int) -> int:
         row = self.table[i]
         for j, prod in enumerate(row):
@@ -441,16 +438,17 @@ def vee_group(sig: SignatureSpec) -> GroupTable:
     if sig.n > 8:
         raise ValueError("vee groups are built exhaustively only up to p+q=8")
     blades = [(mask, sign) for mask in range(1 << sig.n) for sign in (1, -1)]
-    index = {sb: i for i, sb in enumerate(blades)}
+    # (mask, sign) sits at 2 * mask + (sign < 0), so a sign flip is index ^ 1
+    # and one blade product per pair of masks fills four cells
     table = []
-    for a in blades:
+    for a in range(1 << sig.n):
         row = []
-        for b in blades:
-            mask, s = blade_product(sig, a[0], b[0])
-            row.append(index[(mask, s * a[1] * b[1])])
-        table.append(row)
-    t = GroupTable([_signed_blade_label(sb) for sb in blades], table, index[(0, 1)])
-    return t
+        for b in range(1 << sig.n):
+            mask, s = blade_product(sig, a, b)
+            k = 2 * mask + (s < 0)
+            row += (k, k ^ 1)  # times (b, +1), then times (b, -1)
+        table += (row, [k ^ 1 for k in row])  # the rows of (a, +1) and (a, -1)
+    return GroupTable([_signed_blade_label(sb) for sb in blades], table, 0)
 
 
 def group_center_type(sig_or_p, q: Optional[int] = None) -> str:

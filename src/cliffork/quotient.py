@@ -11,10 +11,15 @@ symmetry class and the reduced Pin covering.
 Two routes are kept separate on purpose.  The transfer verdicts come from the
 fixed-point condition phi(eps*omega) = eps*omega, evaluated both by a parity
 formula and by literally applying phi to eps*omega; the two must agree.  The
-class and covering labels follow the printed catalog instead.  In the cells
-where the catalog's sign bookkeeping disagrees with the direct computation
-(complex n = 3 mod 4, and real signatures with q odd) the reports keep the
-catalog label and carry the directly computed set in a note.
+class and covering labels follow the printed catalog instead.  Where the
+catalog's sign bookkeeping disagrees with the direct computation the reports
+keep the catalog label and carry the directly computed set in a note.
+`quotient_class` disagrees in every complex cell with n = 3 mod 4, in the
+complex cells with n = 1 mod 4 whose mark has type 1 or 5 (C(1,0), C(3,2),
+C(5,0), ...), and in the real cells with q odd: 27 of the 45 odd cells with
+p+q <= 9.  `quotient_group`, which compares after folding the reductions,
+disagrees in 19 of them: every complex cell with n = 3 mod 4, and the type-5
+cells among the rest.
 """
 
 from __future__ import annotations
@@ -58,8 +63,7 @@ __all__ = [
 # Codes are bitmasks: bit 0 = P, bit 1 = T, bit 2 = C.
 PHYSICAL_NAMES = ("1", "P", "T", "PT", "C", "CP", "CT", "CPT")
 
-_CODE_BY_NAME = {"1": 0, "P": 1, "T": 2, "PT": 3, "C": 4, "CP": 5, "CT": 6, "CPT": 7}
-_NAME_BY_CODE = {v: k for k, v in _CODE_BY_NAME.items()}
+_CODE_BY_NAME = {name: code for code, name in enumerate(PHYSICAL_NAMES)}
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +428,7 @@ def quotient_group(ctx: EpsilonContext) -> QuotientGroupReport:
     notes = []
     abstract = None
     if cayley is None:
-        miss = _NAME_BY_CODE[_CODE_BY_NAME[survivors[1]] ^ _CODE_BY_NAME[survivors[2]]]
+        miss = PHYSICAL_NAMES[_CODE_BY_NAME[survivors[1]] ^ _CODE_BY_NAME[survivors[2]]]
         notes.append(
             "{%s} is not closed (%s.%s = %s missing): no covering group"
             % (", ".join(survivors), survivors[1], survivors[2], miss)
@@ -450,7 +454,7 @@ def quotient_group(ctx: EpsilonContext) -> QuotientGroupReport:
     # where the reduced ring trivializes the coefficient conjugation, drop the
     # C component of every surviving name (C~C' folds nothing: C' is honest)
     if any(r in ("C~I", "CP~P", "CT~T", "CPT~PT") for r in reductions):
-        folded = {_NAME_BY_CODE[_CODE_BY_NAME[n] & ~4] for n in honest}
+        folded = {PHYSICAL_NAMES[_CODE_BY_NAME[n] & ~4] for n in honest}
     folded.discard("1")
     if folded != set(survivors) - {"1"}:
         notes.append(

@@ -30,6 +30,7 @@ from .core_algebra import (
     volume_square_sign,
 )
 from .ext_automorphisms import (
+    DEFINING_RELATIONS,
     MATRIX_NAMES,
     classify_ext_group,
     comm_parity,
@@ -47,6 +48,7 @@ from .ext_automorphisms import (
     product_square_sign,
     quaternionic_cells,
     quaternionic_signatures,
+    signed_letter_table,
     universal_comm_sign,
 )
 from .finite_groups import vee_factor_check
@@ -171,22 +173,18 @@ def suite_example2(max_n: Optional[int] = None) -> SuiteResult:
     data = _bundle()["example2"]
     basis = load_spinbasis("gamma")
     mats = ext_matrices(basis)
-    ident = SpinMatrix.identity(basis.dim)
     letters = data["letters"]
 
     cex: List[dict] = []
     checked = 0
-    printed_pool = {"I": ident}
-    for name, idx in data["monomials"].items():
-        printed_pool[name] = basis.product_of([k + 1 for k in idx])
-    actual = {"I": ident}
     signs: Dict[str, int] = {"I": 1}
     for name in letters[1:]:
-        actual[name] = mats[name].matrix
+        actual = mats[name].matrix
+        printed = basis.product_of([k + 1 for k in data["monomials"][name]])
         checked += 1
-        if actual[name] == printed_pool[name]:
+        if actual == printed:
             signs[name] = 1
-        elif actual[name] == -printed_pool[name]:
+        elif actual == -printed:
             signs[name] = -1
         else:
             signs[name] = 0
@@ -209,10 +207,12 @@ def suite_example2(max_n: Optional[int] = None) -> SuiteResult:
     gamma_names = {"I": "I", "W": "g0123", "E": "g13", "C": "g02",
                    "Pi": "g013", "K": "g2", "S": "g0", "F": "g123"}
     if not cex:
-        signed = signed_lookup(actual)
+        elements, cells = signed_letter_table(mats)
+        if elements != letters:
+            raise AssertionError(f"printed letters {letters} are not {elements}")
         for i, a in enumerate(letters):
             for j, b in enumerate(letters):
-                got = signed.get(actual[a] * actual[b])
+                got = cells[i][j]
                 if got is None:
                     cex.append({"table": "letters", "row": a, "col": b,
                                 "got": None, "check": "product left the set"})
@@ -261,7 +261,7 @@ def suite_pseudo(max_n: int = 8) -> SuiteResult:
         pi, form = report.matrices["Pi"].matrix, report.matrices["Pi"].form
         for i, u in enumerate(basis.mats):
             checked += 1
-            if u * pi != pi * u.conj():
+            if not DEFINING_RELATIONS["Pi"](u, pi):
                 _flag(cex, sig, basis, check="defining", unit=i + 1)
         direct = pi * pi.conj()
         want = predicted_pi_bar(census, form)
@@ -278,11 +278,6 @@ def suite_pseudo(max_n: int = 8) -> SuiteResult:
     return _sweep_result("pseudo", max_n, checked, cex)
 
 
-_DEFINING_RELATIONS = {
-    "K": lambda u, x: -(u * x) == x * u.conj(),
-    "S": lambda u, x: u * x == x * u.conj().transpose(),
-    "F": lambda u, x: -(u * x) == x * u.conj().transpose(),
-}
 _SQUARE_PREDICTORS = {"K": predicted_K_square, "S": predicted_S_square, "F": predicted_F_square}
 
 
@@ -294,13 +289,13 @@ def suite_defining(max_n: int = 8) -> SuiteResult:
     for sig, basis, report in quaternionic_signatures(max_n, tweaks=True):
         mats, census = report.matrices, report.census
         ident = SpinMatrix.identity(basis.dim)
-        for name, rel in _DEFINING_RELATIONS.items():
-            x = mats[name].matrix
+        for name, predict in _SQUARE_PREDICTORS.items():
+            x, rel = mats[name].matrix, DEFINING_RELATIONS[name]
             for i, u in enumerate(basis.mats):
                 checked += 1
                 if not rel(u, x):
                     _flag(cex, sig, basis, check="defining", matrix=name, unit=i + 1)
-            want = _SQUARE_PREDICTORS[name](census, mats[name].form)
+            want = predict(census, mats[name].form)
             checked += 2
             if mats[name].square_sign != want:
                 _flag(cex, sig, basis, check="square_predicate", matrix=name,

@@ -1,10 +1,12 @@
 """Extended automorphism matrices: constructions, squares, commutation."""
 
+import dataclasses
 import math
 import sys
 
 import pytest
 
+from cliffork import ext_automorphisms
 from cliffork.core_algebra import SignatureSpec
 from cliffork.ext_automorphisms import (
     ADMISSIBLE_DETAILED,
@@ -17,9 +19,6 @@ from cliffork.ext_automorphisms import (
     ext_group_report,
     ext_matrices,
     matrix_comm_sign,
-    matrix_Pi,
-    matrix_W,
-    pi_bar_sign,
     predicted_F_square,
     predicted_K_square,
     predicted_pi_bar,
@@ -30,6 +29,7 @@ from cliffork.ext_automorphisms import (
     printed_pi_bar_mod4,
     product_square_sign,
     quaternionic_signatures,
+    signed_letter_table,
     signed_order_structure,
     universal_comm_sign,
 )
@@ -78,6 +78,21 @@ def test_gamma_constructions_exact():
     assert mats["K"].factors == (3,)
     assert mats["S"].factors == (1,)
     assert mats["F"].factors == (2, 3, 4)
+
+
+def test_signed_letter_table():
+    basis = load_spinbasis("gamma")
+    mats = ext_matrices(basis)
+    elements, cells = signed_letter_table(mats)
+    assert elements == ["I"] + list(MATRIX_NAMES)
+    assert cells[0] == ["+" + e for e in elements]
+    assert [row[0] for row in cells] == ["+" + e for e in elements]
+    assert all(cell is not None for row in cells for cell in row)
+    # a pool that is not closed: g1 g2 is none of the eight up to sign
+    mats["F"] = dataclasses.replace(mats["F"], matrix=basis.product_of([1, 2]))
+    _, cells = signed_letter_table(mats)
+    assert cells[0][7] == "+F"
+    assert cells[1][7] is None  # W g1 g2 = -g3 g4
 
 
 def test_gamma_report():
@@ -162,12 +177,18 @@ def test_two_negative_units():
     assert report.pi_bar_sign == -1
 
 
+def test_failed_relation_raises_naming_matrix_and_unit(monkeypatch):
+    basis = build_spinbasis(SignatureSpec(1, 3))
+    monkeypatch.setitem(ext_automorphisms.DEFINING_RELATIONS, "S",
+                        lambda u, x: u is not basis.mats[2])
+    with pytest.raises(AssertionError, match="^S relation failed at unit 3$"):
+        ext_matrices(basis)
+
+
 def test_odd_dimension_rejected():
     basis = build_spinbasis(SignatureSpec(3, 0))
-    with pytest.raises(ValueError):
-        matrix_W(basis)
-    with pytest.raises(ValueError):
-        matrix_Pi(basis)
+    with pytest.raises(ValueError, match="need even n"):
+        ext_matrices(basis)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cliffork.core_algebra import GaussianScalar, SignatureSpec, blade_mask
+from cliffork.core_algebra import GaussianScalar, SignatureSpec, blade_mask, blade_product
 from cliffork.finite_groups import (
     GroupTable,
     direct_product,
@@ -16,6 +16,7 @@ from cliffork.finite_groups import (
     vee_group,
     _catalog,
     _cyclic,
+    _signed_blade_label,
     _two_generator,
 )
 from cliffork.spinor_repr import MAT_A, MAT_B, MAT_J, SpinMatrix
@@ -271,6 +272,28 @@ def test_vee_group_order():
         for p in range(n + 1):
             sig = SignatureSpec(p, n - p)
             assert vee_group(sig).order == 1 << (n + 1)
+
+
+def _vee_group_reference(sig):
+    """One blade product per pair of signed blades, each looked up by value."""
+    blades = [(mask, sign) for mask in range(1 << sig.n) for sign in (1, -1)]
+    index = {sb: i for i, sb in enumerate(blades)}
+    table = []
+    for a in blades:
+        row = []
+        for b in blades:
+            mask, s = blade_product(sig, a[0], b[0])
+            row.append(index[(mask, s * a[1] * b[1])])
+        table.append(row)
+    return [_signed_blade_label(sb) for sb in blades], table, index[(0, 1)]
+
+
+def test_vee_group_matches_per_signed_pair_reference():
+    for n in range(0, 5):
+        for p in range(n + 1):
+            sig = SignatureSpec(p, n - p)
+            g = vee_group(sig)
+            assert (g.elements, g.table, g.neutral) == _vee_group_reference(sig), str(sig)
 
 
 def test_center_type_predictions():

@@ -325,6 +325,43 @@ def test_class_notes_flag_catalog_vs_direct_divergence():
     assert "PT, CP, CT" in rep.notes[0]
 
 
+def _has_direct_note(report):
+    return any("direct fixed-point route" in n for n in report.notes)
+
+
+# (field, p, q) of the odd cells up to p+q = 9 where quotient_group's catalog
+# survivors differ from the folded direct route
+GROUP_DIVERGENT_CELLS = {
+    ("R", 0, 3), ("R", 2, 5), ("R", 6, 1),
+    ("C", 0, 3), ("C", 1, 2), ("C", 2, 1), ("C", 3, 0),
+    ("C", 1, 4), ("C", 5, 0),
+    ("C", 0, 7), ("C", 1, 6), ("C", 2, 5), ("C", 3, 4),
+    ("C", 4, 3), ("C", 5, 2), ("C", 6, 1), ("C", 7, 0),
+    ("C", 3, 6), ("C", 7, 2),
+}
+
+
+def test_catalog_direct_divergence_up_to_n9():
+    contexts = real_contexts(9) + complex_contexts(9)
+    assert len(contexts) == 45
+    class_cells, group_cells = set(), set()
+    for ctx in contexts:
+        sig = ctx.sig
+        cell = (sig.field, sig.p, sig.q)
+        if sig.field == "C":
+            diverges = sig.n % 4 == 3 or sig.type_index() in (1, 5)
+        else:
+            diverges = sig.q % 2 == 1
+        assert _has_direct_note(quotient_class(ctx)) == diverges, cell
+        if diverges:
+            class_cells.add(cell)
+        if _has_direct_note(quotient_group(ctx)):
+            group_cells.add(cell)
+    assert len(class_cells) == 27
+    assert group_cells == GROUP_DIVERGENT_CELLS
+    assert group_cells <= class_cells
+
+
 # ---------------------------------------------------------------------------
 # collapsed coverings
 
