@@ -9,7 +9,7 @@ group there is Z2; `salingaros_group_label` reports the honest value.
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, List, Tuple, Union
 
 from .core_algebra import SignatureSpec
 
@@ -49,6 +49,23 @@ def is_simple(sig_or_p, q=None) -> bool:
 
 def ring_label(sig_or_p, q=None) -> str:
     return _RING_BY_TYPE[type_index(sig_or_p, q)]
+
+
+def odd_reduction(p: int, q: int) -> Tuple[Tuple[int, int], Tuple[Tuple[int, int], ...]]:
+    """How an odd-dimensional Cl(p,q) reduces one dimension down.
+
+    Returns (sub, factors).  sub is the subalgebra on the first p+q-1
+    generators: (p, q-1), or (p-1, 0) when q = 0.  factors are the ideal
+    factors, Cl(p,q-1) when q >= 1 and Cl(q,p-1) when p >= 1.
+    """
+    if (p + q) % 2 == 0:
+        raise ValueError(f"Cl({p},{q}) is even-dimensional: no odd reduction")
+    factors = []
+    if q >= 1:
+        factors.append((p, q - 1))
+    if p >= 1:
+        factors.append((q, p - 1))
+    return ((p, q - 1) if q >= 1 else (p - 1, 0)), tuple(factors)
 
 
 def matrix_dimension(sig_or_p, q=None) -> int:

@@ -32,9 +32,8 @@ from .classification import (
 )
 from .core_algebra import SignatureSpec, volume_square_sign
 from .coverings import cpt_structure, pt_structure, signature_text
-from .ext_automorphisms import MATRIX_NAMES, ext_group_report, signed_letter_table
+from .ext_automorphisms import MATRIX_NAMES, PHYSICAL_NAMES, ext_group_report, signed_letter_table
 from .quotient import (
-    PHYSICAL_NAMES,
     central_idempotents,
     epsilon_context,
     quotient_class,

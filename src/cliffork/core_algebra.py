@@ -513,14 +513,10 @@ class MultiVector:
             {m: (c if conjugation_sign(m.bit_count()) > 0 else -c) for m, c in self._c.items()},
         )
 
-    def pseudo_conjugation(self, positive_count: Optional[int] = None) -> "MultiVector":
+    def pseudo_conjugation(self) -> "MultiVector":
         """Antilinear automorphism: conjugate coefficients, flip the sign of
-        every generator that squares to -1 (count taken from the signature
-        unless positive_count overrides the split)."""
-        n = self.sig.n
-        p = self.sig.p if positive_count is None else positive_count
-        if not 0 <= p <= n:
-            raise ValueError(f"positive_count {p} outside 0..{n}")
+        every generator that squares to -1."""
+        n, p = self.sig.n, self.sig.p
         neg_mask = ((1 << n) - 1) & ~((1 << p) - 1)
         out = {}
         for m, c in self._c.items():

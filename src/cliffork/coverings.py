@@ -4,9 +4,10 @@ Three layers, all exact:
 
 * ``pt_structure`` -- which of the eight coverings pin^{a,b,c}(p,q) exist,
   keyed on the signature type and the division ring.  The predicted
-  (a,b,c) is cross-validated against the squares of the actual (W,E,C)
-  matrices whenever a spinbasis is constructible, and the abstract double
-  cover C^{a,b,c} is rebuilt from the matrix cocycle and identified.
+  (a,b,c) is cross-validated against the (W,E,C) squares of
+  ``ext_group_report`` whenever a spinbasis is constructible, and the
+  abstract double cover C^{a,b,c} is rebuilt from the matrix cocycle and
+  identified.
 * ``cpt_structure`` -- the quaternionic seven-sign extension with its five
   cover types; for ring R the PT report already carries everything.
 * ``pin_membership`` / ``spin_membership`` -- brute-force Clifford-Lipschitz
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .classification import ring_label, type_index
+from .classification import odd_reduction, ring_label, type_index
 from .core_algebra import (
     GaussianScalar,
     MultiVector,
@@ -28,11 +29,11 @@ from .core_algebra import (
     volume_square_sign,
 )
 from .ext_automorphisms import (
+    ELEMENT_NAMES,
     MATRIX_NAMES,
     ExtMatrix,
     ext_group_report,
-    ext_matrices,
-    matrix_comm_sign,
+    xor_group,
 )
 from .finite_groups import GroupTable, identify_small_group
 from .spinor_repr import SpinBasis, SpinMatrix, build_spinbasis
@@ -112,10 +113,6 @@ def signature_text(signature: Sequence[int]) -> str:
 # ---------------------------------------------------------------------------
 # the formal double cover, read off the matrices
 
-# a name's code is its position after I; codes XOR as the names compose
-_CODE = {name: code for code, name in enumerate(("I",) + MATRIX_NAMES)}
-
-
 def signed_cover_group(
     mats: Dict[str, ExtMatrix], names: Sequence[str] = MATRIX_NAMES
 ) -> GroupTable:
@@ -130,43 +127,24 @@ def signed_cover_group(
     coincide up to sign (Pi = I at Cl(2,0)) the cocycle names the XOR code,
     not the first matching name.
     """
-    codes = sorted({0} | {_CODE[nm] for nm in names})
-    code_set = set(codes)
-    for a in codes:
-        for b in codes:
-            if a ^ b not in code_set:
-                raise ValueError("matrix name set is not closed under composition")
-    dim = next(iter(mats.values())).matrix.dim
-    mat_by_code = {0: SpinMatrix.identity(dim)}
-    for nm in names:
-        mat_by_code[_CODE[nm]] = mats[nm].matrix
-    cocycle: Dict[Tuple[int, int], int] = {}
-    for a in codes:
-        for b in codes:
-            prod = mat_by_code[a] * mat_by_code[b]
-            target = mat_by_code[a ^ b]
-            if prod == target:
-                cocycle[a, b] = 1
-            elif prod == -target:
-                cocycle[a, b] = -1
-            else:
-                raise AssertionError(
-                    "matrix product leaves the signed span of the named matrices"
-                )
-    name_by_code = {v: k for k, v in _CODE.items()}
-    elements = [(s, c) for c in codes for s in (1, -1)]
-    index = {el: i for i, el in enumerate(elements)}
-    labels = [
-        ("+" if s > 0 else "-") + name_by_code[c] for s, c in elements
-    ]
-    table = [
-        [
-            index[(s1 * s2 * cocycle[c1, c2], c1 ^ c2)]
-            for (s2, c2) in elements
-        ]
-        for (s1, c1) in elements
-    ]
-    return GroupTable(labels, table, index[(1, 0)])
+    codes = sorted({0} | {ELEMENT_NAMES.index(nm) for nm in names})
+    ident = SpinMatrix.identity(next(iter(mats.values())).matrix.dim)
+
+    def matrix(code: int) -> SpinMatrix:
+        return mats[ELEMENT_NAMES[code]].matrix if code else ident
+
+    def cocycle(a: int, b: int) -> int:
+        prod, target = matrix(a) * matrix(b), matrix(a ^ b)
+        if prod == target:
+            return 1
+        if prod == -target:
+            return -1
+        raise AssertionError("matrix product leaves the signed span of the named matrices")
+
+    group = xor_group(codes, ELEMENT_NAMES, cocycle)
+    if group is None:
+        raise ValueError("matrix name set is not closed under composition")
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -217,38 +195,6 @@ def predicted_pt_signature(basis: SpinBasis) -> Tuple[int, int, int]:
     return (a, sym_sign, skew_sign)
 
 
-def pt_profile(basis: SpinBasis) -> Dict[str, object]:
-    """Computed PT data for one basis: matrix squares, commutation, and the
-    identified double cover; internal consistency is asserted."""
-    ext = ext_matrices(basis)
-    w, e, c = ext["W"], ext["E"], ext["C"]
-    signature = (w.square_sign, e.square_sign, c.square_sign)
-    comm = {
-        ("W", "E"): matrix_comm_sign(w.matrix, e.matrix),
-        ("W", "C"): matrix_comm_sign(w.matrix, c.matrix),
-        ("E", "C"): matrix_comm_sign(e.matrix, c.matrix),
-    }
-    abelian = all(v == 1 for v in comm.values())
-    mats = {"W": w, "E": e, "C": c}
-    cover = identify_small_group(signed_cover_group(mats, ("W", "E", "C")))
-    expected = pt_cover_name(signature)
-    if cover != expected:
-        raise AssertionError(
-            f"{basis.sig}: cover table says {expected}, matrices build {cover}"
-        )
-    if abelian != (minus_count(signature) % 2 == 0):
-        raise AssertionError(
-            f"{basis.sig}: commutation defies the sign-count parity"
-        )
-    return {
-        "matrices": mats,
-        "signature": signature,
-        "commutation": comm,
-        "abelian": abelian,
-        "cover_group": cover,
-    }
-
-
 def _pt_complex(n: int) -> CoveringReport:
     if n < 0:
         raise ValueError("complex dimension must be nonnegative")
@@ -281,15 +227,9 @@ def _pt_complex(n: int) -> CoveringReport:
 
 
 def _semisimple_admissible(sig: SignatureSpec) -> Tuple[Tuple[Tuple[int, ...], ...], List[str]]:
-    p, q = sig.p, sig.q
-    addenda = []
-    if q >= 1:
-        addenda.append((p, q - 1))
-    if p >= 1:
-        addenda.append((q, p - 1))
     admissible: List[Tuple[int, ...]] = []
     notes = []
-    for ap, aq in addenda:
+    for ap, aq in odd_reduction(sig.p, sig.q)[1]:
         at = type_index(ap, aq)
         block = A_PLUS_SET if at in (0, 4) else A_MINUS_SET
         tag = "a=+" if at in (0, 4) else "a=-"
@@ -311,7 +251,9 @@ def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] =
     types report the admissibility sets contributed by their two ideal
     factors; the complex-ring types reduce to the complex rule one
     dimension lower.  Whenever a spinbasis is available the prediction is
-    checked against the actual (W,E,C) squares.
+    checked against the (W,E,C) squares of `ext_group_report`: the identified
+    cocycle cover must match `pt_cover_name`, and the (W,E,C) block must
+    commute exactly when the minus count is even.
     """
     if isinstance(sig_or_n, SignatureSpec):
         sig = sig_or_n
@@ -358,8 +300,17 @@ def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] =
     if basis is None and t in (0, 2, 4, 6) and sig.n <= 10:
         basis = build_spinbasis(sig)
     if basis is not None and t in (0, 2, 4, 6):
-        profile = pt_profile(basis)
-        realized = profile["signature"]
+        report = ext_group_report(basis, identify=False)
+        realized = report.signature[:3]
+        built = identify_small_group(signed_cover_group(report.matrices, ("W", "E", "C")))
+        if built != pt_cover_name(realized):
+            raise AssertionError(
+                f"{sig}: cover table says {pt_cover_name(realized)}, matrices build {built}"
+            )
+        wec_pairs = (("W", "E"), ("W", "C"), ("E", "C"))
+        abelian = all(report.commutation[pair] == 1 for pair in wec_pairs)
+        if abelian != (minus_count(realized) % 2 == 0):
+            raise AssertionError(f"{sig}: commutation defies the sign-count parity")
         predicted = predicted_pt_signature(basis)
         if realized != predicted:
             raise AssertionError(
@@ -606,14 +557,8 @@ def odd_dimensional_decomposition_report(sig_or_p, q: Optional[int] = None) -> O
             raise AssertionError("volume square sign disagrees with the blades")
     branch = "i" if w2 == -1 else "e"
     identities = [f"Pin({p},{qq}) = Spin({p},{qq}) u w.Spin({p},{qq})"]
-    if qq >= 1:
-        identities.append(
-            f"Pin({p},{qq}) = Pin({p},{qq - 1}) u w.Pin({p},{qq - 1})"
-        )
-    if p >= 1:
-        identities.append(
-            f"Pin({p},{qq}) = Pin({qq},{p - 1}) u w.Pin({qq},{p - 1})"
-        )
+    identities += [f"Pin({p},{qq}) = Pin({fp},{fq}) u w.Pin({fp},{fq})"
+                   for fp, fq in odd_reduction(p, qq)[1]]
     unitary = _UNITARY_SPLIT.get((p, qq))
     if unitary is not None:
         tail = unitary.split(" u ")[1]

@@ -6,6 +6,20 @@ of the seven is fixed by one relation with every unit E_i, and
 DEFINING_RELATIONS holds the seven relations; `ext_matrices` and the
 `pseudo` and `defining` sweeps all read them from there.
 
+The eight symmetries form Z2^3, encoded once: a symmetry's code is its
+position in ELEMENT_NAMES and in PHYSICAL_NAMES, two symmetries compose to
+the XOR of their codes, and the pin letters a..g are the codes 1..7:
+
+    code      0  1  2  3   4   5   6   7
+    matrix    I  W  E  C   Pi  K   S   F
+    physical  1  P  T  PT  C   CP  CT  CPT
+    pin          a  b  c   d   e   f   g
+
+So W..F realize P..CPT, with P = W, T = E and C = Pi as bits 0, 1 and 2, and
+pin^{b,e,g} is {1, T, CP, CPT} = {I, E, K, F}.  `xor_group` builds the
+group table of a closed code set, plain or as the double cover with a sign
+cocycle.
+
 Each matrix is a product of unit matrices selected by the census (real or
 imaginary, symmetric or skew, read from SpinBasis.unit_species); every
 defining relation is verified on construction, and each square is forced to
@@ -23,10 +37,11 @@ agree with the matrix truth on every variant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .classification import type_index
 from .core_algebra import SignatureSpec, volume_square_sign
+from .finite_groups import GroupTable, generate_group_from_matrices, identify_small_group
 from .spinor_repr import (
     SpinBasis,
     SpinMatrix,
@@ -36,7 +51,30 @@ from .spinor_repr import (
     sweep_spinbasis_variants,
 )
 
+# the Z2^3 table of the module docstring: position is the code
 MATRIX_NAMES = ("W", "E", "C", "Pi", "K", "S", "F")
+ELEMENT_NAMES = ("I",) + MATRIX_NAMES
+PHYSICAL_NAMES = ("1", "P", "T", "PT", "C", "CP", "CT", "CPT")
+PIN_LETTERS = "abcdefg"  # the letter of code c >= 1 is PIN_LETTERS[c - 1]
+
+
+def xor_group(codes: Sequence[int], names: Sequence[str],
+              cocycle: Optional[Callable[[int, int], int]] = None) -> Optional[GroupTable]:
+    """The code set `codes` (0 first) under XOR, element c named names[c];
+    None when the set is not closed.  With cocycle(a, b) = +-1 it is the
+    double cover {+-1} x codes, (s, a)(t, b) = (s t cocycle(a, b), a ^ b),
+    with elements +name, -name for each code in turn."""
+    if any(a ^ b not in codes for a in codes for b in codes):
+        return None
+    signs = (1,) if cocycle is None else (1, -1)
+    sign = {(a, b): 1 if cocycle is None else cocycle(a, b) for a in codes for b in codes}
+    elements = [(s, c) for c in codes for s in signs]
+    index = {el: i for i, el in enumerate(elements)}
+    table = [[index[s * t * sign[a, b], a ^ b] for t, b in elements] for s, a in elements]
+    labels = [names[c] if cocycle is None else ("+" if s > 0 else "-") + names[c]
+              for s, c in elements]
+    return GroupTable(labels, table, index[1, 0])
+
 
 @dataclass(frozen=True)
 class ExtMatrix:
@@ -128,7 +166,7 @@ def signed_letter_table(mats: Dict[str, ExtMatrix]) -> Tuple[List[str], List[Lis
     """The letters I, W, ..., F and their signed multiplication table: cell
     (a, b) names a * b as a signed letter ("-K"), or is None when the
     product is not one of the eight up to sign."""
-    elements = ["I"] + list(MATRIX_NAMES)
+    elements = list(ELEMENT_NAMES)
     pool = {"I": SpinMatrix.identity(mats["W"].matrix.dim)}
     pool.update((name, mats[name].matrix) for name in MATRIX_NAMES)
     by_matrix = signed_lookup(pool)
@@ -473,8 +511,6 @@ def ext_group_report(basis: SpinBasis, identify: bool = True) -> ExtGroupReport:
                 f"classified {group} but the case table admits {sorted(allowed)}"
             )
     if identify:
-        from .finite_groups import generate_group_from_matrices, identify_small_group
-
         table = generate_group_from_matrices([m.matrix for m in mats.values()])
         report.abstract_group = identify_small_group(table)
         report.notes.append(
@@ -495,22 +531,22 @@ def quaternionic_cells(max_n: int) -> List[SignatureSpec]:
             if (2 * p - n) % 8 in (4, 6)]
 
 
-def quaternionic_signatures(max_n: int = 10, tweaks: bool = False) -> Iterator[Tuple]:
+def quaternionic_signatures(max_n: int = 10) -> Iterator[Tuple]:
     """(sig, basis, report) over every quaternionic signature with
-    p + q <= max_n and every census-split variant.  The cells are listed,
-    and the size limit checked, when this is called, before any basis is
-    built."""
+    p + q <= max_n and every census-split variant with its reversed and
+    sign-flipped tweaks.  The cells are listed, and the size limit checked,
+    when this is called, before any basis is built."""
     cells = quaternionic_cells(max_n)
     return ((sig, basis, ext_group_report(basis, identify=False))
             for sig in cells
-            for basis in sweep_spinbasis_variants(sig, tweaks=tweaks))
+            for basis in sweep_spinbasis_variants(sig))
 
 
-def enumerate_signatures(max_n: int = 10, tweaks: bool = False) -> Dict[Tuple[int, ...], List[str]]:
+def enumerate_signatures(max_n: int = 10) -> Dict[Tuple[int, ...], List[str]]:
     """Distinct realized 7-signatures mapped to the labels that realize them.
     Every signature is checked against the admissible case table."""
     realized: Dict[Tuple[int, ...], List[str]] = {}
-    for sig, basis, report in quaternionic_signatures(max_n, tweaks=tweaks):
+    for sig, basis, report in quaternionic_signatures(max_n):
         admissible_groups(report.signature, type_index(sig.p, sig.q))
         realized.setdefault(report.signature, []).append(
             f"{sig}:{basis.name}"

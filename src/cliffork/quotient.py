@@ -8,6 +8,14 @@ that homomorphism, decides which of the eight discrete transformations
 {1, P, T, PT, C, CP, CT, CPT} survive the collapse, and labels the surviving
 symmetry class and the reduced Pin covering.
 
+The eight transformations are the Z2^3 table of `ext_automorphisms`: a
+name's code is its position in PHYSICAL_NAMES, with P, T and C as bits 0, 1
+and 2, and composition is XOR.  The same code names the realizing matrix
+(I, W, E, C, Pi, K, S, F for 1, P, T, PT, C, CP, CT, CPT) and the pin letter
+(a..g for codes 1..7).  A covering's label and matrices are read off its
+survivor set: {1, T, CP, CPT} has codes 0, 2, 5, 7, so it is realized by
+I, E, K, F and labelled pin^{b,e,g}.
+
 Two routes are kept separate on purpose.  The transfer verdicts come from the
 fixed-point condition phi(eps*omega) = eps*omega, evaluated both by a parity
 formula and by literally applying phi to eps*omega; the two must agree.  The
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .classification import ring_label, type_index
+from .classification import odd_reduction, ring_label
 from .core_algebra import (
     GaussianScalar,
     MultiVector,
@@ -38,7 +46,13 @@ from .core_algebra import (
     volume_square_sign,
 )
 from .coverings import pt_cover_name
-from .ext_automorphisms import ext_matrices
+from .ext_automorphisms import (
+    ELEMENT_NAMES,
+    PHYSICAL_NAMES,
+    PIN_LETTERS,
+    ext_matrices,
+    xor_group,
+)
 from .finite_groups import GroupTable, identify_small_group
 from .spinor_repr import build_spinbasis
 
@@ -57,13 +71,6 @@ __all__ = [
     "quotient_class",
     "quotient_group",
 ]
-
-
-# The eight discrete transformations form (Z2)^3 with generators P, T, C.
-# Codes are bitmasks: bit 0 = P, bit 1 = T, bit 2 = C.
-PHYSICAL_NAMES = ("1", "P", "T", "PT", "C", "CP", "CT", "CPT")
-
-_CODE_BY_NAME = {name: code for code, name in enumerate(PHYSICAL_NAMES)}
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +114,12 @@ def epsilon_context(sig_or_p, q=None) -> EpsilonContext:
     if not (sq.is_scalar() and sq.scalar_part() == GaussianScalar.ONE):
         raise AssertionError(f"(eps*omega)^2 != 1 in {sig}")
 
-    if sig.q >= 1:
-        target = SignatureSpec(sig.p, sig.q - 1, sig.field)
-    else:
-        target = SignatureSpec(sig.p - 1, 0, sig.field)
+    sub, factors = odd_reduction(sig.p, sig.q)
+    target = SignatureSpec(*sub, sig.field)
     if sig.field == "C":
         labels: Tuple[SignatureSpec, ...] = (target,)
     else:
-        pair = []
-        if sig.q >= 1:
-            pair.append(SignatureSpec(sig.p, sig.q - 1))
-        if sig.p >= 1:
-            pair.append(SignatureSpec(sig.q, sig.p - 1))
-        labels = tuple(pair)
+        labels = tuple(SignatureSpec(*f) for f in factors)
     return EpsilonContext(sig, eps, omega, ew, target, labels)
 
 
@@ -198,7 +198,7 @@ def apply_transformation(x: MultiVector, name: str) -> MultiVector:
     every generator that squares to -1 (the two agree on which real form is
     held fixed: for field 'C' the stored generators are that real form).
     """
-    code = _CODE_BY_NAME[name]
+    code = PHYSICAL_NAMES.index(name)
     out = x
     if code & 1:
         out = out.grade_involution()
@@ -210,7 +210,7 @@ def apply_transformation(x: MultiVector, name: str) -> MultiVector:
 
 
 def _sign_factors(name: str, sig: SignatureSpec, eps: GaussianScalar) -> Tuple[int, str]:
-    code = _CODE_BY_NAME[name]
+    code = PHYSICAL_NAMES.index(name)
     sign = 1
     parts = []
     if code & 1:
@@ -331,9 +331,9 @@ def quotient_class(ctx: EpsilonContext) -> QuotientClassReport:
 @dataclass(frozen=True, eq=False)
 class QuotientGroupReport:
     sig: SignatureSpec
-    label: str  # e.g. "pin^{a,b,c}"
+    label: str  # e.g. "pin^{a,b,c}", the pin letters of the survivors
     survivors: Tuple[str, ...]  # physical names, identity first
-    matrix_names: Tuple[str, ...]  # matching extended-automorphism matrices
+    matrix_names: Tuple[str, ...]  # the matrices with the survivors' codes
     reductions: Tuple[str, ...]  # how coefficient conjugation folds downstairs
     cayley: Optional[GroupTable]  # None when the printed set is not closed
     abstract: Optional[str]
@@ -343,47 +343,28 @@ class QuotientGroupReport:
     notes: Tuple[str, ...] = ()
 
 
-# case tables: label, surviving transformations, their matrices, reductions
+# case tables: surviving transformations, reductions
 _COMPLEX_CASES = {
     1: {
-        1: ("pin^{b}", ("1", "T"), ("I", "E"), ("C~I",)),
-        5: ("pin^{b,d}", ("1", "T", "C"), ("I", "E", "Pi"), ()),
-        3: ("pin^{b,e,g}", ("1", "T", "CP", "CPT"), ("I", "E", "K", "F"), ()),
-        7: ("pin^{b,e,g}", ("1", "T", "CP", "CPT"), ("I", "E", "K", "F"), ()),
+        1: (("1", "T"), ("C~I",)),
+        5: (("1", "T", "C"), ()),
+        3: (("1", "T", "CP", "CPT"), ()),
+        7: (("1", "T", "CP", "CPT"), ()),
     },
     3: {
-        3: ("pin^{c,d,g}", ("1", "PT", "C", "CPT"), ("I", "C", "Pi", "F"), ()),
-        7: ("pin^{c,d,g}", ("1", "PT", "C", "CPT"), ("I", "C", "Pi", "F"), ()),
-        1: ("pin^{a,b,c}", ("1", "P", "T", "PT"), ("I", "W", "E", "C"), ("CP~P", "CT~T")),
-        5: ("pin^{c,e,f}", ("1", "PT", "CP", "CT"), ("I", "C", "K", "S"), ()),
+        3: (("1", "PT", "C", "CPT"), ()),
+        7: (("1", "PT", "C", "CPT"), ()),
+        1: (("1", "P", "T", "PT"), ("CP~P", "CT~T")),
+        5: (("1", "PT", "CP", "CT"), ()),
     },
 }
 
 _REAL_CASES = {
-    (1, 0): ("pin^{b}", ("1", "T"), ("I", "E"), ("C~I", "CT~T")),
-    (1, 1): ("pin^{a,b,c}", ("1", "P", "T", "PT"), ("I", "W", "E", "C"), ("CP~P", "CPT~PT")),
-    (5, 0): ("pin^{b,d,f}", ("1", "T", "C", "CT"), ("I", "E", "Pi", "S"), ("C~C'",)),
-    (5, 1): ("pin^{b,e,g}", ("1", "T", "CP", "CPT"), ("I", "E", "K", "F"), ("CP~C'P",)),
+    (1, 0): (("1", "T"), ("C~I", "CT~T")),
+    (1, 1): (("1", "P", "T", "PT"), ("CP~P", "CPT~PT")),
+    (5, 0): (("1", "T", "C", "CT"), ("C~C'",)),
+    (5, 1): (("1", "T", "CP", "CPT"), ("CP~C'P",)),
 }
-
-
-def _klein_table(survivors: Tuple[str, ...]) -> Optional[GroupTable]:
-    codes = [_CODE_BY_NAME[s] for s in survivors]
-    index = {c: i for i, c in enumerate(codes)}
-    table = []
-    for a in codes:
-        row = []
-        for b in codes:
-            c = a ^ b
-            if c not in index:
-                return None  # not closed under composition
-            row.append(index[c])
-        table.append(row)
-    return GroupTable(list(survivors), table, neutral=index[0])
-
-
-def _cover_letters(label: str) -> str:
-    return label[label.index("{") + 1 : label.index("}")]
 
 
 def _target_text(sig: SignatureSpec) -> str:
@@ -411,24 +392,29 @@ def _concrete_cover(target: SignatureSpec, matrix_names: Tuple[str, ...]) -> Opt
 def quotient_group(ctx: EpsilonContext) -> QuotientGroupReport:
     """Label of the collapsed Pin covering with its surviving symmetry group.
 
-    The superscript letters name the extended-automorphism matrices that
-    survive the collapse (a..g for W,E,C,Pi,K,S,F).  Four-element survivor
-    sets come with their multiplication table and the covering formula
+    The superscript letters are the pin letters of the survivors' codes,
+    naming the extended-automorphism matrices that survive the collapse
+    (a..g for W,E,C,Pi,K,S,F).  Four-element survivor sets come with their
+    multiplication table and the covering formula
     pin^{..}(target) = (spin+(target) . C^{..})/Z2; the printed three-element
     set {1,T,C} of pin^{b,d} is not closed, so it carries no table.
     """
     sig = ctx.sig
     t = sig.type_index()
     if sig.field == "C":
-        label, survivors, mat_names, reductions = _COMPLEX_CASES[sig.n % 4][t]
+        survivors, reductions = _COMPLEX_CASES[sig.n % 4][t]
     else:
-        label, survivors, mat_names, reductions = _REAL_CASES[(t, sig.q % 2)]
+        survivors, reductions = _REAL_CASES[(t, sig.q % 2)]
+    codes = [PHYSICAL_NAMES.index(s) for s in survivors]
+    mat_names = tuple(ELEMENT_NAMES[c] for c in codes)
+    letters = ",".join(PIN_LETTERS[c - 1] for c in codes[1:])
+    label = f"pin^{{{letters}}}"
 
-    cayley = _klein_table(survivors)
+    cayley = xor_group(codes, PHYSICAL_NAMES)
     notes = []
     abstract = None
     if cayley is None:
-        miss = PHYSICAL_NAMES[_CODE_BY_NAME[survivors[1]] ^ _CODE_BY_NAME[survivors[2]]]
+        miss = PHYSICAL_NAMES[codes[1] ^ codes[2]]
         notes.append(
             "{%s} is not closed (%s.%s = %s missing): no covering group"
             % (", ".join(survivors), survivors[1], survivors[2], miss)
@@ -436,7 +422,6 @@ def quotient_group(ctx: EpsilonContext) -> QuotientGroupReport:
     else:
         abstract = identify_small_group(cayley)
 
-    letters = _cover_letters(label)
     formulas = []
     covers: Dict[str, str] = {}
     for target in ctx.target_labels:
@@ -454,7 +439,7 @@ def quotient_group(ctx: EpsilonContext) -> QuotientGroupReport:
     # where the reduced ring trivializes the coefficient conjugation, drop the
     # C component of every surviving name (C~C' folds nothing: C' is honest)
     if any(r in ("C~I", "CP~P", "CT~T", "CPT~PT") for r in reductions):
-        folded = {PHYSICAL_NAMES[_CODE_BY_NAME[n] & ~4] for n in honest}
+        folded = {PHYSICAL_NAMES[PHYSICAL_NAMES.index(n) & ~4] for n in honest}
     folded.discard("1")
     if folded != set(survivors) - {"1"}:
         notes.append(

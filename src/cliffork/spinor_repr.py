@@ -40,12 +40,13 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .classification import matrix_dimension, type_index
+from .classification import matrix_dimension, odd_reduction, type_index
 from .core_algebra import (
     GaussianScalar,
     MultiVector,
     SignatureSpec,
     blade_indices,
+    blade_product,
     format_gaussian,
     parse_gaussian,
 )
@@ -644,11 +645,7 @@ def build_spinbasis(sig: SignatureSpec, variant: Optional[int] = None) -> SpinBa
         )
 
     # types 3, 7: odd, ring C
-    if q >= 1:
-        sub_sig = SignatureSpec(p, q - 1)
-    else:
-        sub_sig = SignatureSpec(p - 1, 0)
-    sub = build_spinbasis(sub_sig).mats
+    sub = build_spinbasis(SignatureSpec(*odd_reduction(p, q)[0])).mats
     last = _extend_with_volume(sub, sig.metric(n))
     return SpinBasis(sig, sub + [last], name=f"odd({p},{q})")
 
@@ -747,8 +744,6 @@ def primitive_idempotent(sig: SignatureSpec) -> Tuple[MultiVector, List[int]]:
     """Greedy primitive idempotent: product of (1 + T_i)/2 over blades T_i
     chosen in grade-then-lex order, requiring square +1, pairwise
     commutation, and F2-independence of the index sets."""
-    from .core_algebra import blade_product
-
     k = idempotent_rank(sig.p, sig.q)
     chosen: List[int] = []
     echelon: List[int] = []  # F2 row echelon of chosen masks

@@ -32,6 +32,7 @@ from .core_algebra import (
 from .ext_automorphisms import (
     DEFINING_RELATIONS,
     MATRIX_NAMES,
+    PHYSICAL_NAMES,
     classify_ext_group,
     comm_parity,
     enumerate_signatures,
@@ -53,7 +54,6 @@ from .ext_automorphisms import (
 )
 from .finite_groups import vee_factor_check
 from .quotient import (
-    PHYSICAL_NAMES,
     apply_transformation,
     central_idempotents,
     epsilon_context,
@@ -204,8 +204,9 @@ def suite_example2(max_n: Optional[int] = None) -> SuiteResult:
 
     letter_typos = {tuple(c) for c in data["letter_typos"]}
     gamma_typos = {tuple(c) for c in data["gamma_typos"]}
-    gamma_names = {"I": "I", "W": "g0123", "E": "g13", "C": "g02",
-                   "Pi": "g013", "K": "g2", "S": "g0", "F": "g123"}
+    # the printed gamma table names each letter by its monomial: W -> g0123
+    gamma_names = {"I": "I", **{name: "g" + "".join(map(str, units))
+                                for name, units in data["monomials"].items()}}
     if not cex:
         elements, cells = signed_letter_table(mats)
         if elements != letters:
@@ -256,7 +257,7 @@ def suite_pseudo(max_n: int = 8) -> SuiteResult:
     directly, and the printed mod-4 rule on its applicable subdomain."""
     checked = 0
     cex: List[dict] = []
-    for sig, basis, report in quaternionic_signatures(max_n, tweaks=True):
+    for sig, basis, report in quaternionic_signatures(max_n):
         census = report.census
         pi, form = report.matrices["Pi"].matrix, report.matrices["Pi"].form
         for i, u in enumerate(basis.mats):
@@ -286,7 +287,7 @@ def suite_defining(max_n: int = 8) -> SuiteResult:
     direct matrix squares on the quaternionic sweep."""
     checked = 0
     cex: List[dict] = []
-    for sig, basis, report in quaternionic_signatures(max_n, tweaks=True):
+    for sig, basis, report in quaternionic_signatures(max_n):
         mats, census = report.matrices, report.census
         ident = SpinMatrix.identity(basis.dim)
         for name, predict in _SQUARE_PREDICTORS.items():
@@ -316,7 +317,7 @@ def suite_commutation(max_n: int = 8) -> SuiteResult:
     parity predicates and the universal factor-count rule, on the sweep."""
     checked = 0
     cex: List[dict] = []
-    for sig, basis, report in quaternionic_signatures(max_n, tweaks=True):
+    for sig, basis, report in quaternionic_signatures(max_n):
         mats, census = report.matrices, report.census
         forms = {name: mats[name].form for name in MATRIX_NAMES}
         for pair, got in report.commutation.items():
@@ -340,7 +341,7 @@ def suite_commutation(max_n: int = 8) -> SuiteResult:
 def suite_census(max_n: int = 8) -> SuiteResult:
     """Realized seven-sign vectors over the sweep: all must fall in the four
     admissible minus-count patterns, with at most 64 distinct vectors."""
-    realized = enumerate_signatures(max_n=max_n, tweaks=True)
+    realized = enumerate_signatures(max_n=max_n)
     cex: List[dict] = []
     checked = 0
     for signature in sorted(realized):

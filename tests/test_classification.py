@@ -9,6 +9,7 @@ from cliffork.classification import (
     complex_ring_label,
     is_simple,
     matrix_dimension,
+    odd_reduction,
     periodic_table_cell,
     representation_cell,
     ring_label,
@@ -111,3 +112,24 @@ def test_summary_fields():
     assert s["ring"] == "H" and s["type"] == 6 and s["matrix_dimension"] == 2
     assert s["group_cell"] == "N_4"
     assert s["representation_cell"] == "H^6_1"
+
+
+def test_odd_reduction_matches_the_inline_rules():
+    # the two rules as build_spinbasis, epsilon_context, _semisimple_admissible
+    # and odd_dimensional_decomposition_report each wrote them out
+    for n in range(1, 12, 2):
+        for p in range(n + 1):
+            q = n - p
+            if q >= 1:
+                sub = (p, q - 1)
+            else:
+                sub = (p - 1, 0)
+            factors = []
+            if q >= 1:
+                factors.append((p, q - 1))
+            if p >= 1:
+                factors.append((q, p - 1))
+            assert odd_reduction(p, q) == (sub, tuple(factors)), (p, q)
+    for p, q in ((0, 0), (2, 0), (1, 1), (3, 5)):
+        with pytest.raises(ValueError):
+            odd_reduction(p, q)

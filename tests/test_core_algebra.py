@@ -416,8 +416,6 @@ def test_pseudo_conjugation_details():
     assert e2.pseudo_conjugation() == -e2
     ix = e1 * GaussianScalar.I
     assert ix.pseudo_conjugation() == -ix
-    # override switches the split point
-    assert e2.pseudo_conjugation(positive_count=2) == e2
 
 
 def test_pseudo_on_volume_element():

@@ -23,13 +23,12 @@ from cliffork.coverings import (
     pin_element,
     pin_membership,
     pt_cover_name,
-    pt_profile,
     pt_structure,
     predicted_pt_signature,
     signed_cover_group,
     spin_membership,
 )
-from cliffork.ext_automorphisms import ExtMatrix, ext_matrices
+from cliffork.ext_automorphisms import ExtMatrix, ext_group_report, ext_matrices
 from cliffork.finite_groups import identify_small_group
 from cliffork.spinor_repr import (
     SpinMatrix,
@@ -70,7 +69,7 @@ def test_complex_signature_realized_by_some_mark():
         got = set()
         for p in range(n + 1):
             basis = build_spinbasis(SignatureSpec(p, n - p, "C"))
-            got.add(pt_profile(basis)["signature"])
+            got.add(ext_group_report(basis, identify=False).signature[:3])
         assert want in got
 
 
@@ -176,17 +175,20 @@ def test_complex_ring_types_reduce_one_dimension_down():
 def test_even_sweep_cross_validation():
     # every constructible even signature up to p+q=8: census prediction,
     # matrix squares, admissibility, cover identification, and the
-    # abelian/sign-count tie all agree (pt_profile asserts the last two)
+    # abelian/sign-count tie all agree (pt_structure asserts the last two)
     for n in (0, 2, 4, 6, 8):
         for p in range(n + 1):
             sig = SignatureSpec(p, n - p)
             basis = build_spinbasis(sig)
-            prof = pt_profile(basis)
-            assert prof["signature"] == predicted_pt_signature(basis), sig
+            report = ext_group_report(basis, identify=False)
+            realized = report.signature[:3]
+            assert realized == predicted_pt_signature(basis), sig
             rep = pt_structure(sig)
-            assert prof["signature"] in rep.admissible
-            assert prof["cover_group"] == pt_cover_name(prof["signature"])
-            assert prof["abelian"] == (not is_cliffordian(prof["signature"]))
+            assert realized in rep.admissible
+            cover = signed_cover_group(report.matrices, ("W", "E", "C"))
+            assert identify_small_group(cover) == pt_cover_name(realized)
+            wec = (report.commutation[pair] for pair in (("W", "E"), ("W", "C"), ("E", "C")))
+            assert all(s == 1 for s in wec) == (not is_cliffordian(realized))
 
 
 def test_variant_sweep_census_prediction():
@@ -198,9 +200,9 @@ def test_variant_sweep_census_prediction():
                 continue
             block = A_PLUS_SET if type_index(p, n - p) == 4 else A_MINUS_SET
             for basis in sweep_spinbasis_variants(sig, tweaks=True):
-                prof = pt_profile(basis)
-                assert prof["signature"] == predicted_pt_signature(basis)
-                assert prof["signature"] in block
+                realized = ext_group_report(basis, identify=False).signature[:3]
+                assert realized == predicted_pt_signature(basis)
+                assert realized in block
                 checked += 1
     assert checked > 20
 
