@@ -11,7 +11,8 @@ Three layers, all exact:
 * ``cpt_structure`` -- the quaternionic seven-sign extension with its five
   cover types; for ring R the PT report already carries everything.
 * ``pin_membership`` / ``spin_membership`` -- brute-force Clifford-Lipschitz
-  membership at low dimension, using exact multivector inversion.
+  membership at low dimension: the spinor norm N(x) = x * reversion(x) must
+  be +-1, which gives the inverse N * reversion(x) for the adjoint check.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .core_algebra import (
     GaussianScalar,
     MultiVector,
     SignatureSpec,
-    blade_product,
     volume_element,
     volume_square_sign,
 )
@@ -415,45 +415,6 @@ def cpt_structure(sig_or_p, q: Optional[int] = None, basis: Optional[SpinBasis] 
 # Pin / Spin membership by brute force
 
 
-def regular_representation(x: MultiVector) -> List[List[GaussianScalar]]:
-    """Left-multiplication operator of x on the 2^n blade basis."""
-    sig = x.sig
-    dim = 1 << sig.n
-    zero = GaussianScalar.of(0)
-    out = [[zero] * dim for _ in range(dim)]
-    for col in range(dim):
-        for mask, coeff in x.items():
-            res, sgn = blade_product(sig, mask, col)
-            out[res][col] = out[res][col] + coeff * sgn
-    return out
-
-
-def multivector_inverse(x: MultiVector) -> Optional[MultiVector]:
-    """Exact inverse via the regular representation, None when singular."""
-    sig = x.sig
-    dim = 1 << sig.n
-    zero = GaussianScalar.of(0)
-    rows = [list(r) for r in regular_representation(x)]
-    rhs = [_ONE if i == 0 else zero for i in range(dim)]
-    # Gaussian elimination over the exact scalars
-    for col in range(dim):
-        pivot = next((r for r in range(col, dim) if rows[r][col]), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = rows[col][col].inverse()
-        rows[col] = [a * inv for a in rows[col]]
-        rhs[col] = rhs[col] * inv
-        for r in range(dim):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-                rhs[r] = rhs[r] - f * rhs[col]
-    coeffs = {mask: rhs[mask] for mask in range(dim) if rhs[mask]}
-    return MultiVector(sig, coeffs)
-
-
 def norm_scalar(x: MultiVector) -> Optional[GaussianScalar]:
     """N(x) = x * reversion(x) when that lands in the scalars, else None."""
     nm = x * x.reversion()
@@ -465,38 +426,40 @@ def norm_scalar(x: MultiVector) -> Optional[GaussianScalar]:
 _MEMBERSHIP_LIMIT = 4
 
 
-def _membership(x: MultiVector, even_only: bool) -> bool:
+def _membership(x: MultiVector, even_only: bool) -> Optional[Tuple[GaussianScalar, MultiVector]]:
+    """(N(x), x^-1) when x is in Pin (in Spin when even_only), else None.
+
+    x^-1 = N * reversion(x) needs no linear solve: when N = x * reversion(x)
+    is +-1, x * (N * reversion(x)) = N^2 = 1, and in a finite-dimensional
+    algebra a one-sided inverse is two-sided.  Any other N (N(0) = 0) is no.
+    """
     sig = x.sig
     if sig.n > _MEMBERSHIP_LIMIT:
         raise ValueError(
             f"brute-force membership is kept to p+q <= {_MEMBERSHIP_LIMIT}"
         )
-    if x.is_zero():
-        return False
     if even_only and any(g % 2 for g in x.grades()):
-        return False
-    inv = multivector_inverse(x)
-    if inv is None:
-        return False
+        return None
     nv = norm_scalar(x)
-    if nv is None or nv not in (_ONE, _MINUS_ONE):
-        return False
+    if nv not in (_ONE, _MINUS_ONE):
+        return None
+    inv = x.reversion() * nv
     for i in range(1, sig.n + 1):
         image = x * MultiVector.unit(sig, i) * inv
         if any(g != 1 for g in image.grades()):
-            return False
-    return True
+            return None
+    return nv, inv
 
 
 def pin_membership(x: MultiVector) -> bool:
     """x invertible, N(x) = +-1, and conjugation keeps every generator in
     the grade-1 span."""
-    return _membership(x, even_only=False)
+    return _membership(x, even_only=False) is not None
 
 
 def spin_membership(x: MultiVector) -> bool:
     """Pin membership plus even grading."""
-    return _membership(x, even_only=True)
+    return _membership(x, even_only=True) is not None
 
 
 @dataclass(frozen=True)
@@ -508,14 +471,15 @@ class PinElement:
 def pin_element(x: MultiVector) -> PinElement:
     """Validated Pin member; also checks the twisted action (grade-involuted
     left factor), which must land in grade 1 as well."""
-    if not pin_membership(x):
+    member = _membership(x, even_only=False)
+    if member is None:
         raise ValueError("not a Pin element")
-    inv = multivector_inverse(x)
+    norm, inv = member
     for i in range(1, x.sig.n + 1):
         image = x.grade_involution() * MultiVector.unit(x.sig, i) * inv
         if any(g != 1 for g in image.grades()):
             raise ValueError("twisted action leaves the grade-1 span")
-    return PinElement(x, norm_scalar(x))
+    return PinElement(x, norm)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .classification import type_index
-from .core_algebra import SignatureSpec, volume_square_sign
+from .core_algebra import SignatureSpec
 from .finite_groups import GroupTable, generate_group_from_matrices, identify_small_group
 from .spinor_repr import (
     SpinBasis,

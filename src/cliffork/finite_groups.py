@@ -27,6 +27,7 @@ from .core_algebra import (
 from .spinor_repr import SpinMatrix
 
 MAX_CLOSURE = 10_000
+_SPOT_CHECKS = 200  # random associativity triples per validate()
 
 
 @dataclass
@@ -122,7 +123,7 @@ class GroupTable:
         labels = ["[" + self.elements[c[0]] + "]" for c in cosets]
         return GroupTable(labels, qt, coset_of[self.neutral])
 
-    def validate(self, spot_checks: int = 200) -> None:
+    def validate(self) -> None:
         """Closure and shape always; associativity spot-checked; inverses unique."""
         n = self.order
         for row in self.table:
@@ -136,7 +137,7 @@ class GroupTable:
         import random
 
         rng = random.Random(0)
-        for _ in range(min(spot_checks, n * n * n)):
+        for _ in range(min(_SPOT_CHECKS, n * n * n)):
             a, b, c = (rng.randrange(n) for _ in range(3))
             if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
                 raise ValueError("associativity spot-check failed")
@@ -151,7 +152,6 @@ def generate_group(
     mul: Callable,
     neutral: Hashable,
     label: Optional[Callable] = None,
-    max_order: int = MAX_CLOSURE,
 ) -> GroupTable:
     """BFS closure of generators under mul; exact equality via hashing."""
     index: Dict[Hashable, int] = {neutral: 0}
@@ -164,8 +164,8 @@ def generate_group(
             for g in gens:
                 y = mul(x, g)
                 if y not in index:
-                    if len(items) >= max_order:
-                        raise ValueError(f"closure exceeded {max_order} elements")
+                    if len(items) >= MAX_CLOSURE:
+                        raise ValueError(f"closure exceeded {MAX_CLOSURE} elements")
                     index[y] = len(items)
                     items.append(y)
                     new_frontier.append(y)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .classification import matrix_dimension, odd_reduction, type_index
+from .classification import odd_reduction, type_index
 from .core_algebra import (
     GaussianScalar,
     MultiVector,
@@ -650,10 +650,10 @@ def build_spinbasis(sig: SignatureSpec, variant: Optional[int] = None) -> SpinBa
     return SpinBasis(sig, sub + [last], name=f"odd({p},{q})")
 
 
-def sweep_spinbasis_variants(sig: SignatureSpec, tweaks: bool = True) -> List[SpinBasis]:
-    """All census-split variants for quaternionic types; includes, for each
-    split, an order-reversed and a sign-flipped tweak when requested (other
-    types return the single canonical basis)."""
+def sweep_spinbasis_variants(sig: SignatureSpec) -> List[SpinBasis]:
+    """All census-split variants for quaternionic types, each followed by
+    its order-reversed and sign-flipped tweaks (other types return the
+    single canonical basis)."""
     t = type_index(sig.p, sig.q)
     if t not in (4, 6):
         return [build_spinbasis(sig)]
@@ -661,8 +661,6 @@ def sweep_spinbasis_variants(sig: SignatureSpec, tweaks: bool = True) -> List[Sp
     for idx, split in enumerate(quaternionic_splits(sig.p, sig.q)):
         base = build_spinbasis(sig, variant=idx)
         out.append(base)
-        if not tweaks:
-            continue
         p = sig.p
         pos, neg = base.mats[:p], base.mats[p:]
         out.append(
@@ -680,9 +678,10 @@ def sweep_spinbasis_variants(sig: SignatureSpec, tweaks: bool = True) -> List[Sp
 def load_spinbasis(source: str) -> SpinBasis:
     """Load a basis from a JSON file, or the bundled set by name ('gamma').
 
-    Schema: {"name": str, "p": int, "q": int, "matrices": [[[scalar text]]]}.
-    Validates anticommutation, metric squares, and unit classifiability.
-    A file that cannot be read or parsed, or lacks a key, raises ValueError
+    Schema: {"name": str, "p": int, "q": int, "matrices": [[[scalar text]]]},
+    p + q square matrices of one size.  Validates anticommutation, metric
+    squares, and unit classifiability.  Every bad input (unreadable, not
+    JSON, a missing key, a wrong shape, a failed check) raises ValueError
     naming the source.
     """
     if source == "gamma":
@@ -704,12 +703,45 @@ def load_spinbasis(source: str) -> SpinBasis:
     missing = [key for key in ("p", "q", "matrices") if key not in payload]
     if missing:
         raise ValueError(f"basis file {source!r} lacks {', '.join(map(repr, missing))}")
-    sig = SignatureSpec(int(payload["p"]), int(payload["q"]))
-    mats = [SpinMatrix.from_lists(m) for m in payload["matrices"]]
-    basis = SpinBasis(sig, mats, name=payload.get("name", source))
-    basis.validate()
-    basis.unit_census()  # every unit must be classifiable
+    try:
+        basis = SpinBasis(*_basis_payload(payload), name=payload.get("name", source))
+        basis.validate()
+        basis.unit_census()  # every unit must be classifiable
+    except ValueError as exc:
+        raise ValueError(f"basis file {source!r}: {exc}") from exc
     return basis
+
+
+def _basis_payload(payload: dict) -> Tuple[SignatureSpec, List[SpinMatrix]]:
+    """Signature and units of a basis payload; ValueError names the first
+    field of the wrong shape."""
+
+    def scalar(k: int, entry) -> GaussianScalar:
+        if isinstance(entry, str):
+            try:
+                return parse_gaussian(entry)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise ValueError(f"matrix {k} holds {json.dumps(entry)}, which is not scalar text")
+
+    p, q, raw = payload["p"], payload["q"], payload["matrices"]
+    for key, value in (("p", p), ("q", q)):
+        if type(value) is not int or value < 0:  # neither a bool nor a float such as 1.7
+            raise ValueError(f"{key!r} must be a nonnegative integer, got {json.dumps(value)}")
+    if not isinstance(payload.get("name", ""), str):
+        raise ValueError(f"'name' must be a string, got {json.dumps(payload['name'])}")
+    if not isinstance(raw, list) or len(raw) != p + q:
+        raise ValueError(f"'matrices' must be a list of p+q = {p + q} matrices")
+    for k, rows in enumerate(raw, 1):
+        if not (isinstance(rows, list) and rows and all(
+                isinstance(row, list) and len(row) == len(rows) for row in rows)):
+            raise ValueError(f"matrix {k} is not a nonempty square list of rows")
+        d = len(raw[0])
+        if len(rows) != d:
+            raise ValueError(f"matrix {k} is {len(rows)}x{len(rows)}, matrix 1 is {d}x{d}")
+    mats = [SpinMatrix([[scalar(k, e) for e in row] for row in rows])
+            for k, rows in enumerate(raw, 1)]
+    return SignatureSpec(p, q), mats
 
 
 def save_spinbasis(basis: SpinBasis, path: str) -> None:

@@ -85,22 +85,46 @@ class TestExitCodes:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    # a basis payload, when given, is written to a file that {path} names
     @pytest.mark.parametrize(
-        "argv,message",
+        "argv,message,basis",
         [
-            (["classify", "--p", "-1", "--q", "0"], "signature (-1,0) has a negative count"),
-            (["classify", "--complex", "-2"], "complex dimension -2 is negative"),
+            (["classify", "--p", "-1", "--q", "0"], "signature (-1,0) has a negative count", None),
+            (["classify", "--complex", "-2"], "complex dimension -2 is negative", None),
             (["ext-group", "--basis", "/nonexistent.json"],
-             "cannot read basis file '/nonexistent.json'"),
+             "cannot read basis file '/nonexistent.json'", None),
             (["ext-group", "--p", "26", "--q", "0"],
-             "p+q = 26 needs spinor dimension 8192, above the limit MAX_SPINOR_DIM = 4096"),
+             "p+q = 26 needs spinor dimension 8192, above the limit MAX_SPINOR_DIM = 4096", None),
             (["verify", "--suite", "pseudo", "--max", "30"],
-             "p+q = 30 needs spinor dimension 32768, above the limit MAX_SPINOR_DIM = 4096"),
+             "p+q = 30 needs spinor dimension 32768, above the limit MAX_SPINOR_DIM = 4096", None),
+            (["ext-group", "--basis", "{path}"],
+             "basis file {path!r}: 'p' must be a nonnegative integer, got [1]",
+             {"p": [1], "q": 3, "matrices": []}),
+            (["ext-group", "--basis", "{path}"],
+             "basis file {path!r}: 'p' must be a nonnegative integer, got 1.7",
+             {"p": 1.7, "q": 0, "matrices": [[["1"]]]}),
+            (["ext-group", "--basis", "{path}"],
+             "basis file {path!r}: 'matrices' must be a list of p+q = 1 matrices",
+             {"p": 1, "q": 0, "matrices": 5}),
+            (["ext-group", "--basis", "{path}"],
+             "basis file {path!r}: matrix 1 holds 1, which is not scalar text",
+             {"p": 1, "q": 0, "matrices": [[[1]]]}),
+            (["ext-group", "--basis", "{path}"],
+             "basis file {path!r}: matrix 2 is 1x1, matrix 1 is 2x2",
+             {"p": 2, "q": 0, "matrices": [[["1", "0"], ["0", "-1"]], [["1"]]]}),
         ],
         ids=["negative-count", "negative-complex", "missing-basis-file", "basis-too-large",
-             "sweep-bound-too-large"],
+             "sweep-bound-too-large", "basis-p-not-an-int", "basis-p-not-integral",
+             "basis-matrices-not-a-list", "basis-int-entry", "basis-mixed-sizes"],
     )
-    def test_bad_inputs_exit_two_with_one_error_line(self, capsys, argv, message):
+    def test_bad_inputs_exit_two_with_one_error_line(self, capsys, tmp_path, argv, message,
+                                                     basis):
+        path = str(tmp_path / "basis.json")
+        if basis is not None:
+            with open(path, "w") as fh:
+                json.dump(basis, fh)
+            argv = [a.format(path=path) for a in argv]
+            message = message.format(path=path)
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,11 +1,13 @@
 """Covering reports: PT/CPT structures, Pin membership, odd-dimensional splits."""
 
+import functools
+import itertools
 import random
 
 import pytest
 
 from cliffork.classification import type_index
-from cliffork.core_algebra import GaussianScalar, MultiVector, SignatureSpec
+from cliffork.core_algebra import GaussianScalar, MultiVector, SignatureSpec, blade_product
 from cliffork.coverings import (
     A_MINUS_SET,
     A_PLUS_SET,
@@ -17,7 +19,6 @@ from cliffork.coverings import (
     cpt_structure,
     is_cliffordian,
     minus_count,
-    multivector_inverse,
     norm_scalar,
     odd_dimensional_decomposition_report,
     pin_element,
@@ -199,7 +200,7 @@ def test_variant_sweep_census_prediction():
             if type_index(p, n - p) not in (4, 6):
                 continue
             block = A_PLUS_SET if type_index(p, n - p) == 4 else A_MINUS_SET
-            for basis in sweep_spinbasis_variants(sig, tweaks=True):
+            for basis in sweep_spinbasis_variants(sig):
                 realized = ext_group_report(basis, identify=False).signature[:3]
                 assert realized == predicted_pt_signature(basis)
                 assert realized in block
@@ -284,14 +285,15 @@ def test_cpt_rejects_other_rings():
 
 def test_cpt_sweep_covers_match_the_rebuilt_group():
     # cpt_structure internally rebuilds the order-16 cover from the matrix
-    # cocycle and compares it with the table row; sweep every variant
+    # cocycle and compares it with the table row; sweep every variant, the
+    # reversed and sign-flipped tweaks of each split included
     seen_covers = set()
     for n in (2, 4, 6):
         for p in range(n + 1):
             sig = SignatureSpec(p, n - p)
             if type_index(p, n - p) not in (4, 6):
                 continue
-            for basis in sweep_spinbasis_variants(sig, tweaks=False):
+            for basis in sweep_spinbasis_variants(sig):
                 rep = cpt_structure(sig, basis=basis)
                 mc = minus_count(rep.signature)
                 assert mc in (2, 4, 6)
@@ -301,31 +303,11 @@ def test_cpt_sweep_covers_match_the_rebuilt_group():
                     assert rep.cover_group == CPT_COVER_BY_MINUS[mc]
                     assert rep.cliffordian is True  # 2- and 6-minus rows
                 seen_covers.add(rep.cover_group)
-    assert {"Q4xZ2", "*Z4xZ2xZ2"} <= seen_covers
+    assert seen_covers == {"D4xZ2", "Q4xZ2", "Z4xZ2xZ2", "*Z4xZ2xZ2"}
 
 
 # ---------------------------------------------------------------------------
-# inverse and membership
-
-
-def test_multivector_inverse_exact():
-    sig = SignatureSpec(2, 0)
-    x = MultiVector.scalar(sig, 1) + MultiVector.blade(sig, (1, 2))
-    inv = multivector_inverse(x)
-    assert x * inv == MultiVector.scalar(sig, 1)
-    assert inv * x == MultiVector.scalar(sig, 1)
-    # (1 + e12)^-1 = (1 - e12)/2 since e12^2 = -1
-    from fractions import Fraction
-
-    half = Fraction(1, 2)
-    want = MultiVector.scalar(sig, half) - MultiVector.blade(sig, (1, 2), half)
-    assert inv == want
-
-    assert multivector_inverse(MultiVector.zero(sig)) is None
-    null = MultiVector.unit(SignatureSpec(1, 1), 1) + MultiVector.unit(
-        SignatureSpec(1, 1), 2
-    )
-    assert multivector_inverse(null) is None
+# membership
 
 
 def test_pin_spin_examples():
@@ -344,6 +326,8 @@ def test_pin_spin_examples():
     assert spin_membership(MultiVector.scalar(s20, -1))
     assert not pin_membership(MultiVector.scalar(s20, 2))  # N = 4
     assert not pin_membership(MultiVector.zero(s20))
+    s11 = SignatureSpec(1, 1)
+    assert not pin_membership(MultiVector.unit(s11, 1) + MultiVector.unit(s11, 2))  # null
 
     big = MultiVector.unit(SignatureSpec(5, 0), 1)
     with pytest.raises(ValueError):
@@ -393,8 +377,8 @@ def test_membership_closure_property():
         # reversion gives the inverse up to the norm sign
         nu = norm_scalar(x)
         assert nu in (ONE, GaussianScalar.of(-1))
-        inv = multivector_inverse(x)
-        assert inv == x.reversion() * nu
+        inv = x.reversion() * nu
+        assert x * inv == 1 == inv * x
         assert pin_membership(inv)
         # perturbed element drops out: the shifted norm 9 + N + 3(x + rev x)
         # cannot land back on +-1 with this pool's denominators
@@ -414,6 +398,141 @@ def test_pin_element_validation():
             MultiVector.scalar(SignatureSpec(1, 0), 1)
             + MultiVector.unit(SignatureSpec(1, 0), 1)
         )
+
+
+def _regular_representation_reference(x):
+    """Left-multiplication operator of x on the 2^n blade basis."""
+    sig = x.sig
+    dim = 1 << sig.n
+    zero = GaussianScalar.of(0)
+    out = [[zero] * dim for _ in range(dim)]
+    for col in range(dim):
+        for mask, coeff in x.items():
+            res, sgn = blade_product(sig, mask, col)
+            out[res][col] = out[res][col] + coeff * sgn
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_reference(x):
+    """Exact inverse by Gaussian elimination on the regular representation,
+    None when singular (cached: each case asks for it up to three times)."""
+    sig = x.sig
+    dim = 1 << sig.n
+    zero = GaussianScalar.of(0)
+    rows = [list(r) for r in _regular_representation_reference(x)]
+    rhs = [ONE if i == 0 else zero for i in range(dim)]
+    for col in range(dim):
+        pivot = next((r for r in range(col, dim) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+        inv = rows[col][col].inverse()
+        rows[col] = [a * inv for a in rows[col]]
+        rhs[col] = rhs[col] * inv
+        for r in range(dim):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+                rhs[r] = rhs[r] - f * rhs[col]
+    return MultiVector(sig, {mask: rhs[mask] for mask in range(dim) if rhs[mask]})
+
+
+def _membership_reference(x, even_only):
+    """Membership through the solved inverse, checked before the norm."""
+    if x.sig.n > 4:
+        raise ValueError("brute-force membership is kept to p+q <= 4")
+    if x.is_zero():
+        return False
+    if even_only and any(g % 2 for g in x.grades()):
+        return False
+    inv = _inverse_reference(x)
+    if inv is None:
+        return False
+    if norm_scalar(x) not in (ONE, GaussianScalar.of(-1)):
+        return False
+    for i in range(1, x.sig.n + 1):
+        if (x * MultiVector.unit(x.sig, i) * inv).grades() not in ([], [1]):
+            return False
+    return True
+
+
+def _pin_element_reference(x):
+    """(value, norm) of a validated Pin element, or the ValueError text."""
+    if not _membership_reference(x, even_only=False):
+        return "not a Pin element"
+    inv = _inverse_reference(x)
+    for i in range(1, x.sig.n + 1):
+        image = x.grade_involution() * MultiVector.unit(x.sig, i) * inv
+        if image.grades() not in ([], [1]):
+            return "twisted action leaves the grade-1 span"
+    return x, norm_scalar(x)
+
+
+def _membership_sample(rng, sig, count):
+    """Seeded elements of Cl(sig): products of Pin pool elements (members);
+    the same times a scalar or i, plus a blade, or times a + b*B for a blade
+    B of grade 2 or 3 with N(a + b*B) = 1 (grade 3 gives norm-one elements
+    that fail the plain or the twisted action); and sparse elements with
+    small rational coefficients."""
+    from fractions import Fraction
+
+    pool = [v for v, _ in _pin_pool(sig)]
+    coeffs = [1, -1, 2, Fraction(1, 2), Fraction(-3, 5), Fraction(4, 5), GaussianScalar.I]
+    blades = [MultiVector.from_mask(sig, m) for m in range(1 << sig.n) if m.bit_count() in (2, 3)]
+    out = []
+    for k in range(count):
+        x = MultiVector.scalar(sig, 1)
+        for _ in range(rng.randint(1, 3)):
+            x = x * rng.choice(pool)
+        kind = k % 5
+        if kind == 1:
+            x = x * rng.choice(coeffs)
+        elif kind == 2:
+            x = x + MultiVector.from_mask(sig, rng.randrange(1 << sig.n), rng.choice(coeffs))
+        elif kind == 3:
+            blade = rng.choice(blades)
+            # N(a + b*B) = a^2 + b^2 * B*rev(B), and B*rev(B) = +-1
+            if norm_scalar(blade) == ONE:
+                a, b = Fraction(3, 5), Fraction(4, 5)
+            else:
+                a, b = Fraction(5, 4), Fraction(3, 4)
+            x = x * (MultiVector.scalar(sig, a) + blade * b)
+        elif kind == 4:
+            masks = rng.sample(range(1 << sig.n), rng.randint(1, 4))
+            x = MultiVector(sig, {m: GaussianScalar.of(rng.choice(coeffs)) for m in masks})
+        out.append(x)
+    return out
+
+
+def test_membership_matches_solved_inverse_reference():
+    # every {-1,0,1} coefficient vector at p+q <= 2, a seeded sample at 3 and 4
+    rng = random.Random(20261018)
+    cases = []
+    for n in range(5):
+        for p in range(n + 1):
+            sig = SignatureSpec(p, n - p)
+            if n <= 2:
+                for digits in itertools.product((-1, 0, 1), repeat=1 << n):
+                    cases.append(MultiVector(sig, dict(enumerate(digits))))
+            else:
+                cases.extend(_membership_sample(rng, sig, 60 if n == 3 else 25))
+    members = spin_members = 0
+    for x in cases:
+        pin = pin_membership(x)
+        assert pin == _membership_reference(x, even_only=False), x
+        spin = spin_membership(x)
+        assert spin == _membership_reference(x, even_only=True), x
+        try:
+            el = pin_element(x)
+            got = (el.value, el.norm)
+        except ValueError as exc:
+            got = str(exc)
+        assert got == _pin_element_reference(x), x
+        members += pin
+        spin_members += spin
+    assert members > 100 and spin_members > 40
 
 
 # ---------------------------------------------------------------------------

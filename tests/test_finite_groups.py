@@ -113,8 +113,8 @@ def test_closure_bound():
     # a fake mul that never closes: integers under addition
     from cliffork.finite_groups import generate_group
 
-    with pytest.raises(ValueError):
-        generate_group([1], lambda a, b: a + b, neutral=0, max_order=50)
+    with pytest.raises(ValueError, match="closure exceeded 10000 elements"):
+        generate_group([1], lambda a, b: a + b, neutral=0)
 
 
 # ---------------------------------------------------------------------------

@@ -436,9 +436,21 @@ def test_load_rejects_bad_bases(tmp_path):
         (b'{"q": 3, "matrices": []}', "lacks 'p'"),
         (b'{"p": 1, "matrices": []}', "lacks 'q'"),
         (b'{"p": 1, "q": 3}', "lacks 'matrices'"),
+        (b'{"p": [1], "q": 3, "matrices": []}', r"'p' must be a nonnegative integer, got \[1\]"),
+        (b'{"p": 1.7, "q": 0, "matrices": [[["1"]]]}', "'p' must be a nonnegative integer, got 1.7"),
+        (b'{"p": 1, "q": -1, "matrices": []}', "'q' must be a nonnegative integer, got -1"),
+        (b'{"p": 1, "q": 0, "matrices": 5}', "'matrices' must be a list of p\\+q = 1 matrices"),
+        (b'{"p": 1, "q": 0, "matrices": [[[1]]]}', "matrix 1 holds 1, which is not scalar text"),
+        (b'{"p": 1, "q": 0, "matrices": [[["1/0"]]]}', 'matrix 1 holds "1/0", which is not'),
+        (b'{"p": 1, "q": 0, "matrices": [[["1", "0"], ["0"]]]}',
+         "matrix 1 is not a nonempty square list of rows"),
+        (b'{"p": 2, "q": 0, "matrices": [[["1", "0"], ["0", "-1"]], [["1"]]]}',
+         "matrix 2 is 1x1, matrix 1 is 2x2"),
+        (b'{"p": 0, "q": 1, "matrices": [[["1"]]]}', "unit 1 squares to the wrong sign"),
     ],
     ids=["missing", "undecodable", "invalid-json", "not-an-object", "no-p", "no-q",
-         "no-matrices"],
+         "no-matrices", "p-not-an-int", "p-not-integral", "q-negative", "matrices-not-a-list",
+         "int-entry", "zero-denominator", "ragged-matrix", "mixed-sizes", "wrong-square"],
 )
 def test_load_errors_name_the_source(tmp_path, content, message):
     path = tmp_path / "basis.json"
