@@ -25,14 +25,24 @@ Rational = Union[int, Fraction]
 def _canonical_rational(x) -> Rational:
     """x as an exact rational in canonical form: an int when x is integral,
     else a Fraction with denominator > 1.  Accepts ints, Fractions and
-    numeric strings such as '3/2'; raises TypeError for anything else."""
+    numeric strings such as '3/2'; raises ValueError for malformed text
+    (a zero denominator included) and TypeError for anything else."""
     if isinstance(x, str):
-        x = Fraction(x)
+        x = _fraction(x, x)
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
         return int(x)
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
+
+
+def _fraction(part: str, text: str) -> Fraction:
+    """Fraction(part), where part is a piece of the scalar text `text`; a
+    zero denominator is malformed text like any other, so ValueError."""
+    try:
+        return Fraction(part)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar text {text!r}") from None
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -182,7 +192,8 @@ def format_gaussian(z: GaussianScalar) -> str:
 
 
 def parse_gaussian(text: str) -> GaussianScalar:
-    """Inverse of format_gaussian. Accepts '2', '-1/3', 'i', '2-i', '1/2+3/4i'."""
+    """Inverse of format_gaussian. Accepts '2', '-1/3', 'i', '2-i', '1/2+3/4i';
+    raises ValueError for any other text, '1/0' and '2+1/0i' included."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty scalar text")
@@ -198,13 +209,13 @@ def parse_gaussian(text: str) -> GaussianScalar:
                 re_part, im_part = body[:k], body[k:]
                 if im_part in ("+", "-"):
                     im_part += "1"
-                return GaussianScalar(Fraction(re_part), Fraction(im_part))
+                return GaussianScalar(_fraction(re_part, text), _fraction(im_part, text))
         if body in ("", "+"):
             body = "1"
         elif body == "-":
             body = "-1"
-        return GaussianScalar(Fraction(0), Fraction(body))
-    return GaussianScalar(Fraction(s))
+        return GaussianScalar(0, _fraction(body, text))
+    return GaussianScalar(_fraction(s, text))
 
 
 # ---------------------------------------------------------------------------
@@ -264,26 +275,20 @@ class SignatureSpec:
 # blades
 
 
-def _reorder_sign(a: int, b: int) -> int:
-    # counts pairs i in a, j in b with i > j; parity gives the sorting sign
-    a >>= 1
-    total = 0
-    while a:
-        total += (a & b).bit_count()
-        a >>= 1
-    return -1 if total & 1 else 1
-
-
 def blade_product(sig: SignatureSpec, a: int, b: int) -> Tuple[int, int]:
-    """Geometric product of basis blades (bitmasks). Returns (mask, sign)."""
-    sign = _reorder_sign(a, b)
-    common = a & b
-    while common:
-        low = common & -common
-        if low.bit_length() > sig.p:  # generator index = bit_length, 1-based
-            sign = -sign
-        common ^= low
-    return a ^ b, sign
+    """Geometric product of basis blades (bitmasks). Returns (mask, sign).
+
+    The sign is the parity of the swaps that sort the concatenated index
+    lists (pairs i in a, j in b with i > j) plus one per shared generator
+    that squares to -1, i.e. per common bit at position p or above (Dorst,
+    Fontijne & Mann, Geometric Algebra for Computer Science, ch. 19).
+    """
+    total = ((a & b) >> sig.p).bit_count()
+    s = a >> 1
+    while s:
+        total += (s & b).bit_count()
+        s >>= 1
+    return a ^ b, -1 if total & 1 else 1
 
 
 def blade_indices(mask: int) -> Tuple[int, ...]:

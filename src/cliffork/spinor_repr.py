@@ -720,7 +720,7 @@ def _basis_payload(payload: dict) -> Tuple[SignatureSpec, List[SpinMatrix]]:
         if isinstance(entry, str):
             try:
                 return parse_gaussian(entry)
-            except (ValueError, ZeroDivisionError):
+            except ValueError:
                 pass
         raise ValueError(f"matrix {k} holds {json.dumps(entry)}, which is not scalar text")
 

@@ -424,19 +424,18 @@ def suite_quotient(max_n: int = 7) -> SuiteResult:
             cex.append({"sig": str(ctx.sig), "check": "involution transferred"})
 
         if ctx.sig.n <= 5:
-            dim = 1 << ctx.sig.n
-            images = [epsilon_map(MultiVector.from_mask(ctx.sig, m), ctx) for m in range(dim)]
+            blades = [MultiVector.from_mask(ctx.sig, m) for m in range(1 << ctx.sig.n)]
+            images = [epsilon_map(x, ctx) for x in blades]
             checked += 1
             if not (epsilon_map(ctx.ew, ctx) - MultiVector.scalar(ctx.target, 1)).is_zero():
                 cex.append({"sig": str(ctx.sig), "check": "eps(ew) != 1"})
-            for a in range(dim):
-                xa = MultiVector.from_mask(ctx.sig, a)
+            for a, xa in enumerate(blades):
                 checked += 1
                 if not epsilon_map(xa - ctx.ew * xa, ctx).is_zero():
                     cex.append({"sig": str(ctx.sig), "check": "kernel", "mask": a})
-                for b in range(dim):
+                for b, xb in enumerate(blades):
                     checked += 1
-                    lhs = epsilon_map(xa * MultiVector.from_mask(ctx.sig, b), ctx)
+                    lhs = epsilon_map(xa * xb, ctx)
                     if not (lhs - images[a] * images[b]).is_zero():
                         cex.append({"sig": str(ctx.sig), "check": "homomorphism",
                                     "a": a, "b": b})
@@ -472,9 +471,9 @@ def suite_core(max_n: int = 6) -> SuiteResult:
         for p in range(n + 1):
             sig = SignatureSpec(p, n - p)
             dim = 1 << n
+            blades = [MultiVector.from_mask(sig, m) for m in range(dim)]
 
-            for mask in range(dim):
-                x = MultiVector.from_mask(sig, mask)
+            for mask, x in enumerate(blades):
                 k = mask.bit_count()
                 checked += 4
                 if x.grade_involution() != x * involution_sign(k):
@@ -490,13 +489,13 @@ def suite_core(max_n: int = 6) -> SuiteResult:
                     if x.involution_by_omega() != x.grade_involution():
                         cex.append({"sig": str(sig), "mask": mask, "check": "omega involution"})
 
+            pseudo = [y.pseudo_conjugation() for y in blades]
             for a in range(dim):
                 x = MultiVector.from_mask(sig, a, GaussianScalar.I if a & 1 else 1)
                 xb = x.pseudo_conjugation()
-                for b in range(dim):
-                    y = MultiVector.from_mask(sig, b)
+                for b, y in enumerate(blades):
                     checked += 1
-                    if (x * y).pseudo_conjugation() != xb * y.pseudo_conjugation():
+                    if (x * y).pseudo_conjugation() != xb * pseudo[b]:
                         cex.append({"sig": str(sig), "check": "pseudo multiplicativity",
                                     "a": a, "b": b})
                         break
@@ -506,9 +505,7 @@ def suite_core(max_n: int = 6) -> SuiteResult:
                 cex.append({"sig": str(sig), "check": "volume square"})
             if n > 0:
                 gens = [MultiVector.unit(sig, i) for i in range(1, n + 1)]
-                central = [m for m in range(dim)
-                           if all(MultiVector.from_mask(sig, m) * g
-                                  == g * MultiVector.from_mask(sig, m) for g in gens)]
+                central = [m for m, x in enumerate(blades) if all(x * g == g * x for g in gens)]
                 expected = [0] if n % 2 == 0 else [0, dim - 1]
                 checked += 1
                 if central != expected:

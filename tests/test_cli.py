@@ -17,6 +17,7 @@ from cliffork.verify import (
     run_suite,
 )
 from cliffork.classification import TABLE_KINDS
+from cliffork.core_algebra import GaussianScalar, MultiVector
 from cliffork.spinor_repr import SignatureSpec, build_spinbasis, save_spinbasis
 
 from fixtures_tables import (
@@ -520,6 +521,46 @@ class TestSweepSuites:
         assert {name: (r.ok, r.counterexamples, r.checked, r.detail)
                 for name, r in sweeps_at_twelve.items()} == \
             {name: (True, [], *pin) for name, pin in SWEEP_PINS_AT_TWELVE.items()}
+
+
+# (ok, checked, detail) of each algebra suite at the bound bench/run.py runs it at
+ALGEBRA_PINS = {
+    ("core", 6): (True, 40107, "all (p,q) with p+q <= 6"),
+    ("quotient", 7): (True, 10362, "odd contexts to p+q <= 7, collapse maps to 5"),
+    ("salingaros", 6): (True, 28, "all (p,q) with p+q <= 6"),
+}
+
+
+class TestAlgebraSuites:
+    @pytest.mark.parametrize("name, bound", ALGEBRA_PINS)
+    def test_pins_at_benchmark_bounds(self, name, bound):
+        result = run_suite(name, bound)
+        assert result.counterexamples == []
+        assert (result.ok, result.checked, result.detail) == ALGEBRA_PINS[name, bound]
+
+    def test_core_reports_a_pseudo_conjugation_wrong_on_one_blade(self, monkeypatch):
+        real = MultiVector.pseudo_conjugation
+
+        def e1_flipped(self):
+            image = real(self)
+            return MultiVector(image.sig, {m: -c if m == 0b1 else c for m, c in image.items()})
+
+        monkeypatch.setattr(MultiVector, "pseudo_conjugation", e1_flipped)
+        result = verify.suite_core(3)
+        assert not result.ok
+        assert {c["check"] for c in result.counterexamples} == {"pseudo multiplicativity"}
+
+    def test_quotient_reports_an_epsilon_map_wrong_on_one_blade(self, monkeypatch):
+        real = verify.epsilon_map
+
+        def e2_negated(x, ctx):
+            image = real(x, ctx)
+            return -image if list(x.items()) == [(0b10, GaussianScalar.ONE)] else image
+
+        monkeypatch.setattr(verify, "epsilon_map", e2_negated)
+        result = verify.suite_quotient(3)
+        assert not result.ok
+        assert {c["check"] for c in result.counterexamples} == {"homomorphism"}
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ pairs, the exact arithmetic the int-backed canonical form replaces.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -62,9 +63,11 @@ def oracle_blade_product(sig, a, b):
 
 
 SMALL_SIGS = [SignatureSpec(p, q) for n in range(0, 6) for p in range(n + 1) for q in [n - p]]
+# up to n = 6, the bound the core and salingaros suites run at
+SIGS_TO_SIX = SMALL_SIGS + [SignatureSpec(p, 6 - p) for p in range(7)]
 
 
-@pytest.mark.parametrize("sig", SMALL_SIGS, ids=str)
+@pytest.mark.parametrize("sig", SIGS_TO_SIX, ids=str)
 def test_blade_product_matches_oracle_exhaustively(sig):
     dim = 1 << sig.n
     for a in range(dim):
@@ -136,6 +139,26 @@ def test_gaussian_parse_forms():
     assert parse_gaussian("2-i") == GaussianScalar(Fraction(2), Fraction(-1))
     assert parse_gaussian("1/2+3/4i") == GaussianScalar(Fraction(1, 2), Fraction(3, 4))
     assert parse_gaussian("-3i") == GaussianScalar(Fraction(0), Fraction(-3))
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "1/0i", "2+1/0i", "1/0-i", " 1/0 "])
+def test_zero_denominator_is_a_value_error_naming_the_text(text):
+    message = f"^zero denominator in scalar text {re.escape(repr(text))}$"
+    with pytest.raises(ValueError, match=message):
+        parse_gaussian(text)
+    if not text.endswith("i"):
+        with pytest.raises(ValueError, match=message):
+            GaussianScalar(text)
+        with pytest.raises(ValueError, match=message):
+            GaussianScalar(0, text)
+        with pytest.raises(ValueError, match=message):
+            GaussianScalar.of(text)
+
+
+@pytest.mark.parametrize("text", ["", "x", "2+yi", "1/", "1.5.2"])
+def test_other_malformed_scalar_text_is_a_value_error(text):
+    with pytest.raises(ValueError):
+        parse_gaussian(text)
 
 
 def test_scalar_on_the_left_defers_to_the_other_operand():
@@ -297,13 +320,19 @@ def ref_blade_signs(sig, m, which):
 
 
 @st.composite
-def small_multivectors(draw, count=2):
+def small_multivectors(draw, count=2, terms=None):
+    """count multivectors of one signature with p+q <= 4, each with up to
+    5 terms, or with exactly `terms` nonzero terms when that is given."""
     n = draw(st.integers(0, 4))
     p = draw(st.integers(0, n))
     sig = SignatureSpec(p, n - p)
-    coeffs = st.dictionaries(st.integers(0, (1 << n) - 1),
-                             st.builds(GaussianScalar, st.fractions(max_denominator=8),
-                                       st.fractions(max_denominator=8)), max_size=5)
+    masks = st.integers(0, (1 << n) - 1)
+    scalars = st.builds(GaussianScalar, st.fractions(max_denominator=8),
+                        st.fractions(max_denominator=8))
+    if terms is None:
+        coeffs = st.dictionaries(masks, scalars, max_size=5)
+    else:
+        coeffs = st.dictionaries(masks, scalars.filter(bool), min_size=terms, max_size=terms)
     return sig, [MultiVector(sig, draw(coeffs)) for _ in range(count)]
 
 
@@ -331,6 +360,36 @@ def test_multivector_kernel_matches_fraction_pair_reference(data):
         assert ref_multivector(got) == want
         assert all(is_canonical(c) for _, c in got.items())
     assert (x == y) == (a == b)
+
+
+@given(data=small_multivectors(count=3, terms=1))
+@settings(max_examples=150)
+def test_single_term_products_match_fraction_pair_reference(data):
+    sig, (x, y, z) = data
+    a, b, c = ref_multivector(x), ref_multivector(y), ref_multivector(z)
+    for got, want in [(x * y, ref_mv_product(sig, a, b)),
+                      (y * x, ref_mv_product(sig, b, a)),
+                      ((x * y) * z, ref_mv_product(sig, ref_mv_product(sig, a, b), c)),
+                      (x * (y * z), ref_mv_product(sig, a, ref_mv_product(sig, b, c)))]:
+        assert ref_multivector(got) == want
+        assert len(want) == 1
+        assert all(is_canonical(v) for _, v in got.items())
+
+
+# every coefficient pair from these, on every pair of blades
+BLADE_COEFFS = [GaussianScalar(1), GaussianScalar(-1), GaussianScalar.I, -GaussianScalar.I,
+                GaussianScalar(Fraction(1, 2)), GaussianScalar(Fraction(3, 2), Fraction(-1, 2))]
+
+
+@pytest.mark.parametrize("sig", [s for s in SMALL_SIGS if s.n <= 4], ids=str)
+def test_single_blade_products_match_reference_exhaustively(sig):
+    blades = [MultiVector.from_mask(sig, m, c) for m in range(1 << sig.n) for c in BLADE_COEFFS]
+    refs = [ref_multivector(x) for x in blades]
+    for x, a in zip(blades, refs):
+        for y, b in zip(blades, refs):
+            got = x * y
+            assert ref_multivector(got) == ref_mv_product(sig, a, b)
+            assert all(is_canonical(v) for _, v in got.items())
 
 
 # ---------------------------------------------------------------------------
