@@ -166,13 +166,7 @@ def _cmd_cover(args) -> Tuple[int, str]:
         if args.cpt:
             raise ValueError("CPT covers are reported for real quaternionic "
                              "signatures; use --p/--q with --cpt")
-        if args.mark is not None:
-            p, q = args.mark
-            if p + q != args.complex:
-                raise ValueError(f"mark ({p},{q}) does not sum to n={args.complex}")
-            rep = pt_structure(SignatureSpec(p, q, "C"))
-        else:
-            rep = pt_structure(args.complex)
+        rep = pt_structure(args.complex)
     elif args.cpt:
         rep = cpt_structure(args.p, args.q)
     else:
@@ -364,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p", type=int)
     v.add_argument("--q", type=int)
     v.add_argument("--complex", type=int, metavar="N")
-    v.add_argument("--mark", type=_mark, metavar="P,Q")
     v.add_argument("--cpt", action="store_true")
     add_fmt(v)
 

@@ -30,8 +30,10 @@ while the sweeps re-check to count the checks and to report counterexamples.
 
 Two independent prediction routes accompany the constructions: the universal
 factor-count commutation rule, and the printed parity predicates in terms of
-the census counts (v, l, u, m). The acceptance sweeps confirm that both
-agree with the matrix truth on every variant.
+the census counts (v, l, u, m).  For the commutation ledger that second route
+is one rule, `comm_parity_terms`: per pair, the printed clause and the
+reorder cross-term it omits, each pair family written once.  The acceptance
+sweeps confirm that both routes agree with the matrix truth on every variant.
 """
 
 from __future__ import annotations
@@ -259,136 +261,54 @@ def commutation_profile(mats: Dict[str, ExtMatrix]) -> Dict[Tuple[str, str], int
     return prof
 
 
-def printed_comm_parity(pair: Tuple[str, str], forms: Dict[str, str], census: UnitCensus) -> Optional[int]:
-    """Parity (0 commute, 1 anticommute) from the printed census predicates.
+def comm_parity_terms(pair: Tuple[str, str], forms: Dict[str, str],
+                      census: UnitCensus) -> Optional[Tuple[int, int]]:
+    """(printed, correction): the commutation parity (0 commute, 1
+    anticommute) of a pair of W..F, named in MATRIX_NAMES order as
+    `commutation_profile` keys it, by the printed ledger's clause, and the
+    cross-term that clause omits.  KeyError for any other pair.
 
-    Covers the pairs of the printed ledger; returns None for the three pairs
-    among {W, E, C}, whose relations are fixed by the universal rule inside
-    the plain automorphism block.
+    The pair's matrices (anti)commute by (printed + correction) % 2, so the
+    verbatim printed clause holds exactly when correction == 0.  The printed
+    derivations split each factor set as (shared block)(rest) and recombine
+    the leftovers without the reorder sign between the two leftover blocks.
+    Only E or C against Pi, K, S or F meet that slip: their clause has the
+    form a*(b + c) and the omitted sign is b*c, with b, c = l, u or v, m
+    when keyed on the reality of Pi or K, and l, m or u, v when keyed on
+    the c/d form of S or F.  It vanishes on every census the printed
+    examples use.  None for the three pairs inside {W, E, C}, whose
+    relations the universal factor-count rule fixes.
     """
     v, l, u, m = census.v, census.l, census.u, census.m
-    s_count = l + u
-    g_count = m + v
-    a_count = census.a
-    b_count = census.b
-    pi_im = forms["Pi"] == "imaginary"
-    k_im = forms["K"] == "imaginary"
-    e_skew = forms["E"] == "skew"
-    c_skew = forms["C"] == "skew"
-    s_c = forms["S"] == "c"
-    f_c = forms["F"] == "c"
-
-    key = tuple(sorted(pair))
-
-    if key == ("K", "Pi"):
-        return (a_count * b_count) % 2
-    if key == ("Pi", "S"):
-        if pi_im:
-            return (m if s_c else l) % 2
-        return ((v + 1) if s_c else u) % 2
-    if key == ("F", "Pi"):
-        if pi_im:
-            return (m if f_c else l) % 2
-        return (v if f_c else (u + 1)) % 2
-    if key == ("Pi", "W"):
-        return 0 if pi_im else 1
-    if key == ("E", "Pi"):
-        if pi_im:
-            return (m * (u + l) if e_skew else l * (m + v)) % 2
-        return (u * (m + v) if e_skew else v * (u + l)) % 2
-    if key == ("C", "Pi"):
-        if pi_im:
-            return (m * (u + l) if c_skew else l * (m + v)) % 2
-        return (u * (m + v) if c_skew else v * (u + l)) % 2
-    if key == ("K", "S"):
-        if k_im:
-            return ((m + 1) if s_c else l) % 2
-        return (v if s_c else u) % 2
-    if key == ("F", "K"):
-        if k_im:
-            return (m if f_c else (l + 1)) % 2
-        return (v if f_c else u) % 2
-    if key == ("K", "W"):
-        return 0 if not k_im else 1
-    if key == ("E", "K"):
-        if k_im:
-            return (m * (u + l) if e_skew else l * (m + v)) % 2
-        return (u * (m + v) if e_skew else v * (u + l)) % 2
-    if key == ("C", "K"):
-        if k_im:
-            return (m * (u + l) if c_skew else l * (m + v)) % 2
-        return (u * (m + v) if c_skew else v * (u + l)) % 2
-    if key == ("F", "S"):
-        return (s_count * g_count) % 2
-    if key == ("S", "W"):
-        return 0 if s_c else 1
-    if key == ("E", "S"):
-        if s_c:
-            return (u * (l + m) if e_skew else l * (u + v)) % 2
-        return (m * (v + u) if e_skew else v * (m + l)) % 2
-    if key == ("C", "S"):
-        if s_c:
-            return (u * (l + m) if c_skew else l * (u + v)) % 2
-        return (m * (v + u) if c_skew else v * (m + l)) % 2
-    if key == ("F", "W"):
-        return 1 if f_c else 0
-    if key == ("E", "F"):
-        if f_c:
-            return (u * (l + m) if e_skew else l * (u + v)) % 2
-        return (m * (v + u) if e_skew else v * (m + l)) % 2
-    if key == ("C", "F"):
-        if f_c:
-            return (u * (l + m) if c_skew else l * (u + v)) % 2
-        return (m * (v + u) if c_skew else v * (m + l)) % 2
-    if key in (("E", "W"), ("C", "W"), ("C", "E")):
+    x, y = pair
+    if pair in (("W", "E"), ("W", "C"), ("E", "C")):
         return None
-    raise KeyError(f"unknown pair {pair}")
-
-
-def comm_parity_correction(pair: Tuple[str, str], forms: Dict[str, str], census: UnitCensus) -> Optional[int]:
-    """Cross-term the printed four-clause predicates omit.
-
-    The printed derivations split each factor set as (shared block)(rest) and
-    recombine the leftovers without the reorder sign between the two leftover
-    blocks. That sign is (-1)^(l*u) or (-1)^(v*m) for the reality-keyed pairs
-    and (-1)^(l*m) or (-1)^(u*v) for the c/d-keyed ones; it vanishes on every
-    census the printed examples use, so the slip is invisible there.
-    """
-    v, l, u, m = census.v, census.l, census.u, census.m
-    key = tuple(sorted(pair))
-    reality_family = {("E", "Pi"), ("C", "Pi"), ("E", "K"), ("C", "K")}
-    cform_family = {("E", "S"), ("C", "S"), ("E", "F"), ("C", "F")}
-    if key in reality_family:
-        other = key[1]  # Pi or K
-        ec = key[0]
-        imag = forms[other] == "imaginary"
-        skew = forms[ec] == "skew"
-        if imag == skew:
-            return (l * u) % 2
-        return (v * m) % 2
-    if key in cform_family:
-        ec, sf = key
-        c_form = forms[sf] == "c"
-        skew = forms[ec] == "skew"
-        if c_form == skew:
-            return (l * m) % 2
-        return (u * v) % 2
-    if key in (("E", "W"), ("C", "W"), ("C", "E")):
-        return None
-    return 0
-
-
-def comm_parity(pair: Tuple[str, str], forms: Dict[str, str], census: UnitCensus) -> Optional[int]:
-    """Printed parity predicate with the omitted reorder sign restored."""
-    printed = printed_comm_parity(pair, forms, census)
-    if printed is None:
-        return None
-    return (printed + comm_parity_correction(pair, forms, census)) % 2
-
-
-def printed_comm_applicable(pair: Tuple[str, str], forms: Dict[str, str], census: UnitCensus) -> bool:
-    """True when the verbatim printed clause needs no correction."""
-    return comm_parity_correction(pair, forms, census) in (0, None)
+    if x in ("E", "C") and y in ("Pi", "K", "S", "F"):
+        skew = forms[x] == "skew"
+        if y in ("Pi", "K"):
+            im = forms[y] == "imaginary"
+            a = (m if skew else l) if im else (u if skew else v)
+            b, c = (l, u) if im == skew else (v, m)
+        else:
+            cf = forms[y] == "c"
+            a = (u if skew else l) if cf else (m if skew else v)
+            b, c = (l, m) if cf == skew else (u, v)
+        return a * (b + c) % 2, b * c % 2
+    pi_im, k_im = forms["Pi"] == "imaginary", forms["K"] == "imaginary"
+    s_c, f_c = forms["S"] == "c", forms["F"] == "c"
+    printed = {
+        ("W", "Pi"): 0 if pi_im else 1,
+        ("W", "K"): 1 if k_im else 0,
+        ("W", "S"): 0 if s_c else 1,
+        ("W", "F"): 1 if f_c else 0,
+        ("Pi", "K"): census.a * census.b,
+        ("Pi", "S"): (m if s_c else l) if pi_im else ((v + 1) if s_c else u),
+        ("Pi", "F"): (m if f_c else l) if pi_im else (v if f_c else (u + 1)),
+        ("K", "S"): ((m + 1) if s_c else l) if k_im else (v if s_c else u),
+        ("K", "F"): (m if f_c else (l + 1)) if k_im else (v if f_c else u),
+        ("S", "F"): (l + u) * (m + v),
+    }[x, y]
+    return printed % 2, 0
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +464,11 @@ def quaternionic_signatures(max_n: int = 10) -> Iterator[Tuple]:
 
 def enumerate_signatures(max_n: int = 10) -> Dict[Tuple[int, ...], List[str]]:
     """Distinct realized 7-signatures mapped to the labels that realize them.
-    Every signature is checked against the admissible case table."""
+    Every signature is already checked against the admissible case table:
+    `ext_group_report` raises on a real type-4/6 signature outside it, and
+    every report `quaternionic_signatures` yields is one."""
     realized: Dict[Tuple[int, ...], List[str]] = {}
     for sig, basis, report in quaternionic_signatures(max_n):
-        admissible_groups(report.signature, type_index(sig.p, sig.q))
         realized.setdefault(report.signature, []).append(
             f"{sig}:{basis.name}"
         )

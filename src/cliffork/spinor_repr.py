@@ -259,10 +259,6 @@ class SpinMatrix:
     def to_lists(self) -> List[List[str]]:
         return [[format_gaussian(a) for a in row] for row in self.rows]
 
-    @classmethod
-    def from_lists(cls, rows: Sequence[Sequence[str]]) -> "SpinMatrix":
-        return cls([[parse_gaussian(x) for x in row] for row in rows])
-
     def __str__(self) -> str:
         cells = [[format_gaussian(a) for a in row] for row in self.rows]
         w = max((len(c) for row in cells for c in row), default=1)

@@ -34,7 +34,7 @@ from .ext_automorphisms import (
     MATRIX_NAMES,
     PHYSICAL_NAMES,
     classify_ext_group,
-    comm_parity,
+    comm_parity_terms,
     enumerate_signatures,
     ext_group_report,
     ext_matrices,
@@ -42,8 +42,6 @@ from .ext_automorphisms import (
     predicted_K_square,
     predicted_S_square,
     predicted_pi_bar,
-    printed_comm_applicable,
-    printed_comm_parity,
     printed_pi_bar_applicable,
     printed_pi_bar_mod4,
     product_square_sign,
@@ -324,17 +322,17 @@ def suite_commutation(max_n: int = 8) -> SuiteResult:
             checked += 1
             if got != universal_comm_sign(mats[pair[0]].factors, mats[pair[1]].factors):
                 _flag(cex, sig, basis, check="universal_rule", pair=list(pair), got=got)
-            parity = comm_parity(pair, forms, census)
-            if parity is not None:
+            terms = comm_parity_terms(pair, forms, census)
+            if terms is None:
+                continue
+            printed, correction = terms
+            checked += 1
+            if got != (1 if (printed + correction) % 2 == 0 else -1):
+                _flag(cex, sig, basis, check="parity_predicate", pair=list(pair), got=got)
+            if correction == 0:
                 checked += 1
-                if got != (1 if parity == 0 else -1):
-                    _flag(cex, sig, basis, check="parity_predicate", pair=list(pair), got=got)
-            if printed_comm_applicable(pair, forms, census):
-                printed = printed_comm_parity(pair, forms, census)
-                if printed is not None:
-                    checked += 1
-                    if got != (1 if printed == 0 else -1):
-                        _flag(cex, sig, basis, check="printed_clause", pair=list(pair), got=got)
+                if got != (1 if printed == 0 else -1):
+                    _flag(cex, sig, basis, check="printed_clause", pair=list(pair), got=got)
     return _sweep_result("commutation", max_n, checked, cex)
 
 

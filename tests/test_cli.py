@@ -60,6 +60,11 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["classify", "--p", "1", "--q", "3", "--frobnicate"]) == 2
 
+    def test_cover_has_no_mark_flag(self, capsys):
+        # the complex PT report depends on n alone, so cover takes no mark
+        assert run(["cover", "--complex", "5", "--mark", "1,3"]) == 2
+        assert "unrecognized arguments: --mark 1,3" in capsys.readouterr().err
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 2
 
@@ -75,7 +80,6 @@ class TestExitCodes:
             ["ext-group", "--p", "2", "--q", "3"],
             ["classify", "--complex", "5", "--mark", "1,3"],
             ["cover", "--complex", "5", "--cpt"],
-            ["cover", "--complex", "5", "--mark", "1,3"],
             ["quotient", "--complex", "5"],
             ["quotient", "--complex", "5", "--mark", "1,3"],
             ["quotient", "--p", "2", "--q", "2"],
@@ -473,7 +477,7 @@ SWEEP_PINS = {
 
 
 # the same at p+q <= 10, past the acceptance gate's own domain (p+q <= 8):
-# the comm_parity_correction cross-term and the census bound of 64 hold there
+# the cross-term comm_parity_terms restores and the census bound of 64 hold there
 SWEEP_PINS_AT_TEN = {
     "pseudo": (4602, "17 signature cells, p+q <= 10"),
     "defining": (16044, "17 signature cells, p+q <= 10"),

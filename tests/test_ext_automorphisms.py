@@ -1,6 +1,7 @@
 """Extended automorphism matrices: constructions, squares, commutation."""
 
 import dataclasses
+import itertools
 import math
 import sys
 
@@ -13,7 +14,7 @@ from cliffork.ext_automorphisms import (
     MATRIX_NAMES,
     admissible_groups,
     classify_ext_group,
-    comm_parity,
+    comm_parity_terms,
     commutation_profile,
     enumerate_signatures,
     ext_group_report,
@@ -23,8 +24,6 @@ from cliffork.ext_automorphisms import (
     predicted_K_square,
     predicted_pi_bar,
     predicted_S_square,
-    printed_comm_applicable,
-    printed_comm_parity,
     printed_pi_bar_applicable,
     printed_pi_bar_mod4,
     product_square_sign,
@@ -33,7 +32,7 @@ from cliffork.ext_automorphisms import (
     signed_order_structure,
     universal_comm_sign,
 )
-from cliffork.spinor_repr import SpinMatrix, build_spinbasis, load_spinbasis
+from cliffork.spinor_repr import SpinMatrix, UnitCensus, build_spinbasis, load_spinbasis
 
 
 def _subset_products(basis):
@@ -259,12 +258,12 @@ def test_sweep_squares_and_commutation_up_to_n6():
             assert got == universal_comm_sign(mats[x].factors, mats[y].factors), (
                 str(sig), basis.name, pair,
             )
-            parity = comm_parity(pair, forms, census)
-            if parity is not None:
+            terms = comm_parity_terms(pair, forms, census)
+            if terms is not None:
+                printed, correction = terms
+                parity = (printed + correction) % 2
                 assert got == (1 if parity == 0 else -1), (str(sig), basis.name, pair)
-            if printed_comm_applicable(pair, forms, census):
-                printed = printed_comm_parity(pair, forms, census)
-                if printed is not None:
+                if correction == 0:
                     assert got == (1 if printed == 0 else -1), (
                         str(sig), basis.name, pair,
                     )
@@ -286,6 +285,146 @@ def test_sweep_with_tweaked_variants():
             assert got == universal_comm_sign(
                 mats[pair[0]].factors, mats[pair[1]].factors
             )
+
+
+# ---------------------------------------------------------------------------
+# comm_parity_terms against the four-function ledger it replaced, kept here
+# verbatim as the reference: one clause per pair, correction computed apart
+
+
+def _reference_printed_comm_parity(pair, forms, census):
+    v, l, u, m = census.v, census.l, census.u, census.m
+    s_count = l + u
+    g_count = m + v
+    a_count = census.a
+    b_count = census.b
+    pi_im = forms["Pi"] == "imaginary"
+    k_im = forms["K"] == "imaginary"
+    e_skew = forms["E"] == "skew"
+    c_skew = forms["C"] == "skew"
+    s_c = forms["S"] == "c"
+    f_c = forms["F"] == "c"
+
+    key = tuple(sorted(pair))
+
+    if key == ("K", "Pi"):
+        return (a_count * b_count) % 2
+    if key == ("Pi", "S"):
+        if pi_im:
+            return (m if s_c else l) % 2
+        return ((v + 1) if s_c else u) % 2
+    if key == ("F", "Pi"):
+        if pi_im:
+            return (m if f_c else l) % 2
+        return (v if f_c else (u + 1)) % 2
+    if key == ("Pi", "W"):
+        return 0 if pi_im else 1
+    if key == ("E", "Pi"):
+        if pi_im:
+            return (m * (u + l) if e_skew else l * (m + v)) % 2
+        return (u * (m + v) if e_skew else v * (u + l)) % 2
+    if key == ("C", "Pi"):
+        if pi_im:
+            return (m * (u + l) if c_skew else l * (m + v)) % 2
+        return (u * (m + v) if c_skew else v * (u + l)) % 2
+    if key == ("K", "S"):
+        if k_im:
+            return ((m + 1) if s_c else l) % 2
+        return (v if s_c else u) % 2
+    if key == ("F", "K"):
+        if k_im:
+            return (m if f_c else (l + 1)) % 2
+        return (v if f_c else u) % 2
+    if key == ("K", "W"):
+        return 0 if not k_im else 1
+    if key == ("E", "K"):
+        if k_im:
+            return (m * (u + l) if e_skew else l * (m + v)) % 2
+        return (u * (m + v) if e_skew else v * (u + l)) % 2
+    if key == ("C", "K"):
+        if k_im:
+            return (m * (u + l) if c_skew else l * (m + v)) % 2
+        return (u * (m + v) if c_skew else v * (u + l)) % 2
+    if key == ("F", "S"):
+        return (s_count * g_count) % 2
+    if key == ("S", "W"):
+        return 0 if s_c else 1
+    if key == ("E", "S"):
+        if s_c:
+            return (u * (l + m) if e_skew else l * (u + v)) % 2
+        return (m * (v + u) if e_skew else v * (m + l)) % 2
+    if key == ("C", "S"):
+        if s_c:
+            return (u * (l + m) if c_skew else l * (u + v)) % 2
+        return (m * (v + u) if c_skew else v * (m + l)) % 2
+    if key == ("F", "W"):
+        return 1 if f_c else 0
+    if key == ("E", "F"):
+        if f_c:
+            return (u * (l + m) if e_skew else l * (u + v)) % 2
+        return (m * (v + u) if e_skew else v * (m + l)) % 2
+    if key == ("C", "F"):
+        if f_c:
+            return (u * (l + m) if c_skew else l * (u + v)) % 2
+        return (m * (v + u) if c_skew else v * (m + l)) % 2
+    if key in (("E", "W"), ("C", "W"), ("C", "E")):
+        return None
+    raise KeyError(f"unknown pair {pair}")
+
+
+def _reference_comm_parity_correction(pair, forms, census):
+    v, l, u, m = census.v, census.l, census.u, census.m
+    key = tuple(sorted(pair))
+    reality_family = {("E", "Pi"), ("C", "Pi"), ("E", "K"), ("C", "K")}
+    cform_family = {("E", "S"), ("C", "S"), ("E", "F"), ("C", "F")}
+    if key in reality_family:
+        other = key[1]  # Pi or K
+        ec = key[0]
+        imag = forms[other] == "imaginary"
+        skew = forms[ec] == "skew"
+        if imag == skew:
+            return (l * u) % 2
+        return (v * m) % 2
+    if key in cform_family:
+        ec, sf = key
+        c_form = forms[sf] == "c"
+        skew = forms[ec] == "skew"
+        if c_form == skew:
+            return (l * m) % 2
+        return (u * v) % 2
+    if key in (("E", "W"), ("C", "W"), ("C", "E")):
+        return None
+    return 0
+
+
+# every assignment of the six binary census forms; W is always the volume
+ALL_FORMS = [dict(zip(MATRIX_NAMES, ("volume",) + choice))
+             for choice in itertools.product(("skew", "sym"), ("skew", "sym"),
+                                             ("imaginary", "real"), ("imaginary", "real"),
+                                             ("c", "d"), ("c", "d"))]
+ALL_PAIRS = [(x, y) for i, x in enumerate(MATRIX_NAMES) for y in MATRIX_NAMES[i + 1:]]
+
+
+def test_comm_parity_terms_matches_reference_ledger():
+    assert len(ALL_FORMS) == 64 and len(ALL_PAIRS) == 21
+    cases = 0
+    for counts in itertools.product(range(4), repeat=4):
+        census = UnitCensus(*counts)
+        for forms in ALL_FORMS:
+            for pair in ALL_PAIRS:
+                printed = _reference_printed_comm_parity(pair, forms, census)
+                want = None if printed is None else (
+                    printed, _reference_comm_parity_correction(pair, forms, census))
+                assert comm_parity_terms(pair, forms, census) == want, (pair, forms, counts)
+                cases += 1
+    assert cases == 256 * 64 * 21
+
+
+def test_comm_parity_terms_rejects_reversed_and_unknown_pairs():
+    census, forms = UnitCensus(v=1, l=2, u=1, m=3), ALL_FORMS[5]
+    for pair in [(y, x) for x, y in ALL_PAIRS] + [("W", "W"), ("E", "E"), ("S", "S")]:
+        with pytest.raises(KeyError):
+            comm_parity_terms(pair, forms, census)
 
 
 def test_enumerate_signatures_respects_census_bound():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliffork.classification import matrix_dimension, type_index
-from cliffork.core_algebra import GaussianScalar, MultiVector, SignatureSpec
+from cliffork.core_algebra import GaussianScalar, MultiVector, SignatureSpec, parse_gaussian
 from cliffork.spinor_repr import (
     MAT_A,
     MAT_B,
@@ -75,7 +75,7 @@ def test_matrix_kron_and_scalar_detection():
 
 def test_matrix_serialization_round_trip():
     m = MAT_J * I_
-    assert SpinMatrix.from_lists(m.to_lists()) == m
+    assert SpinMatrix([[parse_gaussian(x) for x in row] for row in m.to_lists()]) == m
 
 
 # ---------------------------------------------------------------------------
