@@ -3,8 +3,8 @@
 The basis blades of Cl(p,q) with signs +/-1 form a finite group of order
 2^(n+1).  Its quotient by the center is elementary abelian, which pins the
 group up to a short list.  On top of that sit the covering groups of the
-reflection symmetries: two-letter covers for any signature, seven-letter
-covers in the quaternionic case.
+reflection symmetries: the PT cover, with its three signs (a,b,c) of W, E
+and C, for any signature, and seven-letter covers in the quaternionic case.
 """
 
 from cliffork.core_algebra import MultiVector, SignatureSpec, blade_mask
@@ -40,9 +40,9 @@ print(f"e1*e2 in Pin: {pin_membership(e1 * e2)}, in Spin: {spin_membership(e1 * 
 x = e1 + MultiVector.scalar(sig, 1)  # not unit norm
 print(f"1 + e1 in Pin: {pin_membership(x)}")
 
-# two-letter covering structure (any signature)
+# PT covering structure, signs (a,b,c) of W, E, C (any signature)
 rep = pt_structure(2, 0)
-print(f"\ntwo-letter cover of Cl(2,0): {rep.cover_group}")
+print(f"\nPT cover (a,b,c) of Cl(2,0): {rep.cover_group}")
 print(f"  signature {rep.signature}, Cliffordian: {rep.cliffordian}")
 
 # seven-letter covering structure (quaternionic signatures only)
@@ -54,4 +54,4 @@ print(f"  Cliffordian: {rep.cliffordian}")
 
 # complex algebras cover too, with a smaller admissible set
 rep = pt_structure(4)
-print(f"\ntwo-letter cover of C(4): {rep.cover_group} (Cliffordian: {rep.cliffordian})")
+print(f"\nPT cover (a,b,c) of C(4): {rep.cover_group} (Cliffordian: {rep.cliffordian})")

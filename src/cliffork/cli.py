@@ -19,7 +19,9 @@ suites themselves live in cliffork.verify.  Output is markdown unless
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -409,10 +411,21 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         check = " ".join(str(exc).split()) or "assertion failed"
         payload = {"schema": SCHEMA, "verb": args.verb, "ok": False,
                    "counterexamples": [{"check": check, "args": vars(args)}]}
-        print(json.dumps(payload, indent=1, sort_keys=True))
+        code, text = 1, json.dumps(payload, indent=1, sort_keys=True)
         print(f"error: {args.verb}: internal check failed: {check}", file=sys.stderr)
-        return 1
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:  # a full disk, a closed pipe
+        # point a real stdout at os.devnull, so that the interpreter's flush
+        # at exit does not fail a second time
+        with contextlib.suppress(AttributeError, ValueError, OSError):
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        print(f"error: cannot write output: {exc.strerror or type(exc).__name__}",
+              file=sys.stderr)
+        return 2
     return code
 
 

@@ -5,19 +5,22 @@ Three layers, all exact:
 * ``pt_structure`` -- which of the eight coverings pin^{a,b,c}(p,q) exist,
   keyed on the signature type and the division ring.  The predicted
   (a,b,c) is cross-validated against the (W,E,C) squares of
-  ``ext_group_report`` whenever a spinbasis is constructible, and the
-  abstract double cover C^{a,b,c} is rebuilt from the matrix cocycle and
-  identified.
-* ``cpt_structure`` -- the quaternionic seven-sign extension with its five
-  cover types; for ring R the PT report already carries everything.
+  ``ext_group_report`` whenever a spinbasis is constructible.
+* ``cpt_structure`` -- the quaternionic seven-sign extension; for ring R
+  the PT report already carries everything.
 * ``pin_membership`` / ``spin_membership`` -- brute-force Clifford-Lipschitz
   membership at low dimension: the spinor norm N(x) = x * reversion(x) must
   be +-1, which gives the inverse N * reversion(x) for the adjoint check.
+
+Both structures name their covers by one ``ext_automorphisms.COVER_TABLE``
+row, and ``checked_cover`` rebuilds the cover from the matrix cocycle to
+confirm it; the collapse covers of ``quotient`` go through the same helper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classification import odd_reduction, ring_label, type_index
@@ -31,8 +34,11 @@ from .core_algebra import (
 from .ext_automorphisms import (
     ELEMENT_NAMES,
     MATRIX_NAMES,
+    CoverRow,
     ExtMatrix,
+    cover_row,
     ext_group_report,
+    matrix_comm_sign,
     xor_group,
 )
 from .finite_groups import GroupTable, identify_small_group
@@ -43,29 +49,7 @@ _MINUS_ONE = GaussianScalar.of(-1)
 
 
 # ---------------------------------------------------------------------------
-# cover-group dictionaries
-
-# double covers C^{a,b,c} of the reflection group {1,P,T,PT}, by the number
-# of minus signs in (a,b,c); the odd-minus rows are the ones with PT = -TP
-PT_COVER_BY_MINUS = {0: "Z2xZ2xZ2", 2: "Z4xZ2", 1: "D4", 3: "Q4"}
-
-# the four-element automorphism group {I,W,E,C} itself (signs quotiented out
-# of the commuting cases, kept in the anticommuting ones)
-PT_AUT_BY_MINUS = {0: "Z2xZ2", 2: "Z4", 1: "D4/Z2", 3: "Q4/Z2"}
-
-# seven-sign covers C^{a,...,g}; the four-minus pattern splits on abelianness
-CPT_COVER_BY_MINUS = {0: "Z2xZ2xZ2xZ2", 2: "D4xZ2", 6: "Q4xZ2"}
-CPT_COVER_FOUR_MINUS = {True: "Z4xZ2xZ2", False: "*Z4xZ2xZ2"}
-
-# expected abstract type of the order-16 double cover, per cover name; the
-# starred group is the central product D4oZ4 (the 2x2 Pauli group)
-CPT_ABSTRACT = {
-    "Z2xZ2xZ2xZ2": "Z2xZ2xZ2xZ2",
-    "Z4xZ2xZ2": "Z4xZ2xZ2",
-    "Q4xZ2": "Q4xZ2",
-    "D4xZ2": "D4xZ2",
-    "*Z4xZ2xZ2": "D4oZ4",
-}
+# admissible (a,b,c) sets
 
 _ALL_SIGNATURES = tuple(
     (a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)
@@ -88,21 +72,6 @@ _REAL_SIGNATURE = {
         (1, 3): (-1, 1, 1),
     },
 }
-
-
-def minus_count(signature: Sequence[int]) -> int:
-    return sum(1 for s in signature if s < 0)
-
-
-def is_cliffordian(signature: Sequence[int]) -> bool:
-    """PT = -TP rows: odd number of minus signs."""
-    return minus_count(signature) % 2 == 1
-
-
-def pt_cover_name(signature: Sequence[int]) -> str:
-    if len(signature) != 3:
-        raise ValueError("PT signature has three signs")
-    return PT_COVER_BY_MINUS[minus_count(signature)]
 
 
 def signature_text(signature: Sequence[int]) -> str:
@@ -147,6 +116,23 @@ def signed_cover_group(
     return group
 
 
+def checked_cover(mats: Dict[str, ExtMatrix], names: Sequence[str]) -> CoverRow:
+    """The COVER_TABLE row of the named matrices, keyed on their squares and
+    their commutation.  AssertionError unless the cover rebuilt from their
+    sign cocycle is the row's identified group."""
+    signature = tuple(mats[name].square_sign for name in names)
+    abelian = all(matrix_comm_sign(mats[x].matrix, mats[y].matrix) == 1
+                  for x, y in combinations(names, 2))
+    row = cover_row(signature, abelian)
+    built = identify_small_group(signed_cover_group(mats, names))
+    if built != row.identified:
+        raise AssertionError(
+            f"cover table says {row.cover} (= {row.identified}), "
+            f"matrix cocycle builds {built}"
+        )
+    return row
+
+
 # ---------------------------------------------------------------------------
 # PT structure
 
@@ -157,8 +143,9 @@ class CoveringReport:
 
     signature is the realized/forced sign vector when the clause pins one
     down ((a,b,c), or the seven-sign vector for CPT reports); admissible
-    lists every vector the clause allows.  cover_group / cliffordian are
-    set exactly when signature is.
+    lists every vector the clause allows.  cover_group, automorphism_group
+    and cliffordian come from the signature's COVER_TABLE row, and are set
+    exactly when signature is.
     """
 
     sig: Optional[SignatureSpec]
@@ -195,6 +182,12 @@ def predicted_pt_signature(basis: SpinBasis) -> Tuple[int, int, int]:
     return (a, sym_sign, skew_sign)
 
 
+def _unchecked_pt_row(signature: Tuple[int, ...]) -> CoverRow:
+    """The PT row of a signature read without matrices: the (W,E,C) block
+    commutes exactly when its minus count is even."""
+    return cover_row(signature, signature.count(-1) % 2 == 0)
+
+
 def _pt_complex(n: int) -> CoveringReport:
     if n < 0:
         raise ValueError("complex dimension must be nonnegative")
@@ -202,10 +195,10 @@ def _pt_complex(n: int) -> CoveringReport:
         signature = (1, 1, 1)
     else:
         signature = (-1, -1, -1)
-    cover = pt_cover_name(signature)
+    row = _unchecked_pt_row(signature)
     notes = [
         f"over C the two covers alternate with n mod 4: {signature_text(signature)}",
-        f"pin^{{a,b,c}}({n},C) = (spin+({n},C) . {cover}) / Z2",
+        f"pin^{{a,b,c}}({n},C) = (spin+({n},C) . {row.cover}) / Z2",
     ]
     if n % 2:
         notes.append(
@@ -219,9 +212,9 @@ def _pt_complex(n: int) -> CoveringReport:
         ring="C",
         signature=signature,
         admissible=(signature,),
-        cover_group=cover,
-        automorphism_group=PT_AUT_BY_MINUS[minus_count(signature)],
-        cliffordian=is_cliffordian(signature),
+        cover_group=row.cover,
+        automorphism_group=row.group,
+        cliffordian=not row.abelian,
         notes=tuple(notes),
     )
 
@@ -251,9 +244,9 @@ def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] =
     types report the admissibility sets contributed by their two ideal
     factors; the complex-ring types reduce to the complex rule one
     dimension lower.  Whenever a spinbasis is available the prediction is
-    checked against the (W,E,C) squares of `ext_group_report`: the identified
-    cocycle cover must match `pt_cover_name`, and the (W,E,C) block must
-    commute exactly when the minus count is even.
+    checked against the (W,E,C) squares of `ext_group_report`, and the cover
+    is named by `checked_cover`.  A complex SignatureSpec raises ValueError:
+    the complex report depends on n alone, so pass the bare dimension.
     """
     if isinstance(sig_or_n, SignatureSpec):
         sig = sig_or_n
@@ -262,7 +255,9 @@ def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] =
     else:
         sig = SignatureSpec(int(sig_or_n), int(q))
     if sig.field == "C":
-        return _pt_complex(sig.n)
+        raise ValueError(
+            f"PT reports over C depend on n alone; pass the dimension {sig.n}, not a mark"
+        )
 
     p, qq = sig.p, sig.q
     t = type_index(p, qq)
@@ -297,20 +292,14 @@ def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] =
             f"({sig.n - 1},C), here {signature_text(signature)}"
         )
 
+    # the signature's own row; a basis, where there is one, gives the checked row
+    row = _unchecked_pt_row(signature) if signature else None
     if basis is None and t in (0, 2, 4, 6) and sig.n <= 10:
         basis = build_spinbasis(sig)
     if basis is not None and t in (0, 2, 4, 6):
         report = ext_group_report(basis, identify=False)
         realized = report.signature[:3]
-        built = identify_small_group(signed_cover_group(report.matrices, ("W", "E", "C")))
-        if built != pt_cover_name(realized):
-            raise AssertionError(
-                f"{sig}: cover table says {pt_cover_name(realized)}, matrices build {built}"
-            )
-        wec_pairs = (("W", "E"), ("W", "C"), ("E", "C"))
-        abelian = all(report.commutation[pair] == 1 for pair in wec_pairs)
-        if abelian != (minus_count(realized) % 2 == 0):
-            raise AssertionError(f"{sig}: commutation defies the sign-count parity")
+        row = checked_cover(report.matrices, ("W", "E", "C"))
         predicted = predicted_pt_signature(basis)
         if realized != predicted:
             raise AssertionError(
@@ -329,12 +318,10 @@ def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] =
         signature = realized
         notes.append(f"checked against basis {basis.name}")
 
-    cover = pt_cover_name(signature) if signature else None
-    aut = PT_AUT_BY_MINUS[minus_count(signature)] if signature else None
-    if signature:
+    if row:
         notes.append(
             f"pin^{signature_text(signature)}({p},{qq}) = "
-            f"(spin+({p},{qq}) . {cover}) / Z2"
+            f"(spin+({p},{qq}) . {row.cover}) / Z2"
         )
     return CoveringReport(
         sig=sig,
@@ -343,9 +330,9 @@ def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] =
         ring=ring,
         signature=signature,
         admissible=admissible,
-        cover_group=cover,
-        automorphism_group=aut,
-        cliffordian=is_cliffordian(signature) if signature else None,
+        cover_group=row.cover if row else None,
+        automorphism_group=row.group if row else None,
+        cliffordian=not row.abelian if row else None,
         notes=tuple(notes),
     )
 
@@ -358,10 +345,9 @@ def cpt_structure(sig_or_p, q: Optional[int] = None, basis: Optional[SpinBasis] 
     """Seven-sign covering report.
 
     Ring R carries no extra covers: the PT report is returned as-is (with a
-    note).  Ring H gets the five-cover table keyed on the minus-count of
-    the realized (W,E,C,Pi,K,S,F) squares, the four-minus row splitting on
-    abelianness; the abstract order-16 cover is rebuilt from the matrix
-    cocycle and must match.
+    note).  Ring H takes the seven-letter COVER_TABLE row of the realized
+    (W,E,C,Pi,K,S,F) squares and commutation, checked by `checked_cover`
+    against the order-16 cover rebuilt from the matrix cocycle.
     """
     sig = SignatureSpec.of(sig_or_p, q)
     if sig.field == "C":
@@ -380,21 +366,10 @@ def cpt_structure(sig_or_p, q: Optional[int] = None, basis: Optional[SpinBasis] 
     if basis is None:
         basis = build_spinbasis(sig)
     report = ext_group_report(basis, identify=False)
-    signature, abelian = report.signature, report.abelian
-    mc = minus_count(signature)
-    if mc == 4:
-        cover = CPT_COVER_FOUR_MINUS[abelian]
-    else:
-        cover = CPT_COVER_BY_MINUS[mc]
-    abstract = identify_small_group(signed_cover_group(report.matrices))
-    if abstract != CPT_ABSTRACT[cover]:
-        raise AssertionError(
-            f"{sig}: cover table says {cover} (= {CPT_ABSTRACT[cover]}), "
-            f"matrix cocycle builds {abstract}"
-        )
+    row = checked_cover(report.matrices, MATRIX_NAMES)
     notes = (
-        f"ring H: minus-count {mc}, {'Abelian' if abelian else 'Non-Abelian'}",
-        f"automorphism group {report.group_name}, double cover {cover} = {abstract}",
+        f"ring H: minus-count {row.minus}, {'Abelian' if row.abelian else 'Non-Abelian'}",
+        f"automorphism group {row.group}, double cover {row.cover} = {row.identified}",
         f"basis {basis.name}",
     )
     return CoveringReport(
@@ -402,11 +377,11 @@ def cpt_structure(sig_or_p, q: Optional[int] = None, basis: Optional[SpinBasis] 
         n=None,
         field="R",
         ring=ring,
-        signature=signature,
-        admissible=(signature,),
-        cover_group=cover,
-        automorphism_group=report.group_name,
-        cliffordian=not abelian,
+        signature=report.signature,
+        admissible=(report.signature,),
+        cover_group=row.cover,
+        automorphism_group=row.group,
+        cliffordian=not row.abelian,
         notes=notes,
     )
 

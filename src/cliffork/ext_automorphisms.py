@@ -18,7 +18,7 @@ the XOR of their codes, and the pin letters a..g are the codes 1..7:
 So W..F realize P..CPT, with P = W, T = E and C = Pi as bits 0, 1 and 2, and
 pin^{b,e,g} is {1, T, CP, CPT} = {I, E, K, F}.  `xor_group` builds the
 group table of a closed code set, plain or as the double cover with a sign
-cocycle.
+cocycle, and COVER_TABLE names that cover for one, three or seven letters.
 
 Each matrix is a product of unit matrices selected by the census (real or
 imaginary, symmetric or skew, read from SpinBasis.unit_species); every
@@ -39,7 +39,7 @@ sweeps confirm that both routes agree with the matrix truth on every variant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .classification import type_index
 from .core_algebra import SignatureSpec
@@ -58,6 +58,51 @@ MATRIX_NAMES = ("W", "E", "C", "Pi", "K", "S", "F")
 ELEMENT_NAMES = ("I",) + MATRIX_NAMES
 PHYSICAL_NAMES = ("1", "P", "T", "PT", "C", "CP", "CT", "CPT")
 PIN_LETTERS = "abcdefg"  # the letter of code c >= 1 is PIN_LETTERS[c - 1]
+
+# The double cover of a closed letter set, keyed on (letters, minus count,
+# abelian): the group the letters form up to sign, the double cover
+# {+-1} x letters, and that cover as identify_small_group names it.  One
+# letter is a lone collapse survivor, three are the PT block W, E, C and
+# seven are W..F; the starred CPT cover is the central product D4oZ4.
+COVER_TABLE: Dict[Tuple[int, int, bool], Tuple[str, str, str]] = {
+    (1, 0, True): ("Z2", "Z2xZ2", "Z2xZ2"),
+    (1, 1, True): ("Z2", "Z4", "Z4"),
+    (3, 0, True): ("Z2xZ2", "Z2xZ2xZ2", "Z2xZ2xZ2"),
+    (3, 1, False): ("D4/Z2", "D4", "D4"),
+    (3, 2, True): ("Z4", "Z4xZ2", "Z4xZ2"),
+    (3, 3, False): ("Q4/Z2", "Q4", "Q4"),
+    (7, 0, True): ("Z2xZ2xZ2", "Z2xZ2xZ2xZ2", "Z2xZ2xZ2xZ2"),
+    (7, 2, False): ("D4", "D4xZ2", "D4xZ2"),
+    (7, 4, True): ("Z4xZ2", "Z4xZ2xZ2", "Z4xZ2xZ2"),
+    (7, 4, False): ("*Z4xZ2", "*Z4xZ2xZ2", "D4oZ4"),
+    (7, 6, False): ("Q4", "Q4xZ2", "Q4xZ2"),
+}
+
+
+class CoverRow(NamedTuple):
+    """One COVER_TABLE row: its key, then its three names."""
+
+    letters: int
+    minus: int
+    abelian: bool
+    group: str  # the letters up to sign
+    cover: str  # {+-1} x letters
+    identified: str  # the cover as identify_small_group names it
+
+    @property
+    def order_structure(self) -> Tuple[int, int]:  # (# square +I, # square -I)
+        return self.letters - self.minus, self.minus
+
+
+def cover_row(signature: Sequence[int], abelian: bool) -> CoverRow:
+    """The COVER_TABLE row of the letters' squares and their abelianness;
+    ValueError for any key outside the table."""
+    if any(s not in (1, -1) for s in signature):
+        raise ValueError("signature entries must be +-1")
+    key = (len(signature), list(signature).count(-1), bool(abelian))
+    if key not in COVER_TABLE:
+        raise ValueError(f"signature {tuple(signature)} with abelian={abelian} is not a cover")
+    return CoverRow(*key, *COVER_TABLE[key])
 
 
 def xor_group(codes: Sequence[int], names: Sequence[str],
@@ -312,41 +357,9 @@ def comm_parity_terms(pair: Tuple[str, str], forms: Dict[str, str],
 
 
 # ---------------------------------------------------------------------------
-# classification of the eight-element set
+# the printed case table: (abc pattern, minus count among defg, type) ->
+# admissible groups
 
-
-def classify_ext_group(signature: Sequence[int], abelian: bool) -> str:
-    """Signed order-8 structure per the classification table; plus counts of
-    the squares decide, with abelianness separating the starred case."""
-    plus = sum(1 for s in signature if s == 1)
-    minus = len(signature) - plus
-    if sorted(set(signature)) not in ([1], [-1], [-1, 1]):
-        raise ValueError("signature entries must be +-1")
-    if minus == 0:
-        if not abelian:
-            raise ValueError("all-plus signature with a non-abelian profile")
-        return "Z2xZ2xZ2"
-    if minus == 2:
-        if abelian:
-            raise ValueError("(5+,2-) signature must be non-abelian")
-        return "D4"
-    if minus == 4:
-        return "Z4xZ2" if abelian else "*Z4xZ2"
-    if minus == 6:
-        if abelian:
-            raise ValueError("(1+,6-) signature must be non-abelian")
-        return "Q4"
-    raise ValueError(
-        f"signature with {minus} minus signs is outside the admissible patterns"
-    )
-
-
-def signed_order_structure(signature: Sequence[int]) -> Tuple[int, int]:
-    plus = sum(1 for s in signature if s == 1)
-    return plus, len(signature) - plus
-
-
-# (abc pattern, minus count among defg, type) -> admissible groups
 _P, _M = 1, -1
 ADMISSIBLE_DETAILED: Dict[Tuple[Tuple[int, int, int], int, int], frozenset] = {}
 
@@ -411,7 +424,7 @@ def ext_group_report(basis: SpinBasis, identify: bool = True) -> ExtGroupReport:
     signature = tuple(mats[name].square_sign for name in MATRIX_NAMES)
     prof = commutation_profile(mats)
     abelian = all(s == 1 for s in prof.values())
-    group = classify_ext_group(signature, abelian)
+    row = cover_row(signature, abelian)
     report = ExtGroupReport(
         sig=basis.sig,
         basis_name=basis.name,
@@ -421,14 +434,14 @@ def ext_group_report(basis: SpinBasis, identify: bool = True) -> ExtGroupReport:
         pi_bar_sign=(mats["Pi"].matrix * mats["Pi"].matrix.conj()).sign_of_identity_multiple(),
         commutation=prof,
         abelian=abelian,
-        order_structure=signed_order_structure(signature),
-        group_name=group,
+        order_structure=row.order_structure,
+        group_name=row.group,
     )
     if basis.sig.field == "R" and type_index(basis.sig.p, basis.sig.q) in (4, 6):
         allowed = admissible_groups(signature, type_index(basis.sig.p, basis.sig.q))
-        if group not in allowed:
+        if row.group not in allowed:
             raise AssertionError(
-                f"classified {group} but the case table admits {sorted(allowed)}"
+                f"classified {row.group} but the case table admits {sorted(allowed)}"
             )
     if identify:
         table = generate_group_from_matrices([m.matrix for m in mats.values()])

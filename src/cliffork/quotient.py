@@ -45,7 +45,7 @@ from .core_algebra import (
     volume_element,
     volume_square_sign,
 )
-from .coverings import pt_cover_name
+from .coverings import checked_cover
 from .ext_automorphisms import (
     ELEMENT_NAMES,
     PHYSICAL_NAMES,
@@ -381,12 +381,7 @@ def _concrete_cover(target: SignatureSpec, matrix_names: Tuple[str, ...]) -> Opt
         basis = build_spinbasis(target)
     except ValueError:
         return None
-    mats = ext_matrices(basis)
-    wanted = [n for n in matrix_names if n != "I"]
-    if len(wanted) == 1:
-        return "Z2xZ2"  # {+-1} x {1, E}
-    triple = tuple(mats[n].square_sign for n in wanted)
-    return pt_cover_name(triple)
+    return checked_cover(ext_matrices(basis), [n for n in matrix_names if n != "I"]).cover
 
 
 def quotient_group(ctx: EpsilonContext) -> QuotientGroupReport:

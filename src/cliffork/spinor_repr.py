@@ -648,10 +648,10 @@ def build_spinbasis(sig: SignatureSpec, variant: Optional[int] = None) -> SpinBa
 
 def sweep_spinbasis_variants(sig: SignatureSpec) -> List[SpinBasis]:
     """All census-split variants for quaternionic types, each followed by
-    its order-reversed and sign-flipped tweaks (other types return the
-    single canonical basis)."""
+    its order-reversed and sign-flipped tweaks (other types and complex
+    marks return the single canonical basis)."""
     t = type_index(sig.p, sig.q)
-    if t not in (4, 6):
+    if t not in (4, 6) or sig.field == "C":
         return [build_spinbasis(sig)]
     out = []
     for idx, split in enumerate(quaternionic_splits(sig.p, sig.q)):

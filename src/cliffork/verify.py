@@ -33,8 +33,8 @@ from .ext_automorphisms import (
     DEFINING_RELATIONS,
     MATRIX_NAMES,
     PHYSICAL_NAMES,
-    classify_ext_group,
     comm_parity_terms,
+    cover_row,
     enumerate_signatures,
     ext_group_report,
     ext_matrices,
@@ -150,12 +150,11 @@ def suite_example1(max_n: Optional[int] = None) -> SuiteResult:
     abelian = all(
         pool[a] * pool[b] == pool[b] * pool[a] for a in elements for b in elements
     )
-    order_structure = (squares.count(1), squares.count(-1))
-    group = classify_ext_group(squares, abelian)
+    row = cover_row(squares, abelian)
     for key, got, want in (
         ("signature", list(squares), data["signature"]),
-        ("order_structure", list(order_structure), data["order_structure"]),
-        ("group", group, data["group"]),
+        ("order_structure", list(row.order_structure), data["order_structure"]),
+        ("group", row.group, data["group"]),
         ("abelian", abelian, False),
     ):
         checked += 1

@@ -1,8 +1,10 @@
 """Command line front end: exit codes, payload pins, determinism, suites."""
 
 import contextlib
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -161,6 +163,29 @@ class TestExitCodes:
             "args": {"verb": "quotient", "p": 2, "q": 1, "complex": None, "mark": None,
                      "format": "markdown"},
         }]
+
+    @pytest.mark.parametrize("exc, reason", [
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), os.strerror(errno.ENOSPC)),
+        (BrokenPipeError(), "BrokenPipeError"),
+    ])
+    def test_failed_output_write_exits_two(self, capsys, monkeypatch, exc, reason):
+        class FailingStdout(io.StringIO):
+            def write(self, text):
+                raise exc
+
+        monkeypatch.setattr(sys, "stdout", FailingStdout())
+        assert run(["table", "--kind", "rings", "--max", "2"]) == 2
+        assert capsys.readouterr().err == f"error: cannot write output: {reason}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_two_without_traceback(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cliffork.cli", "table", "--kind", "rings"],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
 
     def test_verify_requires_a_known_suite(self, capsys):
         assert run(["verify"]) == 2

@@ -11,25 +11,26 @@ from cliffork.core_algebra import GaussianScalar, MultiVector, SignatureSpec, bl
 from cliffork.coverings import (
     A_MINUS_SET,
     A_PLUS_SET,
-    CPT_ABSTRACT,
-    CPT_COVER_BY_MINUS,
-    CPT_COVER_FOUR_MINUS,
-    PT_AUT_BY_MINUS,
-    PT_COVER_BY_MINUS,
+    checked_cover,
     cpt_structure,
-    is_cliffordian,
-    minus_count,
     norm_scalar,
     odd_dimensional_decomposition_report,
     pin_element,
     pin_membership,
-    pt_cover_name,
     pt_structure,
     predicted_pt_signature,
     signed_cover_group,
     spin_membership,
 )
-from cliffork.ext_automorphisms import ExtMatrix, ext_group_report, ext_matrices
+from cliffork.ext_automorphisms import (
+    COVER_TABLE,
+    MATRIX_NAMES,
+    ExtMatrix,
+    cover_row,
+    ext_group_report,
+    ext_matrices,
+    matrix_comm_sign,
+)
 from cliffork.finite_groups import identify_small_group
 from cliffork.spinor_repr import (
     SpinMatrix,
@@ -57,9 +58,9 @@ def test_complex_rule():
         assert rep.field == "C" and rep.ring == "C" and rep.n == n
         if n % 2:
             assert any(f"({n - 1},C)" in t for t in rep.notes)
-    # a marked signature routes to the same complex report
-    marked = pt_structure(SignatureSpec(1, 1, "C"))
-    assert marked.signature == pt_structure(2).signature
+    # the complex report depends on n alone: a marked signature is refused
+    with pytest.raises(ValueError, match="pass the dimension 2"):
+        pt_structure(SignatureSpec(1, 1, "C"))
 
 
 def test_complex_signature_realized_by_some_mark():
@@ -75,16 +76,27 @@ def test_complex_signature_realized_by_some_mark():
 
 
 def test_cover_dictionaries():
-    assert PT_COVER_BY_MINUS == {0: "Z2xZ2xZ2", 2: "Z4xZ2", 1: "D4", 3: "Q4"}
-    assert PT_AUT_BY_MINUS == {0: "Z2xZ2", 2: "Z4", 1: "D4/Z2", 3: "Q4/Z2"}
-    for a in (1, -1):
-        for b in (1, -1):
-            for c in (1, -1):
-                s = (a, b, c)
-                abelian_cover = pt_cover_name(s) in ("Z2xZ2xZ2", "Z4xZ2")
-                assert abelian_cover == (not is_cliffordian(s))
+    # the one-letter (collapse survivor) and three-letter (PT) rows; the
+    # seven-letter rows are pinned by test_cpt_tables_pinned
+    assert len(COVER_TABLE) == 11
+    assert {k: v for k, v in COVER_TABLE.items() if k[0] in (1, 3)} == {
+        (1, 0, True): ("Z2", "Z2xZ2", "Z2xZ2"),
+        (1, 1, True): ("Z2", "Z4", "Z4"),
+        (3, 0, True): ("Z2xZ2", "Z2xZ2xZ2", "Z2xZ2xZ2"),
+        (3, 1, False): ("D4/Z2", "D4", "D4"),
+        (3, 2, True): ("Z4", "Z4xZ2", "Z4xZ2"),
+        (3, 3, False): ("Q4/Z2", "Q4", "Q4"),
+    }
+    # (a,b,c) keys the abelian row exactly when its minus count is even
+    for s in itertools.product((1, -1), repeat=3):
+        even = s.count(-1) % 2 == 0
+        row = cover_row(s, even)
+        assert (row.cover in ("Z2xZ2xZ2", "Z4xZ2")) == even
+        assert row.order_structure == (3 - s.count(-1), s.count(-1))
+        with pytest.raises(ValueError):
+            cover_row(s, not even)
     with pytest.raises(ValueError):
-        pt_cover_name((1, 1, 1, 1))
+        cover_row((1, 1, 1, 1), True)
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +123,9 @@ def test_real_simple_type_table():
         assert rep.signature == want, (p, q)
         assert rep.admissible == (want,)
         assert rep.ring == "R"
-        assert rep.cover_group == pt_cover_name(want)
-        assert rep.cliffordian is is_cliffordian(want)
+        odd = want.count(-1) % 2 == 1
+        assert rep.cover_group == cover_row(want, not odd).cover
+        assert rep.cliffordian is odd
 
 
 def test_quaternionic_admissible_sets():
@@ -176,7 +189,8 @@ def test_complex_ring_types_reduce_one_dimension_down():
 def test_even_sweep_cross_validation():
     # every constructible even signature up to p+q=8: census prediction,
     # matrix squares, admissibility, cover identification, and the
-    # abelian/sign-count tie all agree (pt_structure asserts the last two)
+    # abelian/sign-count tie all agree (pt_structure checks the last two
+    # through checked_cover)
     for n in (0, 2, 4, 6, 8):
         for p in range(n + 1):
             sig = SignatureSpec(p, n - p)
@@ -186,10 +200,12 @@ def test_even_sweep_cross_validation():
             assert realized == predicted_pt_signature(basis), sig
             rep = pt_structure(sig)
             assert realized in rep.admissible
-            cover = signed_cover_group(report.matrices, ("W", "E", "C"))
-            assert identify_small_group(cover) == pt_cover_name(realized)
             wec = (report.commutation[pair] for pair in (("W", "E"), ("W", "C"), ("E", "C")))
-            assert all(s == 1 for s in wec) == (not is_cliffordian(realized))
+            row = cover_row(realized, all(s == 1 for s in wec))
+            cover = signed_cover_group(report.matrices, ("W", "E", "C"))
+            assert identify_small_group(cover) == row.identified
+            assert rep.cover_group == row.cover
+            assert rep.cliffordian is (not row.abelian)
 
 
 def test_variant_sweep_census_prediction():
@@ -238,7 +254,41 @@ def test_trivial_cocycle_gives_elementary_cover():
     g = signed_cover_group(mats)
     assert g.order == 16
     assert identify_small_group(g) == "Z2xZ2xZ2xZ2"
-    assert CPT_COVER_BY_MINUS[0] == "Z2xZ2xZ2xZ2"
+    row = checked_cover(mats, MATRIX_NAMES)
+    assert row == (7, 0, True, "Z2xZ2xZ2", "Z2xZ2xZ2xZ2", "Z2xZ2xZ2xZ2")
+    assert checked_cover(mats, ("E",)).cover == "Z2xZ2"
+
+
+def test_checked_cover_rejects_a_wrong_row():
+    # a lone letter squaring to -I keys the Z4 row; a matrix whose sign
+    # cocycle builds another group must fail the identification
+    basis = load_spinbasis("gamma")
+    mats = ext_matrices(basis)
+    assert mats["W"].square_sign == -1
+    assert checked_cover(mats, ("W",)).cover == "Z4"
+    lying = dict(mats, W=ExtMatrix("W", mats["W"].matrix, (), "x", 1))
+    with pytest.raises(AssertionError, match="builds Z4"):
+        checked_cover(lying, ("W",))
+
+
+def test_cover_table_matches_the_rebuilt_cover_on_every_swept_basis():
+    # differential check of the table against the cocycle cover, for the
+    # three- and seven-letter sets on every variant basis, real and complex
+    reached = set()
+    for n in (0, 2, 4, 6):
+        for p in range(n + 1):
+            for field in ("R", "C"):
+                for basis in sweep_spinbasis_variants(SignatureSpec(p, n - p, field)):
+                    mats = ext_matrices(basis)
+                    for names in (("W", "E", "C"), MATRIX_NAMES):
+                        squares = tuple(mats[x].square_sign for x in names)
+                        abelian = all(matrix_comm_sign(mats[x].matrix, mats[y].matrix) == 1
+                                      for x, y in itertools.combinations(names, 2))
+                        row = cover_row(squares, abelian)
+                        built = identify_small_group(signed_cover_group(mats, names))
+                        assert built == row.identified, (basis.name, names)
+                        reached.add((len(names), row.minus, row.abelian))
+    assert reached == {key for key in COVER_TABLE if key[0] != 1}
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +296,15 @@ def test_trivial_cocycle_gives_elementary_cover():
 
 
 def test_cpt_tables_pinned():
-    assert CPT_COVER_BY_MINUS == {
-        0: "Z2xZ2xZ2xZ2",
-        2: "D4xZ2",
-        6: "Q4xZ2",
+    # the four-minus row splits on abelianness; the starred cover is the
+    # central product D4oZ4
+    assert {k: v for k, v in COVER_TABLE.items() if k[0] == 7} == {
+        (7, 0, True): ("Z2xZ2xZ2", "Z2xZ2xZ2xZ2", "Z2xZ2xZ2xZ2"),
+        (7, 2, False): ("D4", "D4xZ2", "D4xZ2"),
+        (7, 4, True): ("Z4xZ2", "Z4xZ2xZ2", "Z4xZ2xZ2"),
+        (7, 4, False): ("*Z4xZ2", "*Z4xZ2xZ2", "D4oZ4"),
+        (7, 6, False): ("Q4", "Q4xZ2", "Q4xZ2"),
     }
-    assert CPT_COVER_FOUR_MINUS == {True: "Z4xZ2xZ2", False: "*Z4xZ2xZ2"}
-    assert CPT_ABSTRACT["*Z4xZ2xZ2"] == "D4oZ4"
-    assert len(CPT_ABSTRACT) == 5
 
 
 def test_cpt_gamma_case():
@@ -295,13 +346,11 @@ def test_cpt_sweep_covers_match_the_rebuilt_group():
                 continue
             for basis in sweep_spinbasis_variants(sig):
                 rep = cpt_structure(sig, basis=basis)
-                mc = minus_count(rep.signature)
+                mc = rep.signature.count(-1)
                 assert mc in (2, 4, 6)
-                if mc == 4:
-                    assert rep.cover_group == CPT_COVER_FOUR_MINUS[not rep.cliffordian]
-                else:
-                    assert rep.cover_group == CPT_COVER_BY_MINUS[mc]
+                if mc != 4:
                     assert rep.cliffordian is True  # 2- and 6-minus rows
+                assert rep.cover_group == COVER_TABLE[7, mc, not rep.cliffordian][1]
                 seen_covers.add(rep.cover_group)
     assert seen_covers == {"D4xZ2", "Q4xZ2", "Z4xZ2xZ2", "*Z4xZ2xZ2"}
 

@@ -13,9 +13,9 @@ from cliffork.ext_automorphisms import (
     ADMISSIBLE_DETAILED,
     MATRIX_NAMES,
     admissible_groups,
-    classify_ext_group,
     comm_parity_terms,
     commutation_profile,
+    cover_row,
     enumerate_signatures,
     ext_group_report,
     ext_matrices,
@@ -29,7 +29,6 @@ from cliffork.ext_automorphisms import (
     product_square_sign,
     quaternionic_signatures,
     signed_letter_table,
-    signed_order_structure,
     universal_comm_sign,
 )
 from cliffork.spinor_repr import SpinMatrix, UnitCensus, build_spinbasis, load_spinbasis
@@ -440,29 +439,29 @@ def test_enumerate_signatures_respects_census_bound():
 
 
 def test_classify_table():
-    assert classify_ext_group((1,) * 7, abelian=True) == "Z2xZ2xZ2"
-    assert classify_ext_group((-1, -1) + (1,) * 5, abelian=False) == "D4"
-    assert classify_ext_group((-1,) * 4 + (1,) * 3, abelian=True) == "Z4xZ2"
-    assert classify_ext_group((-1,) * 4 + (1,) * 3, abelian=False) == "*Z4xZ2"
-    assert classify_ext_group((-1,) * 6 + (1,), abelian=False) == "Q4"
+    assert cover_row((1,) * 7, abelian=True).group == "Z2xZ2xZ2"
+    assert cover_row((-1, -1) + (1,) * 5, abelian=False).group == "D4"
+    assert cover_row((-1,) * 4 + (1,) * 3, abelian=True).group == "Z4xZ2"
+    assert cover_row((-1,) * 4 + (1,) * 3, abelian=False).group == "*Z4xZ2"
+    assert cover_row((-1,) * 6 + (1,), abelian=False).group == "Q4"
 
 
 def test_classify_rejects_impossible_profiles():
     with pytest.raises(ValueError):
-        classify_ext_group((1,) * 7, abelian=False)
+        cover_row((1,) * 7, abelian=False)
     with pytest.raises(ValueError):
-        classify_ext_group((-1, -1) + (1,) * 5, abelian=True)
+        cover_row((-1, -1) + (1,) * 5, abelian=True)
     with pytest.raises(ValueError):
-        classify_ext_group((-1,) * 6 + (1,), abelian=True)
+        cover_row((-1,) * 6 + (1,), abelian=True)
     with pytest.raises(ValueError):
-        classify_ext_group((-1,) + (1,) * 6, abelian=True)
+        cover_row((-1,) + (1,) * 6, abelian=True)
     with pytest.raises(ValueError):
-        classify_ext_group((0,) * 7, abelian=True)
+        cover_row((0,) * 7, abelian=True)
 
 
 def test_signed_order_structure():
-    assert signed_order_structure((1, 1, 1, 1, 1, 1, 1)) == (7, 0)
-    assert signed_order_structure((-1, -1, 1, -1, -1, 1, 1)) == (3, 4)
+    assert cover_row((1, 1, 1, 1, 1, 1, 1), abelian=True).order_structure == (7, 0)
+    assert cover_row((-1, -1, 1, -1, -1, 1, 1), abelian=False).order_structure == (3, 4)
 
 
 def test_detailed_case_table_spans_64_signatures():

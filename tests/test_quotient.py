@@ -460,8 +460,10 @@ def test_group_concrete_covers():
     assert quotient_group(epsilon_context(5, 0)).cover_names == {"(0,4)": "D4"}
     assert quotient_group(epsilon_context(SignatureSpec(0, 3, "C"))).cover_names == {"(2,C)": "Q4"}
     assert quotient_group(epsilon_context(SignatureSpec(4, 1, "C"))).cover_names == {"(4,C)": "Z4xZ2"}
-    # two-element survivor sets always lift to the plain Klein double cover
-    assert quotient_group(epsilon_context(3, 2)).cover_names == {"(3,1)": "Z2xZ2", "(2,2)": "Z2xZ2"}
+    # a lone survivor E lifts to {+-I, +-E}: Z4 where E squares to -I in the
+    # target, as on both targets of Cl(3,2), and Z2xZ2 where it squares to +I
+    assert quotient_group(epsilon_context(3, 2)).cover_names == {"(3,1)": "Z4", "(2,2)": "Z4"}
+    assert quotient_group(epsilon_context(1, 0)).cover_names == {"(0,0)": "Z2xZ2"}
 
 
 def test_group_notes_divergent_cells():
