@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import sys
@@ -393,10 +394,14 @@ def _needs_pq(args) -> bool:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    # argparse swallows an OSError on writing help, so hold its output and
+    # write it under the guard of normal output
+    held = io.StringIO()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse prints usage itself
-        return int(exc.code or 0)
+        with contextlib.redirect_stdout(held):
+            args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0) if _write_out(held.getvalue()) else 2
     if _needs_pq(args) and hasattr(args, "p") and (args.p is None or args.q is None):
         print(f"error: {args.verb} needs --p and --q (or another source)", file=sys.stderr)
         return 2
@@ -413,10 +418,17 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                    "counterexamples": [{"check": check, "args": vars(args)}]}
         code, text = 1, json.dumps(payload, indent=1, sort_keys=True)
         print(f"error: {args.verb}: internal check failed: {check}", file=sys.stderr)
+    return code if _write_out(text + "\n") else 2
+
+
+def _write_out(text: str) -> bool:
+    """Write text to stdout and flush it.  On an OSError (a full disk, a
+    closed pipe) print one error line and return False."""
     try:
-        print(text)
+        if text:
+            sys.stdout.write(text)
         sys.stdout.flush()
-    except OSError as exc:  # a full disk, a closed pipe
+    except OSError as exc:
         # point a real stdout at os.devnull, so that the interpreter's flush
         # at exit does not fail a second time
         with contextlib.suppress(AttributeError, ValueError, OSError):
@@ -425,8 +437,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             os.close(devnull)
         print(f"error: cannot write output: {exc.strerror or type(exc).__name__}",
               file=sys.stderr)
-        return 2
-    return code
+        return False
+    return True
 
 
 def main() -> None:

@@ -2,19 +2,20 @@
 
 Three layers, all exact:
 
-* ``pt_structure`` -- which of the eight coverings pin^{a,b,c}(p,q) exist,
-  keyed on the signature type and the division ring.  The predicted
-  (a,b,c) is cross-validated against the (W,E,C) squares of
-  ``ext_group_report`` whenever a spinbasis is constructible.
-* ``cpt_structure`` -- the quaternionic seven-sign extension; for ring R
-  the PT report already carries everything.
+* ``pt_structure`` -- which of the eight coverings pin^{a,b,c}(p,q) exist.
+  Even types read (a,b,c) from a spinor basis; semi-simple types report the
+  sets their ideal factors admit, complex-ring types the complex rule.
+* ``cpt_structure`` -- the seven-sign extension: on ring H the W..F part of
+  the basis report whose (W,E,C) part is the PT structure, on ring R the PT
+  structure itself.
 * ``pin_membership`` / ``spin_membership`` -- brute-force Clifford-Lipschitz
   membership at low dimension: the spinor norm N(x) = x * reversion(x) must
   be +-1, which gives the inverse N * reversion(x) for the adjoint check.
 
-Both structures name their covers by one ``ext_automorphisms.COVER_TABLE``
-row, and ``checked_cover`` rebuilds the cover from the matrix cocycle to
-confirm it; the collapse covers of ``quotient`` go through the same helper.
+Both structures read a basis through one helper, `_basis_cover`, and name
+their covers by one ``ext_automorphisms.COVER_TABLE`` row, which
+``checked_cover`` confirms against the cover rebuilt from the matrix
+cocycle; the collapse covers of ``quotient`` go through the same helper.
 """
 
 from __future__ import annotations
@@ -56,22 +57,6 @@ _ALL_SIGNATURES = tuple(
 )
 A_PLUS_SET = tuple(s for s in _ALL_SIGNATURES if s[0] == 1)
 A_MINUS_SET = tuple(s for s in _ALL_SIGNATURES if s[0] == -1)
-
-# simple real types: the signature is pinned by (p mod 4, q mod 4)
-_REAL_SIGNATURE = {
-    0: {
-        (0, 0): (1, 1, 1),
-        (2, 2): (1, -1, -1),
-        (3, 3): (1, -1, 1),
-        (1, 1): (1, 1, -1),
-    },
-    2: {
-        (2, 0): (-1, 1, -1),
-        (0, 2): (-1, -1, 1),
-        (3, 1): (-1, -1, -1),
-        (1, 3): (-1, 1, 1),
-    },
-}
 
 
 def signature_text(signature: Sequence[int]) -> str:
@@ -235,18 +220,54 @@ def _semisimple_admissible(sig: SignatureSpec) -> Tuple[Tuple[Tuple[int, ...], .
     return tuple(admissible), notes
 
 
+def _basis_cover(sig: SignatureSpec, basis: Optional[SpinBasis],
+                 names: Sequence[str]) -> Tuple[str, Tuple[int, ...], CoverRow]:
+    """(basis name, squares of the named matrices, their checked_cover row)
+    for an even cell, read from `basis`, the canonical one when None.
+
+    ValueError for an imaginary unit on ring R (see pt_structure) and above
+    MAX_SPINOR_DIM; AssertionError unless the (W,E,C) squares are the census
+    prediction.
+    """
+    if basis is None:
+        basis = build_spinbasis(sig)
+    if type_index(sig.p, sig.q) in (0, 2) and basis.unit_census().a:
+        raise ValueError(
+            f"{sig}: basis {basis.name} has imaginary units; ring R covers are "
+            "read from a real basis"
+        )
+    report = ext_group_report(basis, identify=False)
+    realized, predicted = report.signature[:3], predicted_pt_signature(basis)
+    if realized != predicted:
+        raise AssertionError(
+            f"{sig}: census predicts {signature_text(predicted)}, matrices "
+            f"square to {signature_text(realized)}"
+        )
+    squares = tuple(report.matrices[name].square_sign for name in names)
+    return basis.name, squares, checked_cover(report.matrices, names)
+
+
 def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] = None) -> CoveringReport:
     """PT-structure report for Cl(p,q), or for the complex algebra when a
     bare dimension is given.
 
-    Simple even types pin the signature down; the quaternionic types admit a
-    four-set (the basis census selects the realized member); semi-simple
-    types report the admissibility sets contributed by their two ideal
-    factors; the complex-ring types reduce to the complex rule one
-    dimension lower.  Whenever a spinbasis is available the prediction is
-    checked against the (W,E,C) squares of `ext_group_report`, and the cover
-    is named by `checked_cover`.  A complex SignatureSpec raises ValueError:
-    the complex report depends on n alone, so pass the bare dimension.
+    Every even type reads (a,b,c) from the (W,E,C) squares of a basis
+    (`basis`, or the canonical one), checked against the census prediction,
+    and names the cover by `checked_cover`; the quaternionic types admit a
+    four-set, of which the basis realizes one member.  Semi-simple types
+    report the admissibility sets contributed by their two ideal factors;
+    the complex-ring types reduce to the complex rule one dimension lower.
+
+    Ring R reads a real basis only, and a basis with an imaginary unit is a
+    ValueError.  E and C intertwine each unit with its transpose, so only a
+    real orthogonal change of basis keeps their squares; an imaginary unit
+    can move them (the Cl(1,1) basis iJ, iA squares to (+,-,+)).  A real
+    symmetric unit squares to +I and a real skew one to -I, so every real
+    basis has the census (v,l,u,m) = (p,0,q,0), and the census prediction
+    pins (a,b,c) by (p,q) mod 4, as the printed type tables do.
+
+    A complex SignatureSpec raises ValueError: the complex report depends on
+    n alone, so pass the bare dimension.
     """
     if isinstance(sig_or_n, SignatureSpec):
         sig = sig_or_n
@@ -264,59 +285,36 @@ def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] =
     ring = ring_label(p, qq)
     notes: List[str] = []
     signature: Optional[Tuple[int, ...]] = None
+    row: Optional[CoverRow] = None
     admissible: Tuple[Tuple[int, ...], ...]
 
-    if t in (0, 2):
-        signature = _REAL_SIGNATURE[t][(p % 4, qq % 4)]
-        admissible = (signature,)
-        notes.append(
-            f"ring R, type {t}: signature pinned by (p,q) = "
-            f"({p % 4},{qq % 4}) mod 4"
-        )
-    elif t in (4, 6):
-        admissible = A_PLUS_SET if t == 4 else A_MINUS_SET
-        notes.append(
-            f"ring H, type {t}: every {'a=+' if t == 4 else 'a=-'} signature "
-            "is admissible; the unit census picks the realized one"
-        )
+    if t in (0, 2, 4, 6):
+        name, signature, row = _basis_cover(sig, basis, ("W", "E", "C"))
+        if t in (0, 2):
+            admissible = (signature,)
+            notes.append(
+                f"ring R, type {t}: signature pinned by (p,q) = "
+                f"({p % 4},{qq % 4}) mod 4"
+            )
+        else:
+            admissible = A_PLUS_SET if t == 4 else A_MINUS_SET
+            notes.append(
+                f"ring H, type {t}: every {'a=+' if t == 4 else 'a=-'} signature "
+                "is admissible; the unit census picks the realized one"
+            )
+        notes.append(f"checked against basis {name}")
     elif t in (1, 5):
         admissible, add_notes = _semisimple_admissible(sig)
         notes.append(f"ring {ring}, type {t}: semi-simple, no single signature")
         notes.extend(add_notes)
     else:  # 3, 7
-        inner = _pt_complex(sig.n - 1)
-        signature = inner.signature
+        signature = _pt_complex(sig.n - 1).signature
+        row = _unchecked_pt_row(signature)
         admissible = (signature,)
         notes.append(
             f"ring C, type {t}: structure carried by pin^{{a,b,c}}"
             f"({sig.n - 1},C), here {signature_text(signature)}"
         )
-
-    # the signature's own row; a basis, where there is one, gives the checked row
-    row = _unchecked_pt_row(signature) if signature else None
-    if basis is None and t in (0, 2, 4, 6) and sig.n <= 10:
-        basis = build_spinbasis(sig)
-    if basis is not None and t in (0, 2, 4, 6):
-        report = ext_group_report(basis, identify=False)
-        realized = report.signature[:3]
-        row = checked_cover(report.matrices, ("W", "E", "C"))
-        predicted = predicted_pt_signature(basis)
-        if realized != predicted:
-            raise AssertionError(
-                f"{sig}: census predicts {signature_text(predicted)}, matrices "
-                f"square to {signature_text(realized)}"
-            )
-        if signature is not None and realized != signature:
-            raise AssertionError(
-                f"{sig}: type table says {signature_text(signature)}, matrices "
-                f"square to {signature_text(realized)}"
-            )
-        if realized not in admissible:
-            raise AssertionError(
-                f"{sig}: realized {signature_text(realized)} is not admissible"
-            )
-        signature = realized
-        notes.append(f"checked against basis {basis.name}")
 
     if row:
         notes.append(
@@ -344,10 +342,11 @@ def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] =
 def cpt_structure(sig_or_p, q: Optional[int] = None, basis: Optional[SpinBasis] = None) -> CoveringReport:
     """Seven-sign covering report.
 
-    Ring R carries no extra covers: the PT report is returned as-is (with a
-    note).  Ring H takes the seven-letter COVER_TABLE row of the realized
-    (W,E,C,Pi,K,S,F) squares and commutation, checked by `checked_cover`
-    against the order-16 cover rebuilt from the matrix cocycle.
+    Ring H takes the seven-letter COVER_TABLE row of the realized
+    (W,E,C,Pi,K,S,F) squares and commutation, from the same basis report
+    that `pt_structure` reads (W,E,C) from.  Ring R returns the PT report
+    with a note: on a real basis Pi is the empty product, so K = W, S = E
+    and F = C, and C adds no letter.
     """
     sig = SignatureSpec.of(sig_or_p, q)
     if sig.field == "C":
@@ -363,22 +362,19 @@ def cpt_structure(sig_or_p, q: Optional[int] = None, basis: Optional[SpinBasis] 
         raise ValueError(
             f"CPT covering table needs ring R or H, got {ring} for {sig}"
         )
-    if basis is None:
-        basis = build_spinbasis(sig)
-    report = ext_group_report(basis, identify=False)
-    row = checked_cover(report.matrices, MATRIX_NAMES)
+    name, signature, row = _basis_cover(sig, basis, MATRIX_NAMES)
     notes = (
         f"ring H: minus-count {row.minus}, {'Abelian' if row.abelian else 'Non-Abelian'}",
         f"automorphism group {row.group}, double cover {row.cover} = {row.identified}",
-        f"basis {basis.name}",
+        f"basis {name}",
     )
     return CoveringReport(
         sig=sig,
         n=None,
         field="R",
         ring=ring,
-        signature=report.signature,
-        admissible=(report.signature,),
+        signature=signature,
+        admissible=(signature,),
         cover_group=row.cover,
         automorphism_group=row.group,
         cliffordian=not row.abelian,

@@ -371,12 +371,7 @@ def _target_text(sig: SignatureSpec) -> str:
     return f"({sig.n},C)" if sig.field == "C" else f"({sig.p},{sig.q})"
 
 
-_COVER_LIMIT = 8  # build concrete matrices for targets up to this dimension
-
-
 def _concrete_cover(target: SignatureSpec, matrix_names: Tuple[str, ...]) -> Optional[str]:
-    if target.n > _COVER_LIMIT:
-        return None
     try:
         basis = build_spinbasis(target)
     except ValueError:
@@ -389,10 +384,11 @@ def quotient_group(ctx: EpsilonContext) -> QuotientGroupReport:
 
     The superscript letters are the pin letters of the survivors' codes,
     naming the extended-automorphism matrices that survive the collapse
-    (a..g for W,E,C,Pi,K,S,F).  Four-element survivor sets come with their
-    multiplication table and the covering formula
-    pin^{..}(target) = (spin+(target) . C^{..})/Z2; the printed three-element
-    set {1,T,C} of pin^{b,d} is not closed, so it carries no table.
+    (a..g for W,E,C,Pi,K,S,F).  Closed survivor sets (two or four elements)
+    come with their multiplication table, the covering formula
+    pin^{..}(target) = (spin+(target) . C^{..})/Z2 and the concrete cover
+    over each buildable target; the printed three-element set {1,T,C} of
+    pin^{b,d} is not closed, so it carries no table.
     """
     sig = ctx.sig
     t = sig.type_index()
@@ -423,8 +419,7 @@ def quotient_group(ctx: EpsilonContext) -> QuotientGroupReport:
         text = _target_text(target)
         if cayley is None:
             continue
-        part = "Z2xZ2" if len(survivors) == 2 else f"C^{{{letters}}}"
-        formulas.append(f"pin^{{{letters}}}{text} = (spin+{text} . {part}) / Z2")
+        formulas.append(f"pin^{{{letters}}}{text} = (spin+{text} . C^{{{letters}}}) / Z2")
         concrete = _concrete_cover(target, mat_names)
         if concrete is not None:
             covers[text] = concrete

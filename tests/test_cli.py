@@ -104,6 +104,8 @@ class TestExitCodes:
              "p+q = 26 needs spinor dimension 8192, above the limit MAX_SPINOR_DIM = 4096", None),
             (["verify", "--suite", "pseudo", "--max", "30"],
              "p+q = 30 needs spinor dimension 32768, above the limit MAX_SPINOR_DIM = 4096", None),
+            (["cover", "--p", "20", "--q", "10"],
+             "p+q = 30 needs spinor dimension 32768, above the limit MAX_SPINOR_DIM = 4096", None),
             (["ext-group", "--basis", "{path}"],
              "basis file {path!r}: 'p' must be a nonnegative integer, got [1]",
              {"p": [1], "q": 3, "matrices": []}),
@@ -121,7 +123,7 @@ class TestExitCodes:
              {"p": 2, "q": 0, "matrices": [[["1", "0"], ["0", "-1"]], [["1"]]]}),
         ],
         ids=["negative-count", "negative-complex", "missing-basis-file", "basis-too-large",
-             "sweep-bound-too-large", "basis-p-not-an-int", "basis-p-not-integral",
+             "sweep-bound-too-large", "cover-too-large", "basis-p-not-an-int", "basis-p-not-integral",
              "basis-matrices-not-a-list", "basis-int-entry", "basis-mixed-sizes"],
     )
     def test_bad_inputs_exit_two_with_one_error_line(self, capsys, tmp_path, argv, message,
@@ -177,15 +179,35 @@ class TestExitCodes:
         assert run(["table", "--kind", "rings", "--max", "2"]) == 2
         assert capsys.readouterr().err == f"error: cannot write output: {reason}\n"
 
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_failed_help_write_exits_two(self, capsys, monkeypatch, failing):
+        # argparse swallows an OSError on writing help; run must not
+        class FailingStdout(io.StringIO):
+            pass
+
+        def fail(*_):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        setattr(FailingStdout, failing, fail)
+        monkeypatch.setattr(sys, "stdout", FailingStdout())
+        assert run(["--help"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
+
+    def test_help_still_exits_zero(self, capsys):
+        assert run(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: cliffork")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_device_exits_two_without_traceback(self):
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "cliffork.cli", "table", "--kind", "rings"],
-                stdout=full, stderr=subprocess.PIPE, text=True,
-            )
-        assert proc.returncode == 2
-        assert proc.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+        for argv in (["table", "--kind", "rings"], ["--help"]):
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "cliffork.cli", *argv],
+                    stdout=full, stderr=subprocess.PIPE, text=True,
+                )
+            assert proc.returncode == 2, argv
+            assert proc.stderr == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
 
     def test_verify_requires_a_known_suite(self, capsys):
         assert run(["verify"]) == 2
@@ -416,6 +438,13 @@ class TestQuotientVerb:
         assert payload["notes"] == []
         assert payload["class"]["label"] == "f2"
         assert payload["covering"]["label"] == "pin^{b,e,g}"
+
+    def test_concrete_cover_above_eight(self, capsys):
+        # targets of any buildable size get a concrete cover
+        code, out = run_text(capsys, ["quotient", "--p", "13", "--q", "0"])
+        assert code == 0
+        assert "- pin^{b,d,f}(0,12) = (spin+(0,12) . C^{b,d,f}) / Z2" in out.splitlines()
+        assert "- concrete cover over (0,12): D4" in out.splitlines()
 
 
 class TestVerifyVerb:

@@ -33,6 +33,9 @@ from cliffork.ext_automorphisms import (
 )
 from cliffork.finite_groups import identify_small_group
 from cliffork.spinor_repr import (
+    MAT_A,
+    MAT_J,
+    SpinBasis,
     SpinMatrix,
     build_spinbasis,
     load_spinbasis,
@@ -126,6 +129,43 @@ def test_real_simple_type_table():
         odd = want.count(-1) % 2 == 1
         assert rep.cover_group == cover_row(want, not odd).cover
         assert rep.cliffordian is odd
+
+
+def test_real_types_read_the_basis_above_ten():
+    # the same (p,q) mod 4 pin holds on bases built well above p+q = 10
+    assert pt_structure(24, 0).signature == pt_structure(0, 0).signature
+    assert pt_structure(20, 2).signature == pt_structure(4, 2).signature
+    rep = pt_structure(20, 2)
+    assert rep.notes[:2] == ("ring R, type 2: signature pinned by (p,q) = (0,2) mod 4",
+                             "checked against basis real(20,2)")
+    # a quaternionic cell is read from its basis at any size, not left unpinned
+    rep = pt_structure(14, 10)
+    assert rep.admissible == A_PLUS_SET and rep.signature in rep.admissible
+    assert rep.cover_group == cover_row(rep.signature, rep.signature.count(-1) % 2 == 0).cover
+    assert cpt_structure(14, 10).cover_group == "Z4xZ2xZ2"
+    for structure in (pt_structure, cpt_structure):
+        with pytest.raises(ValueError, match="p\\+q = 26 needs spinor dimension 8192"):
+            structure(26, 0)
+
+
+def _imaginary_cl11_basis():
+    """The Cl(1,1) basis of units iJ (squares to +I) and iA (to -I)."""
+    basis = SpinBasis(SignatureSpec(1, 1), [MAT_J * GaussianScalar.I, MAT_A * GaussianScalar.I],
+                      name="units(iJ,iA)")
+    basis.validate()
+    return basis
+
+
+def test_ring_r_rejects_an_imaginary_basis_by_name():
+    # a valid basis whose (W,E,C) squares the census predicts, but E and C
+    # are transposition intertwiners: ring R reads a real basis only
+    basis = _imaginary_cl11_basis()
+    realized = ext_group_report(basis, identify=False).signature[:3]
+    assert realized == predicted_pt_signature(basis) == (1, -1, 1)
+    assert pt_structure(1, 1).signature == (1, 1, -1)
+    for structure in (pt_structure, cpt_structure):
+        with pytest.raises(ValueError, match=r"basis units\(iJ,iA\) has imaginary units"):
+            structure(basis.sig, basis=basis)
 
 
 def test_quaternionic_admissible_sets():
@@ -289,6 +329,28 @@ def test_cover_table_matches_the_rebuilt_cover_on_every_swept_basis():
                         assert built == row.identified, (basis.name, names)
                         reached.add((len(names), row.minus, row.abelian))
     assert reached == {key for key in COVER_TABLE if key[0] != 1}
+
+
+def test_pt_cover_is_the_wec_part_of_the_cpt_cover():
+    # differential check: the (W,E,C) cover is the subgroup of the W..F cover
+    # that +-W, +-E, +-C generate, with the same product on every pair
+    checked = 0
+    for n in (0, 2, 4, 6):
+        for p in range(n + 1):
+            for field in ("R", "C"):
+                for basis in sweep_spinbasis_variants(SignatureSpec(p, n - p, field)):
+                    mats = ext_matrices(basis)
+                    small = signed_cover_group(mats, ("W", "E", "C"))
+                    big = signed_cover_group(mats)
+                    at = {label: big.elements.index(label) for label in small.elements}
+                    for i, x in enumerate(small.elements):
+                        for j, y in enumerate(small.elements):
+                            label = small.elements[small.table[i][j]]
+                            assert big.elements[big.table[at[x]][at[y]]] == label, (basis.name, x, y)
+                            checked += 1
+                    wec = checked_cover(mats, ("W", "E", "C"))
+                    assert identify_small_group(small) == wec.identified, basis.name
+    assert checked > 5000
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Each invocation runs through `cli.run` in process, and the SHA-256 of its
 exit code, stdout and stderr must match the digest recorded in
 golden_cli_digests.json.  The set: `quotient` on every odd (p,q) and every
 odd complex mark with n <= 7, `cover` and `cover --cpt` on every (p,q) with
-p+q <= 8, `cover --complex 0..8`, and `ext-group` on every even (p,q) with
-p+q <= 8 and on the bundled gamma basis, each in markdown and in json.  After
-a deliberate output change, regenerate the record with
+p+q <= 8 or p+q = 12, `cover --complex 0..8`, and `ext-group` on every even
+(p,q) with p+q <= 8 and on the bundled gamma basis, each in markdown and in
+json.  After a deliberate output change, regenerate the record with
 
     PYTHONPATH=src python tests/test_golden_cli.py > tests/golden_cli_digests.json
 """
@@ -31,7 +31,7 @@ def invocations():
         for p in range(n + 1):
             verbs += [f"quotient --p {p} --q {n - p}",
                       f"quotient --complex {n} --mark {p},{n - p}"]
-    for n in range(9):
+    for n in (*range(9), 12):
         for p in range(n + 1):
             verbs += [f"cover --p {p} --q {n - p}", f"cover --p {p} --q {n - p} --cpt"]
     verbs += [f"cover --complex {n}" for n in range(9)]
@@ -53,7 +53,7 @@ def recorded():
 
 
 def test_recorded_set_is_the_invocation_set(recorded):
-    assert len(invocations()) == 330
+    assert len(invocations()) == 382
     assert sorted(recorded) == sorted(invocations())
 
 

@@ -439,8 +439,8 @@ def test_group_cover_formulas_and_targets():
     )
     rep = quotient_group(epsilon_context(3, 2))
     assert rep.cover_formulas == (
-        "pin^{b}(3,1) = (spin+(3,1) . Z2xZ2) / Z2",
-        "pin^{b}(2,2) = (spin+(2,2) . Z2xZ2) / Z2",
+        "pin^{b}(3,1) = (spin+(3,1) . C^{b}) / Z2",
+        "pin^{b}(2,2) = (spin+(2,2) . C^{b}) / Z2",
     )
     rep = quotient_group(epsilon_context(SignatureSpec(4, 1, "C")))
     assert rep.cover_formulas == ("pin^{b,e,g}(4,C) = (spin+(4,C) . C^{b,e,g}) / Z2",)
