@@ -405,6 +405,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if _needs_pq(args) and hasattr(args, "p") and (args.p is None or args.q is None):
         print(f"error: {args.verb} needs --p and --q (or another source)", file=sys.stderr)
         return 2
+    complex_n = getattr(args, "complex", None)
+    if (complex_n is None and getattr(args, "mark", None) is not None
+            or complex_n is not None and (args.p, args.q) != (None, None)):
+        print(f"error: {args.verb} takes --complex N [--mark P,Q] or --p and --q, "
+              "not a mix", file=sys.stderr)
+        return 2
     try:
         code, text = _HANDLERS[args.verb](args)
     except ValueError as exc:

@@ -13,9 +13,11 @@ Three layers, all exact:
   be +-1, which gives the inverse N * reversion(x) for the adjoint check.
 
 Both structures read a basis through one helper, `_basis_cover`, and name
-their covers by one ``ext_automorphisms.COVER_TABLE`` row, which
-``checked_cover`` confirms against the cover rebuilt from the matrix
-cocycle; the collapse covers of ``quotient`` go through the same helper.
+their covers by one ``ext_automorphisms.COVER_TABLE`` row.  That row is
+picked by ``checked_cover`` from an ``ext_group_report``: the squares come
+from its matrices, the abelianness from its commutation ledger, and the row
+is confirmed against the cover rebuilt from the matrix cocycle.  The
+collapse covers of ``quotient`` read a report through the same check.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ from .ext_automorphisms import (
     ELEMENT_NAMES,
     MATRIX_NAMES,
     CoverRow,
+    ExtGroupReport,
     ExtMatrix,
     cover_row,
     ext_group_report,
-    matrix_comm_sign,
     xor_group,
 )
 from .finite_groups import GroupTable, identify_small_group
@@ -101,15 +103,15 @@ def signed_cover_group(
     return group
 
 
-def checked_cover(mats: Dict[str, ExtMatrix], names: Sequence[str]) -> CoverRow:
-    """The COVER_TABLE row of the named matrices, keyed on their squares and
-    their commutation.  AssertionError unless the cover rebuilt from their
-    sign cocycle is the row's identified group."""
-    signature = tuple(mats[name].square_sign for name in names)
-    abelian = all(matrix_comm_sign(mats[x].matrix, mats[y].matrix) == 1
-                  for x, y in combinations(names, 2))
+def checked_cover(report: ExtGroupReport, names: Sequence[str]) -> CoverRow:
+    """The COVER_TABLE row of the named matrices (in MATRIX_NAMES order),
+    keyed on the squares and commutation the report holds.  AssertionError
+    unless the cover rebuilt from their sign cocycle is the row's identified
+    group."""
+    signature = tuple(report.matrices[name].square_sign for name in names)
+    abelian = all(report.commutation[pair] == 1 for pair in combinations(names, 2))
     row = cover_row(signature, abelian)
-    built = identify_small_group(signed_cover_group(mats, names))
+    built = identify_small_group(signed_cover_group(report.matrices, names))
     if built != row.identified:
         raise AssertionError(
             f"cover table says {row.cover} (= {row.identified}), "
@@ -244,7 +246,7 @@ def _basis_cover(sig: SignatureSpec, basis: Optional[SpinBasis],
             f"square to {signature_text(realized)}"
         )
     squares = tuple(report.matrices[name].square_sign for name in names)
-    return basis.name, squares, checked_cover(report.matrices, names)
+    return basis.name, squares, checked_cover(report, names)
 
 
 def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] = None) -> CoveringReport:

@@ -358,7 +358,10 @@ def comm_parity_terms(pair: Tuple[str, str], forms: Dict[str, str],
 
 # ---------------------------------------------------------------------------
 # the printed case table: (abc pattern, minus count among defg, type) ->
-# admissible groups
+# admissible groups.  Kept as a transcription, and checked by
+# `ext_group_report` on every real quaternionic basis: it is the only check
+# of the printed table.  Deriving it from the six bits (W^2, E^2, Pi^2 and
+# the [W,E], [W,Pi], [E,Pi] signs) would replace that check, not repeat it.
 
 _P, _M = 1, -1
 ADMISSIBLE_DETAILED: Dict[Tuple[Tuple[int, int, int], int, int], frozenset] = {}

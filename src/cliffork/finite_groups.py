@@ -192,20 +192,6 @@ def _signed_blade_label(sb: Tuple[int, int]) -> str:
     return ("+" if sign > 0 else "-") + blade_name(mask)
 
 
-def generate_group_from_blades(
-    sig: SignatureSpec, signed_blades: Sequence[Tuple[int, int]]
-) -> GroupTable:
-    """Closure of signed blades (mask, sign). Blades are units, always invertible."""
-
-    def mul(a, b):
-        mask, s = blade_product(sig, a[0], b[0])
-        return mask, s * a[1] * b[1]
-
-    return generate_group(
-        list(signed_blades), mul, neutral=(0, 1), label=_signed_blade_label
-    )
-
-
 def generate_group_from_matrices(mats: Sequence[SpinMatrix]) -> GroupTable:
     """Closure of exact matrices; elements must be invertible (finite order)."""
     if not mats:

@@ -16,6 +16,15 @@ and 2, and composition is XOR.  The same code names the realizing matrix
 survivor set: {1, T, CP, CPT} has codes 0, 2, 5, 7, so it is realized by
 I, E, K, F and labelled pin^{b,e,g}.
 
+The printed catalog is one row per class: its symmetry set (CLASS_SETS) and
+how the coefficient conjugation reduces downstairs (_REDUCTIONS), both keyed
+by the class label that `_class_label` picks.  A covering's survivors are
+that set folded by the reductions.  On ring R (C~I, CP~P, ...) the
+conjugation becomes the identity, so each name drops its C factor: C~I
+drops to 1 and CP~P renames to P.  On ring H (C~C', CP~C'P) it becomes the
+conjugation C' of the quaternionic structure, still a symmetry in its own
+right, so the name and its code stay and only the realization changes.
+
 Two routes are kept separate on purpose.  The transfer verdicts come from the
 fixed-point condition phi(eps*omega) = eps*omega, evaluated both by a parity
 formula and by literally applying phi to eps*omega; the two must agree.  The
@@ -50,7 +59,7 @@ from .ext_automorphisms import (
     ELEMENT_NAMES,
     PHYSICAL_NAMES,
     PIN_LETTERS,
-    ext_matrices,
+    ext_group_report,
     xor_group,
 )
 from .finite_groups import GroupTable, identify_small_group
@@ -271,6 +280,17 @@ CLASS_SETS: Dict[str, Tuple[str, ...]] = {
     "f2": ("T", "CP~C'P", "CPT~C'PT"),
 }
 
+# how the coefficient conjugation reduces downstairs, per class (no row: it
+# does not reduce).  C~I and CP~P fold the C factor away; C~C' does not.
+_REDUCTIONS: Dict[str, Tuple[str, ...]] = {
+    "a1": ("C~I",),
+    "d1": ("CP~P", "CT~T"),
+    "e1": ("C~I", "CT~T"),
+    "e2": ("CP~P", "CPT~PT"),
+    "f1": ("C~C'",),
+    "f2": ("CP~C'P",),
+}
+
 
 @dataclass(frozen=True, eq=False)
 class QuotientClassReport:
@@ -343,30 +363,6 @@ class QuotientGroupReport:
     notes: Tuple[str, ...] = ()
 
 
-# case tables: surviving transformations, reductions
-_COMPLEX_CASES = {
-    1: {
-        1: (("1", "T"), ("C~I",)),
-        5: (("1", "T", "C"), ()),
-        3: (("1", "T", "CP", "CPT"), ()),
-        7: (("1", "T", "CP", "CPT"), ()),
-    },
-    3: {
-        3: (("1", "PT", "C", "CPT"), ()),
-        7: (("1", "PT", "C", "CPT"), ()),
-        1: (("1", "P", "T", "PT"), ("CP~P", "CT~T")),
-        5: (("1", "PT", "CP", "CT"), ()),
-    },
-}
-
-_REAL_CASES = {
-    (1, 0): (("1", "T"), ("C~I", "CT~T")),
-    (1, 1): (("1", "P", "T", "PT"), ("CP~P", "CPT~PT")),
-    (5, 0): (("1", "T", "C", "CT"), ("C~C'",)),
-    (5, 1): (("1", "T", "CP", "CPT"), ("CP~C'P",)),
-}
-
-
 def _target_text(sig: SignatureSpec) -> str:
     return f"({sig.n},C)" if sig.field == "C" else f"({sig.p},{sig.q})"
 
@@ -376,7 +372,8 @@ def _concrete_cover(target: SignatureSpec, matrix_names: Tuple[str, ...]) -> Opt
         basis = build_spinbasis(target)
     except ValueError:
         return None
-    return checked_cover(ext_matrices(basis), [n for n in matrix_names if n != "I"]).cover
+    report = ext_group_report(basis, identify=False)
+    return checked_cover(report, [n for n in matrix_names if n != "I"]).cover
 
 
 def quotient_group(ctx: EpsilonContext) -> QuotientGroupReport:
@@ -391,12 +388,12 @@ def quotient_group(ctx: EpsilonContext) -> QuotientGroupReport:
     pin^{b,d} is not closed, so it carries no table.
     """
     sig = ctx.sig
-    t = sig.type_index()
-    if sig.field == "C":
-        survivors, reductions = _COMPLEX_CASES[sig.n % 4][t]
-    else:
-        survivors, reductions = _REAL_CASES[(t, sig.q % 2)]
-    codes = [PHYSICAL_NAMES.index(s) for s in survivors]
+    cls = _class_label(sig)
+    reductions = _REDUCTIONS.get(cls, ())
+    # the C bit of every code survives unless a reduction folds it away
+    keep = 3 if any("'" not in r for r in reductions) else 7
+    codes = sorted({0} | {PHYSICAL_NAMES.index(n) & keep for n in _strip_tags(CLASS_SETS[cls])})
+    survivors = tuple(PHYSICAL_NAMES[c] for c in codes)
     mat_names = tuple(ELEMENT_NAMES[c] for c in codes)
     letters = ",".join(PIN_LETTERS[c - 1] for c in codes[1:])
     label = f"pin^{{{letters}}}"
@@ -424,13 +421,9 @@ def quotient_group(ctx: EpsilonContext) -> QuotientGroupReport:
         if concrete is not None:
             covers[text] = concrete
 
-    honest = set(transfer_report(ctx).transferred()) - {"1"}
-    folded = set(honest)
-    # where the reduced ring trivializes the coefficient conjugation, drop the
-    # C component of every surviving name (C~C' folds nothing: C' is honest)
-    if any(r in ("C~I", "CP~P", "CT~T", "CPT~PT") for r in reductions):
-        folded = {PHYSICAL_NAMES[PHYSICAL_NAMES.index(n) & ~4] for n in honest}
-    folded.discard("1")
+    # the direct route folds by the same rule
+    folded = {PHYSICAL_NAMES[PHYSICAL_NAMES.index(n) & keep]
+              for n in transfer_report(ctx).transferred()} - {"1"}
     if folded != set(survivors) - {"1"}:
         notes.append(
             "direct fixed-point route keeps {%s}; catalog label retained"

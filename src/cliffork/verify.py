@@ -37,7 +37,6 @@ from .ext_automorphisms import (
     cover_row,
     enumerate_signatures,
     ext_group_report,
-    ext_matrices,
     predicted_F_square,
     predicted_K_square,
     predicted_S_square,
@@ -169,14 +168,14 @@ def suite_example2(max_n: Optional[int] = None) -> SuiteResult:
     the printed 8x8 table up to those per-element signs."""
     data = _bundle()["example2"]
     basis = load_spinbasis("gamma")
-    mats = ext_matrices(basis)
+    report = ext_group_report(basis)
     letters = data["letters"]
 
     cex: List[dict] = []
     checked = 0
     signs: Dict[str, int] = {"I": 1}
     for name in letters[1:]:
-        actual = mats[name].matrix
+        actual = report.matrices[name].matrix
         printed = basis.product_of([k + 1 for k in data["monomials"][name]])
         checked += 1
         if actual == printed:
@@ -188,7 +187,6 @@ def suite_example2(max_n: Optional[int] = None) -> SuiteResult:
             cex.append({"check": "monomial", "name": name,
                         "printed_units": data["monomials"][name]})
 
-    report = ext_group_report(basis)
     for key, got, want in (
         ("signature", list(report.signature), data["signature"]),
         ("group", report.group_name, data["group"]),
@@ -205,7 +203,7 @@ def suite_example2(max_n: Optional[int] = None) -> SuiteResult:
     gamma_names = {"I": "I", **{name: "g" + "".join(map(str, units))
                                 for name, units in data["monomials"].items()}}
     if not cex:
-        elements, cells = signed_letter_table(mats)
+        elements, cells = signed_letter_table(report.matrices)
         if elements != letters:
             raise AssertionError(f"printed letters {letters} are not {elements}")
         for i, a in enumerate(letters):

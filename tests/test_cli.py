@@ -85,6 +85,11 @@ class TestExitCodes:
             ["quotient", "--complex", "5"],
             ["quotient", "--complex", "5", "--mark", "1,3"],
             ["quotient", "--p", "2", "--q", "2"],
+            ["classify", "--complex", "4", "--p", "1", "--q", "3"],
+            ["cover", "--complex", "4", "--p", "1", "--q", "3"],
+            ["quotient", "--complex", "3", "--mark", "1,2", "--p", "2", "--q", "1"],
+            ["classify", "--p", "1", "--q", "3", "--mark", "2,2"],
+            ["quotient", "--p", "2", "--q", "1", "--mark", "1,2"],
         ],
         ids=lambda a: " ".join(a),
     )

@@ -1,5 +1,6 @@
 """Covering reports: PT/CPT structures, Pin membership, odd-dimensional splits."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -294,21 +295,24 @@ def test_trivial_cocycle_gives_elementary_cover():
     g = signed_cover_group(mats)
     assert g.order == 16
     assert identify_small_group(g) == "Z2xZ2xZ2xZ2"
-    row = checked_cover(mats, MATRIX_NAMES)
+    gamma = ext_group_report(load_spinbasis("gamma"), identify=False)
+    trivial = dataclasses.replace(gamma, matrices=mats,
+                                  commutation=dict.fromkeys(gamma.commutation, 1))
+    row = checked_cover(trivial, MATRIX_NAMES)
     assert row == (7, 0, True, "Z2xZ2xZ2", "Z2xZ2xZ2xZ2", "Z2xZ2xZ2xZ2")
-    assert checked_cover(mats, ("E",)).cover == "Z2xZ2"
+    assert checked_cover(trivial, ("E",)).cover == "Z2xZ2"
 
 
 def test_checked_cover_rejects_a_wrong_row():
     # a lone letter squaring to -I keys the Z4 row; a matrix whose sign
     # cocycle builds another group must fail the identification
-    basis = load_spinbasis("gamma")
-    mats = ext_matrices(basis)
+    report = ext_group_report(load_spinbasis("gamma"), identify=False)
+    mats = report.matrices
     assert mats["W"].square_sign == -1
-    assert checked_cover(mats, ("W",)).cover == "Z4"
+    assert checked_cover(report, ("W",)).cover == "Z4"
     lying = dict(mats, W=ExtMatrix("W", mats["W"].matrix, (), "x", 1))
     with pytest.raises(AssertionError, match="builds Z4"):
-        checked_cover(lying, ("W",))
+        checked_cover(dataclasses.replace(report, matrices=lying), ("W",))
 
 
 def test_cover_table_matches_the_rebuilt_cover_on_every_swept_basis():
@@ -339,7 +343,8 @@ def test_pt_cover_is_the_wec_part_of_the_cpt_cover():
         for p in range(n + 1):
             for field in ("R", "C"):
                 for basis in sweep_spinbasis_variants(SignatureSpec(p, n - p, field)):
-                    mats = ext_matrices(basis)
+                    report = ext_group_report(basis, identify=False)
+                    mats = report.matrices
                     small = signed_cover_group(mats, ("W", "E", "C"))
                     big = signed_cover_group(mats)
                     at = {label: big.elements.index(label) for label in small.elements}
@@ -348,7 +353,7 @@ def test_pt_cover_is_the_wec_part_of_the_cpt_cover():
                             label = small.elements[small.table[i][j]]
                             assert big.elements[big.table[at[x]][at[y]]] == label, (basis.name, x, y)
                             checked += 1
-                    wec = checked_cover(mats, ("W", "E", "C"))
+                    wec = checked_cover(report, ("W", "E", "C"))
                     assert identify_small_group(small) == wec.identified, basis.name
     assert checked > 5000
 

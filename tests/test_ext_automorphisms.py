@@ -20,13 +20,11 @@ from cliffork.ext_automorphisms import (
     ext_group_report,
     ext_matrices,
     matrix_comm_sign,
-    predicted_F_square,
     predicted_K_square,
     predicted_pi_bar,
     predicted_S_square,
     printed_pi_bar_applicable,
     printed_pi_bar_mod4,
-    product_square_sign,
     quaternionic_signatures,
     signed_letter_table,
     universal_comm_sign,
@@ -221,57 +219,6 @@ def test_defining_relations_have_unique_subset_solutions():
 
 # ---------------------------------------------------------------------------
 # predictions vs matrix truth over the quaternionic sweep
-
-
-def _negatives(basis, factors):
-    return sum(1 for i in factors if i > basis.sig.p)
-
-
-def test_sweep_squares_and_commutation_up_to_n6():
-    seen = 0
-    for sig, basis, report in quaternionic_signatures(max_n=6):
-        seen += 1
-        mats = report.matrices
-        census = report.census
-        forms = {name: mats[name].form for name in MATRIX_NAMES}
-
-        # square laws, both routes
-        assert report.pi_bar_sign == -1  # antilinear intertwiner squares to -1
-        assert report.pi_bar_sign == predicted_pi_bar(census, forms["Pi"])
-        if printed_pi_bar_applicable(census, forms["Pi"]):
-            assert report.pi_bar_sign == printed_pi_bar_mod4(census, forms["Pi"])
-        assert mats["K"].square_sign == predicted_K_square(census, forms["K"])
-        assert mats["S"].square_sign == predicted_S_square(census, forms["S"])
-        assert mats["F"].square_sign == predicted_F_square(census, forms["F"])
-        for name in MATRIX_NAMES:
-            m = mats[name]
-            assert m.square_sign == product_square_sign(
-                len(m.factors), _negatives(basis, m.factors)
-            ), (str(sig), basis.name, name)
-            prod = basis.product_of(m.factors)
-            assert m.matrix in (prod, -prod)
-
-        # commutation, all three routes
-        for pair, got in report.commutation.items():
-            x, y = pair
-            assert got == universal_comm_sign(mats[x].factors, mats[y].factors), (
-                str(sig), basis.name, pair,
-            )
-            terms = comm_parity_terms(pair, forms, census)
-            if terms is not None:
-                printed, correction = terms
-                parity = (printed + correction) % 2
-                assert got == (1 if parity == 0 else -1), (str(sig), basis.name, pair)
-                if correction == 0:
-                    assert got == (1 if printed == 0 else -1), (
-                        str(sig), basis.name, pair,
-                    )
-
-        # admissibility
-        assert sum(report.order_structure) == 7
-        allowed = admissible_groups(report.signature, (sig.p - sig.q) % 8)
-        assert report.group_name in allowed
-    assert seen >= 8
 
 
 def test_sweep_with_tweaked_variants():

@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from cliffork.core_algebra import GaussianScalar, SignatureSpec, blade_mask, blade_product
+from cliffork.core_algebra import GaussianScalar, SignatureSpec, blade_product
 from cliffork.finite_groups import (
     GroupTable,
     direct_product,
-    generate_group_from_blades,
     generate_group_from_matrices,
     group_center_type,
     identify_small_group,
@@ -83,21 +82,6 @@ def test_quotient_of_center():
 
 # ---------------------------------------------------------------------------
 # closure generation
-
-
-def test_generate_from_blades_examples():
-    s10 = SignatureSpec(1, 0)
-    t = generate_group_from_blades(s10, [(0, -1), (blade_mask([1]), 1)])
-    assert t.order == 4
-    assert identify_small_group(t) == "Z2xZ2"
-
-    s01 = SignatureSpec(0, 1)
-    t2 = generate_group_from_blades(s01, [(0, -1), (blade_mask([1]), 1)])
-    assert identify_small_group(t2) == "Z4"
-
-    trivial = generate_group_from_blades(s10, [(0, 1)])
-    assert trivial.order == 1
-    assert identify_small_group(trivial) == "1"
 
 
 def test_generate_from_matrices():

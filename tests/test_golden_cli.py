@@ -3,7 +3,7 @@
 Each invocation runs through `cli.run` in process, and the SHA-256 of its
 exit code, stdout and stderr must match the digest recorded in
 golden_cli_digests.json.  The set: `quotient` on every odd (p,q) and every
-odd complex mark with n <= 7, `cover` and `cover --cpt` on every (p,q) with
+odd complex mark with n <= 11, `cover` and `cover --cpt` on every (p,q) with
 p+q <= 8 or p+q = 12, `cover --complex 0..8`, and `ext-group` on every even
 (p,q) with p+q <= 8 and on the bundled gamma basis, each in markdown and in
 json.  After a deliberate output change, regenerate the record with
@@ -27,7 +27,7 @@ DIGESTS = Path(__file__).with_name("golden_cli_digests.json")
 
 def invocations():
     verbs = []
-    for n in range(1, 8, 2):
+    for n in range(1, 12, 2):
         for p in range(n + 1):
             verbs += [f"quotient --p {p} --q {n - p}",
                       f"quotient --complex {n} --mark {p},{n - p}"]
@@ -53,7 +53,7 @@ def recorded():
 
 
 def test_recorded_set_is_the_invocation_set(recorded):
-    assert len(invocations()) == 382
+    assert len(invocations()) == 470
     assert sorted(recorded) == sorted(invocations())
 
 
