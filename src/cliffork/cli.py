@@ -41,7 +41,6 @@ from .quotient import (
     epsilon_context,
     quotient_class,
     quotient_group,
-    transfer_report,
 )
 from .spinor_repr import build_spinbasis, load_spinbasis
 from .verify import SUITE_NAMES, run_suite
@@ -220,7 +219,7 @@ def _cmd_quotient(args) -> Tuple[int, str]:
             ctx = epsilon_context(sig)
 
     lam_p, lam_m = central_idempotents(ctx)
-    transfers = transfer_report(ctx)
+    transfers = ctx.transfers
     cls = quotient_class(ctx)
     grp = quotient_group(ctx)
     grid = build_table("representations-eps", 7)

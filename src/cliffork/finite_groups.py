@@ -2,9 +2,12 @@
 
 GroupTable is a plain multiplication table over canonical element labels;
 generate_group closes a generating set by breadth-first search under exact
-equality. identify_small_group names any 2-group of order <= 16 (fingerprint
-match against a constructed catalog, every match confirmed by a backtracking
-isomorphism search).
+equality. identify_small_group names a signed 2-group of order <= 16, one
+whose squares are 1 and at most one z, by the invariants of its F2
+quadratic form q(x) = [x^2 = z] (Arf, 1941), each counted on the table; it
+raises on any other table, a non-associative one included.  Every group the
+library names is of this kind: the PT and CPT covers, the collapse covers,
+the vee groups and their centers.
 
 The vee group of Cl(p,q) is the set of 2^(n+1) signed basis blades; the
 factor theorem (quotient by the center is elementary abelian of even 2-rank)
@@ -13,12 +16,10 @@ is checked by directly building the coset table.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .core_algebra import (
-    GaussianScalar,
     SignatureSpec,
     blade_name,
     blade_product,
@@ -42,13 +43,6 @@ class GroupTable:
     def order(self) -> int:
         return len(self.elements)
 
-    def inverse(self, i: int) -> int:
-        row = self.table[i]
-        for j, prod in enumerate(row):
-            if prod == self.neutral:
-                return j
-        raise ValueError(f"element {self.elements[i]} has no inverse")
-
     def element_order(self, i: int) -> int:
         k, acc = 1, i
         while acc != self.neutral:
@@ -57,13 +51,6 @@ class GroupTable:
             if k > self.order:
                 raise ValueError("order computation ran past the group order")
         return k
-
-    def order_structure(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for i in range(self.order):
-            k = self.element_order(i)
-            out[k] = out.get(k, 0) + 1
-        return out
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -78,21 +65,6 @@ class GroupTable:
             for i in range(self.order)
             if all(t[i][j] == t[j][i] for j in range(self.order))
         ]
-
-    def subgroup_closure(self, seed: Iterable[int]) -> List[int]:
-        got = {self.neutral}
-        frontier = list(set(seed) | got)
-        got |= set(frontier)
-        while frontier:
-            nxt = []
-            for a in list(got):
-                for b in frontier:
-                    c = self.table[a][b]
-                    if c not in got:
-                        got.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        return sorted(got)
 
     def quotient_by(self, normal: Sequence[int]) -> "GroupTable":
         """Coset table; verifies normality and well-definedness directly."""
@@ -213,206 +185,46 @@ def generate_group_from_matrices(mats: Sequence[SpinMatrix]) -> GroupTable:
 
 
 # ---------------------------------------------------------------------------
-# the small-group catalog
-
-
-def _cyclic(n: int) -> GroupTable:
-    return GroupTable(
-        [f"a{k}" for k in range(n)],
-        [[(i + j) % n for j in range(n)] for i in range(n)],
-        0,
-    )
-
-
-def direct_product(t1: GroupTable, t2: GroupTable) -> GroupTable:
-    n1, n2 = t1.order, t2.order
-    labels = [f"({t1.elements[i]},{t2.elements[j]})" for i in range(n1) for j in range(n2)]
-    table = [
-        [
-            t1.table[i1][j1] * n2 + t2.table[i2][j2]
-            for j1 in range(n1)
-            for j2 in range(n2)
-        ]
-        for i1 in range(n1)
-        for i2 in range(n2)
-    ]
-    return GroupTable(labels, table, t1.neutral * n2 + t2.neutral)
-
-
-def _two_generator(modulus: int, twist: int, btwist: int) -> GroupTable:
-    """Group with presentation a^modulus = 1, b a b^-1 = a^twist, b^2 = a^btwist.
-
-    Elements in normal form a^k b^e, e in {0,1}."""
-    n = 2 * modulus
-
-    def idx(k, e):
-        return (k % modulus) * 2 + e
-
-    table = [[0] * n for _ in range(n)]
-    for k1 in range(modulus):
-        for e1 in (0, 1):
-            for k2 in range(modulus):
-                for e2 in (0, 1):
-                    k = k1 + (twist * k2 if e1 else k2)
-                    e = e1 + e2
-                    if e == 2:
-                        k += btwist
-                        e = 0
-                    table[idx(k1, e1)][idx(k2, e2)] = idx(k, e)
-    labels = ["?"] * n
-    for k in range(modulus):
-        for e in (0, 1):
-            labels[idx(k, e)] = f"a{k}" + ("b" if e else "")
-    return GroupTable(labels, table, idx(0, 0))
-
-
-def _split_extension(normal: GroupTable, m: int, phi: Sequence[int]) -> GroupTable:
-    """normal x| Z_m, the generator b of Z_m acting by the automorphism phi
-    (a permutation of normal's indices).  Element x b^e has index e*|normal| + x."""
-    n = normal.order
-    powers = [list(range(n))]  # powers[e][x] = phi^e(x)
-    for _ in range(m - 1):
-        powers.append([phi[x] for x in powers[-1]])
-    table = [
-        [((e1 + e2) % m) * n + normal.table[x1][powers[e1][x2]]
-         for e2 in range(m) for x2 in range(n)]
-        for e1 in range(m) for x1 in range(n)
-    ]
-    labels = [f"{normal.elements[x]}b{e}" for e in range(m) for x in range(n)]
-    return GroupTable(labels, table, normal.neutral)
-
-
-def _pauli_group() -> GroupTable:
-    a = SpinMatrix([[1, 0], [0, -1]])
-    b = SpinMatrix([[0, 1], [1, 0]])
-    i_ident = SpinMatrix.identity(2) * GaussianScalar.I
-    return generate_group_from_matrices([a, b, i_ident])
-
-
-@functools.cache
-def _catalog() -> Dict[str, GroupTable]:
-    """Every group of order 1, 2, 4, 8 and 16 (Besche-Eick-O'Brien count:
-    14 of order 16), by name."""
-    z2, z4, z8, z16 = _cyclic(2), _cyclic(4), _cyclic(8), _cyclic(16)
-    cat: Dict[str, GroupTable] = {
-        "1": _cyclic(1),
-        "Z2": z2,
-        "Z4": z4,
-        "Z8": z8,
-        "Z16": z16,
-        "Z2xZ2": direct_product(z2, z2),
-        "Z4xZ2": direct_product(z4, z2),
-        "Z2xZ2xZ2": direct_product(direct_product(z2, z2), z2),
-        "Z8xZ2": direct_product(z8, z2),
-        "Z4xZ4": direct_product(z4, z4),
-        "Z4xZ2xZ2": direct_product(direct_product(z4, z2), z2),
-        "Z2xZ2xZ2xZ2": direct_product(direct_product(z2, z2), direct_product(z2, z2)),
-        "D4": _two_generator(4, -1, 0),
-        "Q4": _two_generator(4, -1, 2),
-        "D8": _two_generator(8, -1, 0),
-        "Q16": _two_generator(8, -1, 4),
-        "SD16": _two_generator(8, 3, 0),
-        "M16": _two_generator(8, 5, 0),
-    }
-    cat["D4xZ2"] = direct_product(cat["D4"], z2)
-    cat["Q4xZ2"] = direct_product(cat["Q4"], z2)
-    cat["D4oZ4"] = _pauli_group()  # central product, the 2x2 Pauli group
-    # SmallGroup(16,4): b a b^-1 = a^-1 with b of order 4
-    cat["Z4:Z4"] = _split_extension(z4, 4, [(-k) % 4 for k in range(4)])
-    # SmallGroup(16,3): on Z4xZ2 = <a> x <c>, b a b^-1 = ac and b c b^-1 = c
-    cat["(Z4xZ2):Z2"] = _split_extension(
-        cat["Z4xZ2"], 2, [2 * k + (k + j) % 2 for k in range(4) for j in range(2)]
-    )
-    for t in cat.values():
-        t.validate()
-    return cat
-
-
-def _fingerprint(t: GroupTable) -> Tuple:
-    return (
-        t.order,
-        t.is_abelian(),
-        tuple(sorted(t.order_structure().items())),
-        len(t.center()),
-    )
-
-
-@functools.cache
-def _catalog_by_fingerprint() -> Dict[Tuple, List[Tuple[str, GroupTable]]]:
-    """The catalog grouped by _fingerprint, in catalog order; each catalog
-    fingerprint is computed once."""
-    out: Dict[Tuple, List[Tuple[str, GroupTable]]] = {}
-    for name, ref in _catalog().items():
-        out.setdefault(_fingerprint(ref), []).append((name, ref))
-    return out
-
-
-def _find_isomorphism(t1: GroupTable, t2: GroupTable) -> bool:
-    """Backtracking isomorphism search; both orders must be small (<= 16)."""
-    if t1.order != t2.order:
-        return False
-    n = t1.order
-    orders2: Dict[int, List[int]] = {}
-    for j in range(n):
-        orders2.setdefault(t2.element_order(j), []).append(j)
-
-    # a generating sequence for t1
-    gens: List[int] = []
-    span = {t1.neutral}
-    for i in range(n):
-        if i not in span:
-            gens.append(i)
-            span = set(t1.subgroup_closure(gens))
-            if len(span) == n:
-                break
-
-    def words(gen_images: List[int]) -> Optional[Dict[int, int]]:
-        # build the homomorphism by closing words over both tables in parallel
-        mapping = {t1.neutral: t2.neutral}
-        frontier = [t1.neutral]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g1, g2 in zip(gens, gen_images):
-                    y1 = t1.table[x][g1]
-                    y2 = t2.table[mapping[x]][g2]
-                    if y1 in mapping:
-                        if mapping[y1] != y2:
-                            return None
-                        continue
-                    mapping[y1] = y2
-                    nxt.append(y1)
-            frontier = nxt
-        if len(mapping) != n or len(set(mapping.values())) != n:
-            return None
-        # verify it is a homomorphism on the full table
-        for a in range(n):
-            for b in range(n):
-                if mapping[t1.table[a][b]] != t2.table[mapping[a]][mapping[b]]:
-                    return None
-        return mapping
-
-    def backtrack(k: int, images: List[int]) -> bool:
-        if k == len(gens):
-            return words(images) is not None
-        want = t1.element_order(gens[k])
-        for cand in orders2.get(want, []):
-            if backtrack(k + 1, images + [cand]):
-                return True
-        return False
-
-    return backtrack(0, [])
+# naming by the F2 quadratic form
 
 
 def identify_small_group(t: GroupTable) -> str:
-    """Name a group of order <= 16 from the catalog; raises when absent."""
-    if t.order > 16:
-        raise ValueError(f"identification limited to order <= 16, got {t.order}")
-    fp = _fingerprint(t)
-    for name, ref in _catalog_by_fingerprint().get(fp, ()):
-        if _find_isomorphism(t, ref):
-            return name
-    raise ValueError(f"group with fingerprint {fp} is not in the catalog")
+    """Name a group of order <= 16 whose squares are 1 and at most one z;
+    ValueError for any other table, a table that is not a group included.
+
+    With no z the group is elementary abelian.  Otherwise it is a central
+    extension of V = Z2^m by <z>, fixed up to isomorphism by the form
+    q(x) = [x^2 = z] on V, whose polar form is B(x, y) = [x and y
+    anticommute].  Each invariant of q is a count on the table: the center
+    is the preimage of the radical R of B, so |Z(G)| = 2^(r+1) with
+    r = dim R; q is nonzero on R exactly when a central element squares to
+    z; V/R has rank 2k = m - r; and when q vanishes on R its Arf invariant
+    is 1 exactly when more than half of G squares to z.  So the group is
+    Z4 (k = 0) or D4oZ4 (k = 1) when q is nonzero on R, D4 (Arf 0) or Q4
+    (Arf 1) when it vanishes there, each times Z2 factors up to its order.
+    """
+    n = t.order
+    if n > 16:
+        raise ValueError(f"identification limited to order <= 16, got {n}")
+    t.validate()
+    tb = t.table
+    if any(tb[tb[a][b]][c] != tb[a][tb[b][c]] for a in range(n) for b in range(n) for c in range(n)):
+        raise ValueError("table is not associative")
+    squares = {tb[g][g] for g in range(n)} - {t.neutral}
+    if len(squares) > 1:
+        raise ValueError(f"group of order {n} has {len(squares)} nontrivial squares, "
+                         "not a signed 2-group")
+    rank = n.bit_length() - 1  # n = 2^rank once squares lie in {1, z}
+    if not squares:
+        return "x".join(["Z2"] * rank) or "1"
+    (z,) = squares
+    center = t.center()
+    r = len(center).bit_length() - 2
+    k = (rank - 1 - r) // 2
+    if any(tb[c][c] == z for c in center):
+        return ("Z4", "D4oZ4")[k] + "xZ2" * (r - 1)
+    to_z = sum(1 for g in range(n) if tb[g][g] == z)
+    return ("Q4" if 2 * to_z > n else "D4") + "xZ2" * r
 
 
 # ---------------------------------------------------------------------------

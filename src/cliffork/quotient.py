@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from .classification import odd_reduction, ring_label
@@ -97,6 +98,11 @@ class EpsilonContext:
     ew: MultiVector  # epsilon * omega
     target: SignatureSpec  # drop-last-generator subalgebra, where epsilon_map lands
     target_labels: Tuple[SignatureSpec, ...]  # catalog decompositions
+
+    @cached_property
+    def transfers(self) -> "TransferReport":
+        """The context's transfer report, computed once."""
+        return transfer_report(self)
 
 
 def epsilon_context(sig_or_p, q=None) -> EpsilonContext:
@@ -330,7 +336,7 @@ def quotient_class(ctx: EpsilonContext) -> QuotientClassReport:
     """
     label = _class_label(ctx.sig)
     names = CLASS_SETS[label]
-    honest = transfer_report(ctx).transferred()
+    honest = ctx.transfers.transferred()
     notes = []
     catalog = set(_strip_tags(names))
     direct = set(honest) - {"1"}
@@ -423,7 +429,7 @@ def quotient_group(ctx: EpsilonContext) -> QuotientGroupReport:
 
     # the direct route folds by the same rule
     folded = {PHYSICAL_NAMES[PHYSICAL_NAMES.index(n) & keep]
-              for n in transfer_report(ctx).transferred()} - {"1"}
+              for n in ctx.transfers.transferred()} - {"1"}
     if folded != set(survivors) - {"1"}:
         notes.append(
             "direct fixed-point route keeps {%s}; catalog label retained"

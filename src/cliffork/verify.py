@@ -56,7 +56,6 @@ from .quotient import (
     epsilon_context,
     epsilon_map,
     quotient_group,
-    transfer_report,
 )
 from .spinor_repr import SpinBasis, SpinMatrix, load_spinbasis, signed_lookup
 
@@ -408,7 +407,7 @@ def suite_quotient(max_n: int = 7) -> SuiteResult:
             if not val.is_zero():
                 cex.append({"sig": str(ctx.sig), "check": f"idempotent {label}"})
 
-        rep = transfer_report(ctx)
+        rep = ctx.transfers
         for name in PHYSICAL_NAMES[1:]:
             direct = (apply_transformation(ctx.ew, name) - ctx.ew).is_zero()
             checked += 1

@@ -1,0 +1,254 @@
+"""The small-group catalog: the differential oracle for
+`finite_groups.identify_small_group`.
+
+Every group of order 1, 2, 4, 8 and 16, built from presentations, named by
+a fingerprint match and confirmed by a backtracking isomorphism search.  The
+library names its groups by their F2 quadratic form instead; this is the
+route that form namer replaced, kept to check it.  `order_structure`,
+`inverse` and `subgroup_closure` were GroupTable methods that only this
+route used.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from cliffork.core_algebra import GaussianScalar
+from cliffork.finite_groups import GroupTable, generate_group_from_matrices
+from cliffork.spinor_repr import SpinMatrix
+
+
+def inverse(t: GroupTable, i: int) -> int:
+    row = t.table[i]
+    for j, prod in enumerate(row):
+        if prod == t.neutral:
+            return j
+    raise ValueError(f"element {t.elements[i]} has no inverse")
+
+
+def order_structure(t: GroupTable) -> Dict[int, int]:
+    out: Dict[int, int] = {}
+    for i in range(t.order):
+        k = t.element_order(i)
+        out[k] = out.get(k, 0) + 1
+    return out
+
+
+def subgroup_closure(t: GroupTable, seed: Iterable[int]) -> List[int]:
+    got = {t.neutral}
+    frontier = list(set(seed) | got)
+    got |= set(frontier)
+    while frontier:
+        nxt = []
+        for a in list(got):
+            for b in frontier:
+                c = t.table[a][b]
+                if c not in got:
+                    got.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return sorted(got)
+
+
+# ---------------------------------------------------------------------------
+# the small-group catalog
+
+
+def _cyclic(n: int) -> GroupTable:
+    return GroupTable(
+        [f"a{k}" for k in range(n)],
+        [[(i + j) % n for j in range(n)] for i in range(n)],
+        0,
+    )
+
+
+def direct_product(t1: GroupTable, t2: GroupTable) -> GroupTable:
+    n1, n2 = t1.order, t2.order
+    labels = [f"({t1.elements[i]},{t2.elements[j]})" for i in range(n1) for j in range(n2)]
+    table = [
+        [
+            t1.table[i1][j1] * n2 + t2.table[i2][j2]
+            for j1 in range(n1)
+            for j2 in range(n2)
+        ]
+        for i1 in range(n1)
+        for i2 in range(n2)
+    ]
+    return GroupTable(labels, table, t1.neutral * n2 + t2.neutral)
+
+
+def _two_generator(modulus: int, twist: int, btwist: int) -> GroupTable:
+    """Group with presentation a^modulus = 1, b a b^-1 = a^twist, b^2 = a^btwist.
+
+    Elements in normal form a^k b^e, e in {0,1}."""
+    n = 2 * modulus
+
+    def idx(k, e):
+        return (k % modulus) * 2 + e
+
+    table = [[0] * n for _ in range(n)]
+    for k1 in range(modulus):
+        for e1 in (0, 1):
+            for k2 in range(modulus):
+                for e2 in (0, 1):
+                    k = k1 + (twist * k2 if e1 else k2)
+                    e = e1 + e2
+                    if e == 2:
+                        k += btwist
+                        e = 0
+                    table[idx(k1, e1)][idx(k2, e2)] = idx(k, e)
+    labels = ["?"] * n
+    for k in range(modulus):
+        for e in (0, 1):
+            labels[idx(k, e)] = f"a{k}" + ("b" if e else "")
+    return GroupTable(labels, table, idx(0, 0))
+
+
+def _split_extension(normal: GroupTable, m: int, phi: Sequence[int]) -> GroupTable:
+    """normal x| Z_m, the generator b of Z_m acting by the automorphism phi
+    (a permutation of normal's indices).  Element x b^e has index e*|normal| + x."""
+    n = normal.order
+    powers = [list(range(n))]  # powers[e][x] = phi^e(x)
+    for _ in range(m - 1):
+        powers.append([phi[x] for x in powers[-1]])
+    table = [
+        [((e1 + e2) % m) * n + normal.table[x1][powers[e1][x2]]
+         for e2 in range(m) for x2 in range(n)]
+        for e1 in range(m) for x1 in range(n)
+    ]
+    labels = [f"{normal.elements[x]}b{e}" for e in range(m) for x in range(n)]
+    return GroupTable(labels, table, normal.neutral)
+
+
+def _pauli_group() -> GroupTable:
+    a = SpinMatrix([[1, 0], [0, -1]])
+    b = SpinMatrix([[0, 1], [1, 0]])
+    i_ident = SpinMatrix.identity(2) * GaussianScalar.I
+    return generate_group_from_matrices([a, b, i_ident])
+
+
+@functools.cache
+def _catalog() -> Dict[str, GroupTable]:
+    """Every group of order 1, 2, 4, 8 and 16 (Besche-Eick-O'Brien count:
+    14 of order 16), by name."""
+    z2, z4, z8, z16 = _cyclic(2), _cyclic(4), _cyclic(8), _cyclic(16)
+    cat: Dict[str, GroupTable] = {
+        "1": _cyclic(1),
+        "Z2": z2,
+        "Z4": z4,
+        "Z8": z8,
+        "Z16": z16,
+        "Z2xZ2": direct_product(z2, z2),
+        "Z4xZ2": direct_product(z4, z2),
+        "Z2xZ2xZ2": direct_product(direct_product(z2, z2), z2),
+        "Z8xZ2": direct_product(z8, z2),
+        "Z4xZ4": direct_product(z4, z4),
+        "Z4xZ2xZ2": direct_product(direct_product(z4, z2), z2),
+        "Z2xZ2xZ2xZ2": direct_product(direct_product(z2, z2), direct_product(z2, z2)),
+        "D4": _two_generator(4, -1, 0),
+        "Q4": _two_generator(4, -1, 2),
+        "D8": _two_generator(8, -1, 0),
+        "Q16": _two_generator(8, -1, 4),
+        "SD16": _two_generator(8, 3, 0),
+        "M16": _two_generator(8, 5, 0),
+    }
+    cat["D4xZ2"] = direct_product(cat["D4"], z2)
+    cat["Q4xZ2"] = direct_product(cat["Q4"], z2)
+    cat["D4oZ4"] = _pauli_group()  # central product, the 2x2 Pauli group
+    # SmallGroup(16,4): b a b^-1 = a^-1 with b of order 4
+    cat["Z4:Z4"] = _split_extension(z4, 4, [(-k) % 4 for k in range(4)])
+    # SmallGroup(16,3): on Z4xZ2 = <a> x <c>, b a b^-1 = ac and b c b^-1 = c
+    cat["(Z4xZ2):Z2"] = _split_extension(
+        cat["Z4xZ2"], 2, [2 * k + (k + j) % 2 for k in range(4) for j in range(2)]
+    )
+    for t in cat.values():
+        t.validate()
+    return cat
+
+
+def _fingerprint(t: GroupTable) -> Tuple:
+    return (
+        t.order,
+        t.is_abelian(),
+        tuple(sorted(order_structure(t).items())),
+        len(t.center()),
+    )
+
+
+@functools.cache
+def _catalog_by_fingerprint() -> Dict[Tuple, List[Tuple[str, GroupTable]]]:
+    """The catalog grouped by _fingerprint, in catalog order; each catalog
+    fingerprint is computed once."""
+    out: Dict[Tuple, List[Tuple[str, GroupTable]]] = {}
+    for name, ref in _catalog().items():
+        out.setdefault(_fingerprint(ref), []).append((name, ref))
+    return out
+
+
+def _find_isomorphism(t1: GroupTable, t2: GroupTable) -> bool:
+    """Backtracking isomorphism search; both orders must be small (<= 16)."""
+    if t1.order != t2.order:
+        return False
+    n = t1.order
+    orders2: Dict[int, List[int]] = {}
+    for j in range(n):
+        orders2.setdefault(t2.element_order(j), []).append(j)
+
+    # a generating sequence for t1
+    gens: List[int] = []
+    span = {t1.neutral}
+    for i in range(n):
+        if i not in span:
+            gens.append(i)
+            span = set(subgroup_closure(t1, gens))
+            if len(span) == n:
+                break
+
+    def words(gen_images: List[int]) -> Optional[Dict[int, int]]:
+        # build the homomorphism by closing words over both tables in parallel
+        mapping = {t1.neutral: t2.neutral}
+        frontier = [t1.neutral]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g1, g2 in zip(gens, gen_images):
+                    y1 = t1.table[x][g1]
+                    y2 = t2.table[mapping[x]][g2]
+                    if y1 in mapping:
+                        if mapping[y1] != y2:
+                            return None
+                        continue
+                    mapping[y1] = y2
+                    nxt.append(y1)
+            frontier = nxt
+        if len(mapping) != n or len(set(mapping.values())) != n:
+            return None
+        # verify it is a homomorphism on the full table
+        for a in range(n):
+            for b in range(n):
+                if mapping[t1.table[a][b]] != t2.table[mapping[a]][mapping[b]]:
+                    return None
+        return mapping
+
+    def backtrack(k: int, images: List[int]) -> bool:
+        if k == len(gens):
+            return words(images) is not None
+        want = t1.element_order(gens[k])
+        for cand in orders2.get(want, []):
+            if backtrack(k + 1, images + [cand]):
+                return True
+        return False
+
+    return backtrack(0, [])
+
+
+def identify_by_catalog(t: GroupTable) -> str:
+    """Name a group of order <= 16 from the catalog; raises when absent."""
+    if t.order > 16:
+        raise ValueError(f"identification limited to order <= 16, got {t.order}")
+    fp = _fingerprint(t)
+    for name, ref in _catalog_by_fingerprint().get(fp, ()):
+        if _find_isomorphism(t, ref):
+            return name
+    raise ValueError(f"group with fingerprint {fp} is not in the catalog")

@@ -1,24 +1,51 @@
-"""Group tables, closure, identification, vee groups, factor theorem."""
+"""Group tables, closure, identification, vee groups, factor theorem.
 
+Identification is checked against the small-group catalog of
+`small_group_catalog`, the route the F2-form namer replaced: the namer gives
+the catalog's name to each of its 13 signed 2-groups and raises on the
+other 10."""
+
+import collections
+import itertools
 import random
 
 import pytest
 
 from cliffork.core_algebra import GaussianScalar, SignatureSpec, blade_product
+from cliffork.ext_automorphisms import ELEMENT_NAMES, cover_row, ext_group_report, xor_group
 from cliffork.finite_groups import (
     GroupTable,
-    direct_product,
     generate_group_from_matrices,
     group_center_type,
     identify_small_group,
     vee_factor_check,
     vee_group,
+    _signed_blade_label,
+)
+from cliffork.spinor_repr import MAT_A, MAT_B, MAT_J, SpinMatrix, sweep_spinbasis_variants
+from small_group_catalog import (
     _catalog,
     _cyclic,
-    _signed_blade_label,
     _two_generator,
+    direct_product,
+    identify_by_catalog,
+    inverse,
+    order_structure,
 )
-from cliffork.spinor_repr import MAT_A, MAT_B, MAT_J, SpinMatrix
+
+# the catalog groups whose squares are 1 and at most one z
+SIGNED = ("1", "Z2", "Z4", "Z2xZ2", "Z4xZ2", "Z2xZ2xZ2", "Z4xZ2xZ2", "Z2xZ2xZ2xZ2",
+          "D4", "Q4", "D4xZ2", "Q4xZ2", "D4oZ4")
+
+
+def assert_namer_agrees(name: str, table: GroupTable) -> None:
+    """The form namer gives a signed group its catalog name and raises on
+    any other catalog group."""
+    if name in SIGNED:
+        assert identify_small_group(table) == name
+    else:
+        with pytest.raises(ValueError, match="nontrivial squares"):
+            identify_small_group(table)
 
 
 # ---------------------------------------------------------------------------
@@ -28,9 +55,9 @@ from cliffork.spinor_repr import MAT_A, MAT_B, MAT_J, SpinMatrix
 def test_cyclic_tables():
     z4 = _cyclic(4)
     z4.validate()
-    assert z4.order_structure() == {1: 1, 2: 1, 4: 2}
+    assert order_structure(z4) == {1: 1, 2: 1, 4: 2}
     assert z4.is_abelian()
-    assert z4.inverse(1) == 3
+    assert inverse(z4, 1) == 3
     assert z4.element_order(1) == 4
 
 
@@ -38,30 +65,30 @@ def test_direct_product():
     t = direct_product(_cyclic(2), _cyclic(2))
     t.validate()
     assert t.order == 4
-    assert t.order_structure() == {1: 1, 2: 3}
+    assert order_structure(t) == {1: 1, 2: 3}
 
 
 def test_two_generator_presentations():
     d4 = _two_generator(4, -1, 0)
     q4 = _two_generator(4, -1, 2)
-    assert d4.order_structure() == {1: 1, 2: 5, 4: 2}
-    assert q4.order_structure() == {1: 1, 2: 1, 4: 6}
+    assert order_structure(d4) == {1: 1, 2: 5, 4: 2}
+    assert order_structure(q4) == {1: 1, 2: 1, 4: 6}
     assert not d4.is_abelian() and not q4.is_abelian()
     assert len(q4.center()) == 2
 
 
 def test_order16_presentation_fingerprints():
     cat = _catalog()
-    assert cat["D8"].order_structure() == {1: 1, 2: 9, 4: 2, 8: 4}
-    assert cat["Q16"].order_structure() == {1: 1, 2: 1, 4: 10, 8: 4}
-    assert cat["SD16"].order_structure() == {1: 1, 2: 5, 4: 6, 8: 4}
-    assert cat["M16"].order_structure() == {1: 1, 2: 3, 4: 4, 8: 8}
+    assert order_structure(cat["D8"]) == {1: 1, 2: 9, 4: 2, 8: 4}
+    assert order_structure(cat["Q16"]) == {1: 1, 2: 1, 4: 10, 8: 4}
+    assert order_structure(cat["SD16"]) == {1: 1, 2: 5, 4: 6, 8: 4}
+    assert order_structure(cat["M16"]) == {1: 1, 2: 3, 4: 4, 8: 8}
     assert len(cat["M16"].center()) == 4
     assert len(cat["D8"].center()) == 2
     pauli = cat["D4oZ4"]
     assert pauli.order == 16
     assert not pauli.is_abelian()
-    assert pauli.order_structure() == {1: 1, 2: 7, 4: 8}
+    assert order_structure(pauli) == {1: 1, 2: 7, 4: 8}
     assert len(pauli.center()) == 4
 
 
@@ -77,7 +104,7 @@ def test_quotient_of_center():
     q4 = _two_generator(4, -1, 2)
     quo = q4.quotient_by(q4.center())
     assert quo.order == 4
-    assert quo.order_structure() == {1: 1, 2: 3}
+    assert order_structure(quo) == {1: 1, 2: 3}
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +134,9 @@ def test_closure_bound():
 
 def test_catalog_self_identification():
     for name, table in _catalog().items():
-        assert identify_small_group(table) == name
+        assert identify_by_catalog(table) == name
+        assert_namer_agrees(name, table)
+    assert sum(1 for name in _catalog() if name in SIGNED) == len(SIGNED) == 13
 
 
 def _relabeled(t: GroupTable, rng: random.Random) -> GroupTable:
@@ -129,15 +158,30 @@ def test_identification_invariant_under_relabeling():
     for k in range(100):
         name = names[k % len(names)]
         shuffled = _relabeled(_catalog()[name], rng)
-        assert identify_small_group(shuffled) == name
+        assert identify_by_catalog(shuffled) == name
+        assert_namer_agrees(name, shuffled)
 
 
 def test_identify_rejects_unknown_and_large():
     z3 = _cyclic(3)
     with pytest.raises(ValueError):
+        identify_by_catalog(z3)
+    with pytest.raises(ValueError):
         identify_small_group(z3)
     with pytest.raises(ValueError):
         identify_small_group(vee_group(SignatureSpec(4, 0)))
+    # a sign cocycle that is not one: the table is not associative
+    broken = xor_group(range(8), ELEMENT_NAMES,
+                       lambda a, b: -1 if (a & b & 1) or ((a >> 1) & b & 1) else 1)
+    with pytest.raises(ValueError):
+        identify_small_group(broken)
+    # Z2^4 with two entries of one row swapped: validate()'s associativity
+    # spot check misses it, the full check does not
+    swapped = xor_group(range(8), ELEMENT_NAMES, lambda a, b: 1)
+    swapped.table[9][1], swapped.table[9][2] = swapped.table[9][2], swapped.table[9][1]
+    swapped.validate()
+    with pytest.raises(ValueError, match="not associative"):
+        identify_small_group(swapped)
 
 
 def _comm(x, y):
@@ -224,7 +268,8 @@ def test_identify_group_from_presentation(name):
     from sympy.combinatorics.homomorphisms import is_isomorphic
 
     group = _presented(name)
-    assert identify_small_group(_table_of(group)) == name
+    assert identify_by_catalog(_table_of(group)) == name
+    assert_namer_agrees(name, _table_of(group))
     # independent oracle: the catalog entry is the presented group
     assert is_isomorphic(group, _as_permutation_group(_catalog()[name]))
 
@@ -234,7 +279,8 @@ def test_fingerprint_twins_are_not_isomorphic(name, twin):
     from sympy.combinatorics.homomorphisms import is_isomorphic
 
     cat = _catalog()
-    assert identify_small_group(cat[name]) == name
+    assert identify_by_catalog(cat[name]) == name
+    assert_namer_agrees(name, cat[name])
     assert not is_isomorphic(_presented(name), _as_permutation_group(cat[twin]))
 
 
@@ -249,6 +295,10 @@ def test_vee_group_identities():
     assert identify_small_group(vee_group(SignatureSpec(2, 0))) == "D4"
     assert identify_small_group(vee_group(SignatureSpec(1, 1))) == "D4"
     assert identify_small_group(vee_group(SignatureSpec(0, 2))) == "Q4"
+    for n in range(4):
+        for p in range(n + 1):
+            g = vee_group(SignatureSpec(p, n - p))
+            assert identify_small_group(g) == identify_by_catalog(g), (p, n - p)
 
 
 def test_vee_group_order():
@@ -311,3 +361,53 @@ def test_vee_factor_theorem_up_to_n6():
             assert report.quotient_order == 1 << (2 * report.two_rank)
             # 2-rank matches floor(n/2) when the center sits in grade {0, n}
             assert report.two_rank == (sig.n - (sig.n % 2)) // 2
+
+
+# ---------------------------------------------------------------------------
+# every F2 quadratic form: the namer against the catalog
+
+
+def _forms(m):
+    """Every quadratic form on F2^m as the sign cocycle of its double cover:
+    q on the basis vectors and the polar form B on each pair i < j give the
+    bilinear beta with beta(e_i, e_i) = q(e_i) and beta(e_i, e_j) = B(e_i, e_j)
+    for i < j, and the cocycle (-1)^beta(a, b) has (-1)^q(x) as the square of x."""
+    pairs = list(itertools.combinations(range(m), 2))
+    for bits in itertools.product((0, 1), repeat=m + len(pairs)):
+        beta = {(i, i): bits[i] for i in range(m)}
+        beta.update(zip(pairs, bits[m:]))
+
+        def cocycle(a, b, beta=beta):
+            odd = sum(v for (i, j), v in beta.items() if a >> i & 1 and b >> j & 1)
+            return -1 if odd % 2 else 1
+
+        yield xor_group(range(1 << m), ELEMENT_NAMES, cocycle)
+
+
+def test_every_form_cover_is_named_as_the_catalog_and_cover_table_name_it():
+    counts = {}
+    for m in (1, 2, 3):
+        tally = collections.Counter()
+        for cover in _forms(m):
+            name = identify_small_group(cover)
+            assert name == identify_by_catalog(cover)
+            tally[name] += 1
+            squares = [1 if cover.table[2 * c][2 * c] == cover.neutral else -1
+                       for c in range(1, 1 << m)]
+            assert cover_row(squares, cover.is_abelian()).identified == name
+        counts[m] = sorted(tally.values())
+    assert counts == {1: [1, 1], 2: [1, 1, 3, 3], 3: [1, 7, 7, 21, 28]}
+
+
+def test_namer_matches_the_catalog_on_every_swept_basis_group():
+    checked = 0
+    for n in (0, 2, 4, 6):
+        for p in range(n + 1):
+            for field in ("R", "C"):
+                for basis in sweep_spinbasis_variants(SignatureSpec(p, n - p, field)):
+                    report = ext_group_report(basis, identify=True)
+                    table = generate_group_from_matrices(
+                        [m.matrix for m in report.matrices.values()])
+                    assert report.abstract_group == identify_by_catalog(table), basis.name
+                    checked += 1
+    assert checked > 100

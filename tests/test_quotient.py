@@ -243,6 +243,21 @@ def test_transfer_named_cases():
     assert transfer_report(epsilon_context(1, 0)).transferred() == ("1", "T", "C", "CT")
 
 
+def test_one_transfer_report_per_quotient_invocation(monkeypatch, capsys):
+    import cliffork.quotient as quotient_module
+    from cliffork.cli import run
+
+    calls = []
+    monkeypatch.setattr(quotient_module, "transfer_report",
+                        lambda ctx: calls.append(ctx) or transfer_report(ctx))
+    for argv in (["quotient", "--p", "2", "--q", "1"],
+                 ["quotient", "--complex", "3", "--mark", "0,3", "--format", "json"]):
+        calls.clear()
+        assert run(argv) == 0
+        assert len(calls) == 1, argv
+    capsys.readouterr()
+
+
 def test_transfer_reasons_mention_the_sign_sources():
     rep = transfer_report(epsilon_context(2, 1))
     assert "reversal" in rep.entries["T"].reason
