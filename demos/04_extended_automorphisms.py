@@ -4,21 +4,25 @@ For an even-dimensional representation the unit matrices split into four
 species (real/imaginary x symmetric/skew).  Products over these species give
 seven distinguished matrices; together with their negatives and +/-I they
 form a signed group of order 16.  The report below computes everything for
-the bundled Dirac basis: squares, commutations, and the group name.
+the bundled Dirac basis: squares, commutations, and the group name, read
+from the signs of the pairwise products of the eight matrices.
 """
 
 from cliffork.ext_automorphisms import (
     MATRIX_NAMES,
     commutation_profile,
     ext_group_report,
+    matrix_group,
     predicted_K_square,
     predicted_S_square,
+    sign_cocycle,
     universal_comm_sign,
 )
 from cliffork.spinor_repr import load_spinbasis
 
 basis = load_spinbasis("gamma")
 report = ext_group_report(basis)
+order, group = matrix_group(report.matrices, sign_cocycle(report.matrices))
 
 print(f"extended automorphisms of {report.sig} ({basis.name} basis)\n")
 for name in MATRIX_NAMES:
@@ -28,7 +32,7 @@ for name in MATRIX_NAMES:
 
 signature = ", ".join(f"{s:+d}" for s in report.signature)
 print(f"\nsquare signature  ({signature})")
-print(f"group             {report.group_name} = {report.abstract_group}")
+print(f"group             {report.group_name} = {group}")
 print(
     f"order structure   {report.order_structure} "
     f"({'Abelian' if report.abelian else 'non-Abelian'})"
@@ -52,7 +56,6 @@ for pair in [("W", "E"), ("K", "S"), ("S", "F")]:
     assert got == predicted
     print(f"  {pair[0]} and {pair[1]} {word} (factor-count rule agrees)")
 
-if report.notes:
-    print()
-    for note in report.notes:
-        print(f"note: {note}")
+print()
+for note in [f"signed group of order {order} = {group}"] + report.notes:
+    print(f"note: {note}")

@@ -5,7 +5,7 @@ Modules:
     classification     ring/type periodic tables and matrix census
     spinor_repr        exact spinor bases (monomial matrices) for all types
     ext_automorphisms  the W,E,C,Pi,K,S,F matrices and their sign ledger
-    finite_groups      signed blade groups, closure, naming by F2 quadratic form
+    finite_groups      signed blade groups, naming by F2 quadratic form
     coverings          Pin/Spin membership and covering-group structure
     quotient           semi-simple split, eps homomorphism, symmetry transfer
     verify             the validation suites behind `cliffork verify`

@@ -35,7 +35,14 @@ from .classification import (
 )
 from .core_algebra import SignatureSpec, volume_square_sign
 from .coverings import cpt_structure, pt_structure, signature_text
-from .ext_automorphisms import MATRIX_NAMES, PHYSICAL_NAMES, ext_group_report, signed_letter_table
+from .ext_automorphisms import (
+    MATRIX_NAMES,
+    PHYSICAL_NAMES,
+    ext_group_report,
+    matrix_group,
+    sign_cocycle,
+    signed_letter_table,
+)
 from .quotient import (
     central_idempotents,
     epsilon_context,
@@ -121,8 +128,10 @@ def _cmd_ext_group(args) -> Tuple[int, str]:
             raise ValueError("ext-group needs --p and --q, or --basis <file|gamma>")
         basis = build_spinbasis(SignatureSpec(args.p, args.q))
     report = ext_group_report(basis)
-    elements, cells = signed_letter_table(report.matrices)
-    cells = [[cell or "?" for cell in row] for row in cells]
+    cocycle = sign_cocycle(report.matrices)
+    order, group = matrix_group(report.matrices, cocycle)
+    notes = [f"signed group of order {order} = {group}"] + report.notes
+    elements, cells = signed_letter_table(report.matrices, cocycle)
 
     payload = {
         "schema": SCHEMA, "verb": "ext-group", "sig": str(report.sig),
@@ -140,16 +149,16 @@ def _cmd_ext_group(args) -> Tuple[int, str]:
         "abelian": report.abelian,
         "order_structure": list(report.order_structure),
         "group": report.group_name,
-        "abstract_signed_group": report.abstract_group,
+        "abstract_signed_group": group,
         "table": {"elements": elements, "cells": cells},
-        "notes": list(report.notes),
+        "notes": notes,
     }
     lines = [f"# Extended automorphisms of {report.sig} ({basis.name} basis)", ""]
     lines += [f"- signature: {signature_text(report.signature)}",
               f"- group: {report.group_name} "
               f"(order structure {report.order_structure}, "
               f"{'Abelian' if report.abelian else 'non-Abelian'})",
-              f"- abstract signed group: {report.abstract_group}",
+              f"- abstract signed group: {group}",
               f"- conjugation square sign: {report.pi_bar_sign}", ""]
     lines += [_md_table(["matrix", "factor units", "square", "form"],
                         [[name, " ".join(str(i) for i in report.matrices[name].factors) or "-",
@@ -158,8 +167,7 @@ def _cmd_ext_group(args) -> Tuple[int, str]:
     lines += ["", "## Multiplication table", "",
               _md_table([" "] + elements,
                         [[elements[i]] + cells[i] for i in range(len(elements))])]
-    if report.notes:
-        lines += ["", "## Notes", ""] + [f"- {n}" for n in report.notes]
+    lines += ["", "## Notes", ""] + [f"- {n}" for n in notes]
     return 0, _emit(payload, lines, args.format)
 
 

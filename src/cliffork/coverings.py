@@ -16,15 +16,15 @@ Both structures read a basis through one helper, `_basis_cover`, and name
 their covers by one ``ext_automorphisms.COVER_TABLE`` row.  That row is
 picked by ``checked_cover`` from an ``ext_group_report``: the squares come
 from its matrices, the abelianness from its commutation ledger, and the row
-is confirmed against the cover rebuilt from the matrix cocycle.  The
-collapse covers of ``quotient`` read a report through the same check.
+is confirmed against the form of the matrices' sign cocycle.  The collapse
+covers of ``quotient`` read a report through the same check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .classification import odd_reduction, ring_label, type_index
 from .core_algebra import (
@@ -39,13 +39,12 @@ from .ext_automorphisms import (
     MATRIX_NAMES,
     CoverRow,
     ExtGroupReport,
-    ExtMatrix,
     cover_row,
     ext_group_report,
-    xor_group,
+    sign_cocycle,
 )
-from .finite_groups import GroupTable, identify_small_group
-from .spinor_repr import SpinBasis, SpinMatrix, build_spinbasis
+from .finite_groups import cocycle_group
+from .spinor_repr import SpinBasis, build_spinbasis
 
 _ONE = GaussianScalar.of(1)
 _MINUS_ONE = GaussianScalar.of(-1)
@@ -69,49 +68,17 @@ def signature_text(signature: Sequence[int]) -> str:
 # ---------------------------------------------------------------------------
 # the formal double cover, read off the matrices
 
-def signed_cover_group(
-    mats: Dict[str, ExtMatrix], names: Sequence[str] = MATRIX_NAMES
-) -> GroupTable:
-    """Abstract group {+-1} x {I, named matrices} with the sign cocycle
-    taken from the matrix products.
-
-    This is the double cover itself, not the matrix group: collapsed
-    realizations (several names landing on the same matrix up to sign)
-    still produce the full-order table.  So it stays beside the BFS closure
-    of `ext_group_report(identify=True)`, which names the matrix group, and
-    it cannot stand in for the CLI's letter table either: where names
-    coincide up to sign (Pi = I at Cl(2,0)) the cocycle names the XOR code,
-    not the first matching name.
-    """
-    codes = sorted({0} | {ELEMENT_NAMES.index(nm) for nm in names})
-    ident = SpinMatrix.identity(next(iter(mats.values())).matrix.dim)
-
-    def matrix(code: int) -> SpinMatrix:
-        return mats[ELEMENT_NAMES[code]].matrix if code else ident
-
-    def cocycle(a: int, b: int) -> int:
-        prod, target = matrix(a) * matrix(b), matrix(a ^ b)
-        if prod == target:
-            return 1
-        if prod == -target:
-            return -1
-        raise AssertionError("matrix product leaves the signed span of the named matrices")
-
-    group = xor_group(codes, ELEMENT_NAMES, cocycle)
-    if group is None:
-        raise ValueError("matrix name set is not closed under composition")
-    return group
-
-
 def checked_cover(report: ExtGroupReport, names: Sequence[str]) -> CoverRow:
     """The COVER_TABLE row of the named matrices (in MATRIX_NAMES order),
     keyed on the squares and commutation the report holds.  AssertionError
-    unless the cover rebuilt from their sign cocycle is the row's identified
-    group."""
+    unless the formal double cover {+-1} x {I, names} of their sign cocycle
+    is the row's identified group; names that land on one matrix up to sign
+    (Pi = I at Cl(2,0)) still count apart there."""
     signature = tuple(report.matrices[name].square_sign for name in names)
     abelian = all(report.commutation[pair] == 1 for pair in combinations(names, 2))
     row = cover_row(signature, abelian)
-    built = identify_small_group(signed_cover_group(report.matrices, names))
+    codes = sorted({0} | {ELEMENT_NAMES.index(name) for name in names})
+    _, built = cocycle_group(sign_cocycle(report.matrices, codes))
     if built != row.identified:
         raise AssertionError(
             f"cover table says {row.cover} (= {row.identified}), "
@@ -238,7 +205,7 @@ def _basis_cover(sig: SignatureSpec, basis: Optional[SpinBasis],
             f"{sig}: basis {basis.name} has imaginary units; ring R covers are "
             "read from a real basis"
         )
-    report = ext_group_report(basis, identify=False)
+    report = ext_group_report(basis)
     realized, predicted = report.signature[:3], predicted_pt_signature(basis)
     if realized != predicted:
         raise AssertionError(

@@ -17,8 +17,10 @@ the XOR of their codes, and the pin letters a..g are the codes 1..7:
 
 So W..F realize P..CPT, with P = W, T = E and C = Pi as bits 0, 1 and 2, and
 pin^{b,e,g} is {1, T, CP, CPT} = {I, E, K, F}.  `xor_group` builds the
-group table of a closed code set, plain or as the double cover with a sign
-cocycle, and COVER_TABLE names that cover for one, three or seven letters.
+group table of a closed code set, and the matrices' groups are named from
+their `sign_cocycle` c, M_a M_b = c(a, b) M_(a^b): COVER_TABLE names the
+double cover for one, three or seven letters, `matrix_group` the group the
+matrices generate.
 
 Each matrix is a product of unit matrices selected by the census (real or
 imaginary, symmetric or skew, read from SpinBasis.unit_species); every
@@ -39,11 +41,11 @@ sweeps confirm that both routes agree with the matrix truth on every variant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .classification import type_index
 from .core_algebra import SignatureSpec
-from .finite_groups import GroupTable, generate_group_from_matrices, identify_small_group
+from .finite_groups import GroupTable, cocycle_group
 from .spinor_repr import (
     SpinBasis,
     SpinMatrix,
@@ -61,7 +63,7 @@ PIN_LETTERS = "abcdefg"  # the letter of code c >= 1 is PIN_LETTERS[c - 1]
 
 # The double cover of a closed letter set, keyed on (letters, minus count,
 # abelian): the group the letters form up to sign, the double cover
-# {+-1} x letters, and that cover as identify_small_group names it.  One
+# {+-1} x letters, and that cover as cocycle_group names it.  One
 # letter is a lone collapse survivor, three are the PT block W, E, C and
 # seven are W..F; the starred CPT cover is the central product D4oZ4.
 COVER_TABLE: Dict[Tuple[int, int, bool], Tuple[str, str, str]] = {
@@ -87,7 +89,7 @@ class CoverRow(NamedTuple):
     abelian: bool
     group: str  # the letters up to sign
     cover: str  # {+-1} x letters
-    identified: str  # the cover as identify_small_group names it
+    identified: str  # the cover as cocycle_group names it
 
     @property
     def order_structure(self) -> Tuple[int, int]:  # (# square +I, # square -I)
@@ -105,22 +107,14 @@ def cover_row(signature: Sequence[int], abelian: bool) -> CoverRow:
     return CoverRow(*key, *COVER_TABLE[key])
 
 
-def xor_group(codes: Sequence[int], names: Sequence[str],
-              cocycle: Optional[Callable[[int, int], int]] = None) -> Optional[GroupTable]:
+def xor_group(codes: Sequence[int], names: Sequence[str]) -> Optional[GroupTable]:
     """The code set `codes` (0 first) under XOR, element c named names[c];
-    None when the set is not closed.  With cocycle(a, b) = +-1 it is the
-    double cover {+-1} x codes, (s, a)(t, b) = (s t cocycle(a, b), a ^ b),
-    with elements +name, -name for each code in turn."""
+    None when the set is not closed."""
     if any(a ^ b not in codes for a in codes for b in codes):
         return None
-    signs = (1,) if cocycle is None else (1, -1)
-    sign = {(a, b): 1 if cocycle is None else cocycle(a, b) for a in codes for b in codes}
-    elements = [(s, c) for c in codes for s in signs]
-    index = {el: i for i, el in enumerate(elements)}
-    table = [[index[s * t * sign[a, b], a ^ b] for t, b in elements] for s, a in elements]
-    labels = [names[c] if cocycle is None else ("+" if s > 0 else "-") + names[c]
-              for s, c in elements]
-    return GroupTable(labels, table, index[1, 0])
+    index = {c: i for i, c in enumerate(codes)}
+    return GroupTable([names[c] for c in codes],
+                      [[index[a ^ b] for b in codes] for a in codes], index[0])
 
 
 @dataclass(frozen=True)
@@ -144,7 +138,6 @@ class ExtGroupReport:
     abelian: bool
     order_structure: Tuple[int, int]  # (# square +I, # square -I)
     group_name: str
-    abstract_group: Optional[str] = None
     notes: List[str] = field(default_factory=list)
 
 
@@ -209,15 +202,57 @@ def ext_matrices(basis: SpinBasis) -> Dict[str, ExtMatrix]:
     return {m.name: m for m in (w, e, c, pi, k, s, f)}
 
 
-def signed_letter_table(mats: Dict[str, ExtMatrix]) -> Tuple[List[str], List[List[Optional[str]]]]:
-    """The letters I, W, ..., F and their signed multiplication table: cell
-    (a, b) names a * b as a signed letter ("-K"), or is None when the
-    product is not one of the eight up to sign."""
-    elements = list(ELEMENT_NAMES)
-    pool = {"I": SpinMatrix.identity(mats["W"].matrix.dim)}
-    pool.update((name, mats[name].matrix) for name in MATRIX_NAMES)
-    by_matrix = signed_lookup(pool)
-    return elements, [[by_matrix.get(pool[a] * pool[b]) for b in elements] for a in elements]
+def _code_matrices(mats: Dict[str, ExtMatrix]) -> List[SpinMatrix]:
+    """M_c for the codes c = 0..7: I, then the matrices W..F."""
+    return [SpinMatrix.identity(mats["W"].matrix.dim)] + [mats[n].matrix for n in MATRIX_NAMES]
+
+
+def sign_cocycle(mats: Dict[str, ExtMatrix],
+                 codes: Sequence[int] = range(8)) -> Dict[Tuple[int, int], int]:
+    """c(a, b) = +-1 with M_a M_b = c(a, b) M_(a^b) over the code set
+    `codes` (0 first), one product per pair of nonzero codes.  ValueError
+    when the set is not closed under XOR; AssertionError when a product
+    leaves the signed span of the named matrices."""
+    if any(a ^ b not in codes for a in codes for b in codes):
+        raise ValueError("matrix name set is not closed under composition")
+    m = _code_matrices(mats)
+
+    def sign(a: int, b: int) -> int:
+        if not (a and b):
+            return 1
+        prod, target = m[a] * m[b], m[a ^ b]
+        if prod == target:
+            return 1
+        if prod == -target:
+            return -1
+        raise AssertionError(f"{ELEMENT_NAMES[a]} * {ELEMENT_NAMES[b]} leaves the "
+                             "signed span of the named matrices")
+
+    return {(a, b): sign(a, b) for a in codes for b in codes}
+
+
+def matrix_group(mats: Dict[str, ExtMatrix], cocycle: Dict[Tuple[int, int], int]) -> Tuple[int, str]:
+    """(order, name) of the group the matrices I, W..F generate, from their
+    `sign_cocycle` over all eight codes: the form on Z2^3 modulo the codes
+    whose matrix is +-I.  It holds -I when the cocycle takes -1 (-I = M_a M_b
+    M_(a^b)^-1) or a code's matrix is -I.  It is smaller than the formal
+    cover `coverings.checked_cover` names on 21 of the 25 real even cells
+    with p+q <= 8 (Cl(6,2): Z4xZ2 here, Z4xZ2xZ2 there)."""
+    m = _code_matrices(mats)
+    kernel = [c for c in range(8) if m[c] == m[0] or m[c] == -m[0]]
+    minus = any(s < 0 for s in cocycle.values()) or any(m[c] != m[0] for c in kernel)
+    return cocycle_group(cocycle, kernel, minus)
+
+
+def signed_letter_table(mats: Dict[str, ExtMatrix],
+                        cocycle: Dict[Tuple[int, int], int]) -> Tuple[List[str], List[List[str]]]:
+    """The letters I, W, ..., F and their signed multiplication table from
+    their `sign_cocycle`: cell (a, b) names a * b = c(a, b) M_(a^b) by its
+    first letter up to sign ("-K")."""
+    m = _code_matrices(mats)
+    by_matrix = signed_lookup(dict(zip(ELEMENT_NAMES, m)))
+    return list(ELEMENT_NAMES), [[by_matrix[m[a ^ b] if cocycle[a, b] > 0 else -m[a ^ b]]
+                                  for b in range(8)] for a in range(8)]
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +447,9 @@ def admissible_groups(signature: Sequence[int], typ: int) -> frozenset:
 # full report and census sweeps
 
 
-def ext_group_report(basis: SpinBasis, identify: bool = True) -> ExtGroupReport:
+def ext_group_report(basis: SpinBasis) -> ExtGroupReport:
     """Matrices, census, signature, commutation ledger and group label of one
-    basis, all from a single classification of its units.
-
-    With identify=True the matrix group is also closed by BFS and named.
-    That is the group the matrices actually generate, which can be smaller
-    than the formal order-16 double cover `coverings.signed_cover_group`
-    builds from the sign cocycle: the two disagree on 21 of the 25 even
-    cells with p+q <= 8 (Cl(6,2): Z4xZ2 here, Z4xZ2xZ2 there).  Both stay.
-    """
+    basis, all from a single classification of its units."""
     mats = ext_matrices(basis)
     census = basis.unit_census()
     signature = tuple(mats[name].square_sign for name in MATRIX_NAMES)
@@ -446,12 +474,6 @@ def ext_group_report(basis: SpinBasis, identify: bool = True) -> ExtGroupReport:
             raise AssertionError(
                 f"classified {row.group} but the case table admits {sorted(allowed)}"
             )
-    if identify:
-        table = generate_group_from_matrices([m.matrix for m in mats.values()])
-        report.abstract_group = identify_small_group(table)
-        report.notes.append(
-            f"signed group of order {len(table.elements)} = {report.abstract_group}"
-        )
     if mats["Pi"].form == "imaginary" and census.a == 0:
         report.notes.append("Pi is the empty product (identity): all units real")
     return report
@@ -473,7 +495,7 @@ def quaternionic_signatures(max_n: int = 10) -> Iterator[Tuple]:
     sign-flipped tweaks.  The cells are listed, and the size limit checked,
     when this is called, before any basis is built."""
     cells = quaternionic_cells(max_n)
-    return ((sig, basis, ext_group_report(basis, identify=False))
+    return ((sig, basis, ext_group_report(basis))
             for sig in cells
             for basis in sweep_spinbasis_variants(sig))
 

@@ -1,13 +1,13 @@
 """Finite groups of signed blades and matrices.
 
-GroupTable is a plain multiplication table over canonical element labels;
-generate_group closes a generating set by breadth-first search under exact
-equality. identify_small_group names a signed 2-group of order <= 16, one
-whose squares are 1 and at most one z, by the invariants of its F2
-quadratic form q(x) = [x^2 = z] (Arf, 1941), each counted on the table; it
-raises on any other table, a non-associative one included.  Every group the
-library names is of this kind: the PT and CPT covers, the collapse covers,
-the vee groups and their centers.
+GroupTable is a plain multiplication table over canonical element labels.
+Every group the library names (covers, matrix groups, vee groups and their
+centers) is a signed 2-group of order <= 16, with squares 1 and at most one
+z, and `signed_group_name` names it by the invariants of its F2 quadratic
+form q(x) = [x^2 = z] (Arf, 1941), counted on a table by identify_small_group
+(which raises on any other table) or on a sign cocycle by cocycle_group.
+The BFS closure generate_group_from_matrices is the tests' oracle for the
+latter.
 
 The vee group of Cl(p,q) is the set of 2^(n+1) signed basis blades; the
 factor theorem (quotient by the center is elementary abelian of even 2-rank)
@@ -17,7 +17,7 @@ is checked by directly building the coset table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core_algebra import (
     SignatureSpec,
@@ -119,22 +119,21 @@ class GroupTable:
 # generation by closure
 
 
-def generate_group(
-    generators: Sequence[Hashable],
-    mul: Callable,
-    neutral: Hashable,
-    label: Optional[Callable] = None,
-) -> GroupTable:
-    """BFS closure of generators under mul; exact equality via hashing."""
-    index: Dict[Hashable, int] = {neutral: 0}
-    items: List[Hashable] = [neutral]
-    frontier = [neutral]
-    gens = list(generators)
+def generate_group_from_matrices(mats: Sequence[SpinMatrix]) -> GroupTable:
+    """BFS closure of exact matrices under the product, exact equality via
+    hashing; elements must be invertible (finite order).  Its elements are
+    named g0, g1, ... in the order the search meets them."""
+    if not mats:
+        raise ValueError("need at least one matrix")
+    ident = SpinMatrix.identity(mats[0].dim)
+    index: Dict[SpinMatrix, int] = {ident: 0}
+    items: List[SpinMatrix] = [ident]
+    frontier = [ident]
     while frontier:
         new_frontier = []
         for x in frontier:
-            for g in gens:
-                y = mul(x, g)
+            for g in mats:
+                y = x * g
                 if y not in index:
                     if len(items) >= MAX_CLOSURE:
                         raise ValueError(f"closure exceeded {MAX_CLOSURE} elements")
@@ -149,12 +148,11 @@ def generate_group(
     table = [[-1] * n for _ in range(n)]
     for i, x in enumerate(items):
         for j, y in enumerate(items):
-            z = mul(x, y)
+            z = x * y
             if z not in index:
                 raise ValueError("generating set is not closed under products")
             table[i][j] = index[z]
-    labeler = label or (lambda v: str(v))
-    tbl = GroupTable([labeler(v) for v in items], table, 0)
+    tbl = GroupTable([f"g{i}" for i in range(n)], table, 0)
     tbl.validate()
     return tbl
 
@@ -164,45 +162,40 @@ def _signed_blade_label(sb: Tuple[int, int]) -> str:
     return ("+" if sign > 0 else "-") + blade_name(mask)
 
 
-def generate_group_from_matrices(mats: Sequence[SpinMatrix]) -> GroupTable:
-    """Closure of exact matrices; elements must be invertible (finite order)."""
-    if not mats:
-        raise ValueError("need at least one matrix")
-    ident = SpinMatrix.identity(mats[0].dim)
-    counter = [0]
-    names: Dict[SpinMatrix, str] = {}
-
-    def label(m: SpinMatrix) -> str:
-        if m not in names:
-            names[m] = f"g{counter[0]}"
-            counter[0] += 1
-        return names[m]
-
-    def mul(a, b):
-        return a * b
-
-    return generate_group(list(mats), mul, neutral=ident, label=label)
-
-
 # ---------------------------------------------------------------------------
 # naming by the F2 quadratic form
 
 
-def identify_small_group(t: GroupTable) -> str:
-    """Name a group of order <= 16 whose squares are 1 and at most one z;
-    ValueError for any other table, a table that is not a group included.
+def signed_group_name(order: int, center: int, central_z: bool, to_z: int) -> str:
+    """Name a signed 2-group of order <= 16 from four counts: its order, the
+    order of its center, whether a central element squares to z, and how
+    many elements square to z.
 
-    With no z the group is elementary abelian.  Otherwise it is a central
-    extension of V = Z2^m by <z>, fixed up to isomorphism by the form
-    q(x) = [x^2 = z] on V, whose polar form is B(x, y) = [x and y
-    anticommute].  Each invariant of q is a count on the table: the center
-    is the preimage of the radical R of B, so |Z(G)| = 2^(r+1) with
-    r = dim R; q is nonzero on R exactly when a central element squares to
-    z; V/R has rank 2k = m - r; and when q vanishes on R its Arf invariant
-    is 1 exactly when more than half of G squares to z.  So the group is
-    Z4 (k = 0) or D4oZ4 (k = 1) when q is nonzero on R, D4 (Arf 0) or Q4
-    (Arf 1) when it vanishes there, each times Z2 factors up to its order.
+    With no element squaring to z the group is elementary abelian.
+    Otherwise it is a central extension of V = Z2^m by <z>, fixed up to
+    isomorphism by the form q(x) = [x^2 = z] on V, whose polar form is
+    B(x, y) = [x and y anticommute].  The center is the preimage of the
+    radical R of B, so |Z(G)| = 2^(r+1) with r = dim R; q is nonzero on R
+    exactly when a central element squares to z; V/R has rank 2k = m - r;
+    and when q vanishes on R its Arf invariant is 1 exactly when more than
+    half of G squares to z.  So the group is Z4 (k = 0) or D4oZ4 (k = 1)
+    when q is nonzero on R, D4 (Arf 0) or Q4 (Arf 1) when it vanishes there,
+    each times Z2 factors up to its order.
     """
+    rank = order.bit_length() - 1
+    if not to_z:
+        return "x".join(["Z2"] * rank) or "1"
+    r = center.bit_length() - 2
+    k = (rank - 1 - r) // 2
+    if central_z:
+        return ("Z4", "D4oZ4")[k] + "xZ2" * (r - 1)
+    return ("Q4" if 2 * to_z > order else "D4") + "xZ2" * r
+
+
+def identify_small_group(t: GroupTable) -> str:
+    """Name a group of order <= 16 whose squares are 1 and at most one z by
+    `signed_group_name`; ValueError for any other table, a table that is not
+    a group included."""
     n = t.order
     if n > 16:
         raise ValueError(f"identification limited to order <= 16, got {n}")
@@ -214,17 +207,24 @@ def identify_small_group(t: GroupTable) -> str:
     if len(squares) > 1:
         raise ValueError(f"group of order {n} has {len(squares)} nontrivial squares, "
                          "not a signed 2-group")
-    rank = n.bit_length() - 1  # n = 2^rank once squares lie in {1, z}
-    if not squares:
-        return "x".join(["Z2"] * rank) or "1"
-    (z,) = squares
     center = t.center()
-    r = len(center).bit_length() - 2
-    k = (rank - 1 - r) // 2
-    if any(tb[c][c] == z for c in center):
-        return ("Z4", "D4oZ4")[k] + "xZ2" * (r - 1)
-    to_z = sum(1 for g in range(n) if tb[g][g] == z)
-    return ("Q4" if 2 * to_z > n else "D4") + "xZ2" * r
+    return signed_group_name(n, len(center), any(tb[c][c] in squares for c in center),
+                             sum(1 for g in range(n) if tb[g][g] in squares))
+
+
+def cocycle_group(cocycle: Dict[Tuple[int, int], int], kernel: Sequence[int] = (0,),
+                  minus: bool = True) -> Tuple[int, str]:
+    """(order, name) of {+-1} x V with (s, a)(t, b) = (s t cocycle[a, b],
+    a ^ b), V the XOR group of codes `cocycle` is keyed on, modulo `kernel`:
+    codes that stand for signs, so q(x) = [cocycle[x, x] = -1] and its polar
+    form B(x, y) = [cocycle[x, y] != cocycle[y, x]] vanish on them.  Without
+    `minus` the cocycle is trivial and one sign per coset is kept."""
+    codes = sorted({a for a, _ in cocycle})
+    q = {a for a in codes if cocycle[a, a] < 0}
+    radical = {a for a in codes if all(cocycle[a, b] == cocycle[b, a] for b in codes)}
+    order = (1 + minus) * len(codes) // len(kernel)
+    return order, signed_group_name(order, 2 * len(radical) // len(kernel),
+                                    bool(q & radical), 2 * len(q) // len(kernel))
 
 
 # ---------------------------------------------------------------------------

@@ -378,7 +378,7 @@ def _concrete_cover(target: SignatureSpec, matrix_names: Tuple[str, ...]) -> Opt
         basis = build_spinbasis(target)
     except ValueError:
         return None
-    report = ext_group_report(basis, identify=False)
+    report = ext_group_report(basis)
     return checked_cover(report, [n for n in matrix_names if n != "I"]).cover
 
 

@@ -1,5 +1,5 @@
-"""The small-group catalog: the differential oracle for
-`finite_groups.identify_small_group`.
+"""The small-group catalog: the differential oracle for the form namers
+`finite_groups.identify_small_group` and `finite_groups.cocycle_group`.
 
 Every group of order 1, 2, 4, 8 and 16, built from presentations, named by
 a fingerprint match and confirmed by a backtracking isomorphism search.  The
@@ -7,14 +7,19 @@ library names its groups by their F2 quadratic form instead; this is the
 route that form namer replaced, kept to check it.  `order_structure`,
 `inverse` and `subgroup_closure` were GroupTable methods that only this
 route used.
+
+`xor_group` with a cocycle and `signed_cover_group` build the group table of
+a formal double cover, which the library now names from the sign cocycle
+without a table; they stay here to build the tables the oracle names.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from cliffork.core_algebra import GaussianScalar
+from cliffork.ext_automorphisms import ELEMENT_NAMES, MATRIX_NAMES, ExtMatrix
 from cliffork.finite_groups import GroupTable, generate_group_from_matrices
 from cliffork.spinor_repr import SpinMatrix
 
@@ -252,3 +257,59 @@ def identify_by_catalog(t: GroupTable) -> str:
         if _find_isomorphism(t, ref):
             return name
     raise ValueError(f"group with fingerprint {fp} is not in the catalog")
+
+
+# ---------------------------------------------------------------------------
+# formal double covers as tables
+
+
+def xor_group(codes: Sequence[int], names: Sequence[str],
+              cocycle: Optional[Callable[[int, int], int]] = None) -> Optional[GroupTable]:
+    """The code set `codes` (0 first) under XOR, element c named names[c];
+    None when the set is not closed.  With cocycle(a, b) = +-1 it is the
+    double cover {+-1} x codes, (s, a)(t, b) = (s t cocycle(a, b), a ^ b),
+    with elements +name, -name for each code in turn."""
+    if any(a ^ b not in codes for a in codes for b in codes):
+        return None
+    signs = (1,) if cocycle is None else (1, -1)
+    sign = {(a, b): 1 if cocycle is None else cocycle(a, b) for a in codes for b in codes}
+    elements = [(s, c) for c in codes for s in signs]
+    index = {el: i for i, el in enumerate(elements)}
+    table = [[index[s * t * sign[a, b], a ^ b] for t, b in elements] for s, a in elements]
+    labels = [names[c] if cocycle is None else ("+" if s > 0 else "-") + names[c]
+              for s, c in elements]
+    return GroupTable(labels, table, index[1, 0])
+
+
+def signed_cover_group(
+    mats: Dict[str, ExtMatrix], names: Sequence[str] = MATRIX_NAMES
+) -> GroupTable:
+    """Abstract group {+-1} x {I, named matrices} with the sign cocycle
+    taken from the matrix products.
+
+    This is the double cover itself, not the matrix group: collapsed
+    realizations (several names landing on the same matrix up to sign)
+    still produce the full-order table.  So it stays beside the BFS closure
+    `generate_group_from_matrices`, which builds the matrix group, and
+    it cannot stand in for the CLI's letter table either: where names
+    coincide up to sign (Pi = I at Cl(2,0)) the cocycle names the XOR code,
+    not the first matching name.
+    """
+    codes = sorted({0} | {ELEMENT_NAMES.index(nm) for nm in names})
+    ident = SpinMatrix.identity(next(iter(mats.values())).matrix.dim)
+
+    def matrix(code: int) -> SpinMatrix:
+        return mats[ELEMENT_NAMES[code]].matrix if code else ident
+
+    def cocycle(a: int, b: int) -> int:
+        prod, target = matrix(a) * matrix(b), matrix(a ^ b)
+        if prod == target:
+            return 1
+        if prod == -target:
+            return -1
+        raise AssertionError("matrix product leaves the signed span of the named matrices")
+
+    group = xor_group(codes, ELEMENT_NAMES, cocycle)
+    if group is None:
+        raise ValueError("matrix name set is not closed under composition")
+    return group

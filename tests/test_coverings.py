@@ -20,19 +20,20 @@ from cliffork.coverings import (
     pin_membership,
     pt_structure,
     predicted_pt_signature,
-    signed_cover_group,
     spin_membership,
 )
 from cliffork.ext_automorphisms import (
     COVER_TABLE,
+    ELEMENT_NAMES,
     MATRIX_NAMES,
     ExtMatrix,
     cover_row,
     ext_group_report,
     ext_matrices,
     matrix_comm_sign,
+    sign_cocycle,
 )
-from cliffork.finite_groups import identify_small_group
+from cliffork.finite_groups import cocycle_group, identify_small_group
 from cliffork.spinor_repr import (
     MAT_A,
     MAT_J,
@@ -42,6 +43,7 @@ from cliffork.spinor_repr import (
     load_spinbasis,
     sweep_spinbasis_variants,
 )
+from small_group_catalog import signed_cover_group
 
 ONE = GaussianScalar.of(1)
 
@@ -75,7 +77,7 @@ def test_complex_signature_realized_by_some_mark():
         got = set()
         for p in range(n + 1):
             basis = build_spinbasis(SignatureSpec(p, n - p, "C"))
-            got.add(ext_group_report(basis, identify=False).signature[:3])
+            got.add(ext_group_report(basis).signature[:3])
         assert want in got
 
 
@@ -161,7 +163,7 @@ def test_ring_r_rejects_an_imaginary_basis_by_name():
     # a valid basis whose (W,E,C) squares the census predicts, but E and C
     # are transposition intertwiners: ring R reads a real basis only
     basis = _imaginary_cl11_basis()
-    realized = ext_group_report(basis, identify=False).signature[:3]
+    realized = ext_group_report(basis).signature[:3]
     assert realized == predicted_pt_signature(basis) == (1, -1, 1)
     assert pt_structure(1, 1).signature == (1, 1, -1)
     for structure in (pt_structure, cpt_structure):
@@ -236,7 +238,7 @@ def test_even_sweep_cross_validation():
         for p in range(n + 1):
             sig = SignatureSpec(p, n - p)
             basis = build_spinbasis(sig)
-            report = ext_group_report(basis, identify=False)
+            report = ext_group_report(basis)
             realized = report.signature[:3]
             assert realized == predicted_pt_signature(basis), sig
             rep = pt_structure(sig)
@@ -258,7 +260,7 @@ def test_variant_sweep_census_prediction():
                 continue
             block = A_PLUS_SET if type_index(p, n - p) == 4 else A_MINUS_SET
             for basis in sweep_spinbasis_variants(sig):
-                realized = ext_group_report(basis, identify=False).signature[:3]
+                realized = ext_group_report(basis).signature[:3]
                 assert realized == predicted_pt_signature(basis)
                 assert realized in block
                 checked += 1
@@ -282,6 +284,12 @@ def test_signed_cover_group_shapes():
         signed_cover_group(mats, ("W", "E"))  # composite C missing
     with pytest.raises(ValueError):
         signed_cover_group(mats, ("W", "Pi"))  # composite K missing
+    # the library names the same covers from the sign cocycle alone
+    assert cocycle_group(sign_cocycle(mats, (0, 1, 2, 3))) == (8, "Z4xZ2")
+    assert cocycle_group(sign_cocycle(mats)) == (16, "D4oZ4")
+    for codes in ((0, 1, 2), (0, 1, 4)):
+        with pytest.raises(ValueError, match="not closed"):
+            sign_cocycle(mats, codes)
 
 
 def test_trivial_cocycle_gives_elementary_cover():
@@ -295,7 +303,7 @@ def test_trivial_cocycle_gives_elementary_cover():
     g = signed_cover_group(mats)
     assert g.order == 16
     assert identify_small_group(g) == "Z2xZ2xZ2xZ2"
-    gamma = ext_group_report(load_spinbasis("gamma"), identify=False)
+    gamma = ext_group_report(load_spinbasis("gamma"))
     trivial = dataclasses.replace(gamma, matrices=mats,
                                   commutation=dict.fromkeys(gamma.commutation, 1))
     row = checked_cover(trivial, MATRIX_NAMES)
@@ -306,7 +314,7 @@ def test_trivial_cocycle_gives_elementary_cover():
 def test_checked_cover_rejects_a_wrong_row():
     # a lone letter squaring to -I keys the Z4 row; a matrix whose sign
     # cocycle builds another group must fail the identification
-    report = ext_group_report(load_spinbasis("gamma"), identify=False)
+    report = ext_group_report(load_spinbasis("gamma"))
     mats = report.matrices
     assert mats["W"].square_sign == -1
     assert checked_cover(report, ("W",)).cover == "Z4"
@@ -329,8 +337,11 @@ def test_cover_table_matches_the_rebuilt_cover_on_every_swept_basis():
                         abelian = all(matrix_comm_sign(mats[x].matrix, mats[y].matrix) == 1
                                       for x, y in itertools.combinations(names, 2))
                         row = cover_row(squares, abelian)
-                        built = identify_small_group(signed_cover_group(mats, names))
+                        table = signed_cover_group(mats, names)
+                        built = identify_small_group(table)
                         assert built == row.identified, (basis.name, names)
+                        codes = sorted({0} | {ELEMENT_NAMES.index(x) for x in names})
+                        assert cocycle_group(sign_cocycle(mats, codes)) == (table.order, built)
                         reached.add((len(names), row.minus, row.abelian))
     assert reached == {key for key in COVER_TABLE if key[0] != 1}
 
@@ -343,7 +354,7 @@ def test_pt_cover_is_the_wec_part_of_the_cpt_cover():
         for p in range(n + 1):
             for field in ("R", "C"):
                 for basis in sweep_spinbasis_variants(SignatureSpec(p, n - p, field)):
-                    report = ext_group_report(basis, identify=False)
+                    report = ext_group_report(basis)
                     mats = report.matrices
                     small = signed_cover_group(mats, ("W", "E", "C"))
                     big = signed_cover_group(mats)

@@ -20,16 +20,25 @@ from cliffork.ext_automorphisms import (
     ext_group_report,
     ext_matrices,
     matrix_comm_sign,
+    matrix_group,
     predicted_K_square,
     predicted_pi_bar,
     predicted_S_square,
     printed_pi_bar_applicable,
     printed_pi_bar_mod4,
     quaternionic_signatures,
+    sign_cocycle,
     signed_letter_table,
     universal_comm_sign,
 )
-from cliffork.spinor_repr import SpinMatrix, UnitCensus, build_spinbasis, load_spinbasis
+from cliffork.finite_groups import cocycle_group
+from cliffork.spinor_repr import (
+    SpinMatrix,
+    UnitCensus,
+    build_spinbasis,
+    load_spinbasis,
+    signed_lookup,
+)
 
 
 def _subset_products(basis):
@@ -77,18 +86,24 @@ def test_gamma_constructions_exact():
 
 
 def test_signed_letter_table():
+    # each cell, read from the sign cocycle, names the product itself by its
+    # first letter up to sign, also where letters coincide (E = Pi = I and
+    # C = K = W at (2,0))
+    for basis in (load_spinbasis("gamma"), build_spinbasis(SignatureSpec(2, 0))):
+        mats = ext_matrices(basis)
+        elements, cells = signed_letter_table(mats, sign_cocycle(mats))
+        assert elements == ["I"] + list(MATRIX_NAMES)
+        assert cells[0] == [row[0] for row in cells]
+        pool = {"I": SpinMatrix.identity(basis.dim), **{x: mats[x].matrix for x in MATRIX_NAMES}}
+        by_matrix = signed_lookup(pool)
+        assert cells == [[by_matrix[pool[a] * pool[b]] for b in elements] for a in elements]
+    assert cells[1] == ["+W", "-I"] * 4
+    # a pool that is not closed: g1 g2 is none of the eight up to sign
     basis = load_spinbasis("gamma")
     mats = ext_matrices(basis)
-    elements, cells = signed_letter_table(mats)
-    assert elements == ["I"] + list(MATRIX_NAMES)
-    assert cells[0] == ["+" + e for e in elements]
-    assert [row[0] for row in cells] == ["+" + e for e in elements]
-    assert all(cell is not None for row in cells for cell in row)
-    # a pool that is not closed: g1 g2 is none of the eight up to sign
     mats["F"] = dataclasses.replace(mats["F"], matrix=basis.product_of([1, 2]))
-    _, cells = signed_letter_table(mats)
-    assert cells[0][7] == "+F"
-    assert cells[1][7] is None  # W g1 g2 = -g3 g4
+    with pytest.raises(AssertionError, match="leaves the signed span"):
+        sign_cocycle(mats)
 
 
 def test_gamma_report():
@@ -99,7 +114,24 @@ def test_gamma_report():
     assert not report.abelian
     assert report.order_structure == (3, 4)
     assert report.group_name == "*Z4xZ2"
-    assert report.abstract_group == "D4oZ4"
+    assert matrix_group(report.matrices, sign_cocycle(report.matrices)) == (16, "D4oZ4")
+
+
+def test_matrix_group_is_the_formal_cover_on_4_of_25_cells():
+    # on the canonical basis of the real even cells with p+q <= 8 the group
+    # the matrices generate is smaller than the formal double cover in 21
+    # cells, e.g. Cl(6,2), and equal to it in these 4
+    equal = []
+    for n in range(0, 9, 2):
+        for p in range(n + 1):
+            mats = ext_matrices(build_spinbasis(SignatureSpec(p, n - p)))
+            cocycle = sign_cocycle(mats)
+            generated, formal = matrix_group(mats, cocycle), cocycle_group(cocycle)
+            if generated == formal:
+                equal.append((p, n - p))
+            if (p, n - p) == (6, 2):
+                assert (generated, formal) == ((8, "Z4xZ2"), (16, "Z4xZ2xZ2"))
+    assert equal == [(1, 3), (1, 5), (2, 4), (5, 1)]
 
 
 def test_gamma_commutation_spot_cells():
@@ -138,6 +170,23 @@ def test_each_unit_is_classified_once(monkeypatch, p, q):
     assert len(calls) == fresh.sig.n
 
 
+@pytest.mark.parametrize("argv,bound", [
+    ("ext-group --basis gamma", 185),  # 568 with a BFS closure and a product per letter cell
+    ("cover --p 1 --q 3 --cpt", 170),  # 185 with the formal cover built as a table
+    ("quotient --p 2 --q 1", 188),  # 202, likewise
+    ("verify --suite commutation --max 6", 12626),
+])
+def test_spin_matrix_products_per_invocation(monkeypatch, capsys, argv, bound):
+    # every group is named from one sign cocycle: a product per pair of codes
+    from cliffork.cli import run
+
+    calls = []
+    mul = SpinMatrix.__mul__
+    monkeypatch.setattr(SpinMatrix, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert run(argv.split()) == 0
+    assert len(calls) <= bound
+
+
 # ---------------------------------------------------------------------------
 # degenerate (non-quaternionic) even cases
 
@@ -154,7 +203,7 @@ def test_all_real_basis_pi_is_identity():
     assert report.signature == (-1, 1, -1, 1, -1, 1, -1)
     assert report.abelian
     assert report.group_name == "Z4xZ2"
-    assert report.abstract_group == "Z4"
+    assert matrix_group(report.matrices, sign_cocycle(report.matrices)) == (4, "Z4")
     assert any("empty product" in note for note in report.notes)
 
 

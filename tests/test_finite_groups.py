@@ -12,9 +12,17 @@ import random
 import pytest
 
 from cliffork.core_algebra import GaussianScalar, SignatureSpec, blade_product
-from cliffork.ext_automorphisms import ELEMENT_NAMES, cover_row, ext_group_report, xor_group
+from cliffork.ext_automorphisms import (
+    ELEMENT_NAMES,
+    ExtMatrix,
+    cover_row,
+    ext_group_report,
+    matrix_group,
+    sign_cocycle,
+)
 from cliffork.finite_groups import (
     GroupTable,
+    cocycle_group,
     generate_group_from_matrices,
     group_center_type,
     identify_small_group,
@@ -31,6 +39,7 @@ from small_group_catalog import (
     identify_by_catalog,
     inverse,
     order_structure,
+    xor_group,
 )
 
 # the catalog groups whose squares are 1 and at most one z
@@ -120,12 +129,13 @@ def test_generate_from_matrices():
     assert generate_group_from_matrices([SpinMatrix.identity(2)]).order == 1
 
 
-def test_closure_bound():
-    # a fake mul that never closes: integers under addition
-    from cliffork.finite_groups import generate_group
+def test_closure_bound(monkeypatch):
+    # a matrix of infinite order never closes
+    from cliffork import finite_groups
 
-    with pytest.raises(ValueError, match="closure exceeded 10000 elements"):
-        generate_group([1], lambda a, b: a + b, neutral=0)
+    monkeypatch.setattr(finite_groups, "MAX_CLOSURE", 50)
+    with pytest.raises(ValueError, match="closure exceeded 50"):
+        generate_group_from_matrices([SpinMatrix([[2, 0], [0, 1]])])
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +378,11 @@ def test_vee_factor_theorem_up_to_n6():
 
 
 def _forms(m):
-    """Every quadratic form on F2^m as the sign cocycle of its double cover:
-    q on the basis vectors and the polar form B on each pair i < j give the
-    bilinear beta with beta(e_i, e_i) = q(e_i) and beta(e_i, e_j) = B(e_i, e_j)
-    for i < j, and the cocycle (-1)^beta(a, b) has (-1)^q(x) as the square of x."""
+    """Every quadratic form on F2^m as the sign cocycle of its double cover,
+    with the cover's table: q on the basis vectors and the polar form B on
+    each pair i < j give the bilinear beta with beta(e_i, e_i) = q(e_i) and
+    beta(e_i, e_j) = B(e_i, e_j) for i < j, and the cocycle (-1)^beta(a, b)
+    has (-1)^q(x) as the square of x."""
     pairs = list(itertools.combinations(range(m), 2))
     for bits in itertools.product((0, 1), repeat=m + len(pairs)):
         beta = {(i, i): bits[i] for i in range(m)}
@@ -381,16 +392,19 @@ def _forms(m):
             odd = sum(v for (i, j), v in beta.items() if a >> i & 1 and b >> j & 1)
             return -1 if odd % 2 else 1
 
-        yield xor_group(range(1 << m), ELEMENT_NAMES, cocycle)
+        codes = range(1 << m)
+        yield ({(a, b): cocycle(a, b) for a in codes for b in codes},
+               xor_group(codes, ELEMENT_NAMES, cocycle))
 
 
 def test_every_form_cover_is_named_as_the_catalog_and_cover_table_name_it():
     counts = {}
     for m in (1, 2, 3):
         tally = collections.Counter()
-        for cover in _forms(m):
+        for cocycle, cover in _forms(m):
             name = identify_small_group(cover)
             assert name == identify_by_catalog(cover)
+            assert cocycle_group(cocycle) == (cover.order, name)
             tally[name] += 1
             squares = [1 if cover.table[2 * c][2 * c] == cover.neutral else -1
                        for c in range(1, 1 << m)]
@@ -400,14 +414,45 @@ def test_every_form_cover_is_named_as_the_catalog_and_cover_table_name_it():
 
 
 def test_namer_matches_the_catalog_on_every_swept_basis_group():
-    checked = 0
-    for n in (0, 2, 4, 6):
+    # the group the eight matrices generate, named from their sign cocycle,
+    # against the catalog's name of its BFS closure on every variant basis
+    # with even p+q <= 8, real and complex, tallied by the cases the rule
+    # tells apart: a code whose matrix is +-I, one whose matrix is -I, and
+    # the cocycle taking -1
+    got, tally = {}, collections.Counter()
+    for n in (0, 2, 4, 6, 8):
         for p in range(n + 1):
             for field in ("R", "C"):
                 for basis in sweep_spinbasis_variants(SignatureSpec(p, n - p, field)):
-                    report = ext_group_report(basis, identify=True)
-                    table = generate_group_from_matrices(
-                        [m.matrix for m in report.matrices.values()])
-                    assert report.abstract_group == identify_by_catalog(table), basis.name
-                    checked += 1
-    assert checked > 100
+                    mats = ext_group_report(basis).matrices
+                    cocycle = sign_cocycle(mats)
+                    closure = generate_group_from_matrices([m.matrix for m in mats.values()])
+                    got[basis.name] = matrix_group(mats, cocycle)
+                    assert got[basis.name] == (closure.order, identify_by_catalog(closure))
+                    scalars = {m.matrix.scalar_multiple_of_identity() for m in mats.values()}
+                    tally[bool(scalars - {None}), GaussianScalar.of(-1) in scalars,
+                          -1 in cocycle.values()] += 1
+    assert len(got) == 248
+    assert tally == {(False, False, True): 152, (True, False, True): 45,
+                     (True, True, True): 43, (True, False, False): 7,
+                     (False, False, False): 1}
+    assert got["real(0,0)"] == (1, "1")
+    assert got["real(2,0)"] == (4, "Z4")  # Pi = I
+    assert got["quat(0,2,split=(2, 0, 2, 0))"] == (4, "Z4")  # K = W^2 = -I
+    assert got["complex(n=8,mark=(4,4))"] == (8, "Z2xZ2xZ2")  # no -I
+
+
+def test_cocycle_group_reads_minus_one_from_a_trivial_form():
+    # the coboundary of f(3) = -1 on F2^2: q and B vanish, yet c(1, 2) = -1.
+    # Modulo the code 3, taken as the sign -1, that is Z2^(1+1); the formal
+    # cover of all four codes is Z2^(2+1)
+    cocycle = {(a, b): -1 if a and b and a != b else 1 for a in range(4) for b in range(4)}
+    assert cocycle_group(cocycle, kernel=(0, 3)) == (4, "Z2xZ2")
+    assert cocycle_group(cocycle) == (8, "Z2xZ2xZ2")
+    assert cocycle_group(dict.fromkeys(cocycle, 1), kernel=(0, 3), minus=False) == (2, "Z2")
+    # a letter that is -I under a trivial cocycle still puts -I in the group
+    x, ident = SpinMatrix([[1, 0], [0, -1]]), SpinMatrix.identity(2)
+    mats = {name: ExtMatrix(name, m, (), "x", 1) for name, m in zip(
+        ELEMENT_NAMES[1:], (-ident, x, -x, ident, -ident, x, -x))}
+    assert set(sign_cocycle(mats).values()) == {1}
+    assert matrix_group(mats, sign_cocycle(mats)) == (4, "Z2xZ2")
