@@ -4,31 +4,31 @@ For an even-dimensional representation the unit matrices split into four
 species (real/imaginary x symmetric/skew).  Products over these species give
 seven distinguished matrices; together with their negatives and +/-I they
 form a signed group of order 16.  The report below computes everything for
-the bundled Dirac basis: squares, commutations, and the group name, read
-from the signs of the pairwise products of the eight matrices.
+the bundled Dirac basis: squares, commutations, and the group name, all
+read from the sign cocycle the report keeps, the signs of the pairwise
+products of the eight matrices.
 """
 
 from cliffork.ext_automorphisms import (
     MATRIX_NAMES,
-    commutation_profile,
     ext_group_report,
     matrix_group,
     predicted_K_square,
     predicted_S_square,
-    sign_cocycle,
     universal_comm_sign,
 )
 from cliffork.spinor_repr import load_spinbasis
 
 basis = load_spinbasis("gamma")
 report = ext_group_report(basis)
-order, group = matrix_group(report.matrices, sign_cocycle(report.matrices))
+order, group = matrix_group(report.matrices, report.cocycle)
+squares = dict(zip(MATRIX_NAMES, report.signature))
 
 print(f"extended automorphisms of {report.sig} ({basis.name} basis)\n")
 for name in MATRIX_NAMES:
     m = report.matrices[name]
     units = " ".join(f"gamma_{i - 1}" for i in m.factors) or "(identity)"
-    print(f"  {name:<3} = {units:<28} square {m.square_sign:+d}  [{m.form}]")
+    print(f"  {name:<3} = {units:<28} square {squares[name]:+d}  [{m.form}]")
 
 signature = ", ".join(f"{s:+d}" for s in report.signature)
 print(f"\nsquare signature  ({signature})")
@@ -40,14 +40,12 @@ print(
 
 # the census predicts each square without touching the matrices
 census = report.census
-k = report.matrices["K"]
-s = report.matrices["S"]
-assert predicted_K_square(census, k.form) == k.square_sign
-assert predicted_S_square(census, s.form) == s.square_sign
+assert predicted_K_square(census, report.matrices["K"].form) == squares["K"]
+assert predicted_S_square(census, report.matrices["S"].form) == squares["S"]
 print("\ncensus-predicted K and S squares match the direct matrix squares")
 
 # (anti)commutation follows from factor counts alone
-profile = commutation_profile(report.matrices)
+profile = report.commutation
 for pair in [("W", "E"), ("K", "S"), ("S", "F")]:
     got = profile[pair]
     x, y = (report.matrices[n].factors for n in pair)

@@ -40,7 +40,6 @@ from .ext_automorphisms import (
     PHYSICAL_NAMES,
     ext_group_report,
     matrix_group,
-    sign_cocycle,
     signed_letter_table,
 )
 from .quotient import (
@@ -128,10 +127,9 @@ def _cmd_ext_group(args) -> Tuple[int, str]:
             raise ValueError("ext-group needs --p and --q, or --basis <file|gamma>")
         basis = build_spinbasis(SignatureSpec(args.p, args.q))
     report = ext_group_report(basis)
-    cocycle = sign_cocycle(report.matrices)
-    order, group = matrix_group(report.matrices, cocycle)
+    order, group = matrix_group(report.matrices, report.cocycle)
     notes = [f"signed group of order {order} = {group}"] + report.notes
-    elements, cells = signed_letter_table(report.matrices, cocycle)
+    elements, cells = signed_letter_table(report.matrices, report.cocycle)
 
     payload = {
         "schema": SCHEMA, "verb": "ext-group", "sig": str(report.sig),
@@ -140,9 +138,9 @@ def _cmd_ext_group(args) -> Tuple[int, str]:
                    "imaginary_symmetric": report.census.l, "imaginary_skew": report.census.m},
         "matrices": {
             name: {"factor_units": list(report.matrices[name].factors),
-                   "square_sign": report.matrices[name].square_sign,
+                   "square_sign": square,
                    "form": report.matrices[name].form}
-            for name in MATRIX_NAMES
+            for name, square in zip(MATRIX_NAMES, report.signature)
         },
         "signature": list(report.signature),
         "pi_bar_sign": report.pi_bar_sign,
@@ -162,8 +160,8 @@ def _cmd_ext_group(args) -> Tuple[int, str]:
               f"- conjugation square sign: {report.pi_bar_sign}", ""]
     lines += [_md_table(["matrix", "factor units", "square", "form"],
                         [[name, " ".join(str(i) for i in report.matrices[name].factors) or "-",
-                          f"{report.matrices[name].square_sign:+d}",
-                          report.matrices[name].form] for name in MATRIX_NAMES])]
+                          f"{square:+d}", report.matrices[name].form]
+                         for name, square in zip(MATRIX_NAMES, report.signature)])]
     lines += ["", "## Multiplication table", "",
               _md_table([" "] + elements,
                         [[elements[i]] + cells[i] for i in range(len(elements))])]

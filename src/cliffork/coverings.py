@@ -14,16 +14,15 @@ Three layers, all exact:
 
 Both structures read a basis through one helper, `_basis_cover`, and name
 their covers by one ``ext_automorphisms.COVER_TABLE`` row.  That row is
-picked by ``checked_cover`` from an ``ext_group_report``: the squares come
-from its matrices, the abelianness from its commutation ledger, and the row
-is confirmed against the form of the matrices' sign cocycle.  The collapse
+picked by ``checked_cover`` from the sign cocycle an ``ext_group_report``
+keeps: the squares are its diagonal, the abelianness its symmetry, and the
+row is confirmed against the cover the cocycle's form names.  The collapse
 covers of ``quotient`` read a report through the same check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .classification import odd_reduction, ring_label, type_index
@@ -41,7 +40,6 @@ from .ext_automorphisms import (
     ExtGroupReport,
     cover_row,
     ext_group_report,
-    sign_cocycle,
 )
 from .finite_groups import cocycle_group
 from .spinor_repr import SpinBasis, build_spinbasis
@@ -69,16 +67,22 @@ def signature_text(signature: Sequence[int]) -> str:
 # the formal double cover, read off the matrices
 
 def checked_cover(report: ExtGroupReport, names: Sequence[str]) -> CoverRow:
-    """The COVER_TABLE row of the named matrices (in MATRIX_NAMES order),
-    keyed on the squares and commutation the report holds.  AssertionError
-    unless the formal double cover {+-1} x {I, names} of their sign cocycle
-    is the row's identified group; names that land on one matrix up to sign
-    (Pi = I at Cl(2,0)) still count apart there."""
-    signature = tuple(report.matrices[name].square_sign for name in names)
-    abelian = all(report.commutation[pair] == 1 for pair in combinations(names, 2))
-    row = cover_row(signature, abelian)
+    """The COVER_TABLE row of a set of named matrices, from the squares and
+    commutation in the report's sign cocycle.  ValueError, naming the set,
+    for a name outside MATRIX_NAMES or a set not closed under composition.
+    AssertionError unless the cocycle's formal double cover {+-1} x {I,
+    names} is the row's identified group; names that land on one matrix up
+    to sign (Pi = I at Cl(2,0)) still count apart there."""
+    named = "{" + ", ".join(names) + "}"
+    if not set(names) <= set(MATRIX_NAMES):
+        raise ValueError(f"matrix name set {named} names a matrix outside {MATRIX_NAMES}")
     codes = sorted({0} | {ELEMENT_NAMES.index(name) for name in names})
-    _, built = cocycle_group(sign_cocycle(report.matrices, codes))
+    if any(a ^ b not in codes for a in codes for b in codes):
+        raise ValueError(f"matrix name set {named} is not closed under composition")
+    cocycle = {(a, b): report.cocycle[a, b] for a in codes for b in codes}
+    abelian = all(cocycle[a, b] == cocycle[b, a] for a, b in cocycle)
+    row = cover_row([cocycle[a, a] for a in codes[1:]], abelian)
+    _, built = cocycle_group(cocycle)
     if built != row.identified:
         raise AssertionError(
             f"cover table says {row.cover} (= {row.identified}), "
@@ -212,8 +216,8 @@ def _basis_cover(sig: SignatureSpec, basis: Optional[SpinBasis],
             f"{sig}: census predicts {signature_text(predicted)}, matrices "
             f"square to {signature_text(realized)}"
         )
-    squares = tuple(report.matrices[name].square_sign for name in names)
-    return basis.name, squares, checked_cover(report, names)
+    squares = dict(zip(MATRIX_NAMES, report.signature))
+    return basis.name, tuple(squares[name] for name in names), checked_cover(report, names)
 
 
 def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] = None) -> CoveringReport:

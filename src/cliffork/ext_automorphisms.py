@@ -17,18 +17,20 @@ the XOR of their codes, and the pin letters a..g are the codes 1..7:
 
 So W..F realize P..CPT, with P = W, T = E and C = Pi as bits 0, 1 and 2, and
 pin^{b,e,g} is {1, T, CP, CPT} = {I, E, K, F}.  `xor_group` builds the
-group table of a closed code set, and the matrices' groups are named from
-their `sign_cocycle` c, M_a M_b = c(a, b) M_(a^b): COVER_TABLE names the
-double cover for one, three or seven letters, `matrix_group` the group the
-matrices generate.
+group table of a closed code set.
 
 Each matrix is a product of unit matrices selected by the census (real or
 imaginary, symmetric or skew, read from SpinBasis.unit_species); every
-defining relation is verified on construction, and each square is forced to
-be exactly +-I.  Those construction checks stay even though the `pseudo` and
-`defining` sweeps check the same relations again: they keep every caller
-right-or-raise, a user-supplied basis (`ext-group --basis FILE`) included,
-while the sweeps re-check to count the checks and to report counterexamples.
+defining relation is verified on construction.  `ext_group_report` keeps
+the matrices' `sign_cocycle` c, M_a M_b = c(a, b) M_(a^b), one product per
+pair, and a product outside the signed span raises, so each square is
+exactly +-I.  The report's squares are the diagonal of c, its commutation
+ledger is c(a, b) c(b, a), and COVER_TABLE, `matrix_group` and
+`signed_letter_table` name its cover, matrix group and letter table from c.
+The construction checks stay even though the `pseudo` and `defining` sweeps
+check the same relations again: they keep every caller right-or-raise, a
+user-supplied basis (`ext-group --basis FILE`) included, while the sweeps
+re-check to count the checks and to report counterexamples.
 
 Two independent prediction routes accompany the constructions: the universal
 factor-count commutation rule, and the printed parity predicates in terms of
@@ -123,7 +125,6 @@ class ExtMatrix:
     matrix: SpinMatrix
     factors: Tuple[int, ...]  # unit index set the matrix is proportional to
     form: str  # census form tag
-    square_sign: int
 
 
 @dataclass
@@ -132,13 +133,29 @@ class ExtGroupReport:
     basis_name: str
     census: UnitCensus
     matrices: Dict[str, ExtMatrix]
-    signature: Tuple[int, ...]  # signs of (W,E,C,Pi,K,S,F)^2
+    cocycle: Dict[Tuple[int, int], int]  # c(a, b) over the codes 0..7; all below read it
     pi_bar_sign: int  # sign of Pi * conj(Pi)
-    commutation: Dict[Tuple[str, str], int]
-    abelian: bool
-    order_structure: Tuple[int, int]  # (# square +I, # square -I)
-    group_name: str
     notes: List[str] = field(default_factory=list)
+
+    @property
+    def signature(self) -> Tuple[int, ...]:  # signs of (W,E,C,Pi,K,S,F)^2
+        return tuple(self.cocycle[c, c] for c in range(1, 8))
+
+    @property
+    def commutation(self) -> Dict[Tuple[str, str], int]:
+        return commutation_profile(self.cocycle)
+
+    @property
+    def abelian(self) -> bool:
+        return all(s == 1 for s in self.commutation.values())
+
+    @property
+    def order_structure(self) -> Tuple[int, int]:  # (# square +I, # square -I)
+        return cover_row(self.signature, self.abelian).order_structure
+
+    @property
+    def group_name(self) -> str:  # of the seven-letter COVER_TABLE row
+        return cover_row(self.signature, self.abelian).group
 
 
 # name -> relation(u, x), true when x satisfies the relation at the unit u
@@ -163,7 +180,7 @@ def _checked(basis: SpinBasis, name: str, matrix: SpinMatrix,
     for i, u in enumerate(basis.mats, start=1):
         if not relation(u, matrix):
             raise AssertionError(f"{name} relation failed at unit {i}")
-    return ExtMatrix(name, matrix, factors, form, (matrix * matrix).sign_of_identity_multiple())
+    return ExtMatrix(name, matrix, factors, form)
 
 
 def ext_matrices(basis: SpinBasis) -> Dict[str, ExtMatrix]:
@@ -207,28 +224,25 @@ def _code_matrices(mats: Dict[str, ExtMatrix]) -> List[SpinMatrix]:
     return [SpinMatrix.identity(mats["W"].matrix.dim)] + [mats[n].matrix for n in MATRIX_NAMES]
 
 
-def sign_cocycle(mats: Dict[str, ExtMatrix],
-                 codes: Sequence[int] = range(8)) -> Dict[Tuple[int, int], int]:
-    """c(a, b) = +-1 with M_a M_b = c(a, b) M_(a^b) over the code set
-    `codes` (0 first), one product per pair of nonzero codes.  ValueError
-    when the set is not closed under XOR; AssertionError when a product
+def sign_cocycle(mats: Dict[str, ExtMatrix]) -> Dict[Tuple[int, int], int]:
+    """c(a, b) = +-1 with M_a M_b = c(a, b) M_(a^b) over the codes 0..7, one
+    product per pair of nonzero codes.  AssertionError when a product
     leaves the signed span of the named matrices."""
-    if any(a ^ b not in codes for a in codes for b in codes):
-        raise ValueError("matrix name set is not closed under composition")
     m = _code_matrices(mats)
+    negated = [-x for x in m]
 
     def sign(a: int, b: int) -> int:
         if not (a and b):
             return 1
-        prod, target = m[a] * m[b], m[a ^ b]
-        if prod == target:
+        prod = m[a] * m[b]
+        if prod == m[a ^ b]:
             return 1
-        if prod == -target:
+        if prod == negated[a ^ b]:
             return -1
         raise AssertionError(f"{ELEMENT_NAMES[a]} * {ELEMENT_NAMES[b]} leaves the "
                              "signed span of the named matrices")
 
-    return {(a, b): sign(a, b) for a in codes for b in codes}
+    return {(a, b): sign(a, b) for a in range(8) for b in range(8)}
 
 
 def matrix_group(mats: Dict[str, ExtMatrix], cocycle: Dict[Tuple[int, int], int]) -> Tuple[int, str]:
@@ -312,7 +326,7 @@ def product_square_sign(total: int, negatives: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# commutation: matrix truth, universal rule, printed predicates
+# commutation: the cocycle's ledger, universal rule, printed predicates
 
 
 def universal_comm_sign(factors_x: Sequence[int], factors_y: Sequence[int]) -> int:
@@ -323,22 +337,11 @@ def universal_comm_sign(factors_x: Sequence[int], factors_y: Sequence[int]) -> i
     return -1 if (x * y - t) % 2 else 1
 
 
-def matrix_comm_sign(a: SpinMatrix, b: SpinMatrix) -> int:
-    ab = a * b
-    ba = b * a
-    if ab == ba:
-        return 1
-    if ab == -ba:
-        return -1
-    raise ValueError("matrices neither commute nor anticommute")
-
-
-def commutation_profile(mats: Dict[str, ExtMatrix]) -> Dict[Tuple[str, str], int]:
-    prof = {}
-    for i, x in enumerate(MATRIX_NAMES):
-        for y in MATRIX_NAMES[i + 1:]:
-            prof[(x, y)] = matrix_comm_sign(mats[x].matrix, mats[y].matrix)
-    return prof
+def commutation_profile(cocycle: Dict[Tuple[int, int], int]) -> Dict[Tuple[str, str], int]:
+    """+1 or -1 as each pair of W..F, in MATRIX_NAMES order, commutes or
+    anticommutes: M_a M_b = c(a, b) c(b, a) M_b M_a."""
+    return {(MATRIX_NAMES[a - 1], MATRIX_NAMES[b - 1]): cocycle[a, b] * cocycle[b, a]
+            for a in range(1, 8) for b in range(a + 1, 8)}
 
 
 def comm_parity_terms(pair: Tuple[str, str], forms: Dict[str, str],
@@ -448,33 +451,27 @@ def admissible_groups(signature: Sequence[int], typ: int) -> frozenset:
 
 
 def ext_group_report(basis: SpinBasis) -> ExtGroupReport:
-    """Matrices, census, signature, commutation ledger and group label of one
-    basis, all from a single classification of its units."""
+    """Matrices, census and sign cocycle of one basis, from one classification
+    of its units and one pass of products.  AssertionError when a real
+    quaternionic basis's group is outside the printed case table."""
     mats = ext_matrices(basis)
-    census = basis.unit_census()
-    signature = tuple(mats[name].square_sign for name in MATRIX_NAMES)
-    prof = commutation_profile(mats)
-    abelian = all(s == 1 for s in prof.values())
-    row = cover_row(signature, abelian)
+    pi = mats["Pi"].matrix
     report = ExtGroupReport(
         sig=basis.sig,
         basis_name=basis.name,
-        census=census,
+        census=basis.unit_census(),
         matrices=mats,
-        signature=signature,
-        pi_bar_sign=(mats["Pi"].matrix * mats["Pi"].matrix.conj()).sign_of_identity_multiple(),
-        commutation=prof,
-        abelian=abelian,
-        order_structure=row.order_structure,
-        group_name=row.group,
+        cocycle=sign_cocycle(mats),
+        pi_bar_sign=(pi * pi.conj()).sign_of_identity_multiple(),
     )
+    group = report.group_name
     if basis.sig.field == "R" and type_index(basis.sig.p, basis.sig.q) in (4, 6):
-        allowed = admissible_groups(signature, type_index(basis.sig.p, basis.sig.q))
-        if row.group not in allowed:
+        allowed = admissible_groups(report.signature, type_index(basis.sig.p, basis.sig.q))
+        if group not in allowed:
             raise AssertionError(
-                f"classified {row.group} but the case table admits {sorted(allowed)}"
+                f"classified {group} but the case table admits {sorted(allowed)}"
             )
-    if mats["Pi"].form == "imaginary" and census.a == 0:
+    if mats["Pi"].form == "imaginary" and report.census.a == 0:
         report.notes.append("Pi is the empty product (identity): all units real")
     return report
 

@@ -46,7 +46,6 @@ from .ext_automorphisms import (
     product_square_sign,
     quaternionic_cells,
     quaternionic_signatures,
-    sign_cocycle,
     signed_letter_table,
     universal_comm_sign,
 )
@@ -203,7 +202,7 @@ def suite_example2(max_n: Optional[int] = None) -> SuiteResult:
     gamma_names = {"I": "I", **{name: "g" + "".join(map(str, units))
                                 for name, units in data["monomials"].items()}}
     if not cex:
-        elements, cells = signed_letter_table(report.matrices, sign_cocycle(report.matrices))
+        elements, cells = signed_letter_table(report.matrices, report.cocycle)
         if elements != letters:
             raise AssertionError(f"printed letters {letters} are not {elements}")
         for i, a in enumerate(letters):
@@ -280,6 +279,7 @@ def suite_defining(max_n: int = 8) -> SuiteResult:
     cex: List[dict] = []
     for sig, basis, report in quaternionic_signatures(max_n):
         mats, census = report.matrices, report.census
+        squares = dict(zip(MATRIX_NAMES, report.signature))
         ident = SpinMatrix.identity(basis.dim)
         for name, predict in _SQUARE_PREDICTORS.items():
             x, rel = mats[name].matrix, DEFINING_RELATIONS[name]
@@ -289,16 +289,16 @@ def suite_defining(max_n: int = 8) -> SuiteResult:
                     _flag(cex, sig, basis, check="defining", matrix=name, unit=i + 1)
             want = predict(census, mats[name].form)
             checked += 2
-            if mats[name].square_sign != want:
+            if squares[name] != want:
                 _flag(cex, sig, basis, check="square_predicate", matrix=name,
-                      got=mats[name].square_sign, predicted=want)
-            if x * x != ident * mats[name].square_sign:
+                      got=squares[name], predicted=want)
+            if x * x != ident * squares[name]:
                 _flag(cex, sig, basis, check="square_direct", matrix=name)
         for name in MATRIX_NAMES:
             m = mats[name]
             negatives = sum(1 for i in m.factors if i > sig.p)
             checked += 1
-            if m.square_sign != product_square_sign(len(m.factors), negatives):
+            if squares[name] != product_square_sign(len(m.factors), negatives):
                 _flag(cex, sig, basis, check="square_census_rule", matrix=name)
     return _sweep_result("defining", max_n, checked, cex)
 

@@ -11,6 +11,10 @@ route used.
 `xor_group` with a cocycle and `signed_cover_group` build the group table of
 a formal double cover, which the library now names from the sign cocycle
 without a table; they stay here to build the tables the oracle names.
+
+`matrix_comm_sign` and `matrix_square_sign` are the direct products that
+`ext_group_report` once made for its commutation ledger and its squares;
+the report now reads both from its sign cocycle, and they check it.
 """
 
 from __future__ import annotations
@@ -313,3 +317,22 @@ def signed_cover_group(
     if group is None:
         raise ValueError("matrix name set is not closed under composition")
     return group
+
+
+# ---------------------------------------------------------------------------
+# direct products: the oracle of the report's commutation ledger and squares
+
+
+def matrix_comm_sign(a: SpinMatrix, b: SpinMatrix) -> int:
+    ab = a * b
+    ba = b * a
+    if ab == ba:
+        return 1
+    if ab == -ba:
+        return -1
+    raise ValueError("matrices neither commute nor anticommute")
+
+
+def matrix_square_sign(x: SpinMatrix) -> int:
+    """+1 or -1 as x * x is +I or -I; ValueError otherwise."""
+    return (x * x).sign_of_identity_multiple()

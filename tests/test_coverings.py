@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import random
+import re
 
 import pytest
 
@@ -30,7 +31,6 @@ from cliffork.ext_automorphisms import (
     cover_row,
     ext_group_report,
     ext_matrices,
-    matrix_comm_sign,
     sign_cocycle,
 )
 from cliffork.finite_groups import cocycle_group, identify_small_group
@@ -43,7 +43,7 @@ from cliffork.spinor_repr import (
     load_spinbasis,
     sweep_spinbasis_variants,
 )
-from small_group_catalog import signed_cover_group
+from small_group_catalog import matrix_comm_sign, matrix_square_sign, signed_cover_group
 
 ONE = GaussianScalar.of(1)
 
@@ -285,11 +285,13 @@ def test_signed_cover_group_shapes():
     with pytest.raises(ValueError):
         signed_cover_group(mats, ("W", "Pi"))  # composite K missing
     # the library names the same covers from the sign cocycle alone
-    assert cocycle_group(sign_cocycle(mats, (0, 1, 2, 3))) == (8, "Z4xZ2")
-    assert cocycle_group(sign_cocycle(mats)) == (16, "D4oZ4")
-    for codes in ((0, 1, 2), (0, 1, 4)):
-        with pytest.raises(ValueError, match="not closed"):
-            sign_cocycle(mats, codes)
+    cocycle = sign_cocycle(mats)
+    assert cocycle_group(_restricted(cocycle, (0, 1, 2, 3))) == (8, "Z4xZ2")
+    assert cocycle_group(cocycle) == (16, "D4oZ4")
+
+
+def _restricted(cocycle, codes):
+    return {(a, b): cocycle[a, b] for a in codes for b in codes}
 
 
 def test_trivial_cocycle_gives_elementary_cover():
@@ -297,30 +299,40 @@ def test_trivial_cocycle_gives_elementary_cover():
     # all-plus row, an elementary abelian group of order 16
     ident = SpinMatrix.identity(2)
     mats = {
-        nm: ExtMatrix(nm, ident, (), "x", 1)
+        nm: ExtMatrix(nm, ident, (), "x")
         for nm in ("W", "E", "C", "Pi", "K", "S", "F")
     }
     g = signed_cover_group(mats)
     assert g.order == 16
     assert identify_small_group(g) == "Z2xZ2xZ2xZ2"
+    # the report reads squares and commutation from its cocycle alone
     gamma = ext_group_report(load_spinbasis("gamma"))
-    trivial = dataclasses.replace(gamma, matrices=mats,
-                                  commutation=dict.fromkeys(gamma.commutation, 1))
+    trivial = dataclasses.replace(gamma, cocycle=dict.fromkeys(gamma.cocycle, 1))
+    assert trivial.signature == (1,) * 7 and trivial.abelian
     row = checked_cover(trivial, MATRIX_NAMES)
     assert row == (7, 0, True, "Z2xZ2xZ2", "Z2xZ2xZ2xZ2", "Z2xZ2xZ2xZ2")
     assert checked_cover(trivial, ("E",)).cover == "Z2xZ2"
 
 
-def test_checked_cover_rejects_a_wrong_row():
-    # a lone letter squaring to -I keys the Z4 row; a matrix whose sign
-    # cocycle builds another group must fail the identification
+def test_checked_cover_rejects_a_wrong_row(monkeypatch):
+    # a lone letter squaring to -I keys the Z4 row; a table row whose
+    # identified group is not the one the sign cocycle builds must fail
     report = ext_group_report(load_spinbasis("gamma"))
-    mats = report.matrices
-    assert mats["W"].square_sign == -1
+    assert report.signature[0] == -1
     assert checked_cover(report, ("W",)).cover == "Z4"
-    lying = dict(mats, W=ExtMatrix("W", mats["W"].matrix, (), "x", 1))
+    # the names are a set of codes, read in any order; an unknown name or a
+    # set not closed under composition is a ValueError naming the set
+    assert checked_cover(report, ("E", "W", "C")) == checked_cover(report, ("W", "E", "C"))
+    for names, match in ((("W", "E", "Pi"), "{W, E, Pi} is not closed"),
+                         (("W", "E"), "{W, E} is not closed"),
+                         (("W", "Pi"), "{W, Pi} is not closed"),
+                         (("X",), "{X} names a matrix outside"),
+                         (("I", "W"), "{I, W} names a matrix outside")):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            checked_cover(report, names)
+    monkeypatch.setitem(COVER_TABLE, (1, 1, True), ("Z2", "Z4", "Z2xZ2"))
     with pytest.raises(AssertionError, match="builds Z4"):
-        checked_cover(dataclasses.replace(report, matrices=lying), ("W",))
+        checked_cover(report, ("W",))
 
 
 def test_cover_table_matches_the_rebuilt_cover_on_every_swept_basis():
@@ -331,17 +343,20 @@ def test_cover_table_matches_the_rebuilt_cover_on_every_swept_basis():
         for p in range(n + 1):
             for field in ("R", "C"):
                 for basis in sweep_spinbasis_variants(SignatureSpec(p, n - p, field)):
-                    mats = ext_matrices(basis)
+                    report = ext_group_report(basis)
+                    mats = report.matrices
                     for names in (("W", "E", "C"), MATRIX_NAMES):
-                        squares = tuple(mats[x].square_sign for x in names)
+                        squares = tuple(matrix_square_sign(mats[x].matrix) for x in names)
                         abelian = all(matrix_comm_sign(mats[x].matrix, mats[y].matrix) == 1
                                       for x, y in itertools.combinations(names, 2))
                         row = cover_row(squares, abelian)
                         table = signed_cover_group(mats, names)
                         built = identify_small_group(table)
                         assert built == row.identified, (basis.name, names)
+                        assert checked_cover(report, names) == row, (basis.name, names)
                         codes = sorted({0} | {ELEMENT_NAMES.index(x) for x in names})
-                        assert cocycle_group(sign_cocycle(mats, codes)) == (table.order, built)
+                        assert (cocycle_group(_restricted(report.cocycle, codes))
+                                == (table.order, built))
                         reached.add((len(names), row.minus, row.abelian))
     assert reached == {key for key in COVER_TABLE if key[0] != 1}
 

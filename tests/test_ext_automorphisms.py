@@ -19,7 +19,6 @@ from cliffork.ext_automorphisms import (
     enumerate_signatures,
     ext_group_report,
     ext_matrices,
-    matrix_comm_sign,
     matrix_group,
     predicted_K_square,
     predicted_pi_bar,
@@ -39,6 +38,7 @@ from cliffork.spinor_repr import (
     load_spinbasis,
     signed_lookup,
 )
+from small_group_catalog import matrix_comm_sign
 
 
 def _subset_products(basis):
@@ -114,7 +114,8 @@ def test_gamma_report():
     assert not report.abelian
     assert report.order_structure == (3, 4)
     assert report.group_name == "*Z4xZ2"
-    assert matrix_group(report.matrices, sign_cocycle(report.matrices)) == (16, "D4oZ4")
+    assert report.cocycle == sign_cocycle(report.matrices)
+    assert matrix_group(report.matrices, report.cocycle) == (16, "D4oZ4")
 
 
 def test_matrix_group_is_the_formal_cover_on_4_of_25_cells():
@@ -136,9 +137,9 @@ def test_matrix_group_is_the_formal_cover_on_4_of_25_cells():
 
 def test_gamma_commutation_spot_cells():
     # a few cells transcribed from the printed multiplication table
-    basis = load_spinbasis("gamma")
-    mats = ext_matrices(basis)
-    prof = commutation_profile(mats)
+    report = ext_group_report(load_spinbasis("gamma"))
+    prof = commutation_profile(report.cocycle)
+    assert prof == report.commutation
     assert prof[("Pi", "K")] == -1
     assert prof[("Pi", "S")] == 1
     assert prof[("K", "S")] == -1
@@ -171,13 +172,17 @@ def test_each_unit_is_classified_once(monkeypatch, p, q):
 
 
 @pytest.mark.parametrize("argv,bound", [
-    ("ext-group --basis gamma", 185),  # 568 with a BFS closure and a product per letter cell
-    ("cover --p 1 --q 3 --cpt", 170),  # 185 with the formal cover built as a table
-    ("quotient --p 2 --q 1", 188),  # 202, likewise
+    ("ext-group --basis gamma", 136),  # a second pass for the letter table makes 185
+    ("ext-group --p 6 --q 2", 192),  # and 241 here
+    ("cover --p 1 --q 3 --cpt", 121),  # a second pass for the cover makes 170
+    ("quotient --p 2 --q 1", 170),  # and 188 here
+    ("verify --suite pseudo --max 6", 13742),
+    ("verify --suite defining --max 6", 15974),
     ("verify --suite commutation --max 6", 12626),
 ])
 def test_spin_matrix_products_per_invocation(monkeypatch, capsys, argv, bound):
-    # every group is named from one sign cocycle: a product per pair of codes
+    # each report makes one pass of products, its sign cocycle, and every
+    # square, ledger, cover, group and letter table is read from it
     from cliffork.cli import run
 
     calls = []
@@ -203,7 +208,7 @@ def test_all_real_basis_pi_is_identity():
     assert report.signature == (-1, 1, -1, 1, -1, 1, -1)
     assert report.abelian
     assert report.group_name == "Z4xZ2"
-    assert matrix_group(report.matrices, sign_cocycle(report.matrices)) == (4, "Z4")
+    assert matrix_group(report.matrices, report.cocycle) == (4, "Z4")
     assert any("empty product" in note for note in report.notes)
 
 
@@ -272,10 +277,10 @@ def test_defining_relations_have_unique_subset_solutions():
 
 def test_sweep_with_tweaked_variants():
     for sig, basis, report in quaternionic_signatures(max_n=4):
-        mats = report.matrices
-        census = report.census
-        assert mats["K"].square_sign == predicted_K_square(census, mats["K"].form)
-        assert mats["S"].square_sign == predicted_S_square(census, mats["S"].form)
+        mats, census = report.matrices, report.census
+        squares = dict(zip(MATRIX_NAMES, report.signature))
+        assert squares["K"] == predicted_K_square(census, mats["K"].form)
+        assert squares["S"] == predicted_S_square(census, mats["S"].form)
         for pair, got in report.commutation.items():
             assert got == universal_comm_sign(
                 mats[pair[0]].factors, mats[pair[1]].factors

@@ -14,6 +14,7 @@ import pytest
 from cliffork.core_algebra import GaussianScalar, SignatureSpec, blade_product
 from cliffork.ext_automorphisms import (
     ELEMENT_NAMES,
+    MATRIX_NAMES,
     ExtMatrix,
     cover_row,
     ext_group_report,
@@ -38,6 +39,8 @@ from small_group_catalog import (
     direct_product,
     identify_by_catalog,
     inverse,
+    matrix_comm_sign,
+    matrix_square_sign,
     order_structure,
     xor_group,
 )
@@ -424,8 +427,16 @@ def test_namer_matches_the_catalog_on_every_swept_basis_group():
         for p in range(n + 1):
             for field in ("R", "C"):
                 for basis in sweep_spinbasis_variants(SignatureSpec(p, n - p, field)):
-                    mats = ext_group_report(basis).matrices
-                    cocycle = sign_cocycle(mats)
+                    report = ext_group_report(basis)
+                    mats, cocycle = report.matrices, report.cocycle
+                    # the squares and the ledger the report reads from its
+                    # cocycle, against the direct products
+                    direct = {x: m.matrix for x, m in mats.items()}
+                    assert report.signature == tuple(
+                        matrix_square_sign(direct[x]) for x in MATRIX_NAMES), basis.name
+                    assert report.commutation == {
+                        (x, y): matrix_comm_sign(direct[x], direct[y])
+                        for x, y in itertools.combinations(MATRIX_NAMES, 2)}, basis.name
                     closure = generate_group_from_matrices([m.matrix for m in mats.values()])
                     got[basis.name] = matrix_group(mats, cocycle)
                     assert got[basis.name] == (closure.order, identify_by_catalog(closure))
@@ -452,7 +463,7 @@ def test_cocycle_group_reads_minus_one_from_a_trivial_form():
     assert cocycle_group(dict.fromkeys(cocycle, 1), kernel=(0, 3), minus=False) == (2, "Z2")
     # a letter that is -I under a trivial cocycle still puts -I in the group
     x, ident = SpinMatrix([[1, 0], [0, -1]]), SpinMatrix.identity(2)
-    mats = {name: ExtMatrix(name, m, (), "x", 1) for name, m in zip(
+    mats = {name: ExtMatrix(name, m, (), "x") for name, m in zip(
         ELEMENT_NAMES[1:], (-ident, x, -x, ident, -ident, x, -x))}
     assert set(sign_cocycle(mats).values()) == {1}
     assert matrix_group(mats, sign_cocycle(mats)) == (4, "Z2xZ2")
