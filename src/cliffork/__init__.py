@@ -3,7 +3,7 @@
 Modules:
     core_algebra       multivector arithmetic over Gaussian rationals
     classification     ring/type periodic tables and matrix census
-    spinor_repr        exact spinor bases (monomial matrices) for all types
+    spinor_repr        exact spinor bases (signed Pauli words) for all types
     ext_automorphisms  the W,E,C,Pi,K,S,F matrices and their sign ledger
     finite_groups      signed blade groups, naming by F2 quadratic form
     coverings          Pin/Spin membership and covering-group structure

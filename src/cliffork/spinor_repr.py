@@ -1,4 +1,4 @@
-"""Exact spinor representations: monomial matrix bases for Cl(p,q).
+"""Exact spinor representations: signed Pauli word bases for Cl(p,q).
 
 Construction routes:
   * types 0,2 (ring R): an all-real basis via the doubling chain
@@ -16,21 +16,23 @@ Types 1 and 5 are semi-simple and have no faithful irreducible of the table
 dimension; build_spinbasis rejects them (the quotient module handles the
 split), and it rejects any basis above MAX_SPINOR_DIM.
 
-Every constructed unit is monomial: one nonzero entry per row and column,
-taken from {+-1, +-i}.  So is every product of units (blade images, the
-W..F matrices, their closure: the image of Salingaros' vee group).
-SpinMatrix therefore has two internal forms, chosen from the entries:
+Every constructed unit is a signed Pauli word i^c Z^z X^x on d = 2^k: the
+2x2 blocks are words, and so is every kron and product of words (blade
+images, the W..F matrices, their closure: the image of Salingaros' vee
+group).  SpinMatrix therefore has two internal forms, chosen from the
+entries:
 
-  * monomial form, a (column permutation, Z/4 phase) pair of int tuples, on
-    which products, -, conj, transpose, scaling by i^k, kron, the +-I test,
-    == and hash are O(d) integer work;
+  * word form, the four ints (d, c, x, z), on which products, -, conj,
+    transpose, scaling by i^k, kron, the +-I test, == and hash are O(1)
+    int work;
   * dense form, d x d exact Gaussian rationals, for every other matrix: a
-    user-loaded non-monomial basis (`ext-group --basis FILE`) or the image
-    of a general multivector.
+    user-loaded basis that is not made of words (`ext-group --basis FILE`),
+    such as a signed permutation conjugate, or the image of a general
+    multivector.
 
-The form is canonical: any result that is monomial with unit entries is
-stored in monomial form, whichever path computed it, so == and hash stay
-exact across the two forms and every comparison downstream is exact.
+The form is canonical: any result that is a word is stored as a word,
+whichever path computed it, so == and hash stay exact across the two forms
+and every comparison downstream is exact.
 """
 
 from __future__ import annotations
@@ -57,28 +59,37 @@ _I = GaussianScalar.I
 
 
 # ---------------------------------------------------------------------------
-# exact matrices: monomial and dense forms
+# exact matrices: Pauli word and dense forms
 
 _UNITS = (_ONE, _I, -_ONE, -_I)  # i^k for k = 0..3
 _PHASE = {u: k for k, u in enumerate(_UNITS)}
 
 
-def _monomial_form(rows) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """(perm, phase) when rows has one nonzero per row and per column and
-    each nonzero is a unit i^k; None otherwise."""
-    perm, phase = [], []
-    for row in rows:
-        cols = [j for j, a in enumerate(row) if a]
-        if len(cols) != 1:
-            return None
-        k = _PHASE.get(row[cols[0]])
-        if k is None:
-            return None
-        perm.append(cols[0])
-        phase.append(k)
-    if len(set(perm)) != len(perm):
+def _word_rows(d: int, c: int, x: int, z: int) -> Tuple[Tuple[GaussianScalar, ...], ...]:
+    """Entries of the word (d, c, x, z): row r holds i^c (-1)^|r & z| in
+    column r ^ x."""
+    out = []
+    for r in range(d):
+        row = [_ZERO] * d
+        row[r ^ x] = _UNITS[(c + 2 * (r & z).bit_count()) & 3]
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _word_form(rows) -> Optional[Tuple[int, int, int, int]]:
+    """(d, c, x, z) when the tuple rows is the signed Pauli word
+    i^c Z^z X^x of a dimension d = 2^k; None otherwise."""
+    d = len(rows)
+    if not d or d & (d - 1):
         return None
-    return tuple(perm), tuple(phase)
+    x = next((j for j, a in enumerate(rows[0]) if a), None)
+    c = None if x is None else _PHASE.get(rows[0][x])
+    if c is None:
+        return None
+    # row 2^j fixes bit j of z; the full comparison checks every other entry
+    first = rows[0][x]
+    z = sum(1 << j for j in range(d.bit_length() - 1) if rows[1 << j][(1 << j) ^ x] != first)
+    return (d, c, x, z) if _word_rows(d, c, x, z) == rows else None
 
 
 def _dense_product(arows, brows) -> List[List[GaussianScalar]]:
@@ -99,56 +110,50 @@ def _dense_product(arows, brows) -> List[List[GaussianScalar]]:
 class SpinMatrix:
     """Immutable square matrix of Gaussian rationals, in one of two forms.
 
-    Monomial form: one nonzero entry per row and per column, each a unit
-    i^k.  It is stored as two int tuples, `perm` (row r holds its entry in
-    column perm[r]) and `phase` (that entry is i^phase[r]).  Products, -,
+    Word form: a signed Pauli word i^c Z^z X^x of dimension d = 2^k, with
+    X^x the permutation r -> r ^ x and Z^z = diag((-1)^|r & z|), where |.|
+    counts bits.  It is kept as the int tuple `word` = (d, c, x, z) with c
+    in 0..3: row r holds i^c (-1)^|r & z| in column r ^ x.  Every unit the
+    basis builders make is a word, and so is every product of words (the
+    symplectic form of the Pauli group that stabilizer simulators use:
+    Aaronson and Gottesman, Phys. Rev. A 70, 052328, 2004).  Products, -,
     conj, transpose, scaling by i^k, kron, the +-I test, == and hash are
-    O(d) integer tuple work on it.
+    O(1) int work on it.
 
     Dense form: every other matrix, for instance the image of a general
-    multivector or a user-loaded unit such as [[3/5,4/5],[4/5,-3/5]].  It
-    keeps the d x d GaussianScalar entries; `perm` and `phase` are None.
+    multivector, a user-loaded unit such as [[3/5,4/5],[4/5,-3/5]], a signed
+    permutation that is not a word, or any matrix whose size is not a power
+    of two.  It keeps the d x d GaussianScalar entries; `word` is None.
 
-    The form is canonical: a result that is monomial with unit entries is
-    stored in monomial form whichever path computed it, so == and hash are
-    exact across the two forms (R*R for the R above equals and hashes like
-    the identity).  `rows` is the read-only dense view of either form.
+    The form is canonical: a result that is a word is stored as one
+    whichever path computed it, so == and hash are exact across the two
+    forms (R*R for the R above equals and hashes like the identity).
+    `rows` is the read-only dense view of either form.
     """
 
-    __slots__ = ("perm", "phase", "_dense")
+    __slots__ = ("word", "_dense")
 
     def __init__(self, rows: Sequence[Sequence]):
         dense = tuple(tuple(GaussianScalar.of(x) for x in row) for row in rows)
         n = len(dense)
         if any(len(r) != n for r in dense):
             raise ValueError("SpinMatrix must be square")
-        form = _monomial_form(dense)
-        if form is None:
-            self.perm = self.phase = None
-            self._dense = dense
-        else:
-            self.perm, self.phase = form
-            self._dense = None
+        self.word = _word_form(dense)
+        self._dense = dense if self.word is None else None
 
     @property
     def rows(self) -> Tuple[Tuple[GaussianScalar, ...], ...]:
-        if self.perm is None:
-            return self._dense
-        d = len(self.perm)
-        out = []
-        for col, k in zip(self.perm, self.phase):
-            row = [_ZERO] * d
-            row[col] = _UNITS[k]
-            out.append(tuple(row))
-        return tuple(out)
+        return self._dense if self.word is None else _word_rows(*self.word)
 
     @property
     def dim(self) -> int:
-        return len(self._dense if self.perm is None else self.perm)
+        return len(self._dense) if self.word is None else self.word[0]
 
     @classmethod
     def identity(cls, n: int) -> "SpinMatrix":
-        return _monomial(tuple(range(n)), (0,) * n)
+        if n and not n & (n - 1):
+            return _word(n, 0, 0, 0)
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, n: int) -> "SpinMatrix":
@@ -157,15 +162,14 @@ class SpinMatrix:
     def __mul__(self, other):
         if not isinstance(other, SpinMatrix):
             return self._scaled(GaussianScalar.of(other))
-        a, b = self.perm, other.perm
+        a, b = self.word, other.word
         if a is not None and b is not None:
-            if len(a) != len(b):
+            d, c1, x1, z1 = a
+            e, c2, x2, z2 = b
+            if d != e:
                 raise ValueError("dimension mismatch")
-            bphase = other.phase
-            return _monomial(
-                tuple([b[k] for k in a]),
-                tuple([(x + bphase[k]) & 3 for x, k in zip(self.phase, a)]),
-            )
+            # X^x1 Z^z2 = (-1)^|x1 & z2| Z^z2 X^x1
+            return _word(d, c1 + c2 + 2 * (x1 & z2).bit_count(), x1 ^ x2, z1 ^ z2)
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
         return SpinMatrix(_dense_product(self.rows, other.rows))
@@ -173,11 +177,12 @@ class SpinMatrix:
     def __rmul__(self, other):
         return self._scaled(GaussianScalar.of(other))
 
-    def _scaled(self, c: GaussianScalar) -> "SpinMatrix":
-        k = _PHASE.get(c)
-        if self.perm is not None and k is not None:
-            return _monomial(self.perm, tuple([(x + k) & 3 for x in self.phase]))
-        return SpinMatrix([[c * a for a in row] for row in self.rows])
+    def _scaled(self, s: GaussianScalar) -> "SpinMatrix":
+        k = _PHASE.get(s)
+        if self.word is not None and k is not None:
+            d, c, x, z = self.word
+            return _word(d, c + k, x, z)
+        return SpinMatrix([[s * a for a in row] for row in self.rows])
 
     def __add__(self, other: "SpinMatrix") -> "SpinMatrix":
         if self.dim != other.dim:
@@ -190,56 +195,50 @@ class SpinMatrix:
         return self + (-other)
 
     def __neg__(self) -> "SpinMatrix":
-        if self.perm is None:
+        if self.word is None:
             return SpinMatrix([[-a for a in row] for row in self._dense])
-        return _monomial(self.perm, tuple([(x + 2) & 3 for x in self.phase]))
+        d, c, x, z = self.word
+        return _word(d, c + 2, x, z)
 
     def __eq__(self, other) -> bool:
-        # one form per matrix, so a monomial never equals a dense matrix
+        # one form per matrix, so a word never equals a dense matrix
         return (
             isinstance(other, SpinMatrix)
-            and self.perm == other.perm
-            and self.phase == other.phase
+            and self.word == other.word
             and self._dense == other._dense
         )
 
     def __hash__(self):
-        if self.perm is None:
-            return hash(self._dense)
-        return hash((self.perm, self.phase))
+        return hash(self._dense if self.word is None else self.word)
 
     def transpose(self) -> "SpinMatrix":
-        if self.perm is None:
+        if self.word is None:
             return SpinMatrix(list(zip(*self._dense)))
-        perm = [0] * len(self.perm)
-        phase = [0] * len(self.perm)
-        for r, (c, k) in enumerate(zip(self.perm, self.phase)):
-            perm[c] = r
-            phase[c] = k
-        return _monomial(tuple(perm), tuple(phase))
+        d, c, x, z = self.word
+        # (Z^z X^x)^T = X^x Z^z = (-1)^|x & z| Z^z X^x
+        return _word(d, c + 2 * (x & z).bit_count(), x, z)
 
     def conj(self) -> "SpinMatrix":
-        if self.perm is None:
+        if self.word is None:
             return SpinMatrix([[a.conjugate() for a in row] for row in self._dense])
-        return _monomial(self.perm, tuple([-x & 3 for x in self.phase]))
+        d, c, x, z = self.word
+        return _word(d, -c, x, z)
 
     def kron(self, other: "SpinMatrix") -> "SpinMatrix":
-        if self.perm is None or other.perm is None:
+        if self.word is None or other.word is None:
             return SpinMatrix(
                 [[a * b for a in r1 for b in r2] for r1 in self.rows for r2 in other.rows]
             )
-        d = len(other.perm)
-        return _monomial(
-            tuple([c1 * d + c2 for c1 in self.perm for c2 in other.perm]),
-            tuple([(k1 + k2) & 3 for k1 in self.phase for k2 in other.phase]),
-        )
+        d1, c1, x1, z1 = self.word
+        d2, c2, x2, z2 = other.word
+        k = d2.bit_length() - 1
+        return _word(d1 * d2, c1 + c2, x1 << k | x2, z1 << k | z2)
 
     def scalar_multiple_of_identity(self) -> Optional[GaussianScalar]:
         """c with self == c*I, or None."""
-        if self.perm is not None:
-            if self.perm != tuple(range(len(self.perm))) or len(set(self.phase)) > 1:
-                return None
-            return _UNITS[self.phase[0]]
+        if self.word is not None:
+            _, c, x, z = self.word
+            return None if x or z else _UNITS[c]
         c = self._dense[0][0]
         for i, row in enumerate(self._dense):
             for j, a in enumerate(row):
@@ -268,11 +267,10 @@ class SpinMatrix:
         return f"<SpinMatrix {self.dim}x{self.dim}>"
 
 
-def _monomial(perm: Tuple[int, ...], phase: Tuple[int, ...]) -> SpinMatrix:
-    """A SpinMatrix in monomial form, built without the entry scan."""
+def _word(d: int, c: int, x: int, z: int) -> SpinMatrix:
+    """A SpinMatrix in word form, built without the entry scan."""
     m = object.__new__(SpinMatrix)
-    m.perm = perm
-    m.phase = phase
+    m.word = (d, c & 3, x, z)
     m._dense = None
     return m
 
@@ -307,10 +305,9 @@ class MatrixClass:
 
 
 def classify_matrix(m: SpinMatrix) -> MatrixClass:
-    if m.perm is not None:
-        # one entry per phase parity present: i^0 stands for the real
-        # (even) phases, i^1 for the imaginary (odd) ones
-        entries = [_UNITS[k] for k in {k & 1 for k in m.phase}]
+    if m.word is not None:
+        # every entry is i^c (-1)^j: real for an even c, imaginary for an odd
+        entries = [_UNITS[m.word[1] & 1]]
     else:
         entries = [a for row in m.rows for a in row if a]
     if not entries:
@@ -577,9 +574,11 @@ def _extend_with_volume(sub: List[SpinMatrix], target_square: int) -> SpinMatrix
 # public constructors
 
 # Largest spinor dimension build_spinbasis constructs.  A basis for p+q = n
-# has dimension 2^(n//2), so this admits p+q <= 25.  Cold `cliffork
-# ext-group --p N --q 0` on a 2-core host: 0.3 s at N = 20, 0.5 s at 24,
-# 1.0 s at 26, 1.9 s at 28 (doubling with each step of 2 from there on).
+# has dimension 2^(n//2), so this admits p+q <= 25.  Built bases are words,
+# so d hardly costs time: cold `cliffork ext-group --p N --q 0` on a 2-core
+# host takes 0.13 s at N = 8, 16, 20 and 24 alike, nearly all of it start-up
+# and import (0.14-0.18 s at N = 26..40 with the limit lifted).  The limit
+# bounds what a basis file or `rows` materializes: d x d entries.
 MAX_SPINOR_DIM = 4096
 
 

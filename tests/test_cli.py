@@ -20,7 +20,14 @@ from cliffork.verify import (
 )
 from cliffork.classification import TABLE_KINDS
 from cliffork.core_algebra import GaussianScalar, MultiVector
-from cliffork.spinor_repr import SignatureSpec, build_spinbasis, save_spinbasis
+from cliffork.spinor_repr import (
+    SignatureSpec,
+    SpinBasis,
+    SpinMatrix,
+    build_spinbasis,
+    load_spinbasis,
+    save_spinbasis,
+)
 
 from fixtures_tables import (
     EXAMPLE1_GAMMA_PRINTED,
@@ -364,6 +371,23 @@ class TestExtGroupVerb:
         _, from_file = run_json(capsys, ["ext-group", "--basis", str(path)])
         _, built = run_json(capsys, ["ext-group", "--p", "2", "--q", "0"])
         assert from_file.pop("basis") == "rotated"
+        built.pop("basis")
+        assert from_file == built
+
+    def test_signed_permutation_basis_file_matches_the_built_basis(self, capsys, tmp_path):
+        # conjugating by the transposition of rows 0 and 1, which is not
+        # affine on F2^3, keeps the units monomial but makes five of the six
+        # no words: they load in the dense form and give the same report
+        basis = build_spinbasis(SignatureSpec(1, 5))
+        swap = SpinMatrix([[int(c == (r ^ 1 if r < 2 else r)) for c in range(8)]
+                           for r in range(8)])
+        path = tmp_path / "swapped.json"
+        save_spinbasis(SpinBasis(basis.sig, [swap * m * swap for m in basis.mats],
+                                 name="swapped"), str(path))
+        assert sum(m.word is None for m in load_spinbasis(str(path)).mats) == 5
+        _, from_file = run_json(capsys, ["ext-group", "--basis", str(path)])
+        _, built = run_json(capsys, ["ext-group", "--p", "1", "--q", "5"])
+        assert from_file.pop("basis") == "swapped"
         built.pop("basis")
         assert from_file == built
 

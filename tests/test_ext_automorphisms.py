@@ -171,7 +171,7 @@ def test_each_unit_is_classified_once(monkeypatch, p, q):
     assert len(calls) == fresh.sig.n
 
 
-@pytest.mark.parametrize("argv,bound", [
+PRODUCT_BOUNDS = [
     ("ext-group --basis gamma", 136),  # a second pass for the letter table makes 185
     ("ext-group --p 6 --q 2", 192),  # and 241 here
     ("cover --p 1 --q 3 --cpt", 121),  # a second pass for the cover makes 170
@@ -179,7 +179,11 @@ def test_each_unit_is_classified_once(monkeypatch, p, q):
     ("verify --suite pseudo --max 6", 13742),
     ("verify --suite defining --max 6", 15974),
     ("verify --suite commutation --max 6", 12626),
-])
+]
+
+
+# the ids name the argv alone, so a lowered bound keeps the test's name
+@pytest.mark.parametrize("argv,bound", PRODUCT_BOUNDS, ids=[argv for argv, _ in PRODUCT_BOUNDS])
 def test_spin_matrix_products_per_invocation(monkeypatch, capsys, argv, bound):
     # each report makes one pass of products, its sign cocycle, and every
     # square, ledger, cover, group and letter table is read from it

@@ -1,6 +1,7 @@
 """Spinor basis construction and exact matrix checks."""
 
 import functools
+import itertools
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cliffork.classification import matrix_dimension, type_index
 from cliffork.core_algebra import GaussianScalar, MultiVector, SignatureSpec, parse_gaussian
+from cliffork.ext_automorphisms import ext_matrices
 from cliffork.spinor_repr import (
     MAT_A,
     MAT_B,
@@ -26,6 +28,8 @@ from cliffork.spinor_repr import (
     save_spinbasis,
     sweep_spinbasis_variants,
 )
+from monomial_oracle import MonomialMatrix
+from monomial_oracle import classify_matrix as monomial_class
 
 I_ = GaussianScalar.I
 
@@ -79,10 +83,13 @@ def test_matrix_serialization_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# the monomial kernel against plain dense arithmetic on .rows
+# the word kernel against plain dense arithmetic on .rows
 
 ZERO, ONE = GaussianScalar.ZERO, GaussianScalar.ONE
 UNITS = (ONE, I_, -ONE, -I_)  # i^k
+# the 2x2 Pauli words Z^z X^x: I, X, Z, ZX
+PAULI_2 = (((ONE, ZERO), (ZERO, ONE)), ((ZERO, ONE), (ONE, ZERO)),
+           ((ONE, ZERO), (ZERO, -ONE)), ((ZERO, ONE), (-ONE, ZERO)))
 
 
 def ref_mul(x, y):
@@ -114,6 +121,20 @@ def ref_scalar_of_identity(x):
     return c if ok else None
 
 
+def ref_word(x):
+    """(d, c, s, z) when the entries x are the word i^c Z^z X^s, from the
+    definition (row r holds i^c (-1)^|r & z| in column r ^ s) by a search
+    over c and z; None when x is no word."""
+    d = len(x)
+    if not d or d & (d - 1) or any(sum(1 for a in row if a) != 1 for row in x):
+        return None
+    s = next(col for col, a in enumerate(x[0]) if a)  # row 0 holds i^c in column s
+    for c, z in itertools.product(range(4), range(d)):
+        if all(x[r][r ^ s] == UNITS[(c + 2 * bin(r & z).count("1")) % 4] for r in range(d)):
+            return d, c, s, z
+    return None
+
+
 def ref_class(x):
     entries = [a for row in x for a in row if a]
     if all(a.im == 0 for a in entries):
@@ -137,7 +158,7 @@ def assert_matches(m, ref):
     assert m.rows == ref
     rebuilt = SpinMatrix(ref)
     assert m == rebuilt and hash(m) == hash(rebuilt)
-    assert (m.perm, m.phase) == (rebuilt.perm, rebuilt.phase)
+    assert m.word == rebuilt.word == ref_word(ref)
 
 
 @functools.cache
@@ -160,7 +181,7 @@ def test_kernel_bases_cover_dimensions_two_to_sixteen():
     assert {b.dim for b in bases} == {2, 4, 8, 16}
     assert any(",flipped" in b.name for b in bases)
     assert any(b.sig.field == "C" for b in bases)
-    assert all(m.perm is not None for b in bases for m in b.mats)
+    assert all(m.word is not None for b in bases for m in b.mats)
 
 
 WORD_OPS = ("mul", "lmul", "neg", "conj", "transpose", "scale", "rscale")
@@ -193,7 +214,7 @@ def test_unit_words_match_dense_reference(data):
             c = data.draw(st.sampled_from([1, -1]))
             m, ref = c * m, ref_map(lambda a: a * c, ref)
         assert_matches(m, ref)
-    assert m.perm is not None
+    assert m.word is not None
     assert m.scalar_multiple_of_identity() == ref_scalar_of_identity(ref)
     c = classify_matrix(m)
     assert (c.reality, c.symmetry) == ref_class(ref)
@@ -202,10 +223,59 @@ def test_unit_words_match_dense_reference(data):
     assert_matches(block.kron(m), ref_kron(block.rows, ref))
 
 
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_word_kernel_matches_the_monomial_oracle(data):
+    basis = data.draw(st.sampled_from(kernel_bases()), label="basis")
+    units = st.integers(1, basis.sig.n)
+    m = basis.unit(data.draw(units))
+    pairs = [(m, MonomialMatrix(m.rows))]
+    for op in data.draw(st.lists(st.sampled_from(WORD_OPS), max_size=8), label="word"):
+        m, o = pairs[-1]
+        if op in ("mul", "lmul"):
+            u = basis.unit(data.draw(units))
+            v = MonomialMatrix(u.rows)
+            m, o = (m * u, o * v) if op == "mul" else (u * m, v * o)
+        elif op == "neg":
+            m, o = -m, -o
+        elif op == "conj":
+            m, o = m.conj(), o.conj()
+        elif op == "transpose":
+            m, o = m.transpose(), o.transpose()
+        elif op == "scale":
+            c = UNITS[data.draw(st.integers(0, 3))]
+            m, o = m * c, o * c
+        else:
+            c = data.draw(st.sampled_from([1, -1]))
+            m, o = c * m, c * o
+        pairs.append((m, o))
+    block = data.draw(st.sampled_from([MAT_A, MAT_B, MAT_J, MAT_J * I_, SpinMatrix.identity(2)]))
+    oblock = MonomialMatrix(block.rows)
+    m, o = pairs[-1]
+    pairs += [(m.kron(block), o.kron(oblock)), (block.kron(m), oblock.kron(o))]
+    for m, o in pairs:
+        assert m.word is not None and o.perm is not None
+        assert m.rows == o.rows
+        assert m.scalar_multiple_of_identity() == o.scalar_multiple_of_identity()
+        c = classify_matrix(m)
+        assert (c.reality, c.symmetry) == monomial_class(o)
+    for (m1, o1), (m2, o2) in itertools.product(pairs, repeat=2):
+        assert (m1 == m2) == (o1 == o2)
+        if o1 == o2:
+            assert hash(m1) == hash(m2)
+
+
 @st.composite
 def monomials(draw, d):
     """Any monomial matrix with unit entries, not only products of units
-    (whose permutations all commute)."""
+    (whose permutations all commute): most are not words, and land in the
+    dense form.  When d is a power of two, half of them are words i^c Z^z X^x
+    built as a kron of 2x2 factors Z^z_j X^x_j."""
+    if d & (d - 1) == 0 and draw(st.booleans()):
+        rows = ((UNITS[draw(st.integers(0, 3))],),)
+        for _ in range(d.bit_length() - 1):
+            rows = ref_kron(rows, draw(st.sampled_from(PAULI_2)))
+        return SpinMatrix(rows)
     perm = draw(st.permutations(range(d)))
     phase = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
     return SpinMatrix([[UNITS[k] if c == col else 0 for c in range(d)]
@@ -217,7 +287,7 @@ def monomials(draw, d):
 def test_general_monomials_match_dense_reference(data):
     d = data.draw(st.integers(1, 8))
     a, b = data.draw(monomials(d)), data.draw(monomials(d))
-    assert a.perm is not None
+    assert a.word == ref_word(a.rows)
     assert_matches(a * b, ref_mul(a.rows, b.rows))
     assert_matches(a.transpose().conj(), ref_map(lambda x: x.conjugate(), ref_transpose(a.rows)))
     assert_matches(a.kron(b), ref_kron(a.rows, b.rows))
@@ -228,17 +298,20 @@ R = SpinMatrix([["3/5", "4/5"], ["4/5", "-3/5"]])
 
 
 def test_dense_product_landing_on_identity_is_canonical():
-    assert R.perm is None
+    assert R.word is None
     ident = SpinMatrix.identity(2)
     assert R * R == ident and hash(R * R) == hash(ident)
-    assert (R * R).perm == (0, 1)
+    assert (R * R).word == (2, 0, 0, 0)
     assert (R * R).sign_of_identity_multiple() == 1
     assert R != ident and R * MAT_J != MAT_J
     assert classify_matrix(R) == classify_matrix(MAT_A)
-    # SpinMatrix(rows) of a monomial result picks the monomial form
-    assert SpinMatrix([[0, "-1"], [I_, 0]]).perm == (1, 0)
-    assert SpinMatrix([[2, 0], [0, 2]]).perm is None
-    assert SpinMatrix([[1, 0], [1, 0]]).perm is None
+    # SpinMatrix(rows) of a word picks the word form: row 0 holds -1 = i^2
+    # in column 1, so c = 2 and x = 1, and row 1 holds i^2 (-1)^z = +1
+    assert SpinMatrix([[0, "-1"], [1, 0]]).word == (2, 2, 1, 1) == (-MAT_J).word
+    # a monomial mixing real and imaginary entries is not a word
+    assert SpinMatrix([[0, "-1"], [I_, 0]]).word is None
+    assert SpinMatrix([[2, 0], [0, 2]]).word is None
+    assert SpinMatrix([[1, 0], [1, 0]]).word is None
 
 
 @given(data=st.data())
@@ -247,7 +320,7 @@ def test_dense_path_matches_reference_and_lands_canonically(data):
     basis = data.draw(st.sampled_from(kernel_bases()), label="basis")
     m = basis.product_of(data.draw(st.lists(st.integers(1, basis.sig.n), min_size=1, max_size=5)))
     rd = R.kron(SpinMatrix.identity(basis.dim // 2))  # dense, squares to +I
-    assert rd.perm is None
+    assert rd.word is None
     assert_matches(rd * m, ref_mul(rd.rows, m.rows))
     assert_matches(m * rd, ref_mul(m.rows, rd.rows))
     assert_matches(-rd, ref_map(lambda a: -a, rd.rows))
@@ -257,8 +330,36 @@ def test_dense_path_matches_reference_and_lands_canonically(data):
     for back, want in ((rd * (rd * m), m), ((m * rd) * rd, m),
                        ((m * 2) * GaussianScalar.of("1/2"), m), ((m + m) - m, m),
                        (m.kron(R) * SpinMatrix.identity(basis.dim).kron(R), wide)):
-        assert back.perm is not None
+        assert back.word is not None
         assert back == want and hash(back) == hash(want)
+
+
+def test_identity_of_a_size_that_is_not_a_power_of_two_is_dense():
+    for n in (3, 5, 6):
+        ident = SpinMatrix.identity(n)
+        assert ident.word is None and ident.dim == n
+        assert ident.rows == tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+        assert ident * ident == ident and -ident * -ident == ident
+        assert ident.scalar_multiple_of_identity() == ONE
+        assert (ident * I_).transpose().conj() == -(ident * I_)
+        assert ident.kron(SpinMatrix.identity(2)) == SpinMatrix.identity(2 * n)
+    assert SpinMatrix.identity(4).word == (4, 0, 0, 0)
+
+
+def test_every_built_unit_and_ext_matrix_is_a_word():
+    """A builder that silently falls to the dense form fails here, instead
+    of only slowing the sweeps: every unit and W..F of every swept basis
+    with p+q <= 10, and every unit and W..F of every complex mark with
+    p+q <= 12."""
+    bases = [basis for n in range(11) for p in range(n + 1) if (2 * p - n) % 8 not in (1, 5)
+             for basis in sweep_spinbasis_variants(SignatureSpec(p, n - p))]
+    bases += [build_spinbasis(SignatureSpec(p, n - p, field="C"))
+              for n in range(13) for p in range(n + 1)]
+    mats = [m for basis in bases for m in basis.mats]
+    mats += [m.matrix for basis in bases if basis.sig.n % 2 == 0
+             for m in ext_matrices(basis).values()]
+    assert len(mats) == 7897
+    assert [m for m in mats if m.word is None] == []
 
 
 def test_image_of_a_blade_is_the_blade_image():
@@ -266,7 +367,7 @@ def test_image_of_a_blade_is_the_blade_image():
     basis = build_spinbasis(sig)
     img = basis.image(MultiVector.blade(sig, (1, 3)))
     assert img == basis.blade_image(0b101) and hash(img) == hash(basis.blade_image(0b101))
-    assert img.perm is not None
+    assert img.word is not None
 
 
 # ---------------------------------------------------------------------------
