@@ -12,7 +12,6 @@ products of the eight matrices.
 from cliffork.ext_automorphisms import (
     MATRIX_NAMES,
     ext_group_report,
-    matrix_group,
     predicted_K_square,
     predicted_S_square,
     universal_comm_sign,
@@ -21,7 +20,7 @@ from cliffork.spinor_repr import load_spinbasis
 
 basis = load_spinbasis("gamma")
 report = ext_group_report(basis)
-order, group = matrix_group(report.matrices, report.cocycle)
+order, group = report.matrix_group
 squares = dict(zip(MATRIX_NAMES, report.signature))
 
 print(f"extended automorphisms of {report.sig} ({basis.name} basis)\n")

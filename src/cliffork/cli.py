@@ -35,13 +35,7 @@ from .classification import (
 )
 from .core_algebra import SignatureSpec, volume_square_sign
 from .coverings import cpt_structure, pt_structure, signature_text
-from .ext_automorphisms import (
-    MATRIX_NAMES,
-    PHYSICAL_NAMES,
-    ext_group_report,
-    matrix_group,
-    signed_letter_table,
-)
+from .ext_automorphisms import MATRIX_NAMES, PHYSICAL_NAMES, ext_group_report
 from .quotient import (
     central_idempotents,
     epsilon_context,
@@ -127,9 +121,9 @@ def _cmd_ext_group(args) -> Tuple[int, str]:
             raise ValueError("ext-group needs --p and --q, or --basis <file|gamma>")
         basis = build_spinbasis(SignatureSpec(args.p, args.q))
     report = ext_group_report(basis)
-    order, group = matrix_group(report.matrices, report.cocycle)
+    order, group = report.matrix_group
     notes = [f"signed group of order {order} = {group}"] + report.notes
-    elements, cells = signed_letter_table(report.matrices, report.cocycle)
+    elements, cells = report.letter_table
 
     payload = {
         "schema": SCHEMA, "verb": "ext-group", "sig": str(report.sig),

@@ -14,10 +14,11 @@ Three layers, all exact:
 
 Both structures read a basis through one helper, `_basis_cover`, and name
 their covers by one ``ext_automorphisms.COVER_TABLE`` row.  That row is
-picked by ``checked_cover`` from the sign cocycle an ``ext_group_report``
-keeps: the squares are its diagonal, the abelianness its symmetry, and the
-row is confirmed against the cover the cocycle's form names.  The collapse
-covers of ``quotient`` read a report through the same check.
+picked by ``ExtGroupReport.cover`` from the sign cocycle the report keeps,
+for the code subgroup {0, 1, 2, 3} (PT) or all eight codes (CPT): the
+squares are its diagonal, the abelianness its symmetry, and the row is
+confirmed against the cover the cocycle's form names.  The collapse covers
+of ``quotient`` read a report's survivor codes through the same method.
 """
 
 from __future__ import annotations
@@ -33,15 +34,7 @@ from .core_algebra import (
     volume_element,
     volume_square_sign,
 )
-from .ext_automorphisms import (
-    ELEMENT_NAMES,
-    MATRIX_NAMES,
-    CoverRow,
-    ExtGroupReport,
-    cover_row,
-    ext_group_report,
-)
-from .finite_groups import cocycle_group
+from .ext_automorphisms import CoverRow, cover_row, ext_group_report
 from .spinor_repr import SpinBasis, build_spinbasis
 
 _ONE = GaussianScalar.of(1)
@@ -61,34 +54,6 @@ A_MINUS_SET = tuple(s for s in _ALL_SIGNATURES if s[0] == -1)
 def signature_text(signature: Sequence[int]) -> str:
     """Sign vector as text, e.g. (+,-,-)."""
     return "(" + ",".join("+" if s > 0 else "-" for s in signature) + ")"
-
-
-# ---------------------------------------------------------------------------
-# the formal double cover, read off the matrices
-
-def checked_cover(report: ExtGroupReport, names: Sequence[str]) -> CoverRow:
-    """The COVER_TABLE row of a set of named matrices, from the squares and
-    commutation in the report's sign cocycle.  ValueError, naming the set,
-    for a name outside MATRIX_NAMES or a set not closed under composition.
-    AssertionError unless the cocycle's formal double cover {+-1} x {I,
-    names} is the row's identified group; names that land on one matrix up
-    to sign (Pi = I at Cl(2,0)) still count apart there."""
-    named = "{" + ", ".join(names) + "}"
-    if not set(names) <= set(MATRIX_NAMES):
-        raise ValueError(f"matrix name set {named} names a matrix outside {MATRIX_NAMES}")
-    codes = sorted({0} | {ELEMENT_NAMES.index(name) for name in names})
-    if any(a ^ b not in codes for a in codes for b in codes):
-        raise ValueError(f"matrix name set {named} is not closed under composition")
-    cocycle = {(a, b): report.cocycle[a, b] for a in codes for b in codes}
-    abelian = all(cocycle[a, b] == cocycle[b, a] for a, b in cocycle)
-    row = cover_row([cocycle[a, a] for a in codes[1:]], abelian)
-    _, built = cocycle_group(cocycle)
-    if built != row.identified:
-        raise AssertionError(
-            f"cover table says {row.cover} (= {row.identified}), "
-            f"matrix cocycle builds {built}"
-        )
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +159,10 @@ def _semisimple_admissible(sig: SignatureSpec) -> Tuple[Tuple[Tuple[int, ...], .
 
 
 def _basis_cover(sig: SignatureSpec, basis: Optional[SpinBasis],
-                 names: Sequence[str]) -> Tuple[str, Tuple[int, ...], CoverRow]:
-    """(basis name, squares of the named matrices, their checked_cover row)
-    for an even cell, read from `basis`, the canonical one when None.
+                 codes: range) -> Tuple[str, Tuple[int, ...], CoverRow]:
+    """(basis name, squares of the coded matrices, the report's cover row of
+    those codes) for an even cell, read from `basis`, the canonical one when
+    None.
 
     ValueError for an imaginary unit on ring R (see pt_structure) and above
     MAX_SPINOR_DIM; AssertionError unless the (W,E,C) squares are the census
@@ -216,8 +182,7 @@ def _basis_cover(sig: SignatureSpec, basis: Optional[SpinBasis],
             f"{sig}: census predicts {signature_text(predicted)}, matrices "
             f"square to {signature_text(realized)}"
         )
-    squares = dict(zip(MATRIX_NAMES, report.signature))
-    return basis.name, tuple(squares[name] for name in names), checked_cover(report, names)
+    return basis.name, tuple(report.signature[c - 1] for c in codes), report.cover(codes)
 
 
 def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] = None) -> CoveringReport:
@@ -226,10 +191,11 @@ def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] =
 
     Every even type reads (a,b,c) from the (W,E,C) squares of a basis
     (`basis`, or the canonical one), checked against the census prediction,
-    and names the cover by `checked_cover`; the quaternionic types admit a
-    four-set, of which the basis realizes one member.  Semi-simple types
-    report the admissibility sets contributed by their two ideal factors;
-    the complex-ring types reduce to the complex rule one dimension lower.
+    and names the cover of the codes 1..3 by `ExtGroupReport.cover`; the
+    quaternionic types admit a four-set, of which the basis realizes one
+    member.  Semi-simple types report the admissibility sets contributed by
+    their two ideal factors; the complex-ring types reduce to the complex
+    rule one dimension lower.
 
     Ring R reads a real basis only, and a basis with an imaginary unit is a
     ValueError.  E and C intertwine each unit with its transpose, so only a
@@ -262,7 +228,7 @@ def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] =
     admissible: Tuple[Tuple[int, ...], ...]
 
     if t in (0, 2, 4, 6):
-        name, signature, row = _basis_cover(sig, basis, ("W", "E", "C"))
+        name, signature, row = _basis_cover(sig, basis, range(1, 4))
         if t in (0, 2):
             admissible = (signature,)
             notes.append(
@@ -335,7 +301,7 @@ def cpt_structure(sig_or_p, q: Optional[int] = None, basis: Optional[SpinBasis] 
         raise ValueError(
             f"CPT covering table needs ring R or H, got {ring} for {sig}"
         )
-    name, signature, row = _basis_cover(sig, basis, MATRIX_NAMES)
+    name, signature, row = _basis_cover(sig, basis, range(1, 8))
     notes = (
         f"ring H: minus-count {row.minus}, {'Abelian' if row.abelian else 'Non-Abelian'}",
         f"automorphism group {row.group}, double cover {row.cover} = {row.identified}",

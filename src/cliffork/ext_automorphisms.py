@@ -16,8 +16,9 @@ the XOR of their codes, and the pin letters a..g are the codes 1..7:
     pin          a  b  c   d   e   f   g
 
 So W..F realize P..CPT, with P = W, T = E and C = Pi as bits 0, 1 and 2, and
-pin^{b,e,g} is {1, T, CP, CPT} = {I, E, K, F}.  `xor_group` builds the
-group table of a closed code set.
+pin^{b,e,g} is {1, T, CP, CPT} = {I, E, K, F}.  A covering is read from a
+subgroup of these codes: {0, 1, 2, 3} for PT, all eight for CPT, and the
+survivors of a collapse.
 
 Each matrix is a product of unit matrices selected by the census (real or
 imaginary, symmetric or skew, read from SpinBasis.unit_species); every
@@ -25,12 +26,14 @@ defining relation is verified on construction.  `ext_group_report` keeps
 the matrices' `sign_cocycle` c, M_a M_b = c(a, b) M_(a^b), one product per
 pair, and a product outside the signed span raises, so each square is
 exactly +-I.  The report's squares are the diagonal of c, its commutation
-ledger is c(a, b) c(b, a), and COVER_TABLE, `matrix_group` and
-`signed_letter_table` name its cover, matrix group and letter table from c.
-The construction checks stay even though the `pseudo` and `defining` sweeps
-check the same relations again: they keep every caller right-or-raise, a
-user-supplied basis (`ext-group --basis FILE`) included, while the sweeps
-re-check to count the checks and to report counterexamples.
+ledger is c(a, b) c(b, a), and it names from c the cover of a code subgroup
+(`ExtGroupReport.cover`, through COVER_TABLE), its `matrix_group` and its
+`letter_table`.  The construction checks keep every caller right-or-raise,
+a user-supplied basis (`ext-group --basis FILE`) included.  The `pseudo`
+and `defining` sweeps check the same relations again only to count the
+checks: a failed relation raises in `ext_group_report` before any sweep
+check runs, so it surfaces as an internal check failure (CLI exit 1), never
+as a suite counterexample.
 
 Two independent prediction routes accompany the constructions: the universal
 factor-count commutation rule, and the printed parity predicates in terms of
@@ -43,11 +46,11 @@ sweeps confirm that both routes agree with the matrix truth on every variant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .classification import type_index
 from .core_algebra import SignatureSpec
-from .finite_groups import GroupTable, cocycle_group
+from .finite_groups import cocycle_group
 from .spinor_repr import (
     SpinBasis,
     SpinMatrix,
@@ -109,16 +112,6 @@ def cover_row(signature: Sequence[int], abelian: bool) -> CoverRow:
     return CoverRow(*key, *COVER_TABLE[key])
 
 
-def xor_group(codes: Sequence[int], names: Sequence[str]) -> Optional[GroupTable]:
-    """The code set `codes` (0 first) under XOR, element c named names[c];
-    None when the set is not closed."""
-    if any(a ^ b not in codes for a in codes for b in codes):
-        return None
-    index = {c: i for i, c in enumerate(codes)}
-    return GroupTable([names[c] for c in codes],
-                      [[index[a ^ b] for b in codes] for a in codes], index[0])
-
-
 @dataclass(frozen=True)
 class ExtMatrix:
     name: str
@@ -130,7 +123,6 @@ class ExtMatrix:
 @dataclass
 class ExtGroupReport:
     sig: SignatureSpec
-    basis_name: str
     census: UnitCensus
     matrices: Dict[str, ExtMatrix]
     cocycle: Dict[Tuple[int, int], int]  # c(a, b) over the codes 0..7; all below read it
@@ -156,6 +148,52 @@ class ExtGroupReport:
     @property
     def group_name(self) -> str:  # of the seven-letter COVER_TABLE row
         return cover_row(self.signature, self.abelian).group
+
+    def cover(self, codes: Iterable[int]) -> CoverRow:
+        """The COVER_TABLE row of the code subgroup {0} | codes, from the
+        squares and commutation in the sign cocycle.  ValueError, naming the
+        set, unless it is a subgroup of the codes 0..7.  AssertionError unless
+        the cocycle's formal double cover {+-1} x codes is the row's
+        identified group; codes whose matrices land on one matrix up to sign
+        (Pi = I at Cl(2,0)) still count apart there."""
+        group = sorted({0, *codes})
+        closed = all(a ^ b in group for a in group for b in group)
+        if not (closed and set(group) <= set(range(8))):
+            named = "{" + ", ".join(map(str, group)) + "}"
+            raise ValueError(f"code set {named} is not a subgroup of the codes 0..7")
+        cocycle = {(a, b): self.cocycle[a, b] for a in group for b in group}
+        abelian = all(cocycle[a, b] == cocycle[b, a] for a, b in cocycle)
+        row = cover_row([cocycle[a, a] for a in group[1:]], abelian)
+        _, built = cocycle_group(cocycle)
+        if built != row.identified:
+            raise AssertionError(
+                f"cover table says {row.cover} (= {row.identified}), "
+                f"matrix cocycle builds {built}"
+            )
+        return row
+
+    @property
+    def matrix_group(self) -> Tuple[int, str]:
+        """(order, name) of the group the matrices I, W..F generate: the
+        cocycle's form on Z2^3 modulo the codes whose matrix is +-I.  It holds
+        -I when the cocycle takes -1 (-I = M_a M_b M_(a^b)^-1) or a code's
+        matrix is -I.  It is smaller than the formal cover `cover(range(8))`
+        names on 21 of the 25 real even cells with p+q <= 8 (Cl(6,2): Z4xZ2
+        here, Z4xZ2xZ2 there)."""
+        m = _code_matrices(self.matrices)
+        kernel = [c for c in range(8) if m[c] == m[0] or m[c] == -m[0]]
+        minus = any(s < 0 for s in self.cocycle.values()) or any(m[c] != m[0] for c in kernel)
+        return cocycle_group(self.cocycle, kernel, minus)
+
+    @property
+    def letter_table(self) -> Tuple[List[str], List[List[str]]]:
+        """The letters I, W, ..., F and their signed multiplication table from
+        the cocycle: cell (a, b) names a * b = c(a, b) M_(a^b) by its first
+        letter up to sign ("-K")."""
+        m = _code_matrices(self.matrices)
+        by_matrix = signed_lookup(dict(zip(ELEMENT_NAMES, m)))
+        return list(ELEMENT_NAMES), [[by_matrix[m[a ^ b] if self.cocycle[a, b] > 0 else -m[a ^ b]]
+                                      for b in range(8)] for a in range(8)]
 
 
 # name -> relation(u, x), true when x satisfies the relation at the unit u
@@ -243,30 +281,6 @@ def sign_cocycle(mats: Dict[str, ExtMatrix]) -> Dict[Tuple[int, int], int]:
                              "signed span of the named matrices")
 
     return {(a, b): sign(a, b) for a in range(8) for b in range(8)}
-
-
-def matrix_group(mats: Dict[str, ExtMatrix], cocycle: Dict[Tuple[int, int], int]) -> Tuple[int, str]:
-    """(order, name) of the group the matrices I, W..F generate, from their
-    `sign_cocycle` over all eight codes: the form on Z2^3 modulo the codes
-    whose matrix is +-I.  It holds -I when the cocycle takes -1 (-I = M_a M_b
-    M_(a^b)^-1) or a code's matrix is -I.  It is smaller than the formal
-    cover `coverings.checked_cover` names on 21 of the 25 real even cells
-    with p+q <= 8 (Cl(6,2): Z4xZ2 here, Z4xZ2xZ2 there)."""
-    m = _code_matrices(mats)
-    kernel = [c for c in range(8) if m[c] == m[0] or m[c] == -m[0]]
-    minus = any(s < 0 for s in cocycle.values()) or any(m[c] != m[0] for c in kernel)
-    return cocycle_group(cocycle, kernel, minus)
-
-
-def signed_letter_table(mats: Dict[str, ExtMatrix],
-                        cocycle: Dict[Tuple[int, int], int]) -> Tuple[List[str], List[List[str]]]:
-    """The letters I, W, ..., F and their signed multiplication table from
-    their `sign_cocycle`: cell (a, b) names a * b = c(a, b) M_(a^b) by its
-    first letter up to sign ("-K")."""
-    m = _code_matrices(mats)
-    by_matrix = signed_lookup(dict(zip(ELEMENT_NAMES, m)))
-    return list(ELEMENT_NAMES), [[by_matrix[m[a ^ b] if cocycle[a, b] > 0 else -m[a ^ b]]
-                                  for b in range(8)] for a in range(8)]
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +472,6 @@ def ext_group_report(basis: SpinBasis) -> ExtGroupReport:
     pi = mats["Pi"].matrix
     report = ExtGroupReport(
         sig=basis.sig,
-        basis_name=basis.name,
         census=basis.unit_census(),
         matrices=mats,
         cocycle=sign_cocycle(mats),

@@ -182,6 +182,8 @@ def signed_group_name(order: int, center: int, central_z: bool, to_z: int) -> st
     when q is nonzero on R, D4 (Arf 0) or Q4 (Arf 1) when it vanishes there,
     each times Z2 factors up to its order.
     """
+    if order > 16:
+        raise ValueError(f"signed group naming limited to order <= 16, got {order}")
     rank = order.bit_length() - 1
     if not to_z:
         return "x".join(["Z2"] * rank) or "1"

@@ -14,7 +14,9 @@ and 2, and composition is XOR.  The same code names the realizing matrix
 (I, W, E, C, Pi, K, S, F for 1, P, T, PT, C, CP, CT, CPT) and the pin letter
 (a..g for codes 1..7).  A covering's label and matrices are read off its
 survivor set: {1, T, CP, CPT} has codes 0, 2, 5, 7, so it is realized by
-I, E, K, F and labelled pin^{b,e,g}.
+I, E, K, F and labelled pin^{b,e,g}.  A closed survivor set is a subgroup
+of the codes, and its concrete cover over a target is the target report's
+`ExtGroupReport.cover` of those codes.
 
 The printed catalog is one row per class: its symmetry set (CLASS_SETS) and
 how the coefficient conjugation reduces downstairs (_REDUCTIONS), both keyed
@@ -44,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .classification import odd_reduction, ring_label
 from .core_algebra import (
@@ -55,14 +57,7 @@ from .core_algebra import (
     volume_element,
     volume_square_sign,
 )
-from .coverings import checked_cover
-from .ext_automorphisms import (
-    ELEMENT_NAMES,
-    PHYSICAL_NAMES,
-    PIN_LETTERS,
-    ext_group_report,
-    xor_group,
-)
+from .ext_automorphisms import ELEMENT_NAMES, PHYSICAL_NAMES, PIN_LETTERS, ext_group_report
 from .finite_groups import GroupTable, identify_small_group
 from .spinor_repr import build_spinbasis
 
@@ -373,13 +368,12 @@ def _target_text(sig: SignatureSpec) -> str:
     return f"({sig.n},C)" if sig.field == "C" else f"({sig.p},{sig.q})"
 
 
-def _concrete_cover(target: SignatureSpec, matrix_names: Tuple[str, ...]) -> Optional[str]:
+def _concrete_cover(target: SignatureSpec, codes: List[int]) -> Optional[str]:
     try:
         basis = build_spinbasis(target)
     except ValueError:
         return None
-    report = ext_group_report(basis)
-    return checked_cover(report, [n for n in matrix_names if n != "I"]).cover
+    return ext_group_report(basis).cover(codes).cover
 
 
 def quotient_group(ctx: EpsilonContext) -> QuotientGroupReport:
@@ -404,17 +398,17 @@ def quotient_group(ctx: EpsilonContext) -> QuotientGroupReport:
     letters = ",".join(PIN_LETTERS[c - 1] for c in codes[1:])
     label = f"pin^{{{letters}}}"
 
-    cayley = xor_group(codes, PHYSICAL_NAMES)
     notes = []
-    abstract = None
-    if cayley is None:
+    cayley, abstract = None, None
+    if all(a ^ b in codes for a in codes for b in codes):
+        cayley = GroupTable(list(survivors), [[codes.index(a ^ b) for b in codes] for a in codes], 0)
+        abstract = identify_small_group(cayley)
+    else:
         miss = PHYSICAL_NAMES[codes[1] ^ codes[2]]
         notes.append(
             "{%s} is not closed (%s.%s = %s missing): no covering group"
             % (", ".join(survivors), survivors[1], survivors[2], miss)
         )
-    else:
-        abstract = identify_small_group(cayley)
 
     formulas = []
     covers: Dict[str, str] = {}
@@ -423,7 +417,7 @@ def quotient_group(ctx: EpsilonContext) -> QuotientGroupReport:
         if cayley is None:
             continue
         formulas.append(f"pin^{{{letters}}}{text} = (spin+{text} . C^{{{letters}}}) / Z2")
-        concrete = _concrete_cover(target, mat_names)
+        concrete = _concrete_cover(target, codes)
         if concrete is not None:
             covers[text] = concrete
 

@@ -358,14 +358,6 @@ class UnitCensus:
     def b(self) -> int:  # real units
         return self.u + self.v
 
-    @property
-    def p(self) -> int:
-        return self.v + self.m
-
-    @property
-    def q(self) -> int:
-        return self.u + self.l
-
 
 # ---------------------------------------------------------------------------
 # the spinor basis object

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliffork import cli, verify
+from cliffork import cli, ext_automorphisms, verify
 from cliffork.cli import SCHEMA, run
 from cliffork.verify import (
     SUITE_NAMES,
@@ -118,6 +118,8 @@ class TestExitCodes:
              "p+q = 30 needs spinor dimension 32768, above the limit MAX_SPINOR_DIM = 4096", None),
             (["cover", "--p", "20", "--q", "10"],
              "p+q = 30 needs spinor dimension 32768, above the limit MAX_SPINOR_DIM = 4096", None),
+            (["verify", "--suite", "core", "--max", "30"],
+             "the core suite is exhaustive only up to p+q = 8, got 30", None),
             (["ext-group", "--basis", "{path}"],
              "basis file {path!r}: 'p' must be a nonnegative integer, got [1]",
              {"p": [1], "q": 3, "matrices": []}),
@@ -135,7 +137,8 @@ class TestExitCodes:
              {"p": 2, "q": 0, "matrices": [[["1", "0"], ["0", "-1"]], [["1"]]]}),
         ],
         ids=["negative-count", "negative-complex", "missing-basis-file", "basis-too-large",
-             "sweep-bound-too-large", "cover-too-large", "basis-p-not-an-int", "basis-p-not-integral",
+             "sweep-bound-too-large", "cover-too-large", "core-bound-too-large",
+             "basis-p-not-an-int", "basis-p-not-integral",
              "basis-matrices-not-a-list", "basis-int-entry", "basis-mixed-sizes"],
     )
     def test_bad_inputs_exit_two_with_one_error_line(self, capsys, tmp_path, argv, message,
@@ -511,6 +514,20 @@ class TestVerifyVerb:
         blob = json.loads("\n".join(lines[1:]))
         assert blob["suite"] == "tables"
         assert blob["counterexamples"][0]["want"] == "R"
+
+    def test_failed_relation_is_an_internal_check_not_a_counterexample(self, capsys,
+                                                                        monkeypatch):
+        # ext_group_report checks every defining relation before any sweep
+        # check runs, so a failed relation exits 1 through the internal check
+        # path and never reaches the suite's counterexample list
+        monkeypatch.setitem(ext_automorphisms.DEFINING_RELATIONS, "Pi", lambda u, x: False)
+        assert run(["verify", "--suite", "pseudo", "--max", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: verify: internal check failed: Pi relation failed at unit 1\n"
+        payload = json.loads(captured.out)
+        assert payload["ok"] is False
+        assert "suites" not in payload
+        assert [c["check"] for c in payload["counterexamples"]] == ["Pi relation failed at unit 1"]
 
     def test_zero_bound_is_honoured(self, capsys):
         code, payload = run_json(capsys, ["verify", "--suite", "all", "--max", "0"])

@@ -13,7 +13,6 @@ from cliffork.core_algebra import GaussianScalar, MultiVector, SignatureSpec, bl
 from cliffork.coverings import (
     A_MINUS_SET,
     A_PLUS_SET,
-    checked_cover,
     cpt_structure,
     norm_scalar,
     odd_dimensional_decomposition_report,
@@ -25,7 +24,6 @@ from cliffork.coverings import (
 )
 from cliffork.ext_automorphisms import (
     COVER_TABLE,
-    ELEMENT_NAMES,
     MATRIX_NAMES,
     ExtMatrix,
     cover_row,
@@ -233,7 +231,7 @@ def test_even_sweep_cross_validation():
     # every constructible even signature up to p+q=8: census prediction,
     # matrix squares, admissibility, cover identification, and the
     # abelian/sign-count tie all agree (pt_structure checks the last two
-    # through checked_cover)
+    # through ExtGroupReport.cover)
     for n in (0, 2, 4, 6, 8):
         for p in range(n + 1):
             sig = SignatureSpec(p, n - p)
@@ -309,30 +307,30 @@ def test_trivial_cocycle_gives_elementary_cover():
     gamma = ext_group_report(load_spinbasis("gamma"))
     trivial = dataclasses.replace(gamma, cocycle=dict.fromkeys(gamma.cocycle, 1))
     assert trivial.signature == (1,) * 7 and trivial.abelian
-    row = checked_cover(trivial, MATRIX_NAMES)
+    row = trivial.cover(range(1, 8))
     assert row == (7, 0, True, "Z2xZ2xZ2", "Z2xZ2xZ2xZ2", "Z2xZ2xZ2xZ2")
-    assert checked_cover(trivial, ("E",)).cover == "Z2xZ2"
+    assert trivial.cover([2]).cover == "Z2xZ2"  # E alone
 
 
-def test_checked_cover_rejects_a_wrong_row(monkeypatch):
+def test_report_cover_rejects_a_wrong_row(monkeypatch):
     # a lone letter squaring to -I keys the Z4 row; a table row whose
     # identified group is not the one the sign cocycle builds must fail
     report = ext_group_report(load_spinbasis("gamma"))
     assert report.signature[0] == -1
-    assert checked_cover(report, ("W",)).cover == "Z4"
-    # the names are a set of codes, read in any order; an unknown name or a
-    # set not closed under composition is a ValueError naming the set
-    assert checked_cover(report, ("E", "W", "C")) == checked_cover(report, ("W", "E", "C"))
-    for names, match in ((("W", "E", "Pi"), "{W, E, Pi} is not closed"),
-                         (("W", "E"), "{W, E} is not closed"),
-                         (("W", "Pi"), "{W, Pi} is not closed"),
-                         (("X",), "{X} names a matrix outside"),
-                         (("I", "W"), "{I, W} names a matrix outside")):
+    assert report.cover([1]).cover == "Z4"
+    # the codes are a set, read in any order, with or without 0; a set that
+    # is not a subgroup of the codes 0..7 is a ValueError naming the set
+    assert report.cover([2, 1, 3]) == report.cover(range(1, 4)) == report.cover(range(4))
+    for codes, match in (((1, 2, 4), "{0, 1, 2, 4} is not a subgroup"),  # W, E, Pi
+                         ((1, 2), "{0, 1, 2} is not a subgroup"),  # W, E
+                         ((1, 4), "{0, 1, 4} is not a subgroup"),  # W, Pi
+                         ((8,), "{0, 8} is not a subgroup of the codes 0..7"),
+                         ((-1,), "{-1, 0} is not a subgroup of the codes 0..7")):
         with pytest.raises(ValueError, match=re.escape(match)):
-            checked_cover(report, names)
+            report.cover(codes)
     monkeypatch.setitem(COVER_TABLE, (1, 1, True), ("Z2", "Z4", "Z2xZ2"))
     with pytest.raises(AssertionError, match="builds Z4"):
-        checked_cover(report, ("W",))
+        report.cover([1])
 
 
 def test_cover_table_matches_the_rebuilt_cover_on_every_swept_basis():
@@ -345,7 +343,8 @@ def test_cover_table_matches_the_rebuilt_cover_on_every_swept_basis():
                 for basis in sweep_spinbasis_variants(SignatureSpec(p, n - p, field)):
                     report = ext_group_report(basis)
                     mats = report.matrices
-                    for names in (("W", "E", "C"), MATRIX_NAMES):
+                    for codes in (range(1, 4), range(1, 8)):
+                        names = MATRIX_NAMES[:len(codes)]
                         squares = tuple(matrix_square_sign(mats[x].matrix) for x in names)
                         abelian = all(matrix_comm_sign(mats[x].matrix, mats[y].matrix) == 1
                                       for x, y in itertools.combinations(names, 2))
@@ -353,9 +352,8 @@ def test_cover_table_matches_the_rebuilt_cover_on_every_swept_basis():
                         table = signed_cover_group(mats, names)
                         built = identify_small_group(table)
                         assert built == row.identified, (basis.name, names)
-                        assert checked_cover(report, names) == row, (basis.name, names)
-                        codes = sorted({0} | {ELEMENT_NAMES.index(x) for x in names})
-                        assert (cocycle_group(_restricted(report.cocycle, codes))
+                        assert report.cover(codes) == row, (basis.name, names)
+                        assert (cocycle_group(_restricted(report.cocycle, [0, *codes]))
                                 == (table.order, built))
                         reached.add((len(names), row.minus, row.abelian))
     assert reached == {key for key in COVER_TABLE if key[0] != 1}
@@ -379,7 +377,7 @@ def test_pt_cover_is_the_wec_part_of_the_cpt_cover():
                             label = small.elements[small.table[i][j]]
                             assert big.elements[big.table[at[x]][at[y]]] == label, (basis.name, x, y)
                             checked += 1
-                    wec = checked_cover(report, ("W", "E", "C"))
+                    wec = report.cover(range(1, 4))
                     assert identify_small_group(small) == wec.identified, basis.name
     assert checked > 5000
 

@@ -19,7 +19,6 @@ from cliffork.ext_automorphisms import (
     enumerate_signatures,
     ext_group_report,
     ext_matrices,
-    matrix_group,
     predicted_K_square,
     predicted_pi_bar,
     predicted_S_square,
@@ -27,7 +26,6 @@ from cliffork.ext_automorphisms import (
     printed_pi_bar_mod4,
     quaternionic_signatures,
     sign_cocycle,
-    signed_letter_table,
     universal_comm_sign,
 )
 from cliffork.finite_groups import cocycle_group
@@ -90,8 +88,9 @@ def test_signed_letter_table():
     # first letter up to sign, also where letters coincide (E = Pi = I and
     # C = K = W at (2,0))
     for basis in (load_spinbasis("gamma"), build_spinbasis(SignatureSpec(2, 0))):
-        mats = ext_matrices(basis)
-        elements, cells = signed_letter_table(mats, sign_cocycle(mats))
+        report = ext_group_report(basis)
+        mats = report.matrices
+        elements, cells = report.letter_table
         assert elements == ["I"] + list(MATRIX_NAMES)
         assert cells[0] == [row[0] for row in cells]
         pool = {"I": SpinMatrix.identity(basis.dim), **{x: mats[x].matrix for x in MATRIX_NAMES}}
@@ -115,7 +114,8 @@ def test_gamma_report():
     assert report.order_structure == (3, 4)
     assert report.group_name == "*Z4xZ2"
     assert report.cocycle == sign_cocycle(report.matrices)
-    assert matrix_group(report.matrices, report.cocycle) == (16, "D4oZ4")
+    assert report.matrix_group == (16, "D4oZ4")
+    assert report.cover(range(8)).identified == "D4oZ4"
 
 
 def test_matrix_group_is_the_formal_cover_on_4_of_25_cells():
@@ -125,9 +125,9 @@ def test_matrix_group_is_the_formal_cover_on_4_of_25_cells():
     equal = []
     for n in range(0, 9, 2):
         for p in range(n + 1):
-            mats = ext_matrices(build_spinbasis(SignatureSpec(p, n - p)))
-            cocycle = sign_cocycle(mats)
-            generated, formal = matrix_group(mats, cocycle), cocycle_group(cocycle)
+            report = ext_group_report(build_spinbasis(SignatureSpec(p, n - p)))
+            generated, formal = report.matrix_group, cocycle_group(report.cocycle)
+            assert formal[1] == report.cover(range(8)).identified, (p, n - p)
             if generated == formal:
                 equal.append((p, n - p))
             if (p, n - p) == (6, 2):
@@ -212,7 +212,7 @@ def test_all_real_basis_pi_is_identity():
     assert report.signature == (-1, 1, -1, 1, -1, 1, -1)
     assert report.abelian
     assert report.group_name == "Z4xZ2"
-    assert matrix_group(report.matrices, report.cocycle) == (4, "Z4")
+    assert report.matrix_group == (4, "Z4")
     assert any("empty product" in note for note in report.notes)
 
 

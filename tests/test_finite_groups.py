@@ -6,6 +6,7 @@ the catalog's name to each of its 13 signed 2-groups and raises on the
 other 10."""
 
 import collections
+import dataclasses
 import itertools
 import random
 
@@ -18,7 +19,6 @@ from cliffork.ext_automorphisms import (
     ExtMatrix,
     cover_row,
     ext_group_report,
-    matrix_group,
     sign_cocycle,
 )
 from cliffork.finite_groups import (
@@ -31,7 +31,14 @@ from cliffork.finite_groups import (
     vee_group,
     _signed_blade_label,
 )
-from cliffork.spinor_repr import MAT_A, MAT_B, MAT_J, SpinMatrix, sweep_spinbasis_variants
+from cliffork.spinor_repr import (
+    MAT_A,
+    MAT_B,
+    MAT_J,
+    SpinMatrix,
+    build_spinbasis,
+    sweep_spinbasis_variants,
+)
 from small_group_catalog import (
     _catalog,
     _cyclic,
@@ -438,7 +445,7 @@ def test_namer_matches_the_catalog_on_every_swept_basis_group():
                         (x, y): matrix_comm_sign(direct[x], direct[y])
                         for x, y in itertools.combinations(MATRIX_NAMES, 2)}, basis.name
                     closure = generate_group_from_matrices([m.matrix for m in mats.values()])
-                    got[basis.name] = matrix_group(mats, cocycle)
+                    got[basis.name] = report.matrix_group
                     assert got[basis.name] == (closure.order, identify_by_catalog(closure))
                     scalars = {m.matrix.scalar_multiple_of_identity() for m in mats.values()}
                     tally[bool(scalars - {None}), GaussianScalar.of(-1) in scalars,
@@ -465,5 +472,19 @@ def test_cocycle_group_reads_minus_one_from_a_trivial_form():
     x, ident = SpinMatrix([[1, 0], [0, -1]]), SpinMatrix.identity(2)
     mats = {name: ExtMatrix(name, m, (), "x") for name, m in zip(
         ELEMENT_NAMES[1:], (-ident, x, -x, ident, -ident, x, -x))}
-    assert set(sign_cocycle(mats).values()) == {1}
-    assert matrix_group(mats, sign_cocycle(mats)) == (4, "Z2xZ2")
+    report = dataclasses.replace(ext_group_report(build_spinbasis(SignatureSpec(2, 0))),
+                                 matrices=mats, cocycle=sign_cocycle(mats))
+    assert set(report.cocycle.values()) == {1}
+    assert report.matrix_group == (4, "Z2xZ2")
+
+
+def test_no_name_above_order_16():
+    # the double cover of a blade-product sign cocycle with p+q >= 4 has
+    # order 32 or more, where the counting rule would call Cl(4,0) Q4 and
+    # Cl(3,1) D4 and index past its table at Cl(0,5)
+    for p, q in ((4, 0), (3, 1), (0, 5)):
+        sig = SignatureSpec(p, q)
+        masks = range(1 << sig.n)
+        cocycle = {(a, b): blade_product(sig, a, b)[1] for a in masks for b in masks}
+        with pytest.raises(ValueError, match=f"order <= 16, got {2 << sig.n}"):
+            cocycle_group(cocycle)
