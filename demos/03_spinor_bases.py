@@ -1,18 +1,20 @@
-"""Exact spinor representations: monomial matrices for the generators.
+"""Exact spinor representations: signed Pauli words for the generators.
 
-build_spinbasis constructs, for any signature, a set of matrices over the
-Gaussian rationals that square to the metric and pairwise anticommute.  The
-bundled 'gamma' basis is the familiar 4x4 set for Cl(1,3); we rebuild it,
-validate it, census its units, and round-trip it through a file.
+build_spinbasis constructs, for any signature it supports, a set of matrices
+over the Gaussian rationals that square to the metric and pairwise
+anticommute.  Each unit it builds is a signed Pauli word i^c Z^z X^x: one
+nonzero entry per row and column, every entry +-1 or +-i.  The bundled
+'gamma' basis is the familiar 4x4 set for Cl(1,3); we load it, validate it,
+census its units, and round-trip it through a file.
 """
 
+import os
 import tempfile
 
 from cliffork.spinor_repr import (
     SignatureSpec,
     build_spinbasis,
     load_spinbasis,
-    primitive_idempotent,
     save_spinbasis,
 )
 
@@ -39,15 +41,14 @@ print(
 g013 = basis.product_of([1, 2, 4])
 print(f"\ngamma_0 gamma_1 gamma_3 squared gives {g013 * g013}")
 
-with tempfile.NamedTemporaryFile(suffix=".json", mode="w", delete=False) as fh:
-    path = fh.name
-save_spinbasis(basis, path)
-again = load_spinbasis(path)
+with tempfile.TemporaryDirectory() as folder:
+    path = os.path.join(folder, "gamma.json")
+    save_spinbasis(basis, path)
+    again = load_spinbasis(path)
 assert all(again.unit(i + 1) == basis.unit(i + 1) for i in range(4))
-print(f"round-tripped through {path}")
+print("round-tripped through a JSON basis file")
 
 # representations of other signatures come from the same constructor
 for p, q in [(3, 0), (0, 4), (2, 2)]:
     b = build_spinbasis(SignatureSpec(p, q))
-    idem, factors = primitive_idempotent(b.sig)
-    print(f"Cl({p},{q}) -> dimension {b.dim}, primitive idempotent {idem}")
+    print(f"Cl({p},{q}) -> dimension {b.dim}, words (d, c, x, z) {[m.word for m in b.mats]}")

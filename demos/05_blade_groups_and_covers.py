@@ -7,13 +7,8 @@ reflection symmetries: the PT cover, with its three signs (a,b,c) of W, E
 and C, for any signature, and seven-letter covers in the quaternionic case.
 """
 
-from cliffork.core_algebra import MultiVector, SignatureSpec, blade_mask
-from cliffork.coverings import (
-    cpt_structure,
-    pin_membership,
-    pt_structure,
-    spin_membership,
-)
+from cliffork.core_algebra import SignatureSpec
+from cliffork.coverings import cpt_structure, pt_structure
 from cliffork.finite_groups import (
     identify_small_group,
     vee_factor_check,
@@ -30,15 +25,6 @@ print(f"center quotient elementary abelian: {check.passed}")
 for p, q in [(2, 0), (1, 1), (0, 2), (3, 0)]:
     t = vee_group(SignatureSpec(p, q))
     print(f"  Cl({p},{q}) blade group = {identify_small_group(t)}")
-
-# Pin membership: unit vectors are in, their normalized products stay in
-sig = SignatureSpec(1, 3)
-e1 = MultiVector.from_mask(sig, blade_mask([1]))
-e2 = MultiVector.from_mask(sig, blade_mask([2]))
-print(f"\ne1 in Pin(1,3): {pin_membership(e1)}, in Spin: {spin_membership(e1)}")
-print(f"e1*e2 in Pin: {pin_membership(e1 * e2)}, in Spin: {spin_membership(e1 * e2)}")
-x = e1 + MultiVector.scalar(sig, 1)  # not unit norm
-print(f"1 + e1 in Pin: {pin_membership(x)}")
 
 # PT covering structure, signs (a,b,c) of W, E, C (any signature)
 rep = pt_structure(2, 0)

@@ -6,7 +6,7 @@ Modules:
     spinor_repr        exact spinor bases (signed Pauli words) for all types
     ext_automorphisms  the W,E,C,Pi,K,S,F matrices and their sign ledger
     finite_groups      signed blade groups, naming by F2 quadratic form
-    coverings          Pin/Spin membership and covering-group structure
+    coverings          PT and CPT covering reports and their cover groups
     quotient           semi-simple split, eps homomorphism, symmetry transfer
     verify             the validation suites behind `cliffork verify`
     cli                command line front end

@@ -43,7 +43,7 @@ from .quotient import (
     quotient_group,
 )
 from .spinor_repr import build_spinbasis, load_spinbasis
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, check_suite_bounds, run_suite
 
 SCHEMA = "cliffork/1"
 
@@ -297,6 +297,7 @@ def _cmd_verify(args) -> Tuple[int, str]:
     if args.max is not None and args.max < 0:
         raise ValueError(f"--max must be a nonnegative p+q bound, got {args.max}")
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
+    check_suite_bounds(names, args.max)
     results = [run_suite(name, args.max) for name in names]
     ok = all(r.ok for r in results)
     payload = {"schema": SCHEMA, "verb": "verify", "ok": ok,

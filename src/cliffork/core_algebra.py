@@ -367,10 +367,6 @@ class MultiVector:
     # construction helpers
 
     @classmethod
-    def zero(cls, sig: SignatureSpec) -> "MultiVector":
-        return cls(sig)
-
-    @classmethod
     def scalar(cls, sig: SignatureSpec, value) -> "MultiVector":
         return cls(sig, {0: GaussianScalar.of(value)})
 
@@ -378,10 +374,6 @@ class MultiVector:
     def unit(cls, sig: SignatureSpec, i: int) -> "MultiVector":
         sig.metric(i)  # bounds check
         return cls(sig, {1 << (i - 1): _GS_ONE})
-
-    @classmethod
-    def blade(cls, sig: SignatureSpec, indices: Iterable[int], coeff=1) -> "MultiVector":
-        return cls(sig, {blade_mask(indices): GaussianScalar.of(coeff)})
 
     @classmethod
     def from_mask(cls, sig: SignatureSpec, mask: int, coeff=1) -> "MultiVector":
@@ -394,9 +386,6 @@ class MultiVector:
 
     def items(self):
         return self._c.items()
-
-    def grades(self) -> List[int]:
-        return sorted({m.bit_count() for m in self._c})
 
     def is_zero(self) -> bool:
         return not self._c

@@ -1,6 +1,6 @@
 """Double coverings of the orthogonal group.
 
-Three layers, all exact:
+Two reports, both exact:
 
 * ``pt_structure`` -- which of the eight coverings pin^{a,b,c}(p,q) exist.
   Even types read (a,b,c) from a spinor basis; semi-simple types report the
@@ -8,9 +8,6 @@ Three layers, all exact:
 * ``cpt_structure`` -- the seven-sign extension: on ring H the W..F part of
   the basis report whose (W,E,C) part is the PT structure, on ring R the PT
   structure itself.
-* ``pin_membership`` / ``spin_membership`` -- brute-force Clifford-Lipschitz
-  membership at low dimension: the spinor norm N(x) = x * reversion(x) must
-  be +-1, which gives the inverse N * reversion(x) for the adjoint check.
 
 Both structures read a basis through one helper, `_basis_cover`, and name
 their covers by one ``ext_automorphisms.COVER_TABLE`` row.  That row is
@@ -27,18 +24,9 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .classification import odd_reduction, ring_label, type_index
-from .core_algebra import (
-    GaussianScalar,
-    MultiVector,
-    SignatureSpec,
-    volume_element,
-    volume_square_sign,
-)
+from .core_algebra import SignatureSpec
 from .ext_automorphisms import CoverRow, cover_row, ext_group_report
 from .spinor_repr import SpinBasis, build_spinbasis
-
-_ONE = GaussianScalar.of(1)
-_MINUS_ONE = GaussianScalar.of(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -320,128 +308,3 @@ def cpt_structure(sig_or_p, q: Optional[int] = None, basis: Optional[SpinBasis] 
         notes=notes,
     )
 
-
-# ---------------------------------------------------------------------------
-# Pin / Spin membership by brute force
-
-
-def norm_scalar(x: MultiVector) -> Optional[GaussianScalar]:
-    """N(x) = x * reversion(x) when that lands in the scalars, else None."""
-    nm = x * x.reversion()
-    if not nm.is_scalar():
-        return None
-    return nm.scalar_part()
-
-
-_MEMBERSHIP_LIMIT = 4
-
-
-def _membership(x: MultiVector, even_only: bool) -> Optional[Tuple[GaussianScalar, MultiVector]]:
-    """(N(x), x^-1) when x is in Pin (in Spin when even_only), else None.
-
-    x^-1 = N * reversion(x) needs no linear solve: when N = x * reversion(x)
-    is +-1, x * (N * reversion(x)) = N^2 = 1, and in a finite-dimensional
-    algebra a one-sided inverse is two-sided.  Any other N (N(0) = 0) is no.
-    """
-    sig = x.sig
-    if sig.n > _MEMBERSHIP_LIMIT:
-        raise ValueError(
-            f"brute-force membership is kept to p+q <= {_MEMBERSHIP_LIMIT}"
-        )
-    if even_only and any(g % 2 for g in x.grades()):
-        return None
-    nv = norm_scalar(x)
-    if nv not in (_ONE, _MINUS_ONE):
-        return None
-    inv = x.reversion() * nv
-    for i in range(1, sig.n + 1):
-        image = x * MultiVector.unit(sig, i) * inv
-        if any(g != 1 for g in image.grades()):
-            return None
-    return nv, inv
-
-
-def pin_membership(x: MultiVector) -> bool:
-    """x invertible, N(x) = +-1, and conjugation keeps every generator in
-    the grade-1 span."""
-    return _membership(x, even_only=False) is not None
-
-
-def spin_membership(x: MultiVector) -> bool:
-    """Pin membership plus even grading."""
-    return _membership(x, even_only=True) is not None
-
-
-@dataclass(frozen=True)
-class PinElement:
-    value: MultiVector
-    norm: GaussianScalar
-
-
-def pin_element(x: MultiVector) -> PinElement:
-    """Validated Pin member; also checks the twisted action (grade-involuted
-    left factor), which must land in grade 1 as well."""
-    member = _membership(x, even_only=False)
-    if member is None:
-        raise ValueError("not a Pin element")
-    norm, inv = member
-    for i in range(1, x.sig.n + 1):
-        image = x.grade_involution() * MultiVector.unit(x.sig, i) * inv
-        if any(g != 1 for g in image.grades()):
-            raise ValueError("twisted action leaves the grade-1 span")
-    return PinElement(x, norm)
-
-
-# ---------------------------------------------------------------------------
-# odd-dimensional decomposition
-
-
-@dataclass(frozen=True)
-class OddDecomposition:
-    sig: SignatureSpec
-    omega_square: int
-    branch: str  # "i" when w^2 = -1, "e" (double unit) when w^2 = +1
-    identities: Tuple[str, ...]
-    unitary_label: Optional[str]
-
-
-_UNITARY_SPLIT = {
-    (3, 0): "SU(2) u iSU(2)",
-    (0, 3): "SU(2) u eSU(2)",
-    (5, 0): "Sp(2) u eSp(2)",
-    (0, 5): "Sp(2) u iSp(2)",
-}
-
-
-def odd_dimensional_decomposition_report(sig_or_p, q: Optional[int] = None) -> OddDecomposition:
-    """Pin(p,q) split along the volume element, odd dimensions only.
-
-    The generic identities hold for every odd type; the four low-dimensional
-    cases additionally carry their unitary-group dress, the branch letter
-    ('i' vs the double unit 'e') decided by the sign of w^2.
-    """
-    sig = SignatureSpec.of(sig_or_p, q)
-    p, qq, n = sig.p, sig.q, sig.n
-    if n % 2 == 0:
-        raise ValueError(f"Cl({p},{qq}) is even-dimensional, nothing to split")
-    w2 = volume_square_sign(p, qq)
-    if n <= 11:
-        direct = (volume_element(sig) ** 2).scalar_part()
-        if direct != GaussianScalar.of(w2):
-            raise AssertionError("volume square sign disagrees with the blades")
-    branch = "i" if w2 == -1 else "e"
-    identities = [f"Pin({p},{qq}) = Spin({p},{qq}) u w.Spin({p},{qq})"]
-    identities += [f"Pin({p},{qq}) = Pin({fp},{fq}) u w.Pin({fp},{fq})"
-                   for fp, fq in odd_reduction(p, qq)[1]]
-    unitary = _UNITARY_SPLIT.get((p, qq))
-    if unitary is not None:
-        tail = unitary.split(" u ")[1]
-        if not tail.startswith(branch):
-            raise AssertionError("unitary split letter defies the volume square")
-    return OddDecomposition(
-        sig=sig,
-        omega_square=w2,
-        branch=branch,
-        identities=tuple(identities),
-        unitary_label=unitary,
-    )

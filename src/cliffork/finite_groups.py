@@ -232,11 +232,19 @@ def cocycle_group(cocycle: Dict[Tuple[int, int], int], kernel: Sequence[int] = (
 # ---------------------------------------------------------------------------
 # vee groups of Cl(p,q)
 
+# Largest p+q whose vee group is built: its table has 2^(2n+2) entries.
+VEE_MAX_N = 8
+
+
+def check_vee_size(n: int) -> None:
+    """Raise ValueError when p+q = n is above VEE_MAX_N."""
+    if n > VEE_MAX_N:
+        raise ValueError(f"vee groups are built exhaustively only up to p+q={VEE_MAX_N}")
+
 
 def vee_group(sig: SignatureSpec) -> GroupTable:
     """The 2^(n+1) signed basis blades of Cl(p,q) under the blade product."""
-    if sig.n > 8:
-        raise ValueError("vee groups are built exhaustively only up to p+q=8")
+    check_vee_size(sig.n)
     blades = [(mask, sign) for mask in range(1 << sig.n) for sign in (1, -1)]
     # (mask, sign) sits at 2 * mask + (sign < 0), so a sign flip is index ^ 1
     # and one blade product per pair of masks fills four cells

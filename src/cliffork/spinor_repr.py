@@ -17,8 +17,8 @@ dimension; build_spinbasis rejects them (the quotient module handles the
 split), and it rejects any basis above MAX_SPINOR_DIM.
 
 Every constructed unit is a signed Pauli word i^c Z^z X^x on d = 2^k: the
-2x2 blocks are words, and so is every kron and product of words (blade
-images, the W..F matrices, their closure: the image of Salingaros' vee
+2x2 blocks are words, and so is every kron and product of words (products
+of units, the W..F matrices, their closure: the image of Salingaros' vee
 group).  SpinMatrix therefore has two internal forms, chosen from the
 entries:
 
@@ -27,8 +27,7 @@ entries:
     int work;
   * dense form, d x d exact Gaussian rationals, for every other matrix: a
     user-loaded basis that is not made of words (`ext-group --basis FILE`),
-    such as a signed permutation conjugate, or the image of a general
-    multivector.
+    such as a signed permutation conjugate, and a sum of words.
 
 The form is canonical: any result that is a word is stored as a word,
 whichever path computed it, so == and hash stay exact across the two forms
@@ -43,15 +42,7 @@ from importlib import resources
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .classification import odd_reduction, type_index
-from .core_algebra import (
-    GaussianScalar,
-    MultiVector,
-    SignatureSpec,
-    blade_indices,
-    blade_product,
-    format_gaussian,
-    parse_gaussian,
-)
+from .core_algebra import GaussianScalar, SignatureSpec, format_gaussian, parse_gaussian
 
 _ZERO = GaussianScalar.ZERO
 _ONE = GaussianScalar.ONE
@@ -120,9 +111,9 @@ class SpinMatrix:
     conj, transpose, scaling by i^k, kron, the +-I test, == and hash are
     O(1) int work on it.
 
-    Dense form: every other matrix, for instance the image of a general
-    multivector, a user-loaded unit such as [[3/5,4/5],[4/5,-3/5]], a signed
-    permutation that is not a word, or any matrix whose size is not a power
+    Dense form: every other matrix, for instance a user-loaded unit such as
+    [[3/5,4/5],[4/5,-3/5]], a signed permutation that is not a word, a sum
+    of words such as MAT_A + MAT_B, or any matrix whose size is not a power
     of two.  It keeps the d x d GaussianScalar entries; `word` is None.
 
     The form is canonical: a result that is a word is stored as one
@@ -154,10 +145,6 @@ class SpinMatrix:
         if n and not n & (n - 1):
             return _word(n, 0, 0, 0)
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, n: int) -> "SpinMatrix":
-        return cls([[0] * n for _ in range(n)])
 
     def __mul__(self, other):
         if not isinstance(other, SpinMatrix):
@@ -259,7 +246,7 @@ class SpinMatrix:
         return [[format_gaussian(a) for a in row] for row in self.rows]
 
     def __str__(self) -> str:
-        cells = [[format_gaussian(a) for a in row] for row in self.rows]
+        cells = self.to_lists()
         w = max((len(c) for row in cells for c in row), default=1)
         return "\n".join("[" + " ".join(c.rjust(w) for c in row) + "]" for row in cells)
 
@@ -370,7 +357,6 @@ class SpinBasis:
         self.sig = sig
         self.mats = list(mats)
         self.name = name
-        self._blade_cache: Dict[int, SpinMatrix] = {}
         self._species: Optional[Dict[str, Tuple[int, ...]]] = None
         if len(self.mats) != sig.n:
             raise ValueError(f"{sig} needs {sig.n} units, got {len(self.mats)}")
@@ -378,28 +364,6 @@ class SpinBasis:
 
     def unit(self, i: int) -> SpinMatrix:
         return self.mats[i - 1]
-
-    def blade_image(self, mask: int) -> SpinMatrix:
-        """Image of the basis blade e_S, factors multiplied in ascending order."""
-        cached = self._blade_cache.get(mask)
-        if cached is not None:
-            return cached
-        if mask == 0:
-            out = SpinMatrix.identity(self.dim)
-        else:
-            # ascending order: lowest factor on the left
-            low = mask & -mask
-            out = self.mats[low.bit_length() - 1] * self.blade_image(mask ^ low)
-        self._blade_cache[mask] = out
-        return out
-
-    def image(self, x: MultiVector) -> SpinMatrix:
-        if x.sig.p != self.sig.p or x.sig.q != self.sig.q:
-            raise ValueError("multivector signature does not match the basis")
-        acc = SpinMatrix.zero(self.dim)
-        for mask, c in x.items():
-            acc = acc + self.blade_image(mask) * c
-        return acc
 
     def product_of(self, indices: Iterable[int]) -> SpinMatrix:
         """Product of the listed units (1-based), in the order given."""
@@ -412,9 +376,9 @@ class SpinBasis:
         """1-based unit indices per census species (v, u, l, m).
 
         This is the only place a unit is classified: the result is computed
-        once per basis and memoised beside the blade cache (nothing mutates
-        `mats` after construction), and every census-driven construction
-        reads it from here.
+        once per basis and memoised (nothing mutates `mats` after
+        construction), and every census-driven construction reads it from
+        here.
         """
         if self._species is None:
             species: Dict[str, Tuple[int, ...]] = {"v": (), "u": (), "l": (), "m": ()}
@@ -741,68 +705,3 @@ def save_spinbasis(basis: SpinBasis, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
 
-
-# ---------------------------------------------------------------------------
-# primitive idempotents
-
-
-_RH_BASE = (0, 1, 2, 2, 3, 3, 3, 3)
-
-
-def radon_hurwitz_number(i: int) -> int:
-    k, rem = divmod(i, 8)
-    return _RH_BASE[rem] + 4 * k
-
-
-def idempotent_rank(p: int, q: int) -> int:
-    """Number k of commuting blade factors: 2^k primitive idempotents."""
-    return q - radon_hurwitz_number(q - p)
-
-
-def primitive_idempotent(sig: SignatureSpec) -> Tuple[MultiVector, List[int]]:
-    """Greedy primitive idempotent: product of (1 + T_i)/2 over blades T_i
-    chosen in grade-then-lex order, requiring square +1, pairwise
-    commutation, and F2-independence of the index sets."""
-    k = idempotent_rank(sig.p, sig.q)
-    chosen: List[int] = []
-    echelon: List[int] = []  # F2 row echelon of chosen masks
-
-    def reduces_to_zero(mask: int) -> bool:
-        for row in echelon:
-            if mask & row & -row:
-                mask ^= row
-        return mask == 0
-
-    def commutes(a: int, b: int) -> bool:
-        m1, s1 = blade_product(sig, a, b)
-        m2, s2 = blade_product(sig, b, a)
-        return (m1, s1) == (m2, s2)
-
-    masks = sorted(range(1, 1 << sig.n), key=lambda m: (m.bit_count(), blade_indices(m)))
-    for mask in masks:
-        if len(chosen) == k:
-            break
-        _, sq = blade_product(sig, mask, mask)
-        if sq != 1:
-            continue
-        if not all(commutes(mask, c) for c in chosen):
-            continue
-        if reduces_to_zero(mask):
-            continue
-        chosen.append(mask)
-        red = mask
-        for row in echelon:
-            if red & row & -row:
-                red ^= row
-        echelon.append(red)
-
-    if len(chosen) != k:
-        raise AssertionError(
-            f"greedy found {len(chosen)} factors, Radon-Hurwitz count is {k}"
-        )
-    lam = MultiVector.scalar(sig, 1)
-    half = GaussianScalar.of("1/2")
-    for mask in chosen:
-        factor = (MultiVector.scalar(sig, 1) + MultiVector.from_mask(sig, mask)) * half
-        lam = lam * factor
-    return lam, chosen

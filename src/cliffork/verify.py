@@ -15,7 +15,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classification import TABLE_KINDS, build_table
 from .core_algebra import (
@@ -48,7 +48,7 @@ from .ext_automorphisms import (
     quaternionic_signatures,
     universal_comm_sign,
 )
-from .finite_groups import vee_factor_check
+from .finite_groups import check_vee_size, vee_factor_check
 from .quotient import (
     apply_transformation,
     central_idempotents,
@@ -56,7 +56,7 @@ from .quotient import (
     epsilon_map,
     quotient_group,
 )
-from .spinor_repr import SpinBasis, SpinMatrix, load_spinbasis, signed_lookup
+from .spinor_repr import SpinBasis, SpinMatrix, check_spinor_size, load_spinbasis, signed_lookup
 
 
 @functools.cache
@@ -347,7 +347,9 @@ def suite_census(max_n: int = 8) -> SuiteResult:
 
 
 def suite_salingaros(max_n: int = 6) -> SuiteResult:
-    """G(p,q)/Z(p,q) elementary abelian of the predicted order, exhaustively."""
+    """G(p,q)/Z(p,q) elementary abelian of the predicted order, exhaustively.
+    ValueError above VEE_MAX_N, before any check runs."""
+    check_vee_size(max_n)
     cex: List[dict] = []
     checked = 0
     for n in range(max_n + 1):
@@ -457,14 +459,18 @@ def suite_quotient(max_n: int = 7) -> SuiteResult:
 CORE_MAX_N = 8
 
 
+def _check_core_size(max_n: int) -> None:
+    if max_n > CORE_MAX_N:
+        raise ValueError(f"the core suite is exhaustive only up to p+q = {CORE_MAX_N}, "
+                         f"got {max_n}")
+
+
 def suite_core(max_n: int = 6) -> SuiteResult:
     """Per-blade involution signs, involution-by-volume agreement, the
     multiplicativity of coefficient conjugation, volume squares and the
     center, exhaustively over all signatures with p+q <= the bound.
     ValueError above CORE_MAX_N, before any check runs."""
-    if max_n > CORE_MAX_N:
-        raise ValueError(f"the core suite is exhaustive only up to p+q = {CORE_MAX_N}, "
-                         f"got {max_n}")
+    _check_core_size(max_n)
     cex: List[dict] = []
     checked = 0
     for n in range(max_n + 1):
@@ -529,6 +535,25 @@ _SUITE_FUNCS = {
     "core": suite_core,
 }
 SUITE_NAMES = tuple(_SUITE_FUNCS)
+
+# the size check that each capped suite also runs on entry
+_SIZE_CHECKS = {
+    **dict.fromkeys(("pseudo", "defining", "commutation", "census"), check_spinor_size),
+    "salingaros": check_vee_size,
+    "core": _check_core_size,
+}
+
+
+def check_suite_bounds(names: Sequence[str], max_n: Optional[int]) -> None:
+    """Raise the first suite's ValueError when max_n passes the cap of any
+    named suite, so that a run of several suites fails before the first one
+    starts.  None (every suite's default bound) is within every cap."""
+    if max_n is None:
+        return
+    for name in names:
+        check = _SIZE_CHECKS.get(name)
+        if check is not None:
+            check(max_n)
 
 
 def run_suite(name: str, max_n: Optional[int] = None) -> SuiteResult:

@@ -115,8 +115,8 @@ def test_summary_fields():
 
 
 def test_odd_reduction_matches_the_inline_rules():
-    # the two rules as build_spinbasis, epsilon_context, _semisimple_admissible
-    # and odd_dimensional_decomposition_report each wrote them out
+    # the two rules as build_spinbasis, epsilon_context and
+    # _semisimple_admissible each wrote them out
     for n in range(1, 12, 2):
         for p in range(n + 1):
             q = n - p

@@ -120,6 +120,10 @@ class TestExitCodes:
              "p+q = 30 needs spinor dimension 32768, above the limit MAX_SPINOR_DIM = 4096", None),
             (["verify", "--suite", "core", "--max", "30"],
              "the core suite is exhaustive only up to p+q = 8, got 30", None),
+            (["verify", "--suite", "salingaros", "--max", "9"],
+             "vee groups are built exhaustively only up to p+q=8", None),
+            (["verify", "--suite", "all", "--max", "9"],
+             "vee groups are built exhaustively only up to p+q=8", None),
             (["ext-group", "--basis", "{path}"],
              "basis file {path!r}: 'p' must be a nonnegative integer, got [1]",
              {"p": [1], "q": 3, "matrices": []}),
@@ -138,11 +142,18 @@ class TestExitCodes:
         ],
         ids=["negative-count", "negative-complex", "missing-basis-file", "basis-too-large",
              "sweep-bound-too-large", "cover-too-large", "core-bound-too-large",
+             "vee-bound-too-large", "vee-bound-too-large-in-all",
              "basis-p-not-an-int", "basis-p-not-integral",
              "basis-matrices-not-a-list", "basis-int-entry", "basis-mixed-sizes"],
     )
-    def test_bad_inputs_exit_two_with_one_error_line(self, capsys, tmp_path, argv, message,
-                                                     basis):
+    def test_bad_inputs_exit_two_with_one_error_line(self, capsys, monkeypatch, tmp_path, argv,
+                                                     message, basis):
+        def suite_body(max_n=None):
+            raise AssertionError("a suite body ran")
+
+        # every bound is checked before the first suite body runs
+        for name in SUITE_NAMES:
+            monkeypatch.setitem(verify._SUITE_FUNCS, name, suite_body)
         path = str(tmp_path / "basis.json")
         if basis is not None:
             with open(path, "w") as fh:
@@ -231,6 +242,13 @@ class TestExitCodes:
     def test_run_suite_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("nonsense")
+
+    def test_capped_suites_check_their_bound_on_entry(self, monkeypatch):
+        monkeypatch.setattr(verify, "vee_factor_check", None)  # a call would raise TypeError
+        with pytest.raises(ValueError, match=r"vee groups .* only up to p\+q=8"):
+            run_suite("salingaros", 9)
+        with pytest.raises(ValueError, match=r"core suite .* only up to p\+q = 8, got 9"):
+            run_suite("core", 9)
 
 
 _SMALL = st.integers(0, 5)

@@ -424,8 +424,8 @@ def test_str_form():
     half = Fraction(1, 2)
     x = MultiVector(sig, {0: GaussianScalar(half), 1: GaussianScalar(half)})
     assert str(x) == "1/2 + 1/2*e1"
-    assert str(MultiVector.zero(sig)) == "0"
-    y = MultiVector.blade(SignatureSpec(2, 1), (1, 3), -1)
+    assert str(MultiVector(sig, {})) == "0"
+    y = MultiVector.from_mask(SignatureSpec(2, 1), blade_mask((1, 3)), -1)
     assert str(y) == "-e13"
     assert blade_name(blade_mask((1, 10))) == "e{1,10}"
 

@@ -1,26 +1,19 @@
-"""Covering reports: PT/CPT structures, Pin membership, odd-dimensional splits."""
+"""Covering reports: PT and CPT structures and their cover rows."""
 
 import dataclasses
-import functools
 import itertools
-import random
 import re
 
 import pytest
 
 from cliffork.classification import type_index
-from cliffork.core_algebra import GaussianScalar, MultiVector, SignatureSpec, blade_product
+from cliffork.core_algebra import GaussianScalar, SignatureSpec
 from cliffork.coverings import (
     A_MINUS_SET,
     A_PLUS_SET,
     cpt_structure,
-    norm_scalar,
-    odd_dimensional_decomposition_report,
-    pin_element,
-    pin_membership,
     pt_structure,
     predicted_pt_signature,
-    spin_membership,
 )
 from cliffork.ext_automorphisms import (
     COVER_TABLE,
@@ -42,8 +35,6 @@ from cliffork.spinor_repr import (
     sweep_spinbasis_variants,
 )
 from small_group_catalog import matrix_comm_sign, matrix_square_sign, signed_cover_group
-
-ONE = GaussianScalar.of(1)
 
 
 # ---------------------------------------------------------------------------
@@ -445,286 +436,3 @@ def test_cpt_sweep_covers_match_the_rebuilt_group():
                 seen_covers.add(rep.cover_group)
     assert seen_covers == {"D4xZ2", "Q4xZ2", "Z4xZ2xZ2", "*Z4xZ2xZ2"}
 
-
-# ---------------------------------------------------------------------------
-# membership
-
-
-def test_pin_spin_examples():
-    s20 = SignatureSpec(2, 0)
-    e1 = MultiVector.unit(s20, 1)
-    assert pin_membership(e1) and not spin_membership(e1)
-    e12 = MultiVector.blade(s20, (1, 2))
-    assert norm_scalar(e12) == ONE  # rev(e12) = -e12, so N = -e12^2 = +1
-    assert pin_membership(e12) and spin_membership(e12)
-
-    s10 = SignatureSpec(1, 0)
-    x = MultiVector.scalar(s10, 1) + MultiVector.unit(s10, 1)
-    assert not pin_membership(x)  # (1+e1)(1-e1) = 0
-
-    assert pin_membership(MultiVector.scalar(s20, 1))
-    assert spin_membership(MultiVector.scalar(s20, -1))
-    assert not pin_membership(MultiVector.scalar(s20, 2))  # N = 4
-    assert not pin_membership(MultiVector.zero(s20))
-    s11 = SignatureSpec(1, 1)
-    assert not pin_membership(MultiVector.unit(s11, 1) + MultiVector.unit(s11, 2))  # null
-
-    big = MultiVector.unit(SignatureSpec(5, 0), 1)
-    with pytest.raises(ValueError):
-        pin_membership(big)
-
-
-def _pin_pool(sig):
-    """Exact Pin elements with their parity: unit vectors, unit blades, and
-    rational unit vectors built from Pythagorean / hyperbolic pairs."""
-    pool = []
-    for i in range(1, sig.n + 1):
-        pool.append((MultiVector.unit(sig, i), 1))
-    if sig.n >= 2:
-        pool.append((MultiVector.blade(sig, (1, 2)), 0))
-    from fractions import Fraction
-
-    f = Fraction
-    if sig.p >= 2:
-        v = MultiVector.unit(sig, 1) * f(3, 5) + MultiVector.unit(sig, 2) * f(4, 5)
-        pool.append((v, 1))
-    if sig.p >= 1 and sig.q >= 1:
-        v = MultiVector.unit(sig, 1) * f(5, 4) + MultiVector.unit(sig, sig.n) * f(3, 4)
-        pool.append((v, 1))
-    if sig.p == 0 and sig.q >= 2:
-        v = MultiVector.unit(sig, 1) * f(3, 5) + MultiVector.unit(sig, 2) * f(4, 5)
-        pool.append((v, 1))  # squares to -1, still unit norm
-    for v, _ in pool:
-        sq = v * v
-        assert sq.is_scalar() and sq.scalar_part() in (ONE, GaussianScalar.of(-1))
-    return pool
-
-
-def test_membership_closure_property():
-    rng = random.Random(20260815)
-    sigs = [SignatureSpec(2, 0), SignatureSpec(1, 1), SignatureSpec(0, 2), SignatureSpec(2, 2)]
-    pools = {s: _pin_pool(s) for s in sigs}
-    for _ in range(200):
-        sig = rng.choice(sigs)
-        draws = [rng.choice(pools[sig]) for _ in range(rng.randint(1, 4))]
-        x = MultiVector.scalar(sig, 1)
-        parity = 0
-        for v, par in draws:
-            x = x * v
-            parity = (parity + par) % 2
-        assert pin_membership(x)
-        assert spin_membership(x) == (parity == 0)
-        # reversion gives the inverse up to the norm sign
-        nu = norm_scalar(x)
-        assert nu in (ONE, GaussianScalar.of(-1))
-        inv = x.reversion() * nu
-        assert x * inv == 1 == inv * x
-        assert pin_membership(inv)
-        # perturbed element drops out: the shifted norm 9 + N + 3(x + rev x)
-        # cannot land back on +-1 with this pool's denominators
-        assert not pin_membership(x + MultiVector.scalar(sig, 3))
-
-
-def test_pin_element_validation():
-    s20 = SignatureSpec(2, 0)
-    el = pin_element(MultiVector.unit(s20, 1))
-    assert el.norm == ONE
-    el = pin_element(MultiVector.blade(s20, (1, 2)))
-    assert el.norm == ONE
-    s02 = SignatureSpec(0, 2)
-    assert pin_element(MultiVector.unit(s02, 1)).norm == GaussianScalar.of(-1)
-    with pytest.raises(ValueError):
-        pin_element(
-            MultiVector.scalar(SignatureSpec(1, 0), 1)
-            + MultiVector.unit(SignatureSpec(1, 0), 1)
-        )
-
-
-def _regular_representation_reference(x):
-    """Left-multiplication operator of x on the 2^n blade basis."""
-    sig = x.sig
-    dim = 1 << sig.n
-    zero = GaussianScalar.of(0)
-    out = [[zero] * dim for _ in range(dim)]
-    for col in range(dim):
-        for mask, coeff in x.items():
-            res, sgn = blade_product(sig, mask, col)
-            out[res][col] = out[res][col] + coeff * sgn
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _inverse_reference(x):
-    """Exact inverse by Gaussian elimination on the regular representation,
-    None when singular (cached: each case asks for it up to three times)."""
-    sig = x.sig
-    dim = 1 << sig.n
-    zero = GaussianScalar.of(0)
-    rows = [list(r) for r in _regular_representation_reference(x)]
-    rhs = [ONE if i == 0 else zero for i in range(dim)]
-    for col in range(dim):
-        pivot = next((r for r in range(col, dim) if rows[r][col]), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = rows[col][col].inverse()
-        rows[col] = [a * inv for a in rows[col]]
-        rhs[col] = rhs[col] * inv
-        for r in range(dim):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-                rhs[r] = rhs[r] - f * rhs[col]
-    return MultiVector(sig, {mask: rhs[mask] for mask in range(dim) if rhs[mask]})
-
-
-def _membership_reference(x, even_only):
-    """Membership through the solved inverse, checked before the norm."""
-    if x.sig.n > 4:
-        raise ValueError("brute-force membership is kept to p+q <= 4")
-    if x.is_zero():
-        return False
-    if even_only and any(g % 2 for g in x.grades()):
-        return False
-    inv = _inverse_reference(x)
-    if inv is None:
-        return False
-    if norm_scalar(x) not in (ONE, GaussianScalar.of(-1)):
-        return False
-    for i in range(1, x.sig.n + 1):
-        if (x * MultiVector.unit(x.sig, i) * inv).grades() not in ([], [1]):
-            return False
-    return True
-
-
-def _pin_element_reference(x):
-    """(value, norm) of a validated Pin element, or the ValueError text."""
-    if not _membership_reference(x, even_only=False):
-        return "not a Pin element"
-    inv = _inverse_reference(x)
-    for i in range(1, x.sig.n + 1):
-        image = x.grade_involution() * MultiVector.unit(x.sig, i) * inv
-        if image.grades() not in ([], [1]):
-            return "twisted action leaves the grade-1 span"
-    return x, norm_scalar(x)
-
-
-def _membership_sample(rng, sig, count):
-    """Seeded elements of Cl(sig): products of Pin pool elements (members);
-    the same times a scalar or i, plus a blade, or times a + b*B for a blade
-    B of grade 2 or 3 with N(a + b*B) = 1 (grade 3 gives norm-one elements
-    that fail the plain or the twisted action); and sparse elements with
-    small rational coefficients."""
-    from fractions import Fraction
-
-    pool = [v for v, _ in _pin_pool(sig)]
-    coeffs = [1, -1, 2, Fraction(1, 2), Fraction(-3, 5), Fraction(4, 5), GaussianScalar.I]
-    blades = [MultiVector.from_mask(sig, m) for m in range(1 << sig.n) if m.bit_count() in (2, 3)]
-    out = []
-    for k in range(count):
-        x = MultiVector.scalar(sig, 1)
-        for _ in range(rng.randint(1, 3)):
-            x = x * rng.choice(pool)
-        kind = k % 5
-        if kind == 1:
-            x = x * rng.choice(coeffs)
-        elif kind == 2:
-            x = x + MultiVector.from_mask(sig, rng.randrange(1 << sig.n), rng.choice(coeffs))
-        elif kind == 3:
-            blade = rng.choice(blades)
-            # N(a + b*B) = a^2 + b^2 * B*rev(B), and B*rev(B) = +-1
-            if norm_scalar(blade) == ONE:
-                a, b = Fraction(3, 5), Fraction(4, 5)
-            else:
-                a, b = Fraction(5, 4), Fraction(3, 4)
-            x = x * (MultiVector.scalar(sig, a) + blade * b)
-        elif kind == 4:
-            masks = rng.sample(range(1 << sig.n), rng.randint(1, 4))
-            x = MultiVector(sig, {m: GaussianScalar.of(rng.choice(coeffs)) for m in masks})
-        out.append(x)
-    return out
-
-
-def test_membership_matches_solved_inverse_reference():
-    # every {-1,0,1} coefficient vector at p+q <= 2, a seeded sample at 3 and 4
-    rng = random.Random(20261018)
-    cases = []
-    for n in range(5):
-        for p in range(n + 1):
-            sig = SignatureSpec(p, n - p)
-            if n <= 2:
-                for digits in itertools.product((-1, 0, 1), repeat=1 << n):
-                    cases.append(MultiVector(sig, dict(enumerate(digits))))
-            else:
-                cases.extend(_membership_sample(rng, sig, 60 if n == 3 else 25))
-    members = spin_members = 0
-    for x in cases:
-        pin = pin_membership(x)
-        assert pin == _membership_reference(x, even_only=False), x
-        spin = spin_membership(x)
-        assert spin == _membership_reference(x, even_only=True), x
-        try:
-            el = pin_element(x)
-            got = (el.value, el.norm)
-        except ValueError as exc:
-            got = str(exc)
-        assert got == _pin_element_reference(x), x
-        members += pin
-        spin_members += spin
-    assert members > 100 and spin_members > 40
-
-
-# ---------------------------------------------------------------------------
-# odd-dimensional decompositions
-
-
-def test_odd_decomposition_named_cases():
-    cases = {
-        (3, 0): (-1, "i", "SU(2) u iSU(2)"),
-        (0, 3): (1, "e", "SU(2) u eSU(2)"),
-        (5, 0): (1, "e", "Sp(2) u eSp(2)"),
-        (0, 5): (-1, "i", "Sp(2) u iSp(2)"),
-    }
-    for (p, q), (w2, branch, label) in cases.items():
-        rep = odd_dimensional_decomposition_report(p, q)
-        assert rep.omega_square == w2
-        assert rep.branch == branch
-        assert rep.unitary_label == label
-
-
-def test_odd_decomposition_identities():
-    rep = odd_dimensional_decomposition_report(2, 1)
-    assert rep.identities == (
-        "Pin(2,1) = Spin(2,1) u w.Spin(2,1)",
-        "Pin(2,1) = Pin(2,0) u w.Pin(2,0)",
-        "Pin(2,1) = Pin(1,1) u w.Pin(1,1)",
-    )
-    assert rep.unitary_label is None
-    rep = odd_dimensional_decomposition_report(1, 0)
-    assert rep.identities == (
-        "Pin(1,0) = Spin(1,0) u w.Spin(1,0)",
-        "Pin(1,0) = Pin(0,0) u w.Pin(0,0)",
-    )
-    rep = odd_dimensional_decomposition_report(0, 1)
-    assert rep.identities == (
-        "Pin(0,1) = Spin(0,1) u w.Spin(0,1)",
-        "Pin(0,1) = Pin(0,0) u w.Pin(0,0)",
-    )
-
-
-def test_odd_decomposition_volume_signs():
-    from cliffork.core_algebra import volume_square_sign
-
-    for n in (1, 3, 5, 7):
-        for p in range(n + 1):
-            rep = odd_dimensional_decomposition_report(p, n - p)
-            assert rep.omega_square == volume_square_sign(p, n - p)
-            assert rep.branch == ("i" if rep.omega_square == -1 else "e")
-
-
-def test_odd_decomposition_rejects_even():
-    with pytest.raises(ValueError):
-        odd_dimensional_decomposition_report(2, 0)
-    with pytest.raises(ValueError):
-        odd_dimensional_decomposition_report(1, 1)

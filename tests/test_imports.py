@@ -1,4 +1,6 @@
-"""Every name a module of src/cliffork imports is referenced in that module."""
+"""Every name a module of src/cliffork imports is referenced in that module,
+and every function, class, method and constant it defines is reachable from
+the command line or the module-level code."""
 
 import ast
 from pathlib import Path
@@ -32,3 +34,102 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+# Defined in src but reached from no verb or suite, each kept on purpose.
+KEPT_UNREACHABLE = {
+    "spinor_repr.save_spinbasis": "writes the `--basis` file format that the README documents",
+    "finite_groups.generate_group_from_matrices":
+        "the tests' closure oracle, which the benchmark tracer wraps",
+    "finite_groups.MAX_CLOSURE": "the order limit of generate_group_from_matrices",
+}
+
+
+def _reads(*nodes):
+    """Names read under the nodes: 'x' for a bare name, '.x' for an attribute."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add("." + sub.attr)
+    return out
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _top_level(mod, name, reads):
+    """(module, keys, reads) of a top-level definition: it is reached by its
+    bare name in its own module or as an attribute."""
+    return mod, {(mod, name), "." + name}, reads
+
+
+def unreachable_definitions(paths):
+    """Labels 'module.name' of the top-level functions, classes and assigned
+    names, and 'module.Class.method' of the methods, that no chain of reads
+    reaches from the roots: every name cli.py reads, the module-level code of
+    each module, every dunder method and each __all__ (dunder names such as
+    __version__ are not definitions).  A bare name resolves in the module
+    that reads it, through its `from .module import` lines.  A method is its
+    own node, reached by attribute name only, so sibling methods do not
+    reach each other; a top-level definition is also reached as an
+    attribute."""
+    defs = {}  # label -> (module, keys that reach it, reads it makes)
+    roots = []  # (module, reads)
+    imported = {}  # (module, local name) -> (defining module, name)
+    for path in paths:
+        mod = path.stem
+        tree = ast.parse(path.read_text())
+        if mod == "cli":
+            roots.append((mod, _reads(tree)))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    imported[mod, alias.asname or alias.name] = (node.module, alias.name)
+            elif isinstance(node, ast.ClassDef):
+                rest = []
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        rest.append(item)
+                    elif _is_dunder(item.name):
+                        roots.append((mod, _reads(item)))
+                    else:
+                        defs[f"{mod}.{node.name}.{item.name}"] = (mod, {"." + item.name},
+                                                                  _reads(item))
+                reads = _reads(*node.bases, *node.decorator_list, *rest)
+                defs[f"{mod}.{node.name}"] = _top_level(mod, node.name, reads)
+            elif isinstance(node, ast.FunctionDef):
+                defs[f"{mod}.{node.name}"] = _top_level(mod, node.name, _reads(node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name) and target.id == "__all__":
+                        roots.append((mod, set(ast.literal_eval(node.value))))
+                    elif isinstance(target, ast.Name) and not _is_dunder(target.id):
+                        defs[f"{mod}.{target.id}"] = _top_level(mod, target.id, set())
+                if node.value is not None:
+                    roots.append((mod, _reads(node.value)))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots.append((mod, _reads(node)))
+
+    def keys(mod, reads):
+        return {r if r.startswith(".") else imported.get((mod, r), (mod, r)) for r in reads}
+
+    reached, reads = set(), set()
+    for mod, names in roots:
+        reads |= keys(mod, names)
+    while True:
+        new = {label for label, (_, k, _) in defs.items() if label not in reached and k & reads}
+        if not new:
+            return set(defs) - reached
+        reached |= new
+        for label in new:
+            mod, _, names = defs[label]
+            reads |= keys(mod, names)
+
+
+def test_every_definition_reaches_a_verb_or_a_suite():
+    assert unreachable_definitions(SOURCES) == set(KEPT_UNREACHABLE)
