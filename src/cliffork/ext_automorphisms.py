@@ -2,9 +2,10 @@
 
 For an even-dimensional basis E_1..E_n the eight-element set
 {I, W, E, C, Pi, K, S, F} realizes the discrete (anti)automorphisms.  Each
-of the seven is fixed by one relation with every unit E_i, and
-DEFINING_RELATIONS holds the seven relations; `ext_matrices` and the
-`pseudo` and `defining` sweeps all read them from there.
+of the seven is fixed by one relation with every unit E_i,
+u x = s x T(u) for a sign s and T(u) one of u, u^T, conj(u), conj(u)^T.
+DEFINING_RELATIONS holds the seven as data (`Relation`), and `ext_matrices`
+and the `pseudo` and `defining` sweeps all read them from there.
 
 The eight symmetries form Z2^3, encoded once: a symmetry's code is its
 position in ELEMENT_NAMES and in PHYSICAL_NAMES, two symmetries compose to
@@ -23,17 +24,19 @@ survivors of a collapse.
 Each matrix is a product of unit matrices selected by the census (real or
 imaginary, symmetric or skew, read from SpinBasis.unit_species); every
 defining relation is verified on construction.  `ext_group_report` keeps
-the matrices' `sign_cocycle` c, M_a M_b = c(a, b) M_(a^b), one product per
-pair, and a product outside the signed span raises, so each square is
-exactly +-I.  The report's squares are the diagonal of c, its commutation
-ledger is c(a, b) c(b, a), and it names from c the cover of a code subgroup
-(`ExtGroupReport.cover`, through COVER_TABLE), its `matrix_group` and its
-`letter_table`.  The construction checks keep every caller right-or-raise,
-a user-supplied basis (`ext-group --basis FILE`) included.  The `pseudo`
-and `defining` sweeps check the same relations again only to count the
-checks: a failed relation raises in `ext_group_report` before any sweep
-check runs, so it surfaces as an internal check failure (CLI exit 1), never
-as a suite counterexample.
+the matrices' `sign_cocycle` c, M_a M_b = c(a, b) M_(a^b), and a product
+outside the signed span raises, so each square is exactly +-I.  On signed
+Pauli words (every built basis) each relation and each entry of c is a
+parity of the words' ints, read with no matrix product; a dense matrix (a
+user-loaded basis) takes the products.  The report's squares are the
+diagonal of c, its commutation ledger is c(a, b) c(b, a), and it names
+from c the cover of a code subgroup (`ExtGroupReport.cover`, through
+COVER_TABLE), its `matrix_group` and its `letter_table`.  The construction
+checks keep every caller right-or-raise, a user-supplied basis
+(`ext-group --basis FILE`) included.  The `pseudo` and `defining` sweeps
+check the same relations again only to count the checks: a failed relation
+raises in `ext_group_report` before any sweep check runs, so it surfaces as
+an internal check failure (CLI exit 1), never as a suite counterexample.
 
 Two independent prediction routes accompany the constructions: the universal
 factor-count commutation rule, and the printed parity predicates in terms of
@@ -46,6 +49,7 @@ sweeps confirm that both routes agree with the matrix truth on every variant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .classification import type_index
@@ -129,15 +133,17 @@ class ExtGroupReport:
     pi_bar_sign: int  # sign of Pi * conj(Pi)
     notes: List[str] = field(default_factory=list)
 
-    @property
+    # computed from the cocycle once per report, then read by `group_name`,
+    # `order_structure` and the sweeps
+    @cached_property
     def signature(self) -> Tuple[int, ...]:  # signs of (W,E,C,Pi,K,S,F)^2
         return tuple(self.cocycle[c, c] for c in range(1, 8))
 
-    @property
+    @cached_property
     def commutation(self) -> Dict[Tuple[str, str], int]:
         return commutation_profile(self.cocycle)
 
-    @property
+    @cached_property
     def abelian(self) -> bool:
         return all(s == 1 for s in self.commutation.values())
 
@@ -196,15 +202,48 @@ class ExtGroupReport:
                                       for b in range(8)] for a in range(8)]
 
 
-# name -> relation(u, x), true when x satisfies the relation at the unit u
+class Relation(NamedTuple):
+    """The defining relation u x = sign * x T(u) of one of W..F at the unit
+    u, where T(u) is u, u^T, conj(u) or conj(u)^T as `transpose` and `conj`
+    say.  Called as relation(u, x), true when x satisfies it at u.
+
+    When u and x are both words, each side is a word with the same (x, z)
+    part, and their phases differ by (-1)^(|x_x & z_u| + |x_u & z_x|) (the
+    symplectic form: u x = +-x u), by (-1)^|x_u & z_u| for the transpose
+    (u^T = +-u) and by (-1)^c_u for conj (conj(u) = +-u).  So the relation
+    is one parity, read off the ints with no product.  Any dense operand
+    takes the products.  ValueError on a dimension mismatch either way."""
+
+    sign: int
+    transpose: bool = False
+    conj: bool = False
+
+    def __call__(self, u: SpinMatrix, x: SpinMatrix) -> bool:
+        if u.word is not None and x.word is not None:
+            d, cu, xu, zu = u.word
+            e, _, xx, zx = x.word
+            if d != e:
+                raise ValueError("dimension mismatch")
+            parity = (xx & zu).bit_count() + (xu & zx).bit_count() + (self.sign < 0)
+            if self.transpose:
+                parity += (xu & zu).bit_count()
+            if self.conj:
+                parity += cu
+            return parity % 2 == 0
+        t = u.conj() if self.conj else u
+        rhs = x * (t.transpose() if self.transpose else t)
+        return u * x == (rhs if self.sign > 0 else -rhs)
+
+
+# name -> its defining relation, checked at every unit u
 DEFINING_RELATIONS = {
-    "W": lambda u, x: x * u == -(u * x),  # W u W^-1 = -u: grade involution
-    "E": lambda u, x: u * x == x * u.transpose(),  # reversion intertwiner
-    "C": lambda u, x: u * x == -(x * u.transpose()),  # conjugation intertwiner
-    "Pi": lambda u, x: u * x == x * u.conj(),  # pseudo intertwiner
-    "K": lambda u, x: -(u * x) == x * u.conj(),  # K conj(u) K^-1 = -u
-    "S": lambda u, x: u * x == x * u.conj().transpose(),  # S conj(u)^T S^-1 = u
-    "F": lambda u, x: -(u * x) == x * u.conj().transpose(),  # F conj(u)^T F^-1 = -u
+    "W": Relation(-1),  # W u W^-1 = -u: grade involution
+    "E": Relation(1, transpose=True),  # reversion intertwiner
+    "C": Relation(-1, transpose=True),  # conjugation intertwiner
+    "Pi": Relation(1, conj=True),  # pseudo intertwiner
+    "K": Relation(-1, conj=True),  # K conj(u) K^-1 = -u
+    "S": Relation(1, transpose=True, conj=True),  # S conj(u)^T S^-1 = u
+    "F": Relation(-1, transpose=True, conj=True),  # F conj(u)^T F^-1 = -u
 }
 
 
@@ -262,11 +301,35 @@ def _code_matrices(mats: Dict[str, ExtMatrix]) -> List[SpinMatrix]:
     return [SpinMatrix.identity(mats["W"].matrix.dim)] + [mats[n].matrix for n in MATRIX_NAMES]
 
 
+def _word_cocycle(words: List[Tuple[int, int, int, int]]) -> Optional[Dict[Tuple[int, int], int]]:
+    """The sign cocycle of eight words (d, c, x, z) of one dimension, read
+    off their ints: M_a M_b has the phase c_a + c_b + 2|x_a & z_b| (as in
+    SpinMatrix.__mul__) and the part (x_a ^ x_b, z_a ^ z_b), so c(a, b) is
+    i^k for the phase difference k to M_(a^b).  None when a product is not
+    +-M_(a^b): an odd k, or another (x, z) part."""
+    out = {}
+    for a, (_, ca, xa, za) in enumerate(words):
+        for b, (_, cb, xb, zb) in enumerate(words):
+            _, ct, xt, zt = words[a ^ b]
+            k = ca + cb + 2 * (xa & zb).bit_count() - ct
+            if k & 1 or xa ^ xb != xt or za ^ zb != zt:
+                return None
+            out[a, b] = -1 if k & 2 else 1
+    return out
+
+
 def sign_cocycle(mats: Dict[str, ExtMatrix]) -> Dict[Tuple[int, int], int]:
-    """c(a, b) = +-1 with M_a M_b = c(a, b) M_(a^b) over the codes 0..7, one
-    product per pair of nonzero codes.  AssertionError when a product
-    leaves the signed span of the named matrices."""
+    """c(a, b) = +-1 with M_a M_b = c(a, b) M_(a^b) over the codes 0..7.
+    Read off the ints when the eight matrices are words of one dimension;
+    otherwise (a dense matrix, or a product leaving the signed span) one
+    product per pair of nonzero codes.  AssertionError when a product leaves
+    the signed span of the named matrices."""
     m = _code_matrices(mats)
+    words = [x.word for x in m]
+    if None not in words and len({w[0] for w in words}) == 1:
+        cocycle = _word_cocycle(words)
+        if cocycle is not None:
+            return cocycle
     negated = [-x for x in m]
 
     def sign(a: int, b: int) -> int:

@@ -24,7 +24,9 @@ entries:
 
   * word form, the four ints (d, c, x, z), on which products, -, conj,
     transpose, scaling by i^k, kron, the +-I test, == and hash are O(1)
-    int work;
+    int work.  `classify_matrix` reads a unit's census species off c and
+    |x & z|, and the extended automorphism report reads its defining
+    relations and its sign cocycle off the ints too, with no matrix product;
   * dense form, d x d exact Gaussian rationals, for every other matrix: a
     user-loaded basis that is not made of words (`ext-group --basis FILE`),
     such as a signed permutation conjugate, and a sum of words.
@@ -293,10 +295,12 @@ class MatrixClass:
 
 def classify_matrix(m: SpinMatrix) -> MatrixClass:
     if m.word is not None:
-        # every entry is i^c (-1)^j: real for an even c, imaginary for an odd
-        entries = [_UNITS[m.word[1] & 1]]
-    else:
-        entries = [a for row in m.rows for a in row if a]
+        # every entry is i^c (-1)^j: real for an even c, imaginary for an
+        # odd; the transpose is (-1)^|x & z| times the word
+        _, c, x, z = m.word
+        return MatrixClass(("real", "imaginary")[c & 1],
+                           ("symmetric", "skew")[(x & z).bit_count() & 1])
+    entries = [a for row in m.rows for a in row if a]
     if not entries:
         reality = "zero"
     elif all(a.im == 0 for a in entries):

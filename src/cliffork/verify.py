@@ -91,7 +91,7 @@ def _gamma_product(basis, text: str) -> SpinMatrix:
     return basis.product_of([int(ch) + 1 for ch in text[1:]])
 
 
-def suite_tables(max_n: Optional[int] = None) -> SuiteResult:
+def suite_tables() -> SuiteResult:
     """Generated classification grids vs the printed 8x8 references."""
     want_all = _bundle()["tables"]
     cex: List[dict] = []
@@ -109,7 +109,7 @@ def suite_tables(max_n: Optional[int] = None) -> SuiteResult:
     return SuiteResult("tables", not cex, checked, cex)
 
 
-def suite_example1(max_n: Optional[int] = None) -> SuiteResult:
+def suite_example1() -> SuiteResult:
     """The worked discrete-symmetry set of the spacetime algebra: its 8x8
     products against both printed tables, and the group classification."""
     data = _bundle()["example1"]
@@ -160,7 +160,7 @@ def suite_example1(max_n: Optional[int] = None) -> SuiteResult:
     return SuiteResult("example1", not cex, checked, cex)
 
 
-def suite_example2(max_n: Optional[int] = None) -> SuiteResult:
+def suite_example2() -> SuiteResult:
     """End-to-end run on the bundled gamma spinbasis: constructed matrices vs
     the printed monomials (signs reported), realized signature and group, and
     the printed 8x8 table up to those per-element signs."""
@@ -544,12 +544,22 @@ _SIZE_CHECKS = {
 }
 
 
+# the suites of a fixed domain (the printed grids, the bundled gamma basis),
+# which read no bound
+_FIXED_DOMAIN = ("tables", "example1", "example2")
+
+
 def check_suite_bounds(names: Sequence[str], max_n: Optional[int]) -> None:
     """Raise the first suite's ValueError when max_n passes the cap of any
     named suite, so that a run of several suites fails before the first one
-    starts.  None (every suite's default bound) is within every cap."""
+    starts, and a ValueError naming the suite when no named suite reads a
+    bound (a lone fixed-domain suite).  None (every suite's default bound)
+    is within every cap."""
     if max_n is None:
         return
+    if names and all(name in _FIXED_DOMAIN for name in names):
+        raise ValueError(f"the {names[0]} suite checks a fixed domain and takes no "
+                         f"p+q bound, got {max_n}")
     for name in names:
         check = _SIZE_CHECKS.get(name)
         if check is not None:
@@ -558,11 +568,12 @@ def check_suite_bounds(names: Sequence[str], max_n: Optional[int]) -> None:
 
 def run_suite(name: str, max_n: Optional[int] = None) -> SuiteResult:
     """Run one suite at p+q <= max_n, or at the suite's own default bound
-    when max_n is None (0 is a bound like any other)."""
+    when max_n is None (0 is a bound like any other).  A fixed-domain suite
+    reads no bound and ignores max_n."""
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     suite = _SUITE_FUNCS[name]
     t0 = time.monotonic()
-    result = suite() if max_n is None else suite(max_n)
+    result = suite() if max_n is None or name in _FIXED_DOMAIN else suite(max_n)
     result.elapsed = time.monotonic() - t0
     return result

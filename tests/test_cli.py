@@ -124,6 +124,10 @@ class TestExitCodes:
              "vee groups are built exhaustively only up to p+q=8", None),
             (["verify", "--suite", "all", "--max", "9"],
              "vee groups are built exhaustively only up to p+q=8", None),
+            (["verify", "--suite", "tables", "--max", "30"],
+             "the tables suite checks a fixed domain and takes no p+q bound, got 30", None),
+            (["verify", "--suite", "example2", "--max", "0"],
+             "the example2 suite checks a fixed domain and takes no p+q bound, got 0", None),
             (["ext-group", "--basis", "{path}"],
              "basis file {path!r}: 'p' must be a nonnegative integer, got [1]",
              {"p": [1], "q": 3, "matrices": []}),
@@ -143,6 +147,7 @@ class TestExitCodes:
         ids=["negative-count", "negative-complex", "missing-basis-file", "basis-too-large",
              "sweep-bound-too-large", "cover-too-large", "core-bound-too-large",
              "vee-bound-too-large", "vee-bound-too-large-in-all",
+             "fixed-suite-with-bound", "fixed-suite-with-zero-bound",
              "basis-p-not-an-int", "basis-p-not-integral",
              "basis-matrices-not-a-list", "basis-int-entry", "basis-mixed-sizes"],
     )
@@ -554,6 +559,9 @@ class TestVerifyVerb:
         assert set(bounded) == {"pseudo", "defining", "commutation", "census",
                                 "salingaros", "quotient", "core"}
         assert all("p+q <= 0" in detail for detail in bounded.values())
+        # in a run of all suites the fixed-domain ones ignore the bound
+        fixed = {s["name"]: s["checked"] for s in payload["suites"] if s["name"] not in bounded}
+        assert fixed == {"tables": 256, "example1": 132, "example2": 139}
 
     def test_negative_bound_is_usage_error(self, capsys):
         assert run(["verify", "--suite", "core", "--max", "-1"]) == 2

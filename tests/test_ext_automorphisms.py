@@ -6,12 +6,15 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliffork import ext_automorphisms
-from cliffork.core_algebra import SignatureSpec
+from cliffork.core_algebra import GaussianScalar, SignatureSpec
 from cliffork.ext_automorphisms import (
     ADMISSIBLE_DETAILED,
+    DEFINING_RELATIONS,
     MATRIX_NAMES,
+    ExtMatrix,
     admissible_groups,
     comm_parity_terms,
     commutation_profile,
@@ -30,8 +33,10 @@ from cliffork.ext_automorphisms import (
 )
 from cliffork.finite_groups import cocycle_group
 from cliffork.spinor_repr import (
+    SpinBasis,
     SpinMatrix,
     UnitCensus,
+    _dense_product,
     build_spinbasis,
     load_spinbasis,
     signed_lookup,
@@ -171,22 +176,27 @@ def test_each_unit_is_classified_once(monkeypatch, p, q):
     assert len(calls) == fresh.sig.n
 
 
+# On words the relations, the cocycle and the census are read off the ints,
+# so what is left is building or checking the basis (16 of the gamma
+# basis's 31 check the loaded file), W, E, C and Pi as products of units,
+# K, S and F as Pi times W, E and C, and Pi conj(Pi).  One product per pair
+# of letters would add 49 to each report.
 PRODUCT_BOUNDS = [
-    ("ext-group --basis gamma", 136),  # a second pass for the letter table makes 185
-    ("ext-group --p 6 --q 2", 192),  # and 241 here
-    ("cover --p 1 --q 3 --cpt", 121),  # a second pass for the cover makes 170
-    ("quotient --p 2 --q 1", 170),  # and 188 here
-    ("verify --suite pseudo --max 6", 13742),
-    ("verify --suite defining --max 6", 15974),
-    ("verify --suite commutation --max 6", 12626),
+    ("ext-group --basis gamma", 31),
+    ("ext-group --p 6 --q 2", 31),
+    ("cover --p 1 --q 3 --cpt", 16),
+    ("quotient --p 2 --q 1", 16),
+    ("verify --suite pseudo --max 6", 1844),
+    ("verify --suite defining --max 6", 2204),
+    ("verify --suite commutation --max 6", 1664),
 ]
 
 
 # the ids name the argv alone, so a lowered bound keeps the test's name
 @pytest.mark.parametrize("argv,bound", PRODUCT_BOUNDS, ids=[argv for argv, _ in PRODUCT_BOUNDS])
 def test_spin_matrix_products_per_invocation(monkeypatch, capsys, argv, bound):
-    # each report makes one pass of products, its sign cocycle, and every
-    # square, ledger, cover, group and letter table is read from it
+    # every square, ledger, cover, group and letter table is read from the
+    # report's sign cocycle, which takes no product on words
     from cliffork.cli import run
 
     calls = []
@@ -246,6 +256,37 @@ def test_odd_dimension_rejected():
 
 
 # ---------------------------------------------------------------------------
+# the seven relations written out on entry rows: products by _dense_product
+
+
+def _rmul(a, b):
+    return tuple(map(tuple, _dense_product(a, b)))
+
+
+def _rneg(a):
+    return tuple(tuple(-e for e in row) for row in a)
+
+
+def _rt(a):
+    return tuple(zip(*a))
+
+
+def _rconj(a):
+    return tuple(tuple(e.conjugate() for e in row) for row in a)
+
+
+REF_RELATIONS = {
+    "W": lambda u, x: _rmul(x, u) == _rneg(_rmul(u, x)),
+    "E": lambda u, x: _rmul(u, x) == _rmul(x, _rt(u)),
+    "C": lambda u, x: _rmul(u, x) == _rneg(_rmul(x, _rt(u))),
+    "Pi": lambda u, x: _rmul(u, x) == _rmul(x, _rconj(u)),
+    "K": lambda u, x: _rneg(_rmul(u, x)) == _rmul(x, _rconj(u)),
+    "S": lambda u, x: _rmul(u, x) == _rmul(x, _rt(_rconj(u))),
+    "F": lambda u, x: _rneg(_rmul(u, x)) == _rmul(x, _rt(_rconj(u))),
+}
+
+
+# ---------------------------------------------------------------------------
 # each construction is the unique unit-subset solution of its relation
 
 
@@ -258,21 +299,134 @@ def _relation_solutions(basis, relation):
 
 
 def test_defining_relations_have_unique_subset_solutions():
-    relations = {
-        "W": lambda u, x: x * u == -(u * x),
-        "E": lambda u, x: u * x == x * u.transpose(),
-        "C": lambda u, x: u * x == -(x * u.transpose()),
-        "Pi": lambda u, x: u * x == x * u.conj(),
-        "K": lambda u, x: -(u * x) == x * u.conj(),
-        "S": lambda u, x: u * x == x * u.conj().transpose(),
-        "F": lambda u, x: -(u * x) == x * u.conj().transpose(),
-    }
     for sig in (SignatureSpec(0, 2), SignatureSpec(1, 3), SignatureSpec(2, 0)):
         basis = build_spinbasis(sig)
         mats = ext_matrices(basis)
-        for name, rel in relations.items():
-            hits = _relation_solutions(basis, rel)
+        for name, ref in REF_RELATIONS.items():
+            hits = _relation_solutions(basis, lambda u, x: ref(u.rows, x.rows))
             assert hits == [mats[name].factors], (str(sig), name, hits)
+
+
+# ---------------------------------------------------------------------------
+# the word reads of the relations and the cocycle against entry-level
+# products on .rows
+
+
+def _ref_cocycle(rows):
+    """c(a, b) from the products of the code matrices' rows; None when one
+    leaves their signed span."""
+    negated = [_rneg(r) for r in rows]
+    out = {}
+    for a, b in itertools.product(range(8), repeat=2):
+        prod = _rmul(rows[a], rows[b])
+        if prod == rows[a ^ b]:
+            out[a, b] = 1
+        elif prod == negated[a ^ b]:
+            out[a, b] = -1
+        else:
+            return None
+    return out
+
+
+def _code_rows(mats):
+    return [SpinMatrix.identity(mats["W"].matrix.dim).rows] + [
+        mats[n].matrix.rows for n in MATRIX_NAMES]
+
+
+def test_word_relations_and_cocycle_match_dense_products_on_the_sweep():
+    # every sweep basis with p+q <= 8 and the gamma basis: the cocycle, and
+    # each relation of its own matrix at every unit, once per distinct pair
+    # of words (the random words below also meet relations that fail)
+    bases = [basis for _, basis, _ in quaternionic_signatures(8)] + [load_spinbasis("gamma")]
+    seen = set()
+    for basis in bases:
+        mats = ext_matrices(basis)
+        assert all(m.matrix.word is not None for m in mats.values())
+        for name, relation in DEFINING_RELATIONS.items():
+            x = mats[name].matrix
+            for u in basis.mats:
+                if (name, u, x) not in seen:
+                    seen.add((name, u, x))
+                    assert relation(u, x) == REF_RELATIONS[name](u.rows, x.rows), basis.name
+        assert sign_cocycle(mats) == _ref_cocycle(_code_rows(mats)), basis.name
+
+
+PHASES = (1, GaussianScalar.I, -1, -GaussianScalar.I)  # i^k
+
+
+@st.composite
+def words(draw, d):
+    """Any signed Pauli word i^c Z^z X^x of dimension d, from its entries."""
+    c, x, z = draw(st.integers(0, 3)), draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    return SpinMatrix([[PHASES[(c + 2 * (r & z).bit_count()) % 4] if col == r ^ x else 0
+                        for col in range(d)] for r in range(d)])
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_word_relations_match_dense_products_on_random_words(data):
+    d = 1 << data.draw(st.integers(0, 4), label="log d")
+    u, x = data.draw(words(d), label="u"), data.draw(words(d), label="x")
+    assert u.word is not None and x.word is not None
+    for name, relation in DEFINING_RELATIONS.items():
+        assert relation(u, x) == REF_RELATIONS[name](u.rows, x.rows), name
+    y = data.draw(words(2 * d), label="y")
+    for relation in DEFINING_RELATIONS.values():
+        for a, b in ((u, y), (y, x)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                relation(a, b)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_word_cocycle_matches_dense_products_on_random_words(data):
+    # M_c = i^k_c times the generators of the bits of c, so a product leaves
+    # the signed span for an odd k; a replaced matrix leaves it otherwise
+    d = 1 << data.draw(st.integers(0, 4), label="log d")
+    gens = [data.draw(words(d), label=f"g{bit}") for bit in (1, 2, 4)]
+    m = []
+    for c in range(1, 8):
+        prod = SpinMatrix.identity(d)
+        for bit, g in enumerate(gens):
+            if c >> bit & 1:
+                prod = prod * g
+        m.append(prod * PHASES[data.draw(st.sampled_from((0, 0, 2, 2, 1, 3)), label=f"k{c}")])
+    if data.draw(st.booleans(), label="replace"):
+        m[data.draw(st.integers(0, 6))] = data.draw(words(d))
+    mats = {name: ExtMatrix(name, x, (), "x") for name, x in zip(MATRIX_NAMES, m)}
+    want = _ref_cocycle(_code_rows(mats))
+    if want is None:
+        with pytest.raises(AssertionError, match="leaves the signed span"):
+            sign_cocycle(mats)
+    else:
+        assert sign_cocycle(mats) == want
+
+
+def test_dense_matrices_take_the_product_route(monkeypatch):
+    # conjugating by the transposition of rows 0 and 1 makes five of the six
+    # units of Cl(1,5) dense; their relations and cocycle take products, and
+    # the words take none
+    basis = build_spinbasis(SignatureSpec(1, 5))
+    swap = SpinMatrix([[int(c == (r ^ 1 if r < 2 else r)) for c in range(8)] for r in range(8)])
+    dense = SpinBasis(basis.sig, [swap * m * swap for m in basis.mats], name="swapped")
+    assert sum(m.word is None for m in dense.mats) == 5
+    calls = []
+    mul = SpinMatrix.__mul__
+    monkeypatch.setattr(SpinMatrix, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for b in (basis, dense):
+        mats = ext_matrices(b)
+        calls.clear()
+        for name, relation in DEFINING_RELATIONS.items():
+            x = mats[name].matrix
+            assert all(relation(u, x) == REF_RELATIONS[name](u.rows, x.rows) for u in b.mats)
+        relation_products = len(calls)
+        calls.clear()
+        assert sign_cocycle(mats) == _ref_cocycle(_code_rows(mats))
+        if b is basis:
+            assert (relation_products, len(calls)) == (0, 0)
+        else:
+            assert relation_products > 0 and len(calls) > 0
+    assert ext_group_report(dense).cocycle == ext_group_report(basis).cocycle
 
 
 # ---------------------------------------------------------------------------
