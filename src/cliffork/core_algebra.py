@@ -11,7 +11,6 @@ and to -1 for i > p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -45,7 +44,6 @@ def _fraction(part: str, text: str) -> Fraction:
         raise ValueError(f"zero denominator in scalar text {text!r}") from None
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class GaussianScalar:
     """Exact complex rational re + im*i.
 
@@ -57,15 +55,32 @@ class GaussianScalar:
     hash are exact.
 
     GaussianScalar(re, im) validates and normalises its arguments; results
-    of arithmetic are built by `_gaussian`, which only normalises.
+    of arithmetic are built by `_gaussian`, which only normalises.  The
+    record is immutable: those two write its slots through the descriptors.
     """
 
-    re: Rational
-    im: Rational
+    __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
         _set_re(self, _canonical_rational(re))
         _set_im(self, _canonical_rational(im))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GaussianScalar:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GaussianScalar, (self.re, self.im)
 
     @staticmethod
     def of(x) -> "GaussianScalar":
@@ -222,25 +237,45 @@ def parse_gaussian(text: str) -> GaussianScalar:
 # signatures
 
 
-@dataclass(frozen=True)
 class SignatureSpec:
     """Metric signature (p, q): p generators square to +1, q to -1.
 
     field is "R" for the real algebra Cl(p,q) and "C" when the same blade
     arithmetic is read inside the complexified algebra (the complex algebra
     of dimension n marked with real form (p,q); the unmarked complex algebra
-    is (n, 0, "C")).
+    is (n, 0, "C")).  An immutable record, equal and hashed by value.
     """
 
-    p: int
-    q: int
-    field: str = "R"
+    __slots__ = ("p", "q", "field")
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise ValueError(f"signature ({self.p},{self.q}) has a negative count")
-        if self.field not in ("R", "C"):
-            raise ValueError(f"field must be 'R' or 'C', got {self.field!r}")
+    def __init__(self, p: int, q: int, field: str = "R"):
+        if p < 0 or q < 0:
+            raise ValueError(f"signature ({p},{q}) has a negative count")
+        if field not in ("R", "C"):
+            raise ValueError(f"field must be 'R' or 'C', got {field!r}")
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_field(self, field)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SignatureSpec:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q and self.field == other.field
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.field))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return SignatureSpec, (self.p, self.q, self.field)
+
+    def __repr__(self) -> str:
+        return f"SignatureSpec(p={self.p!r}, q={self.q!r}, field={self.field!r})"
 
     @staticmethod
     def of(sig_or_p, q=None) -> "SignatureSpec":
@@ -269,6 +304,11 @@ class SignatureSpec:
     def __str__(self) -> str:
         base = f"Cl({self.p},{self.q})"
         return base if self.field == "R" else f"C({self.n}|{self.p},{self.q})"
+
+
+_set_p = SignatureSpec.p.__set__
+_set_q = SignatureSpec.q.__set__
+_set_field = SignatureSpec.field.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ of ``quotient`` read a report's survivor codes through the same method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .classification import odd_reduction, ring_label, type_index
 from .core_algebra import SignatureSpec
@@ -48,8 +47,7 @@ def signature_text(signature: Sequence[int]) -> str:
 # PT structure
 
 
-@dataclass(frozen=True)
-class CoveringReport:
+class CoveringReport(NamedTuple):
     """Which double covers of the reflection group exist, and why.
 
     signature is the realized/forced sign vector when the clause pins one
@@ -283,7 +281,7 @@ def cpt_structure(sig_or_p, q: Optional[int] = None, basis: Optional[SpinBasis] 
     ring = ring_label(sig.p, sig.q)
     if ring == "R":
         rep = pt_structure(sig, basis=basis)
-        return replace(rep, notes=rep.notes + (
+        return rep._replace(notes=rep.notes + (
             "ring R: no new covers, reduced to the PT structure",))
     if ring != "H":
         raise ValueError(

@@ -48,7 +48,6 @@ sweeps confirm that both routes agree with the matrix truth on every variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -116,22 +115,22 @@ def cover_row(signature: Sequence[int], abelian: bool) -> CoverRow:
     return CoverRow(*key, *COVER_TABLE[key])
 
 
-@dataclass(frozen=True)
-class ExtMatrix:
+class ExtMatrix(NamedTuple):
     name: str
     matrix: SpinMatrix
     factors: Tuple[int, ...]  # unit index set the matrix is proportional to
     form: str  # census form tag
 
 
-@dataclass
 class ExtGroupReport:
-    sig: SignatureSpec
-    census: UnitCensus
-    matrices: Dict[str, ExtMatrix]
-    cocycle: Dict[Tuple[int, int], int]  # c(a, b) over the codes 0..7; all below read it
-    pi_bar_sign: int  # sign of Pi * conj(Pi)
-    notes: List[str] = field(default_factory=list)
+    def __init__(self, sig: SignatureSpec, census: UnitCensus, matrices: Dict[str, ExtMatrix],
+                 cocycle: Dict[Tuple[int, int], int], pi_bar_sign: int):
+        self.sig = sig
+        self.census = census
+        self.matrices = matrices
+        self.cocycle = cocycle  # c(a, b) over the codes 0..7; all below read it
+        self.pi_bar_sign = pi_bar_sign  # sign of Pi * conj(Pi)
+        self.notes: List[str] = []
 
     # computed from the cocycle once per report, then read by `group_name`,
     # `order_structure` and the sweeps

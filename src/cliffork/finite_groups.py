@@ -16,8 +16,7 @@ is checked by directly building the coset table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core_algebra import (
     SignatureSpec,
@@ -31,8 +30,7 @@ MAX_CLOSURE = 10_000
 _SPOT_CHECKS = 200  # random associativity triples per validate()
 
 
-@dataclass
-class GroupTable:
+class GroupTable(NamedTuple):
     """Finite group as an index table: table[i][j] = index of g_i * g_j."""
 
     elements: List[str]
@@ -266,8 +264,7 @@ def group_center_type(sig_or_p, q: Optional[int] = None) -> str:
     return "Z2xZ2" if volume_square_sign(sig.p, sig.q) == 1 else "Z4"
 
 
-@dataclass
-class VeeFactorReport:
+class VeeFactorReport(NamedTuple):
     sig: SignatureSpec
     group_order: int
     center_labels: List[str]
@@ -277,7 +274,7 @@ class VeeFactorReport:
     quotient_elementary_abelian: bool
     two_rank: Optional[int]
     passed: bool
-    failures: List[str] = field(default_factory=list)
+    failures: List[str]
 
 
 def vee_factor_check(sig: SignatureSpec) -> VeeFactorReport:

@@ -43,10 +43,9 @@ cells among the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .classification import odd_reduction, ring_label
 from .core_algebra import (
@@ -82,17 +81,19 @@ __all__ = [
 # context
 
 
-@dataclass(frozen=True, eq=False)
 class EpsilonContext:
     """Everything the collapse needs: the odd algebra, the unit eps, the
     element eps*omega that gets sent to 1, and the target subalgebra."""
 
-    sig: SignatureSpec
-    epsilon: GaussianScalar  # 1 or i, with (epsilon*omega)^2 = +1
-    omega: MultiVector
-    ew: MultiVector  # epsilon * omega
-    target: SignatureSpec  # drop-last-generator subalgebra, where epsilon_map lands
-    target_labels: Tuple[SignatureSpec, ...]  # catalog decompositions
+    def __init__(self, sig: SignatureSpec, epsilon: GaussianScalar, omega: MultiVector,
+                 ew: MultiVector, target: SignatureSpec,
+                 target_labels: Tuple[SignatureSpec, ...]):
+        self.sig = sig
+        self.epsilon = epsilon  # 1 or i, with (epsilon*omega)^2 = +1
+        self.omega = omega
+        self.ew = ew  # epsilon * omega
+        self.target = target  # drop-last-generator subalgebra, where epsilon_map lands
+        self.target_labels = target_labels  # catalog decompositions
 
     @cached_property
     def transfers(self) -> "TransferReport":
@@ -182,15 +183,13 @@ def epsilon_map(x: MultiVector, ctx: EpsilonContext) -> MultiVector:
 # transfer of the discrete transformations
 
 
-@dataclass(frozen=True)
-class TransferEntry:
+class TransferEntry(NamedTuple):
     name: str
     transfers: bool
     reason: str
 
 
-@dataclass(frozen=True, eq=False)
-class TransferReport:
+class TransferReport(NamedTuple):
     sig: SignatureSpec
     epsilon: GaussianScalar
     entries: Dict[str, TransferEntry]
@@ -293,8 +292,7 @@ _REDUCTIONS: Dict[str, Tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class QuotientClassReport:
+class QuotientClassReport(NamedTuple):
     sig: SignatureSpec
     label: str
     symmetry_set: Tuple[str, ...]
@@ -349,8 +347,7 @@ def quotient_class(ctx: EpsilonContext) -> QuotientClassReport:
 # collapsed coverings
 
 
-@dataclass(frozen=True, eq=False)
-class QuotientGroupReport:
+class QuotientGroupReport(NamedTuple):
     sig: SignatureSpec
     label: str  # e.g. "pin^{a,b,c}", the pin letters of the survivors
     survivors: Tuple[str, ...]  # physical names, identity first

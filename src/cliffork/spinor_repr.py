@@ -39,9 +39,8 @@ and every comparison downstream is exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .classification import odd_reduction, type_index
 from .core_algebra import GaussianScalar, SignatureSpec, format_gaussian, parse_gaussian
@@ -86,15 +85,17 @@ def _word_form(rows) -> Optional[Tuple[int, int, int, int]]:
 
 
 def _dense_product(arows, brows) -> List[List[GaussianScalar]]:
+    """Entry rows of a * b.  Each row of b lists its nonzero entries once, so
+    past one scan of each factor the work is one multiply-add per pair of
+    nonzeros."""
     n = len(brows)
+    nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in brows]
     out = []
     for row in arows:
         acc = [_ZERO] * n
-        for k, a in enumerate(row):
-            if not a:
-                continue
-            for j, b in enumerate(brows[k]):
-                if b:
+        for a, terms in zip(row, nonzero):
+            if a:
+                for j, b in terms:
                     acc[j] = acc[j] + a * b
         out.append(acc)
     return out
@@ -287,8 +288,7 @@ def signed_lookup(pool: Dict[str, SpinMatrix]) -> Dict[SpinMatrix, str]:
 # census classification of a single matrix
 
 
-@dataclass(frozen=True)
-class MatrixClass:
+class MatrixClass(NamedTuple):
     reality: str  # "real" | "imaginary" | "mixed" | "zero"
     symmetry: str  # "symmetric" | "skew" | "mixed"
 
@@ -328,8 +328,7 @@ _CENSUS_LETTER = {
 }
 
 
-@dataclass(frozen=True)
-class UnitCensus:
+class UnitCensus(NamedTuple):
     """Counts of the four unit species of a spinor basis.
 
     v real symmetric (square +1), u real skew (-1),

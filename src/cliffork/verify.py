@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,14 +65,15 @@ def _bundle() -> dict:
     return json.loads(resources.files("cliffork").joinpath("data/printed_tables.json").read_text())
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    ok: bool
-    checked: int
-    counterexamples: List[dict] = field(default_factory=list)
-    detail: str = ""
-    elapsed: float = 0.0
+    def __init__(self, name: str, ok: bool, checked: int, counterexamples: List[dict],
+                 detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.checked = checked
+        self.counterexamples = counterexamples
+        self.detail = detail
+        self.elapsed = 0.0  # set by run_suite
 
     def to_dict(self) -> dict:
         return {

@@ -6,7 +6,9 @@ products are checked against a plain reference on (Fraction, Fraction)
 pairs, the exact arithmetic the int-backed canonical form replaces.
 """
 
+import copy
 import itertools
+import pickle
 import re
 from fractions import Fraction
 
@@ -557,6 +559,42 @@ def test_signature_of_passes_a_spec_through_or_builds_one():
         SignatureSpec.of(1)
     with pytest.raises(ValueError, match=r"signature \(-1,0\) has a negative count"):
         SignatureSpec.of(-1, 0)
+
+
+def test_scalar_and_signature_are_immutable_value_records():
+    z, sig = GaussianScalar("1/2", 3), SignatureSpec(1, 3)
+    # equal and hashed by value, and never equal to another type
+    assert z == GaussianScalar(Fraction(1, 2), Fraction(6, 2)) and z != GaussianScalar("1/2")
+    assert hash(z) == hash(GaussianScalar(Fraction(1, 2), 3))
+    assert hash(GaussianScalar(Fraction(4, 2))) == hash(GaussianScalar(2)) == hash((2, 0))
+    assert GaussianScalar(1) != 1 and z != ("1/2", 3)
+    assert z.__eq__(1) is NotImplemented
+    assert sig == SignatureSpec(p=1, q=3, field="R") and hash(sig) == hash((1, 3, "R"))
+    assert sig != SignatureSpec(1, 3, "C") and sig != (1, 3, "R") and sig != (1, 3)
+    assert sig.__eq__((1, 3, "R")) is NotImplemented
+    assert {sig: "x"}[SignatureSpec(1, 3)] == "x"
+    # immutable, with no room for other attributes
+    for record, name in ((z, "re"), (z, "im"), (sig, "p"), (sig, "q"), (sig, "field")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+    for record in (z, sig):
+        with pytest.raises(AttributeError):
+            record.other = 0
+        assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+    assert (z.re, z.im, sig.p, sig.q, sig.field) == (Fraction(1, 2), 3, 1, 3, "R")
+    assert repr(z) == "GaussianScalar('1/2+3i')"
+    assert repr(SignatureSpec(2, 0, "C")) == "SignatureSpec(p=2, q=0, field='C')"
+    # validation, with the messages the CLI prints
+    with pytest.raises(ValueError, match=r"^signature \(2,-1\) has a negative count$"):
+        SignatureSpec(2, -1)
+    with pytest.raises(ValueError, match=r"^field must be 'R' or 'C', got 'Q'$"):
+        SignatureSpec(1, 1, field="Q")
+    with pytest.raises(TypeError, match="cannot build an exact rational from float"):
+        GaussianScalar(0.5)
+    with pytest.raises(ValueError, match="zero denominator"):
+        GaussianScalar(0, "3/0")
 
 
 def test_signature_validation():

@@ -1,6 +1,5 @@
 """Covering reports: PT and CPT structures and their cover rows."""
 
-import dataclasses
 import itertools
 import re
 
@@ -18,6 +17,7 @@ from cliffork.coverings import (
 from cliffork.ext_automorphisms import (
     COVER_TABLE,
     MATRIX_NAMES,
+    ExtGroupReport,
     ExtMatrix,
     cover_row,
     ext_group_report,
@@ -296,7 +296,8 @@ def test_trivial_cocycle_gives_elementary_cover():
     assert identify_small_group(g) == "Z2xZ2xZ2xZ2"
     # the report reads squares and commutation from its cocycle alone
     gamma = ext_group_report(load_spinbasis("gamma"))
-    trivial = dataclasses.replace(gamma, cocycle=dict.fromkeys(gamma.cocycle, 1))
+    trivial = ExtGroupReport(gamma.sig, gamma.census, gamma.matrices,
+                             dict.fromkeys(gamma.cocycle, 1), gamma.pi_bar_sign)
     assert trivial.signature == (1,) * 7 and trivial.abelian
     row = trivial.cover(range(1, 8))
     assert row == (7, 0, True, "Z2xZ2xZ2", "Z2xZ2xZ2xZ2", "Z2xZ2xZ2xZ2")

@@ -1,6 +1,5 @@
 """Extended automorphism matrices: constructions, squares, commutation."""
 
-import dataclasses
 import itertools
 import math
 import sys
@@ -105,7 +104,7 @@ def test_signed_letter_table():
     # a pool that is not closed: g1 g2 is none of the eight up to sign
     basis = load_spinbasis("gamma")
     mats = ext_matrices(basis)
-    mats["F"] = dataclasses.replace(mats["F"], matrix=basis.product_of([1, 2]))
+    mats["F"] = mats["F"]._replace(matrix=basis.product_of([1, 2]))
     with pytest.raises(AssertionError, match="leaves the signed span"):
         sign_cocycle(mats)
 
@@ -247,6 +246,24 @@ def test_failed_relation_raises_naming_matrix_and_unit(monkeypatch):
                         lambda u, x: u is not basis.mats[2])
     with pytest.raises(AssertionError, match="^S relation failed at unit 3$"):
         ext_matrices(basis)
+
+
+def test_report_reads_its_cocycle_once(monkeypatch):
+    # signature, commutation and abelian are computed once per report, the
+    # first time `group_name` reads them while the report is built
+    calls = []
+    profile = ext_automorphisms.commutation_profile
+    monkeypatch.setattr(ext_automorphisms, "commutation_profile",
+                        lambda cocycle: calls.append(1) or profile(cocycle))
+    reports = [ext_group_report(load_spinbasis("gamma")),
+               ext_group_report(build_spinbasis(SignatureSpec(1, 3)))]
+    assert len(calls) == 2
+    for report in reports:
+        assert {"signature", "commutation", "abelian"} <= set(vars(report))
+        first = report.signature, report.commutation
+        assert report.group_name and report.order_structure and report.abelian in (True, False)
+        assert report.signature is first[0] and report.commutation is first[1]
+    assert len(calls) == 2
 
 
 def test_odd_dimension_rejected():

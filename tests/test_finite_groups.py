@@ -6,7 +6,6 @@ the catalog's name to each of its 13 signed 2-groups and raises on the
 other 10."""
 
 import collections
-import dataclasses
 import itertools
 import random
 
@@ -16,6 +15,7 @@ from cliffork.core_algebra import GaussianScalar, SignatureSpec, blade_product
 from cliffork.ext_automorphisms import (
     ELEMENT_NAMES,
     MATRIX_NAMES,
+    ExtGroupReport,
     ExtMatrix,
     cover_row,
     ext_group_report,
@@ -472,8 +472,8 @@ def test_cocycle_group_reads_minus_one_from_a_trivial_form():
     x, ident = SpinMatrix([[1, 0], [0, -1]]), SpinMatrix.identity(2)
     mats = {name: ExtMatrix(name, m, (), "x") for name, m in zip(
         ELEMENT_NAMES[1:], (-ident, x, -x, ident, -ident, x, -x))}
-    report = dataclasses.replace(ext_group_report(build_spinbasis(SignatureSpec(2, 0))),
-                                 matrices=mats, cocycle=sign_cocycle(mats))
+    base = ext_group_report(build_spinbasis(SignatureSpec(2, 0)))
+    report = ExtGroupReport(base.sig, base.census, mats, sign_cocycle(mats), base.pi_bar_sign)
     assert set(report.cocycle.values()) == {1}
     assert report.matrix_group == (4, "Z2xZ2")
 

@@ -3,6 +3,8 @@ and every function, class, method and constant it defines is reachable from
 the command line or the module-level code."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,18 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_cli_import_loads_every_module_and_not_dataclasses():
+    # in a fresh interpreter: the benchmark tracer patches the modules that
+    # `import cliffork.cli` leaves in sys.modules, so it loads all of them;
+    # and no module pays for `dataclasses`, which imports inspect, dis, ast
+    # and tokenize and generates each record's methods through exec
+    code = "import sys, cliffork.cli; print(*sorted(sys.modules))"
+    loaded = set(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                check=True).stdout.split())
+    assert {f"cliffork.{path.stem}" for path in SOURCES if path.stem != "__init__"} <= loaded
+    assert "dataclasses" not in loaded
 
 
 # Defined in src but reached from no verb or suite, each kept on purpose.

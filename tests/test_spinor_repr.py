@@ -17,6 +17,7 @@ from cliffork.spinor_repr import (
     MAX_SPINOR_DIM,
     SpinBasis,
     SpinMatrix,
+    _dense_product,
     build_spinbasis,
     check_spinor_size,
     classify_matrix,
@@ -26,6 +27,7 @@ from cliffork.spinor_repr import (
     sweep_spinbasis_variants,
 )
 from monomial_oracle import MonomialMatrix
+from monomial_oracle import _dense_product as oracle_dense_product
 from monomial_oracle import classify_matrix as monomial_class
 
 I_ = GaussianScalar.I
@@ -329,6 +331,24 @@ def test_dense_path_matches_reference_and_lands_canonically(data):
                        (m.kron(R) * SpinMatrix.identity(basis.dim).kron(R), wide)):
         assert back.word is not None
         assert back == want and hash(back) == hash(want)
+
+
+# entries with zeros of both kinds: the shared ZERO that word rows hold, and
+# zeros of their own, as arithmetic leaves them
+SCALARS = st.one_of(
+    st.just(GaussianScalar.ZERO),
+    st.builds(GaussianScalar, st.just(0)),
+    st.builds(GaussianScalar, st.fractions(-2, 2, max_denominator=4), st.integers(-2, 2)),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_dense_product_matches_the_oracle_copy(data):
+    d = data.draw(st.integers(1, 6), label="d")
+    a, b = (data.draw(st.lists(st.lists(SCALARS, min_size=d, max_size=d), min_size=d, max_size=d))
+            for _ in range(2))
+    assert _dense_product(a, b) == oracle_dense_product(a, b)
 
 
 def test_identity_of_a_size_that_is_not_a_power_of_two_is_dense():
