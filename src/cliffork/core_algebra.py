@@ -7,6 +7,15 @@ value the suites compute is a Gaussian integer or a dyadic rational, so
 their sums and products stay in int arithmetic.  Blades are encoded as
 bitmasks over the generators e1..en; generator i squares to +1 for i <= p
 and to -1 for i > p.
+
+A MultiVector with exactly one nonzero term (every blade, and every product
+of blades) is held in one-term form: the blade mask and the coefficient as
+two rationals in the canonical form above, never both zero, with no dict and
+no GaussianScalar.  Every route that builds a value of one term stores it in
+this form, and every other value, zero included, holds a dict of nonzero
+GaussianScalars by mask; so the form follows from the value, and == and hash
+need no normalising step.  A product of two one-term values takes its sign
+from blade_product and multiplies the coefficients as plain numbers.
 """
 
 from __future__ import annotations
@@ -249,6 +258,9 @@ class SignatureSpec:
     __slots__ = ("p", "q", "field")
 
     def __init__(self, p: int, q: int, field: str = "R"):
+        for name, count in (("p", p), ("q", q)):
+            if type(count) is not int:  # neither a bool nor a float such as 2.0
+                raise TypeError(f"signature count {name} must be an int, got {count!r}")
         if p < 0 or q < 0:
             raise ValueError(f"signature ({p},{q}) has a negative count")
         if field not in ("R", "C"):
@@ -286,7 +298,7 @@ class SignatureSpec:
             return sig_or_p
         if q is None:
             raise TypeError("pass a SignatureSpec or both p and q")
-        return SignatureSpec(int(sig_or_p), int(q))
+        return SignatureSpec(sig_or_p, q)
 
     @property
     def n(self) -> int:
@@ -385,24 +397,28 @@ class MultiVector:
 
     MultiVector(sig, coeffs) checks every mask and coefficient and drops
     zeros; results of the ring operations and involutions, which already
-    hold nonzero GaussianScalars on valid masks, are built by `_multivector`
-    without that pass.
+    hold nonzero coefficients on valid masks, are built by `_multivector`
+    and `_term` without that pass.
+
+    In one-term form (see the module docstring) `_c` is None, `_m` is the
+    mask and `_re`, `_im` the coefficient; otherwise `_c` is the dict.
     """
 
-    __slots__ = ("sig", "_c")
+    __slots__ = ("sig", "_c", "_m", "_re", "_im")
 
     def __init__(self, sig: SignatureSpec, coeffs: Optional[Dict[int, GaussianScalar]] = None):
-        self.sig = sig
         clean: Dict[int, GaussianScalar] = {}
         if coeffs:
             limit = 1 << sig.n
             for mask, c in coeffs.items():
+                if type(mask) is not int:
+                    raise TypeError(f"blade mask {mask!r} is not an int")
                 if not 0 <= mask < limit:
                     raise ValueError(f"blade mask {mask} outside algebra of dimension {sig.n}")
                 c = GaussianScalar.of(c)
                 if c:
                     clean[mask] = c
-        self._c = clean
+        _fill(self, sig, clean)
 
     # construction helpers
 
@@ -421,17 +437,25 @@ class MultiVector:
 
     # inspection
 
+    def _terms(self) -> Dict[int, GaussianScalar]:
+        if self._c is None:
+            z = _new(GaussianScalar)  # as stored: the one-term form is already canonical
+            _set_re(z, self._re)
+            _set_im(z, self._im)
+            return {self._m: z}
+        return self._c
+
     def coeff(self, mask: int) -> GaussianScalar:
-        return self._c.get(mask, _GS_ZERO)
+        return self._terms().get(mask, _GS_ZERO)
 
     def items(self):
-        return self._c.items()
+        return self._terms().items()
 
     def is_zero(self) -> bool:
-        return not self._c
+        return self._c is not None and not self._c
 
     def is_scalar(self) -> bool:
-        return not self._c or set(self._c) == {0}
+        return self._m == 0 if self._c is None else not self._c
 
     def scalar_part(self) -> GaussianScalar:
         return self.coeff(0)
@@ -446,8 +470,11 @@ class MultiVector:
         if not isinstance(other, MultiVector):
             other = MultiVector.scalar(self.sig, other)
         self._check_sig(other)
-        out = dict(self._c)
-        for m, c in other._c.items():
+        if self._c is None and other._c is None and self._m == other._m:
+            z = _gaussian(self._re + other._re, self._im + other._im)
+            return _term(self.sig, self._m, z.re, z.im) if z else _multivector(self.sig, {})
+        out = dict(self._terms())
+        for m, c in other._terms().items():
             s = out.get(m)
             if s is None:
                 out[m] = c
@@ -470,19 +497,39 @@ class MultiVector:
         return (-self) + other
 
     def __neg__(self) -> "MultiVector":
+        if self._c is None:
+            return _term(self.sig, self._m, -self._re, -self._im)
         return _multivector(self.sig, {m: -c for m, c in self._c.items()})
+
+    def _scaled(self, c: GaussianScalar) -> "MultiVector":
+        """self * c for a scalar c (the two commute)."""
+        if not c:
+            return _multivector(self.sig, {})
+        if self._c is None:
+            a, b, x, y = self._re, self._im, c.re, c.im
+            z = _gaussian(a * x - b * y, a * y + b * x)
+            return _term(self.sig, self._m, z.re, z.im)
+        return _multivector(self.sig, {m: v * c for m, v in self._c.items()})
 
     def __mul__(self, other) -> "MultiVector":
         if not isinstance(other, MultiVector):
-            c = GaussianScalar.of(other)
-            if not c:
-                return _multivector(self.sig, {})
-            return _multivector(self.sig, {m: v * c for m, v in self._c.items()})
+            return self._scaled(GaussianScalar.of(other))
         self._check_sig(other)
         sig = self.sig
+        if self._c is None and other._c is None:
+            mask, sgn = blade_product(sig, self._m, other._m)
+            a, b, c, d = self._re, self._im, other._re, other._im
+            if sgn < 0:
+                a, b = -a, -b
+            re, im = a * c - b * d, a * d + b * c  # nonzero: a product of nonzero scalars
+            if type(re) is not int and re.denominator == 1:
+                re = re.numerator
+            if type(im) is not int and im.denominator == 1:
+                im = im.numerator
+            return _term(sig, mask, re, im)
         acc: Dict[int, GaussianScalar] = {}
-        for ma, ca in self._c.items():
-            for mb, cb in other._c.items():
+        for ma, ca in self._terms().items():
+            for mb, cb in other._terms().items():
                 mask, sgn = blade_product(sig, ma, mb)
                 term = ca * cb
                 if sgn < 0:
@@ -500,10 +547,7 @@ class MultiVector:
 
     def __rmul__(self, other) -> "MultiVector":
         # only scalars end up here
-        c = GaussianScalar.of(other)
-        if not c:
-            return _multivector(self.sig, {})
-        return _multivector(self.sig, {m: c * v for m, v in self._c.items()})
+        return self._scaled(GaussianScalar.of(other))
 
     def __pow__(self, k: int) -> "MultiVector":
         if k < 0:
@@ -522,39 +566,50 @@ class MultiVector:
             if isinstance(other, (int, Fraction, GaussianScalar)):
                 return self == MultiVector.scalar(self.sig, other)
             return NotImplemented
-        return (self.sig is other.sig or self.sig == other.sig) and self._c == other._c
+        if self.sig is not other.sig and self.sig != other.sig:
+            return False
+        if self._c is None:
+            return (other._c is None and self._m == other._m
+                    and self._re == other._re and self._im == other._im)
+        return self._c == other._c
 
     def __hash__(self):
-        return hash((self.sig, frozenset(self._c.items())))
+        return hash((self.sig, frozenset(self.items())))
 
     # the four involutive coefficient/blade maps
 
-    def grade_involution(self) -> "MultiVector":
+    def _signed(self, sign) -> "MultiVector":
+        """self with each blade's coefficient times sign(grade of the blade)."""
+        if self._c is None:
+            m = self._m
+            if sign(m.bit_count()) > 0:
+                return _term(self.sig, m, self._re, self._im)
+            return _term(self.sig, m, -self._re, -self._im)
         return _multivector(
-            self.sig,
-            {m: (c if involution_sign(m.bit_count()) > 0 else -c) for m, c in self._c.items()},
+            self.sig, {m: (c if sign(m.bit_count()) > 0 else -c) for m, c in self._c.items()}
         )
+
+    def grade_involution(self) -> "MultiVector":
+        return self._signed(involution_sign)
 
     def reversion(self) -> "MultiVector":
-        return _multivector(
-            self.sig,
-            {m: (c if reversion_sign(m.bit_count()) > 0 else -c) for m, c in self._c.items()},
-        )
+        return self._signed(reversion_sign)
 
     def clifford_conjugation(self) -> "MultiVector":
-        return _multivector(
-            self.sig,
-            {m: (c if conjugation_sign(m.bit_count()) > 0 else -c) for m, c in self._c.items()},
-        )
+        return self._signed(conjugation_sign)
 
     def pseudo_conjugation(self) -> "MultiVector":
         """Antilinear automorphism: conjugate coefficients, flip the sign of
         every generator that squares to -1."""
-        n, p = self.sig.n, self.sig.p
-        neg_mask = ((1 << n) - 1) & ~((1 << p) - 1)
+        p = self.sig.p
+        if self._c is None:
+            m = self._m
+            if (m >> p).bit_count() & 1:
+                return _term(self.sig, m, -self._re, self._im)
+            return _term(self.sig, m, self._re, -self._im)
         out = {}
         for m, c in self._c.items():
-            if (m & neg_mask).bit_count() & 1:
+            if (m >> p).bit_count() & 1:
                 out[m] = _gaussian(-c.re, c.im)  # -conjugate(c)
             else:
                 out[m] = c.conjugate()
@@ -562,6 +617,8 @@ class MultiVector:
 
     def complex_conjugation(self) -> "MultiVector":
         """Coefficient-wise conjugation, blades untouched."""
+        if self._c is None:
+            return _term(self.sig, self._m, self._re, -self._im)
         return _multivector(self.sig, {m: c.conjugate() for m, c in self._c.items()})
 
     def involution_by_omega(self) -> "MultiVector":
@@ -577,11 +634,12 @@ class MultiVector:
         return omega * self * inv
 
     def __str__(self) -> str:
-        if not self._c:
+        terms = self._terms()
+        if not terms:
             return "0"
         parts = []
-        for m in sorted(self._c, key=lambda m: (m.bit_count(), blade_indices(m))):
-            c = self._c[m]
+        for m in sorted(terms, key=lambda m: (m.bit_count(), blade_indices(m))):
+            c = terms[m]
             ctext = format_gaussian(c)
             if m == 0:
                 parts.append(ctext)
@@ -600,12 +658,36 @@ class MultiVector:
         return f"<{self.sig} | {self}>"
 
 
+def _fill(x: MultiVector, sig: SignatureSpec, coeffs: Dict[int, GaussianScalar]) -> None:
+    """Store coeffs (nonzero GaussianScalars on valid masks) in x, in
+    one-term form when there is exactly one."""
+    x.sig = sig
+    if len(coeffs) == 1:
+        ((x._m, c),) = coeffs.items()
+        x._c = None
+        x._re = c.re
+        x._im = c.im
+    else:
+        x._c = coeffs
+
+
 def _multivector(sig: SignatureSpec, coeffs: Dict[int, GaussianScalar]) -> MultiVector:
     """A MultiVector over coeffs as given: nonzero GaussianScalars on masks
     inside the algebra, which the caller guarantees."""
     x = _new(MultiVector)
+    _fill(x, sig, coeffs)
+    return x
+
+
+def _term(sig: SignatureSpec, mask: int, re: Rational, im: Rational) -> MultiVector:
+    """The one-term MultiVector (re + im*i) * e_mask; the caller guarantees a
+    valid mask and canonical re, im that are not both zero."""
+    x = _new(MultiVector)
     x.sig = sig
-    x._c = coeffs
+    x._c = None
+    x._m = mask
+    x._re = re
+    x._im = im
     return x
 
 

@@ -55,6 +55,7 @@ from .core_algebra import (
     reversion_sign,
     volume_element,
     volume_square_sign,
+    _multivector,
 )
 from .ext_automorphisms import ELEMENT_NAMES, PHYSICAL_NAMES, PIN_LETTERS, ext_group_report
 from .finite_groups import GroupTable, identify_small_group
@@ -171,12 +172,18 @@ def epsilon_map(x: MultiVector, ctx: EpsilonContext) -> MultiVector:
         else:
             out[mask] = c
     if high:
-        folded = ctx.ew * MultiVector(ctx.sig, high)
+        folded = ctx.ew * _multivector(ctx.sig, high)
         for mask, c in folded.items():
             if mask & top:
                 raise AssertionError("folding by eps*omega left the subalgebra")
-            out[mask] = out.get(mask, GaussianScalar.ZERO) + c
-    return MultiVector(ctx.target, out)
+            s = out.get(mask)
+            if s is not None:
+                c = s + c
+            if c:
+                out[mask] = c
+            else:
+                del out[mask]
+    return _multivector(ctx.target, out)
 
 
 # ---------------------------------------------------------------------------

@@ -454,8 +454,10 @@ def suite_quotient(max_n: int = 7) -> SuiteResult:
 
 
 # the core suite multiplies every pair of blades of every signature, so each
-# step of the bound costs about 4.5x (0.40 s at 6, 1.9 s at 7, 9.3 s at 8 on
-# a 2-core Xeon); it stops where the salingaros suite stops
+# step of the bound costs about 4.5x (0.11 s at 6, 0.46 s at 7, 2.3 s at 8 on
+# a 2-core Xeon in its fast state, best runs; 0.25, 1.1 and 5.2 s when every
+# multivector held a dict of scalars); it stops where the salingaros suite
+# stops
 CORE_MAX_N = 8
 
 

@@ -358,10 +358,46 @@ def test_multivector_kernel_matches_fraction_pair_reference(data):
     results.append((x.pseudo_conjugation(),
                     {m: (c[0], -c[1]) if ref_blade_signs(sig, m, "pseudo") > 0
                      else (-c[0], c[1]) for m, c in a.items()}))
+    results.append((x.complex_conjugation(), {m: (c[0], -c[1]) for m, c in a.items()}))
+    w = (Fraction(3, 2), Fraction(-1))
+    results += [(x * GaussianScalar(*w), {m: ref_mul(c, w) for m, c in a.items()}),
+                (Fraction(-1, 2) * x, {m: ref_mul(c, (Fraction(-1, 2), 0)) for m, c in a.items()}),
+                (x * 0, {})]
     for got, want in results:
         assert ref_multivector(got) == want
         assert all(is_canonical(c) for _, c in got.items())
+        assert_same_value(got, MultiVector(sig, {m: GaussianScalar(*c) for m, c in want.items()}))
     assert (x == y) == (a == b)
+
+
+def assert_same_value(x, y):
+    """x and y agree on everything a caller can read."""
+    assert x == y and y == x
+    assert hash(x) == hash(y)
+    assert dict(x.items()) == dict(y.items())
+    assert all(x.coeff(m) == y.coeff(m) for m in range(1 << x.sig.n))
+    assert str(x) == str(y)
+
+
+def one_term_routes(sig, mask, coeff):
+    """The one-term value coeff * e_mask, built by every route that makes one:
+    the constructor, from_mask, a blade product, a sum that cancels down to
+    one term, negation and scalar multiples from either side."""
+    blade = MultiVector.from_mask(sig, mask)
+    other = MultiVector.from_mask(sig, (mask + 1) % (1 << sig.n), GaussianScalar(2, -1))
+    x = MultiVector(sig, {mask: coeff})
+    return [
+        x,
+        MultiVector.from_mask(sig, mask, coeff),
+        MultiVector.scalar(sig, coeff) * blade,
+        blade * MultiVector.scalar(sig, coeff),
+        (x + other) - other,
+        -(-x),
+        -MultiVector(sig, {mask: -coeff}),
+        (x * GaussianScalar.I) * -GaussianScalar.I,
+        Fraction(1, 3) * (3 * x),
+        blade * coeff,
+    ]
 
 
 @given(data=small_multivectors(count=3, terms=1))
@@ -376,6 +412,15 @@ def test_single_term_products_match_fraction_pair_reference(data):
         assert ref_multivector(got) == want
         assert len(want) == 1
         assert all(is_canonical(v) for _, v in got.items())
+    ((mask, coeff),) = x.items()
+    routes = one_term_routes(sig, mask, coeff)
+    for route in routes:
+        assert ref_multivector(route) == a
+        assert all(is_canonical(v) for _, v in route.items())
+        assert_same_value(route, x)
+        assert_same_value(route * y, x * y)
+        assert_same_value(y * route, y * x)
+    assert len(set(routes)) == 1
 
 
 # every coefficient pair from these, on every pair of blades
@@ -390,8 +435,12 @@ def test_single_blade_products_match_reference_exhaustively(sig):
     for x, a in zip(blades, refs):
         for y, b in zip(blades, refs):
             got = x * y
-            assert ref_multivector(got) == ref_mv_product(sig, a, b)
+            want = ref_mv_product(sig, a, b)
+            assert ref_multivector(got) == want
             assert all(is_canonical(v) for _, v in got.items())
+            ((mask, c),) = want.items()
+            built = MultiVector(sig, {mask: GaussianScalar(*c)})
+            assert got == built and hash(got) == hash(built) and str(got) == str(built)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +608,11 @@ def test_signature_of_passes_a_spec_through_or_builds_one():
         SignatureSpec.of(1)
     with pytest.raises(ValueError, match=r"signature \(-1,0\) has a negative count"):
         SignatureSpec.of(-1, 0)
+    # counts reach the constructor as given: 1.5 is not truncated to 1
+    with pytest.raises(TypeError, match="signature count p must be an int"):
+        SignatureSpec.of(1.5, 2)
+    with pytest.raises(TypeError, match="signature count q must be an int"):
+        SignatureSpec.of(1, "3")
 
 
 def test_scalar_and_signature_are_immutable_value_records():
@@ -608,3 +662,12 @@ def test_signature_validation():
         sig.metric(4)
     with pytest.raises(ValueError):
         MultiVector(sig, {1 << 5: GaussianScalar.ONE})
+    # a mask that is not an int, even one equal to an int, is not stored
+    for mask in (1.0, 1.5, True, Fraction(1), "1"):
+        with pytest.raises(TypeError, match=re.escape(f"blade mask {mask!r}")):
+            MultiVector(sig, {mask: 1})
+    # a count that is not an int, bools included, fails on entry
+    for p, q, field in ((1.5, 2, "p"), (2.0, 0, "p"), ("1", 3, "p"), (True, 1, "p"),
+                        (1, 2.0, "q"), (0, False, "q")):
+        with pytest.raises(TypeError, match=f"signature count {field} must be an int"):
+            SignatureSpec(p, q)
