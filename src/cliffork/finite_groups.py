@@ -11,7 +11,8 @@ latter.
 
 The vee group of Cl(p,q) is the set of 2^(n+1) signed basis blades; the
 factor theorem (quotient by the center is elementary abelian of even 2-rank)
-is checked by directly building the coset table.
+is checked on the coset table, which `GroupTable.quotient_by` reads from one
+representative per coset once it has checked that the center is normal.
 """
 
 from __future__ import annotations
@@ -65,8 +66,26 @@ class GroupTable(NamedTuple):
         ]
 
     def quotient_by(self, normal: Sequence[int]) -> "GroupTable":
-        """Coset table; verifies normality and well-definedness directly."""
-        nset = set(normal)
+        """Table of G/N on the left cosets gN, in order of their least member.
+
+        The coset product gN . hN = ghN is well defined exactly when N is a
+        normal subgroup, that is when the right translate Ng is the left
+        coset gN for every g; for g in N this says N.g = N, so N is closed.
+        That is checked on every g, and the table is then read from one
+        representative per coset: O(|G|.|N| + k^2) for k cosets, where
+        checking every product of two cosets would be O(|G|^2).  TypeError
+        for an entry of `normal` that is not an int, ValueError for one that
+        is no element index and for an N that is not a normal subgroup.
+        """
+        t = self.table
+        nset = set()
+        for h in normal:
+            if type(h) is not int:
+                raise TypeError(f"subgroup entry {h!r} is not an element index")
+            if not 0 <= h < self.order:
+                raise ValueError(f"subgroup entry {h} is not an element index "
+                                 f"of a group of order {self.order}")
+            nset.add(h)
         if self.neutral not in nset:
             raise ValueError("normal subgroup must contain the neutral element")
         # cosets
@@ -75,22 +94,19 @@ class GroupTable(NamedTuple):
         for g in range(self.order):
             if g in coset_of:
                 continue
-            members = tuple(sorted(self.table[g][h] for h in nset))
+            members = tuple(sorted(t[g][h] for h in nset))
             idx = len(cosets)
             for x in members:
                 if x in coset_of:
                     raise ValueError("subgroup does not partition the group")
                 coset_of[x] = idx
             cosets.append(members)
-        k = len(cosets)
-        qt = [[-1] * k for _ in range(k)]
-        for gi, members_i in enumerate(cosets):
-            for gj, members_j in enumerate(cosets):
-                images = {coset_of[self.table[a][b]] for a in members_i for b in members_j}
-                if len(images) != 1:
-                    raise ValueError("quotient multiplication is not well defined")
-                qt[gi][gj] = images.pop()
-        labels = ["[" + self.elements[c[0]] + "]" for c in cosets]
+        for g in range(self.order):
+            if tuple(sorted(t[h][g] for h in nset)) != cosets[coset_of[g]]:
+                raise ValueError("quotient multiplication is not well defined")
+        reps = [c[0] for c in cosets]
+        qt = [[coset_of[t[a][b]] for b in reps] for a in reps]
+        labels = ["[" + self.elements[a] + "]" for a in reps]
         return GroupTable(labels, qt, coset_of[self.neutral])
 
     def validate(self) -> None:

@@ -56,6 +56,7 @@ from .core_algebra import (
     volume_element,
     volume_square_sign,
     _multivector,
+    _term,
 )
 from .ext_automorphisms import ELEMENT_NAMES, PHYSICAL_NAMES, PIN_LETTERS, ext_group_report
 from .finite_groups import GroupTable, identify_small_group
@@ -160,10 +161,20 @@ def epsilon_map(x: MultiVector, ctx: EpsilonContext) -> MultiVector:
     Blades free of the last generator pass through; the rest are folded by one
     more multiplication with eps*omega (its own square is 1, so this recovers
     A2).  The kernel is exactly {y - eps*omega*y}.
+
+    A one-term x, such as a blade or a product of blades, stays one term: it
+    is relabelled into the target as it is, or after one fold by eps*omega,
+    whose product with it is again one term, so no dict is built.
     """
-    if x.sig != ctx.sig:
+    if x.sig is not ctx.sig and x.sig != ctx.sig:
         raise ValueError(f"element lives in {x.sig}, context is for {ctx.sig}")
     top = 1 << (ctx.sig.n - 1)
+    if x._c is None:
+        if x._m & top:
+            x = ctx.ew * x
+            if x._m & top:
+                raise AssertionError("folding by eps*omega left the subalgebra")
+        return _term(ctx.target, x._m, x._re, x._im)
     out: Dict[int, GaussianScalar] = {}
     high: Dict[int, GaussianScalar] = {}
     for mask, c in x.items():

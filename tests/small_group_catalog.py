@@ -6,7 +6,10 @@ a fingerprint match and confirmed by a backtracking isomorphism search.  The
 library names its groups by their F2 quadratic form instead; this is the
 route that form namer replaced, kept to check it.  `order_structure`,
 `inverse` and `subgroup_closure` were GroupTable methods that only this
-route used.
+route used.  `quotient_by_all_pairs` is the coset-table route that
+`GroupTable.quotient_by` replaced: it checks that every product of two
+cosets lands in one coset, where the library checks normality once per
+element and reads the table from representatives.
 
 `xor_group` with a cocycle and `signed_cover_group` build the group table of
 a formal double cover, which the library now names from the sign cocycle
@@ -58,6 +61,36 @@ def subgroup_closure(t: GroupTable, seed: Iterable[int]) -> List[int]:
                     nxt.append(c)
         frontier = nxt
     return sorted(got)
+
+
+def quotient_by_all_pairs(t: GroupTable, normal: Sequence[int]) -> GroupTable:
+    """Coset table; verifies normality and well-definedness directly."""
+    nset = set(normal)
+    if t.neutral not in nset:
+        raise ValueError("normal subgroup must contain the neutral element")
+    # cosets
+    coset_of: Dict[int, int] = {}
+    cosets: List[Tuple[int, ...]] = []
+    for g in range(t.order):
+        if g in coset_of:
+            continue
+        members = tuple(sorted(t.table[g][h] for h in nset))
+        idx = len(cosets)
+        for x in members:
+            if x in coset_of:
+                raise ValueError("subgroup does not partition the group")
+            coset_of[x] = idx
+        cosets.append(members)
+    k = len(cosets)
+    qt = [[-1] * k for _ in range(k)]
+    for gi, members_i in enumerate(cosets):
+        for gj, members_j in enumerate(cosets):
+            images = {coset_of[t.table[a][b]] for a in members_i for b in members_j}
+            if len(images) != 1:
+                raise ValueError("quotient multiplication is not well defined")
+            qt[gi][gj] = images.pop()
+    labels = ["[" + t.elements[c[0]] + "]" for c in cosets]
+    return GroupTable(labels, qt, coset_of[t.neutral])
 
 
 # ---------------------------------------------------------------------------

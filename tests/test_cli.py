@@ -677,6 +677,20 @@ class TestAlgebraSuites:
         assert not result.ok
         assert {c["check"] for c in result.counterexamples} == {"homomorphism"}
 
+    def test_quotient_reports_failed_idempotents_and_keeps_counting(self, monkeypatch):
+        checked = verify.suite_quotient(3).checked
+
+        def failing(ctx):
+            raise AssertionError("idempotency failed")
+
+        monkeypatch.setattr(verify, "central_idempotents", failing)
+        result = verify.suite_quotient(3)
+        assert (result.ok, result.checked) == (False, checked)
+        assert result.counterexamples == [
+            {"sig": str(ctx.sig), "check": "idempotents", "error": "idempotency failed"}
+            for ctx in verify._quotient_contexts(3)
+        ]
+
 
 class TestDeterminism:
     CASES = [

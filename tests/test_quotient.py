@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from cliffork.core_algebra import GaussianScalar, MultiVector, SignatureSpec
+from cliffork.core_algebra import GaussianScalar, MultiVector, SignatureSpec, _multivector
 from cliffork.coverings import predicted_pt_signature
 from cliffork.quotient import (
     CLASS_SETS,
@@ -27,6 +27,7 @@ from cliffork.quotient import (
     transfer_report,
 )
 from cliffork.spinor_repr import build_spinbasis
+from cliffork.verify import _quotient_contexts
 
 
 def real_contexts(max_n):
@@ -174,6 +175,40 @@ def test_epsilon_map_surjective_on_blades():
             (m, _), = list(img.items())
             hit.add(m)
         assert hit == set(range(1 << ctx.target.n)), ctx.sig
+
+
+def epsilon_map_by_dicts(x, ctx):
+    """The collapse as it was before the one-term branch: every value is
+    split into two dicts by mask and folded as a multivector."""
+    top = 1 << (ctx.sig.n - 1)
+    out, high = {}, {}
+    for mask, c in x.items():
+        (high if mask & top else out)[mask] = c
+    if high:
+        for mask, c in (ctx.ew * _multivector(ctx.sig, high)).items():
+            assert not mask & top
+            c = out.get(mask, GaussianScalar.ZERO) + c
+            if c:
+                out[mask] = c
+            else:
+                del out[mask]
+    return _multivector(ctx.target, out)
+
+
+def test_one_term_epsilon_map_matches_the_dict_route():
+    coeffs = (GaussianScalar.ONE, GaussianScalar.I, GaussianScalar.of(Fraction(-3, 2)),
+              GaussianScalar(Fraction(2, 3), -1))
+    for ctx in _quotient_contexts(7):
+        values = [MultiVector.from_mask(ctx.sig, m, c)
+                  for m in range(1 << ctx.sig.n) for c in coeffs]
+        # two terms, one of them folded onto the other: the dict branch
+        one = MultiVector.scalar(ctx.sig, 1)
+        values += [one + ctx.ew, one - ctx.ew]
+        for x in values:
+            got, want = epsilon_map(x, ctx), epsilon_map_by_dicts(x, ctx)
+            assert got == want and hash(got) == hash(want), (ctx.sig, str(x))
+            assert str(got) == str(want)
+            assert got.sig is ctx.target
 
 
 def test_epsilon_map_rejects_wrong_algebra():
