@@ -16,6 +16,10 @@ this form, and every other value, zero included, holds a dict of nonzero
 GaussianScalars by mask; so the form follows from the value, and == and hash
 need no normalising step.  A product of two one-term values takes its sign
 from blade_product and multiplies the coefficients as plain numbers.
+
+The blade sign rule lives in this module only: blade_product and blade_row
+read it from one row mask per left blade, which each SignatureSpec keeps
+from the first product with that blade on the left.
 """
 
 from __future__ import annotations
@@ -253,9 +257,12 @@ class SignatureSpec:
     arithmetic is read inside the complexified algebra (the complex algebra
     of dimension n marked with real form (p,q); the unmarked complex algebra
     is (n, 0, "C")).  An immutable record, equal and hashed by value.
+
+    `_rows` is the instance's memo of blade row masks (see blade_product);
+    equality, hash, repr, copy and pickle ignore it.
     """
 
-    __slots__ = ("p", "q", "field")
+    __slots__ = ("p", "q", "field", "_rows")
 
     def __init__(self, p: int, q: int, field: str = "R"):
         for name, count in (("p", p), ("q", q)):
@@ -268,6 +275,7 @@ class SignatureSpec:
         _set_p(self, p)
         _set_q(self, q)
         _set_field(self, field)
+        _set_rows(self, {})
 
     def __eq__(self, other) -> bool:
         if type(other) is not SignatureSpec:
@@ -321,10 +329,32 @@ class SignatureSpec:
 _set_p = SignatureSpec.p.__set__
 _set_q = SignatureSpec.q.__set__
 _set_field = SignatureSpec.field.__set__
+_set_rows = SignatureSpec._rows.__set__
 
 
 # ---------------------------------------------------------------------------
 # blades
+
+
+def _mask_error(sig: SignatureSpec, mask) -> Exception:
+    """The error for a mask that is no blade of sig."""
+    if type(mask) is not int:
+        return TypeError(f"blade mask {mask!r} is not an int")
+    return ValueError(f"blade mask {mask} is not a blade of {sig}")
+
+
+def _row_mask(sig: SignatureSpec, a: int) -> int:
+    """The row mask r_a of left blade a (see blade_product), computed and
+    stored in sig's memo; raises for an a that is no blade of sig."""
+    if type(a) is not int or not 0 <= a < 1 << sig.n:
+        raise _mask_error(sig, a)
+    r = a >> sig.p << sig.p
+    s = a >> 1
+    while s:
+        r ^= s
+        s >>= 1
+    sig._rows[a] = r
+    return r
 
 
 def blade_product(sig: SignatureSpec, a: int, b: int) -> Tuple[int, int]:
@@ -333,17 +363,40 @@ def blade_product(sig: SignatureSpec, a: int, b: int) -> Tuple[int, int]:
     The sign is the parity of the swaps that sort the concatenated index
     lists (pairs i in a, j in b with i > j) plus one per shared generator
     that squares to -1, i.e. per common bit at position p or above (Dorst,
-    Fontijne & Mann, Geometric Algebra for Computer Science, ch. 19).
+    Fontijne & Mann, Geometric Algebra for Computer Science, ch. 19).  Both
+    counts are parities of bits of b, so e_a e_b = (-1)^|r_a & b| e_(a^b)
+    with the row mask r_a = (a>>1 ^ a>>2 ^ ...) ^ (a with its low p bits
+    cleared).  Each SignatureSpec keeps r_a in a memo from the first product
+    with a on the left, so a product is one dict read and one popcount.
+
+    TypeError for a mask that is not an int, ValueError for one that is no
+    blade of sig: a is checked when its row is computed, b through a ^ b,
+    which has a bit at or above n exactly when b is negative or too wide.
     """
-    total = ((a & b) >> sig.p).bit_count()
-    s = a >> 1
-    while s:
-        total += (s & b).bit_count()
-        s >>= 1
-    return a ^ b, -1 if total & 1 else 1
+    r = sig._rows.get(a)
+    if r is None or type(a) is not int:  # True would find the row of 1
+        r = _row_mask(sig, a)
+    if type(b) is not int:
+        raise _mask_error(sig, b)
+    m = a ^ b
+    if m >> sig.p >> sig.q:
+        raise _mask_error(sig, b)
+    return m, -1 if (r & b).bit_count() & 1 else 1
+
+
+def blade_row(sig: SignatureSpec, a: int) -> List[Tuple[int, int]]:
+    """blade_product(sig, a, b) for b = 0 .. 2^n - 1, from one row mask."""
+    r = _row_mask(sig, a)
+    return [(a ^ b, -1 if (r & b).bit_count() & 1 else 1) for b in range(1 << sig.n)]
 
 
 def blade_indices(mask: int) -> Tuple[int, ...]:
+    """The 1-based generator indices of a blade mask, ascending; TypeError
+    for a mask that is not an int, ValueError for a negative one."""
+    if type(mask) is not int:
+        raise TypeError(f"blade mask {mask!r} is not an int")
+    if mask < 0:
+        raise ValueError(f"blade mask {mask} is negative")
     out = []
     i = 1
     while mask:
@@ -367,9 +420,9 @@ def blade_mask(indices: Iterable[int]) -> int:
 
 
 def blade_name(mask: int) -> str:
-    if mask == 0:
-        return "1"
     idx = blade_indices(mask)
+    if not idx:
+        return "1"
     if idx[-1] <= 9:
         return "e" + "".join(str(i) for i in idx)
     return "e{" + ",".join(str(i) for i in idx) + "}"
@@ -514,18 +567,23 @@ class MultiVector:
     def __mul__(self, other) -> "MultiVector":
         if not isinstance(other, MultiVector):
             return self._scaled(GaussianScalar.of(other))
-        self._check_sig(other)
         sig = self.sig
+        if sig is not other.sig:
+            self._check_sig(other)
         if self._c is None and other._c is None:
             mask, sgn = blade_product(sig, self._m, other._m)
             a, b, c, d = self._re, self._im, other._re, other._im
             if sgn < 0:
                 a, b = -a, -b
-            re, im = a * c - b * d, a * d + b * c  # nonzero: a product of nonzero scalars
+            # nonzero: a product of nonzero scalars
+            if not b and not d:  # both real: no cross terms
+                re, im = a * c, 0
+            else:
+                re, im = a * c - b * d, a * d + b * c
+                if type(im) is not int and im.denominator == 1:
+                    im = im.numerator
             if type(re) is not int and re.denominator == 1:
                 re = re.numerator
-            if type(im) is not int and im.denominator == 1:
-                im = im.numerator
             return _term(sig, mask, re, im)
         acc: Dict[int, GaussianScalar] = {}
         for ma, ca in self._terms().items():

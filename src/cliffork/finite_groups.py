@@ -22,7 +22,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .core_algebra import (
     SignatureSpec,
     blade_name,
-    blade_product,
+    blade_row,
     volume_square_sign,
 )
 from .spinor_repr import SpinMatrix
@@ -265,8 +265,7 @@ def vee_group(sig: SignatureSpec) -> GroupTable:
     table = []
     for a in range(1 << sig.n):
         row = []
-        for b in range(1 << sig.n):
-            mask, s = blade_product(sig, a, b)
+        for mask, s in blade_row(sig, a):
             k = 2 * mask + (s < 0)
             row += (k, k ^ 1)  # times (b, +1), then times (b, -1)
         table += (row, [k ^ 1 for k in row])  # the rows of (a, +1) and (a, -1)

@@ -449,10 +449,9 @@ def suite_quotient(max_n: int = 7) -> SuiteResult:
 
 
 # the core suite multiplies every pair of blades of every signature, so each
-# step of the bound costs about 4.5x (0.11 s at 6, 0.46 s at 7, 2.3 s at 8 on
-# a 2-core Xeon in its fast state, best runs; 0.25, 1.1 and 5.2 s when every
-# multivector held a dict of scalars); it stops where the salingaros suite
-# stops
+# step of the bound costs about 4.5x (0.105 s at 6, 0.47 s at 7, 1.9 s at 8
+# on a 2-core Xeon, best of 4 runs; its slow state reads up to 2x more); it
+# stops where the salingaros suite stops
 CORE_MAX_N = 8
 
 

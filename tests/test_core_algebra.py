@@ -1,9 +1,10 @@
 """Core multivector arithmetic checks.
 
 The blade product is verified against an independent permutation-sort oracle
-before anything else relies on it.  Gaussian scalars and multivector
-products are checked against a plain reference on (Fraction, Fraction)
-pairs, the exact arithmetic the int-backed canonical form replaces.
+before anything else relies on it, and against the bit-walking loop its row
+masks replaced.  Gaussian scalars and multivector products are checked
+against a plain reference on (Fraction, Fraction) pairs, the exact
+arithmetic the int-backed canonical form replaces.
 """
 
 import copy
@@ -23,6 +24,7 @@ from cliffork.core_algebra import (
     blade_mask,
     blade_name,
     blade_product,
+    blade_row,
     center_basis,
     conjugation_sign,
     format_gaussian,
@@ -35,33 +37,7 @@ from cliffork.core_algebra import (
 )
 from cliffork.spinor_repr import SpinMatrix
 
-
-# ---------------------------------------------------------------------------
-# oracle: sort the concatenated index list with a bubble sort, counting swaps,
-# then contract equal neighbours with the metric
-
-
-def oracle_blade_product(sig, a, b):
-    seq = list(blade_indices(a)) + list(blade_indices(b))
-    sign = 1
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(seq) - 1):
-            if seq[i] > seq[i + 1]:
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
-                sign = -sign
-                changed = True
-    out = []
-    i = 0
-    while i < len(seq):
-        if i + 1 < len(seq) and seq[i] == seq[i + 1]:
-            sign *= sig.metric(seq[i])
-            i += 2
-        else:
-            out.append(seq[i])
-            i += 1
-    return blade_mask(out), sign
+from blade_oracle import loop_blade_product, oracle_blade_product
 
 
 SMALL_SIGS = [SignatureSpec(p, q) for n in range(0, 6) for p in range(n + 1) for q in [n - p]]
@@ -89,6 +65,71 @@ def test_blade_product_matches_oracle_random(p, extra, a, b):
     a &= mask
     b &= mask
     assert blade_product(sig, a, b) == oracle_blade_product(sig, a, b)
+
+
+# every p at n = 7, and at n = 8 the two ends and a middle
+LOOP_SIGS = [SignatureSpec(p, 7 - p) for p in range(8)] + [
+    SignatureSpec(p, 8 - p) for p in (0, 3, 8)]
+
+
+@pytest.mark.parametrize("sig", LOOP_SIGS, ids=str)
+def test_blade_product_matches_the_loop_it_replaced(sig):
+    dim = 1 << sig.n
+    for a in range(dim):
+        want = [loop_blade_product(sig, a, b) for b in range(dim)]
+        assert [blade_product(sig, a, b) for b in range(dim)] == want
+        assert blade_row(sig, a) == want
+    assert len(sig._rows) == dim
+
+
+def test_row_masks_are_not_shared_between_signatures():
+    # alternating calls on the same masks: a memo keyed by mask alone, or
+    # shared between equal-width signatures, gives one of them wrong signs
+    sigs = (SignatureSpec(2, 3), SignatureSpec(4, 1), SignatureSpec(2, 3, "C"),
+            SignatureSpec(2, 3))
+    for a in range(32):
+        for b in range(32):
+            for sig in sigs:
+                assert blade_product(sig, a, b) == loop_blade_product(sig, a, b)
+    assert blade_product(sigs[0], 0b10000, 0b10000) == (0, -1)
+    assert blade_product(sigs[1], 0b01000, 0b01000) == (0, 1)
+
+
+def test_blade_helpers_reject_masks_outside_the_signature():
+    sig = SignatureSpec(2, 1)
+    blade_product(sig, 1, 1)  # the row of 1 is in the memo from here on
+    # a negative or too wide mask on either side, e4 included, which Cl(2,1)
+    # does not have
+    for a, b, bad in ((-1, 1, -1), (1, -1, -1), (0b1000, 0b1000, 0b1000),
+                      (1, 0b1000, 0b1000), (0b1000, 1, 0b1000), (7, 1 << 70, 1 << 70)):
+        with pytest.raises(ValueError, match=rf"^blade mask {bad} is not a blade of Cl\(2,1\)$"):
+            blade_product(sig, a, b)
+    with pytest.raises(ValueError, match=r"blade mask 8 is not a blade of C\(3\|2,1\)"):
+        blade_row(SignatureSpec(2, 1, "C"), 8)
+    # a mask that is not an int, on either side, even one equal to an int
+    for mask in (1.0, 1.5, True, Fraction(1), "1", None):
+        for a, b in ((mask, 1), (1, mask)):
+            with pytest.raises(TypeError, match=re.escape(f"blade mask {mask!r} is not an int")):
+                blade_product(sig, a, b)
+        with pytest.raises(TypeError, match=re.escape(f"blade mask {mask!r} is not an int")):
+            blade_row(sig, mask)
+        with pytest.raises(TypeError, match=re.escape(f"blade mask {mask!r} is not an int")):
+            blade_name(mask)
+    assert sorted(sig._rows) == [1, 7]  # only blades of Cl(2,1) enter the memo
+    # a negative mask has no generator indices
+    for mask in (-1, -2):
+        with pytest.raises(ValueError, match=f"^blade mask {mask} is negative$"):
+            blade_indices(mask)
+        with pytest.raises(ValueError, match=f"^blade mask {mask} is negative$"):
+            blade_name(mask)
+    with pytest.raises(TypeError, match="blade mask 1.5 is not an int"):
+        blade_indices(1.5)
+    assert (blade_indices(0), blade_name(0), blade_name(0b101)) == ((), "1", "e13")
+    # the empty signature has one blade
+    empty = SignatureSpec(0, 0)
+    assert blade_product(empty, 0, 0) == (0, 1) and blade_row(empty, 0) == [(0, 1)]
+    with pytest.raises(ValueError, match=r"blade mask 1 is not a blade of Cl\(0,0\)"):
+        blade_product(empty, 0, 1)
 
 
 def test_blade_product_examples():
@@ -617,6 +658,14 @@ def test_signature_of_passes_a_spec_through_or_builds_one():
 
 def test_scalar_and_signature_are_immutable_value_records():
     z, sig = GaussianScalar("1/2", 3), SignatureSpec(1, 3)
+    # the row masks that products leave in the memo change none of the below
+    for a in range(16):
+        blade_product(sig, a, 15 - a)
+    assert volume_square(sig) == GaussianScalar(-1)
+    assert len(sig._rows) == 16
+    assert pickle.dumps(sig) == pickle.dumps(SignatureSpec(1, 3))
+    assert copy.copy(sig)._rows == {} and copy.deepcopy(sig)._rows == {}
+    assert repr(sig) == "SignatureSpec(p=1, q=3, field='R')" and str(sig) == "Cl(1,3)"
     # equal and hashed by value, and never equal to another type
     assert z == GaussianScalar(Fraction(1, 2), Fraction(6, 2)) and z != GaussianScalar("1/2")
     assert hash(z) == hash(GaussianScalar(Fraction(1, 2), 3))
@@ -628,7 +677,8 @@ def test_scalar_and_signature_are_immutable_value_records():
     assert sig.__eq__((1, 3, "R")) is NotImplemented
     assert {sig: "x"}[SignatureSpec(1, 3)] == "x"
     # immutable, with no room for other attributes
-    for record, name in ((z, "re"), (z, "im"), (sig, "p"), (sig, "q"), (sig, "field")):
+    for record, name in ((z, "re"), (z, "im"), (sig, "p"), (sig, "q"), (sig, "field"),
+                         (sig, "_rows")):
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(record, name, 0)
         with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):

@@ -39,6 +39,7 @@ from cliffork.spinor_repr import (
     build_spinbasis,
     sweep_spinbasis_variants,
 )
+from blade_oracle import oracle_blade_product
 from small_group_catalog import (
     _catalog,
     _cyclic,
@@ -373,14 +374,15 @@ def test_vee_group_order():
 
 
 def _vee_group_reference(sig):
-    """One blade product per pair of signed blades, each looked up by value."""
+    """One bubble-sort blade product per pair of signed blades, each looked
+    up by value: it shares no code with the sign rule vee_group reads."""
     blades = [(mask, sign) for mask in range(1 << sig.n) for sign in (1, -1)]
     index = {sb: i for i, sb in enumerate(blades)}
     table = []
     for a in blades:
         row = []
         for b in blades:
-            mask, s = blade_product(sig, a[0], b[0])
+            mask, s = oracle_blade_product(sig, a[0], b[0])
             row.append(index[(mask, s * a[1] * b[1])])
         table.append(row)
     return [_signed_blade_label(sb) for sb in blades], table, index[(0, 1)]
