@@ -313,7 +313,9 @@ class SignatureSpec:
         return self.p + self.q
 
     def metric(self, i: int) -> int:
-        """Square of generator e_i, 1-based."""
+        """Square of generator e_i, 1-based; TypeError or ValueError for no such i."""
+        if type(i) is not int:  # neither a bool nor a float such as 2.0
+            raise TypeError(f"generator index {i!r} is not an int")
         if not 1 <= i <= self.n:
             raise ValueError(f"generator index {i} outside 1..{self.n}")
         return 1 if i <= self.p else -1
@@ -410,6 +412,8 @@ def blade_indices(mask: int) -> Tuple[int, ...]:
 def blade_mask(indices: Iterable[int]) -> int:
     mask = 0
     for i in indices:
+        if type(i) is not int:
+            raise TypeError(f"generator index {i!r} is not an int")
         if i < 1:
             raise ValueError("generator indices are 1-based")
         bit = 1 << (i - 1)

@@ -523,7 +523,7 @@ def admissible_groups(signature: Sequence[int], typ: int) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# full report and census sweeps
+# full report and the quaternionic stream
 
 
 def ext_group_report(basis: SpinBasis) -> ExtGroupReport:
@@ -551,35 +551,16 @@ def ext_group_report(basis: SpinBasis) -> ExtGroupReport:
     return report
 
 
-def quaternionic_cells(max_n: int) -> List[SignatureSpec]:
-    """Every quaternionic signature (types 4 and 6) with p + q <= max_n.
-    Raises ValueError when max_n passes the spinor size limit."""
-    check_spinor_size(max_n)
-    return [SignatureSpec(p, n - p)
-            for n in range(2, max_n + 1, 2)
-            for p in range(n + 1)
-            if (2 * p - n) % 8 in (4, 6)]
-
-
 def quaternionic_signatures(max_n: int = 10) -> Iterator[Tuple]:
-    """(sig, basis, report) over every quaternionic signature with
-    p + q <= max_n and every census-split variant with its reversed and
-    sign-flipped tweaks.  The cells are listed, and the size limit checked,
-    when this is called, before any basis is built."""
-    cells = quaternionic_cells(max_n)
+    """(sig, basis, report), built one pair at a time, for each census-split
+    variant (with its reversed and sign-flipped tweaks) of each quaternionic
+    cell with p + q <= max_n; every cell has one or more.  ValueError past the
+    spinor size limit, from the call itself, before any basis is built."""
+    check_spinor_size(max_n)
+    cells = [SignatureSpec(p, n - p)
+             for n in range(2, max_n + 1, 2)
+             for p in range(n + 1)
+             if (2 * p - n) % 8 in (4, 6)]
     return ((sig, basis, ext_group_report(basis))
             for sig in cells
             for basis in sweep_spinbasis_variants(sig))
-
-
-def enumerate_signatures(max_n: int = 10) -> Dict[Tuple[int, ...], List[str]]:
-    """Distinct realized 7-signatures mapped to the labels that realize them.
-    Every signature is already checked against the admissible case table:
-    `ext_group_report` raises on a real type-4/6 signature outside it, and
-    every report `quaternionic_signatures` yields is one."""
-    realized: Dict[Tuple[int, ...], List[str]] = {}
-    for sig, basis, report in quaternionic_signatures(max_n):
-        realized.setdefault(report.signature, []).append(
-            f"{sig}:{basis.name}"
-        )
-    return realized

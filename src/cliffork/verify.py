@@ -3,9 +3,9 @@
 Each suite recomputes one family of results against an independent route
 (the printed tables under `data/`, the census predicates, or a direct
 matrix or multivector check) and returns a SuiteResult with its check count
-and counterexamples.  The pseudo, defining and commutation sweeps read the
-quaternionic cells through `quaternionic_signatures`, the iterator the
-census suite reaches through `enumerate_signatures`.
+and counterexamples.  A run of the four sweeps walks their one stream of
+(basis, report) pairs, `quaternionic_signatures`, once: pseudo, defining and
+commutation check each pair, census the signatures the pairs realize.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import functools
 import json
 import time
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .classification import TABLE_KINDS, build_table
 from .core_algebra import (
@@ -32,9 +32,9 @@ from .ext_automorphisms import (
     DEFINING_RELATIONS,
     MATRIX_NAMES,
     PHYSICAL_NAMES,
+    ExtGroupReport,
     comm_parity_terms,
     cover_row,
-    enumerate_signatures,
     ext_group_report,
     predicted_F_square,
     predicted_K_square,
@@ -43,7 +43,6 @@ from .ext_automorphisms import (
     printed_pi_bar_applicable,
     printed_pi_bar_mod4,
     product_square_sign,
-    quaternionic_cells,
     quaternionic_signatures,
     universal_comm_sign,
 )
@@ -73,7 +72,7 @@ class SuiteResult:
         self.checked = checked
         self.counterexamples = counterexamples
         self.detail = detail
-        self.elapsed = 0.0  # set by run_suite
+        self.elapsed = 0.0  # set by run_suite or the sweep pass
 
     def to_dict(self) -> dict:
         return {
@@ -231,119 +230,128 @@ def suite_example2() -> SuiteResult:
     return SuiteResult("example2", not cex, checked, cex, detail)
 
 
-def _flag(cex: List[dict], sig: SignatureSpec, basis: SpinBasis, **kw) -> None:
-    cex.append({"sig": str(sig), "basis": basis.name, **kw})
-
-
-def _sweep_result(name: str, max_n: int, checked: int, cex: List[dict]) -> SuiteResult:
-    detail = f"{len(quaternionic_cells(max_n))} signature cells, p+q <= {max_n}"
-    return SuiteResult(name, not cex, checked, cex, detail)
-
-
-def suite_pseudo(max_n: int = 8) -> SuiteResult:
-    """Coefficient-conjugation matrix on the quaternionic sweep: defining
-    relation, square of the induced antilinear map both by prediction and
-    directly, and the printed mod-4 rule on its applicable subdomain."""
-    checked = 0
-    cex: List[dict] = []
-    for sig, basis, report in quaternionic_signatures(max_n):
-        census = report.census
-        pi, form = report.matrices["Pi"].matrix, report.matrices["Pi"].form
-        for i, u in enumerate(basis.mats):
-            checked += 1
-            if not DEFINING_RELATIONS["Pi"](u, pi):
-                _flag(cex, sig, basis, check="defining", unit=i + 1)
-        direct = pi * pi.conj()
-        want = predicted_pi_bar(census, form)
-        checked += 1
-        if direct != SpinMatrix.identity(basis.dim) * want:
-            _flag(cex, sig, basis, check="pi_bar_vs_prediction", predicted=want)
-        checked += 1
-        if report.pi_bar_sign != -1:  # antilinear intertwiner over ring H
-            _flag(cex, sig, basis, check="pi_bar_commutant", got=report.pi_bar_sign)
-        if printed_pi_bar_applicable(census, form):
-            checked += 1
-            if report.pi_bar_sign != printed_pi_bar_mod4(census, form):
-                _flag(cex, sig, basis, check="pi_bar_printed_rule")
-    return _sweep_result("pseudo", max_n, checked, cex)
+# A per-basis check yields one outcome per check it makes on one
+# (sig, basis, report): True when the check holds, else the fields of its
+# counterexample, which the pass prefixes with the basis's sig and name.
+def _check_pseudo(sig: SignatureSpec, basis: SpinBasis, report: ExtGroupReport) -> Iterator:
+    """Coefficient-conjugation matrix: defining relation, square of the
+    induced antilinear map both by prediction and directly, and the printed
+    mod-4 rule on its applicable subdomain."""
+    census = report.census
+    pi, form = report.matrices["Pi"].matrix, report.matrices["Pi"].form
+    for i, u in enumerate(basis.mats):
+        yield DEFINING_RELATIONS["Pi"](u, pi) or {"check": "defining", "unit": i + 1}
+    want = predicted_pi_bar(census, form)
+    yield pi * pi.conj() == SpinMatrix.identity(basis.dim) * want or \
+        {"check": "pi_bar_vs_prediction", "predicted": want}
+    # an antilinear intertwiner over ring H
+    yield report.pi_bar_sign == -1 or {"check": "pi_bar_commutant", "got": report.pi_bar_sign}
+    if printed_pi_bar_applicable(census, form):
+        yield report.pi_bar_sign == printed_pi_bar_mod4(census, form) or \
+            {"check": "pi_bar_printed_rule"}
 
 
 _SQUARE_PREDICTORS = {"K": predicted_K_square, "S": predicted_S_square, "F": predicted_F_square}
 
 
-def suite_defining(max_n: int = 8) -> SuiteResult:
+def _check_defining(sig: SignatureSpec, basis: SpinBasis, report: ExtGroupReport) -> Iterator:
     """K, S, F defining relations and all square-parity predicates vs the
-    direct matrix squares on the quaternionic sweep."""
-    checked = 0
-    cex: List[dict] = []
-    for sig, basis, report in quaternionic_signatures(max_n):
-        mats, census = report.matrices, report.census
-        squares = dict(zip(MATRIX_NAMES, report.signature))
-        ident = SpinMatrix.identity(basis.dim)
-        for name, predict in _SQUARE_PREDICTORS.items():
-            x, rel = mats[name].matrix, DEFINING_RELATIONS[name]
-            for i, u in enumerate(basis.mats):
-                checked += 1
-                if not rel(u, x):
-                    _flag(cex, sig, basis, check="defining", matrix=name, unit=i + 1)
-            want = predict(census, mats[name].form)
-            checked += 2
-            if squares[name] != want:
-                _flag(cex, sig, basis, check="square_predicate", matrix=name,
-                      got=squares[name], predicted=want)
-            if x * x != ident * squares[name]:
-                _flag(cex, sig, basis, check="square_direct", matrix=name)
-        for name in MATRIX_NAMES:
-            m = mats[name]
-            negatives = sum(1 for i in m.factors if i > sig.p)
-            checked += 1
-            if squares[name] != product_square_sign(len(m.factors), negatives):
-                _flag(cex, sig, basis, check="square_census_rule", matrix=name)
-    return _sweep_result("defining", max_n, checked, cex)
+    direct matrix squares."""
+    mats, census = report.matrices, report.census
+    squares = dict(zip(MATRIX_NAMES, report.signature))
+    ident = SpinMatrix.identity(basis.dim)
+    for name, predict in _SQUARE_PREDICTORS.items():
+        x, rel = mats[name].matrix, DEFINING_RELATIONS[name]
+        for i, u in enumerate(basis.mats):
+            yield rel(u, x) or {"check": "defining", "matrix": name, "unit": i + 1}
+        want = predict(census, mats[name].form)
+        yield squares[name] == want or {"check": "square_predicate", "matrix": name,
+                                         "got": squares[name], "predicted": want}
+        yield x * x == ident * squares[name] or {"check": "square_direct", "matrix": name}
+    for name in MATRIX_NAMES:
+        m = mats[name]
+        negatives = sum(1 for i in m.factors if i > sig.p)
+        yield squares[name] == product_square_sign(len(m.factors), negatives) or \
+            {"check": "square_census_rule", "matrix": name}
 
 
-def suite_commutation(max_n: int = 8) -> SuiteResult:
+def _check_commutation(sig: SignatureSpec, basis: SpinBasis, report: ExtGroupReport) -> Iterator:
     """Every pairwise (anti)commutation among the seven matrices vs the
-    parity predicates and the universal factor-count rule, on the sweep."""
-    checked = 0
-    cex: List[dict] = []
+    parity predicates and the universal factor-count rule."""
+    mats = report.matrices
+    forms = {name: mats[name].form for name in MATRIX_NAMES}
+    for pair, got in report.commutation.items():
+        yield got == universal_comm_sign(mats[pair[0]].factors, mats[pair[1]].factors) or \
+            {"check": "universal_rule", "pair": list(pair), "got": got}
+        terms = comm_parity_terms(pair, forms, report.census)
+        if terms is None:
+            continue
+        printed, correction = terms
+        yield got == (1 if (printed + correction) % 2 == 0 else -1) or \
+            {"check": "parity_predicate", "pair": list(pair), "got": got}
+        if correction == 0:
+            yield got == (1 if printed == 0 else -1) or \
+                {"check": "printed_clause", "pair": list(pair), "got": got}
+
+
+def _cells_total(cells: int, realized: set, max_n: int) -> Tuple[list, str]:
+    return [], f"{cells} signature cells, p+q <= {max_n}"
+
+
+def _census_total(cells: int, realized: set, max_n: int) -> Tuple[list, str]:
+    """Each realized seven-sign vector in one of the four admissible minus
+    counts, and at most 64 of them.  Each is already inside the admissible
+    case table: `ext_group_report` raises on a real type-4/6 one outside."""
+    outcomes = [signature.count(-1) in (0, 2, 4, 6)
+                or {"signature": list(signature), "minus_count": signature.count(-1)}
+                for signature in sorted(realized)]
+    outcomes.append(len(realized) <= 64 or {"check": "count", "distinct": len(realized)})
+    return outcomes, f"{len(realized)} distinct signatures realized (bound 64), p+q <= {max_n}"
+
+
+# the quaternionic sweeps: name -> (per-basis check, outcomes and detail from
+# the stream's cell count and realized signatures once the stream ends); the
+# census checks only the realized signatures
+_SWEEPS = {
+    "pseudo": (_check_pseudo, _cells_total),
+    "defining": (_check_defining, _cells_total),
+    "commutation": (_check_commutation, _cells_total),
+    "census": (lambda sig, basis, report: (), _census_total),
+}
+_SWEEP_MAX_N = 8  # the sweeps' default bound, the acceptance gate's domain
+
+
+def _sweep_pass(names: Sequence[str], max_n: int) -> List[SuiteResult]:
+    """The named sweeps over one walk of `quaternionic_signatures(max_n)`,
+    which holds one (sig, basis, report) at a time.  Each result's elapsed is
+    its own checks' time plus an equal share of the stream's, so the sweeps'
+    values add up to the pass."""
+    t0 = time.monotonic()
+    results = [SuiteResult(name, True, 0, []) for name in names]
+    cells, realized = set(), set()
     for sig, basis, report in quaternionic_signatures(max_n):
-        mats, census = report.matrices, report.census
-        forms = {name: mats[name].form for name in MATRIX_NAMES}
-        for pair, got in report.commutation.items():
-            checked += 1
-            if got != universal_comm_sign(mats[pair[0]].factors, mats[pair[1]].factors):
-                _flag(cex, sig, basis, check="universal_rule", pair=list(pair), got=got)
-            terms = comm_parity_terms(pair, forms, census)
-            if terms is None:
-                continue
-            printed, correction = terms
-            checked += 1
-            if got != (1 if (printed + correction) % 2 == 0 else -1):
-                _flag(cex, sig, basis, check="parity_predicate", pair=list(pair), got=got)
-            if correction == 0:
-                checked += 1
-                if got != (1 if printed == 0 else -1):
-                    _flag(cex, sig, basis, check="printed_clause", pair=list(pair), got=got)
-    return _sweep_result("commutation", max_n, checked, cex)
+        cells.add(sig)
+        realized.add(report.signature)
+        for result in results:
+            t = time.monotonic()
+            outcomes = list(_SWEEPS[result.name][0](sig, basis, report))
+            result.checked += len(outcomes)
+            result.counterexamples += [{"sig": str(sig), "basis": basis.name, **outcome}
+                                       for outcome in outcomes if outcome is not True]
+            result.elapsed += time.monotonic() - t
+    share = (time.monotonic() - t0 - sum(result.elapsed for result in results)) / len(results)
+    for result in results:
+        t = time.monotonic()
+        outcomes, result.detail = _SWEEPS[result.name][1](len(cells), realized, max_n)
+        result.checked += len(outcomes)
+        result.counterexamples += [outcome for outcome in outcomes if outcome is not True]
+        result.ok = not result.counterexamples
+        result.elapsed += share + time.monotonic() - t
+    return results
 
 
-def suite_census(max_n: int = 8) -> SuiteResult:
-    """Realized seven-sign vectors over the sweep: all must fall in the four
-    admissible minus-count patterns, with at most 64 distinct vectors."""
-    realized = enumerate_signatures(max_n=max_n)
-    cex: List[dict] = []
-    checked = 0
-    for signature in sorted(realized):
-        checked += 1
-        minus = sum(1 for s in signature if s == -1)
-        if minus not in (0, 2, 4, 6):
-            cex.append({"signature": list(signature), "minus_count": minus})
-    checked += 1
-    if len(realized) > 64:
-        cex.append({"check": "count", "distinct": len(realized)})
-    detail = f"{len(realized)} distinct signatures realized (bound 64), p+q <= {max_n}"
-    return SuiteResult("census", not cex, checked, cex, detail)
+def _sweep_suite(name: str, max_n: int = _SWEEP_MAX_N) -> SuiteResult:
+    return _sweep_pass([name], max_n)[0]
 
 
 def suite_salingaros(max_n: int = 6) -> SuiteResult:
@@ -522,10 +530,7 @@ _SUITE_FUNCS = {
     "tables": suite_tables,
     "example1": suite_example1,
     "example2": suite_example2,
-    "pseudo": suite_pseudo,
-    "defining": suite_defining,
-    "commutation": suite_commutation,
-    "census": suite_census,
+    **{name: functools.partial(_sweep_suite, name) for name in _SWEEPS},
     "salingaros": suite_salingaros,
     "quotient": suite_quotient,
     "core": suite_core,
@@ -534,7 +539,7 @@ SUITE_NAMES = tuple(_SUITE_FUNCS)
 
 # the size check that each capped suite also runs on entry
 _SIZE_CHECKS = {
-    **dict.fromkeys(("pseudo", "defining", "commutation", "census"), check_spinor_size),
+    **dict.fromkeys(_SWEEPS, check_spinor_size),
     "salingaros": check_vee_size,
     "core": _check_core_size,
 }
@@ -565,7 +570,7 @@ def check_suite_bounds(names: Sequence[str], max_n: Optional[int]) -> None:
 def run_suite(name: str, max_n: Optional[int] = None) -> SuiteResult:
     """Run one suite at p+q <= max_n, or at the suite's own default bound
     when max_n is None (0 is a bound like any other).  A fixed-domain suite
-    reads no bound and ignores max_n."""
+    reads no bound and ignores max_n.  Its elapsed is the whole call."""
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     suite = _SUITE_FUNCS[name]
@@ -573,3 +578,14 @@ def run_suite(name: str, max_n: Optional[int] = None) -> SuiteResult:
     result = suite() if max_n is None or name in _FIXED_DOMAIN else suite(max_n)
     result.elapsed = time.monotonic() - t0
     return result
+
+
+def run_suites(names: Sequence[str], max_n: Optional[int] = None) -> List[SuiteResult]:
+    """Run the named suites after check_suite_bounds, giving results in the
+    order of names: the sweeps in one pass over the quaternionic stream, so
+    each (basis, report) pair is built once, and the others by run_suite."""
+    check_suite_bounds(names, max_n)
+    sweeps = [name for name in names if name in _SWEEPS]
+    bound = _SWEEP_MAX_N if max_n is None else max_n
+    shared = dict(zip(sweeps, _sweep_pass(sweeps, bound))) if sweeps else {}
+    return [shared[name] if name in shared else run_suite(name, max_n) for name in names]

@@ -7,6 +7,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,9 +158,11 @@ class TestExitCodes:
         def suite_body(max_n=None):
             raise AssertionError("a suite body ran")
 
-        # every bound is checked before the first suite body runs
+        # every bound is checked before the first suite body runs; the sweeps
+        # of `verify --suite all` start from the stream, not from their bodies
         for name in SUITE_NAMES:
             monkeypatch.setitem(verify._SUITE_FUNCS, name, suite_body)
+        monkeypatch.setattr(verify, "quaternionic_signatures", suite_body)
         path = str(tmp_path / "basis.json")
         if basis is not None:
             with open(path, "w") as fh:
@@ -538,13 +542,14 @@ class TestVerifyVerb:
         assert blob["suite"] == "tables"
         assert blob["counterexamples"][0]["want"] == "R"
 
+    @pytest.mark.parametrize("suite", ["pseudo", "all"])
     def test_failed_relation_is_an_internal_check_not_a_counterexample(self, capsys,
-                                                                        monkeypatch):
+                                                                        monkeypatch, suite):
         # ext_group_report checks every defining relation before any sweep
         # check runs, so a failed relation exits 1 through the internal check
         # path and never reaches the suite's counterexample list
         monkeypatch.setitem(ext_automorphisms.DEFINING_RELATIONS, "Pi", lambda u, x: False)
-        assert run(["verify", "--suite", "pseudo", "--max", "2"]) == 1
+        assert run(["verify", "--suite", suite, "--max", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: verify: internal check failed: Pi relation failed at unit 1\n"
         payload = json.loads(captured.out)
@@ -636,6 +641,67 @@ class TestSweepSuites:
         assert {name: (r.ok, r.counterexamples, r.checked, r.detail)
                 for name, r in sweeps_at_twelve.items()} == \
             {name: (True, [], *pin) for name, pin in SWEEP_PINS_AT_TWELVE.items()}
+
+
+class TestSweepPass:
+    """`run_suites` runs the selected sweeps in one pass over the stream of
+    (sig, basis, report) pairs; each result matches its lone run_suite."""
+
+    def test_one_pass_matches_four_runs_at_bound_six(self, sweeps_at_six):
+        shared = verify.run_suites(list(SWEEP_PINS), 6)
+        assert [r.name for r in shared] == list(SWEEP_PINS)
+        assert [(r.ok, r.checked, r.detail, r.counterexamples) for r in shared] == \
+            [(r.ok, r.checked, r.detail, r.counterexamples) for r in sweeps_at_six.values()]
+
+    def test_a_flagged_basis_gives_the_same_counterexamples_both_ways(self, monkeypatch):
+        check, total = verify._SWEEPS["defining"]
+
+        def flags_one(sig, basis, report):
+            yield from check(sig, basis, report)
+            yield not (basis.name.endswith(",flipped") and sig == SignatureSpec(1, 3)) or \
+                {"check": "planted"}
+
+        monkeypatch.setitem(verify._SWEEPS, "defining", (flags_one, total))
+        lone = run_suite("defining", 4)
+        shared = dict(zip(SWEEP_PINS, verify.run_suites(list(SWEEP_PINS), 4)))
+        assert not lone.ok and not shared["defining"].ok
+        assert [c["check"] for c in lone.counterexamples] == ["planted"] * 4
+        assert shared["defining"].counterexamples == lone.counterexamples
+        assert all(shared[name].ok for name in ("pseudo", "commutation", "census"))
+
+    def test_verify_all_builds_each_pair_once(self, capsys, monkeypatch):
+        real, calls = ext_automorphisms.ext_group_report, []
+
+        def counted(basis):
+            calls.append(basis.name)
+            return real(basis)
+
+        monkeypatch.setattr(ext_automorphisms, "ext_group_report", counted)
+        assert run(["verify", "--suite", "all", "--max", "6"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 90  # the pairs at p+q <= 6; one run_suite per sweep makes 360
+
+    def test_the_pass_holds_one_pair_at_a_time(self, monkeypatch):
+        real, refs, dead = verify.quaternionic_signatures, [], []
+
+        def stream(max_n):
+            for item in real(max_n):
+                refs.append(weakref.ref(item[2]))
+                yield item
+                # the next pair is requested: the report two items back is gone
+                if len(refs) >= 2:
+                    dead.append(refs[-2]() is None)
+
+        monkeypatch.setattr(verify, "quaternionic_signatures", stream)
+        assert all(r.ok for r in verify.run_suites(list(SWEEP_PINS), 6))
+        assert len(dead) == 89 and all(dead)
+
+    def test_shared_elapsed_adds_up_to_the_pass(self):
+        t0 = time.monotonic()
+        shared = verify.run_suites(list(SWEEP_PINS), 4)
+        wall = time.monotonic() - t0
+        assert all(r.elapsed > 0 for r in shared)
+        assert sum(r.elapsed for r in shared) <= wall
 
 
 # (ok, checked, detail) of each algebra suite at the bound bench/run.py runs it at

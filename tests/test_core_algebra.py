@@ -116,6 +116,13 @@ def test_blade_helpers_reject_masks_outside_the_signature():
         with pytest.raises(TypeError, match=re.escape(f"blade mask {mask!r} is not an int")):
             blade_name(mask)
     assert sorted(sig._rows) == [1, 7]  # only blades of Cl(2,1) enter the memo
+    # a generator index that is not an int, even one equal to an int
+    for index in (2.5, 2.0, True, Fraction(1), "1", None):
+        message = re.escape(f"generator index {index!r} is not an int")
+        for call in (lambda: blade_mask([index]), lambda: blade_mask([1, index]),
+                     lambda: sig.metric(index), lambda: MultiVector.unit(sig, index)):
+            with pytest.raises(TypeError, match=message):
+                call()
     # a negative mask has no generator indices
     for mask in (-1, -2):
         with pytest.raises(ValueError, match=f"^blade mask {mask} is negative$"):

@@ -18,7 +18,6 @@ from cliffork.ext_automorphisms import (
     comm_parity_terms,
     commutation_profile,
     cover_row,
-    enumerate_signatures,
     ext_group_report,
     ext_matrices,
     predicted_K_square,
@@ -600,14 +599,6 @@ def test_comm_parity_terms_rejects_reversed_and_unknown_pairs():
     for pair in [(y, x) for x, y in ALL_PAIRS] + [("W", "W"), ("E", "E"), ("S", "S")]:
         with pytest.raises(KeyError):
             comm_parity_terms(pair, forms, census)
-
-
-def test_enumerate_signatures_respects_census_bound():
-    realized = enumerate_signatures(max_n=8)
-    assert 0 < len(realized) <= 64
-    for signature in realized:
-        minus = sum(1 for s in signature if s == -1)
-        assert minus in (0, 2, 4, 6)
 
 
 # ---------------------------------------------------------------------------
