@@ -91,15 +91,22 @@ def periodic_table_cell(sig_or_p, q=None) -> str:
     return ring if d == 1 else f"{ring}({d})"
 
 
-def complex_ring_label(n: int) -> str:
+def check_complex_dimension(n: int) -> None:
+    """TypeError unless n is an int (a bool or 4.5 is not), ValueError when
+    it is negative."""
+    if type(n) is not int:
+        raise TypeError(f"complex dimension must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"complex dimension {n} is negative")
+
+
+def complex_ring_label(n: int) -> str:
+    check_complex_dimension(n)
     return "C" if n % 2 == 0 else "2C"
 
 
 def complex_matrix_dimension(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"complex dimension {n} is negative")
+    check_complex_dimension(n)
     return 1 << (n // 2)
 
 

@@ -611,18 +611,6 @@ class MultiVector:
         # only scalars end up here
         return self._scaled(GaussianScalar.of(other))
 
-    def __pow__(self, k: int) -> "MultiVector":
-        if k < 0:
-            raise ValueError("negative powers not supported; invert explicitly")
-        out = MultiVector.scalar(self.sig, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiVector):
             if isinstance(other, (int, Fraction, GaussianScalar)):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .classification import odd_reduction, ring_label, type_index
+from .classification import check_complex_dimension, odd_reduction, ring_label, type_index
 from .core_algebra import SignatureSpec
 from .ext_automorphisms import CoverRow, cover_row, ext_group_report
 from .spinor_repr import SpinBasis, build_spinbasis
@@ -98,8 +98,7 @@ def _unchecked_pt_row(signature: Tuple[int, ...]) -> CoverRow:
 
 
 def _pt_complex(n: int) -> CoveringReport:
-    if n < 0:
-        raise ValueError("complex dimension must be nonnegative")
+    check_complex_dimension(n)
     if n % 4 in (0, 1):
         signature = (1, 1, 1)
     else:
@@ -194,12 +193,9 @@ def pt_structure(sig_or_n, q: Optional[int] = None, basis: Optional[SpinBasis] =
     A complex SignatureSpec raises ValueError: the complex report depends on
     n alone, so pass the bare dimension.
     """
-    if isinstance(sig_or_n, SignatureSpec):
-        sig = sig_or_n
-    elif q is None:
-        return _pt_complex(int(sig_or_n))
-    else:
-        sig = SignatureSpec(int(sig_or_n), int(q))
+    if q is None and not isinstance(sig_or_n, SignatureSpec):
+        return _pt_complex(sig_or_n)
+    sig = SignatureSpec.of(sig_or_n, q)
     if sig.field == "C":
         raise ValueError(
             f"PT reports over C depend on n alone; pass the dimension {sig.n}, not a mark"

@@ -29,7 +29,7 @@ entries:
     relations and its sign cocycle off the ints too, with no matrix product;
   * dense form, d x d exact Gaussian rationals, for every other matrix: a
     user-loaded basis that is not made of words (`ext-group --basis FILE`),
-    such as a signed permutation conjugate, and a sum of words.
+    such as a signed permutation conjugate.
 
 The form is canonical: any result that is a word is stored as a word,
 whichever path computed it, so == and hash stay exact across the two forms
@@ -115,9 +115,9 @@ class SpinMatrix:
     O(1) int work on it.
 
     Dense form: every other matrix, for instance a user-loaded unit such as
-    [[3/5,4/5],[4/5,-3/5]], a signed permutation that is not a word, a sum
-    of words such as MAT_A + MAT_B, or any matrix whose size is not a power
-    of two.  It keeps the d x d GaussianScalar entries; `word` is None.
+    [[3/5,4/5],[4/5,-3/5]], a signed permutation that is not a word, or any
+    matrix whose size is not a power of two.  It keeps the d x d
+    GaussianScalar entries; `word` is None.
 
     The form is canonical: a result that is a word is stored as one
     whichever path computed it, so == and hash are exact across the two
@@ -173,16 +173,6 @@ class SpinMatrix:
             d, c, x, z = self.word
             return _word(d, c + k, x, z)
         return SpinMatrix([[s * a for a in row] for row in self.rows])
-
-    def __add__(self, other: "SpinMatrix") -> "SpinMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return SpinMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other: "SpinMatrix") -> "SpinMatrix":
-        return self + (-other)
 
     def __neg__(self) -> "SpinMatrix":
         if self.word is None:

@@ -3,9 +3,13 @@
 Each suite recomputes one family of results against an independent route
 (the printed tables under `data/`, the census predicates, or a direct
 matrix or multivector check) and returns a SuiteResult with its check count
-and counterexamples.  A run of the four sweeps walks their one stream of
-(basis, report) pairs, `quaternionic_signatures`, once: pseudo, defining and
-commutation check each pair, census the signatures the pairs realize.
+and counterexamples.  One table, `_SUITES`, holds each suite's body, default
+p+q bound and cap, and `run_suites` is the one runner (`run_suite` runs one
+name through it): it checks every name and the bound before the first suite
+starts, as `verify --max` does, a negative bound included.  A run of the
+four sweeps walks their one stream of (basis, report) pairs,
+`quaternionic_signatures`, once: pseudo, defining and commutation check each
+pair, census the signatures the pairs realize.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ class SuiteResult:
         self.checked = checked
         self.counterexamples = counterexamples
         self.detail = detail
-        self.elapsed = 0.0  # set by run_suite or the sweep pass
+        self.elapsed = 0.0  # set by run_suites or the sweep pass
 
     def to_dict(self) -> dict:
         return {
@@ -318,7 +322,6 @@ _SWEEPS = {
     "commutation": (_check_commutation, _cells_total),
     "census": (lambda sig, basis, report: (), _census_total),
 }
-_SWEEP_MAX_N = 8  # the sweeps' default bound, the acceptance gate's domain
 
 
 def _sweep_pass(names: Sequence[str], max_n: int) -> List[SuiteResult]:
@@ -350,14 +353,8 @@ def _sweep_pass(names: Sequence[str], max_n: int) -> List[SuiteResult]:
     return results
 
 
-def _sweep_suite(name: str, max_n: int = _SWEEP_MAX_N) -> SuiteResult:
-    return _sweep_pass([name], max_n)[0]
-
-
-def suite_salingaros(max_n: int = 6) -> SuiteResult:
-    """G(p,q)/Z(p,q) elementary abelian of the predicted order, exhaustively.
-    ValueError above VEE_MAX_N, before any check runs."""
-    check_vee_size(max_n)
+def suite_salingaros(max_n: int) -> SuiteResult:
+    """G(p,q)/Z(p,q) elementary abelian of the predicted order, exhaustively."""
     cex: List[dict] = []
     checked = 0
     for n in range(max_n + 1):
@@ -394,7 +391,7 @@ def _quotient_contexts(max_n: int):
             yield epsilon_context(SignatureSpec(p, q, "C"))
 
 
-def suite_quotient(max_n: int = 7) -> SuiteResult:
+def suite_quotient(max_n: int) -> SuiteResult:
     """Idempotent identities, collapse-map homomorphism law, transfer
     predicates vs direct fixed-point tests, and the printed covering labels."""
     cex: List[dict] = []
@@ -469,12 +466,10 @@ def _check_core_size(max_n: int) -> None:
                          f"got {max_n}")
 
 
-def suite_core(max_n: int = 6) -> SuiteResult:
+def suite_core(max_n: int) -> SuiteResult:
     """Per-blade involution signs, involution-by-volume agreement, the
     multiplicativity of coefficient conjugation, volume squares and the
-    center, exhaustively over all signatures with p+q <= the bound.
-    ValueError above CORE_MAX_N, before any check runs."""
-    _check_core_size(max_n)
+    center, exhaustively over all signatures with p+q <= the bound."""
     cex: List[dict] = []
     checked = 0
     for n in range(max_n + 1):
@@ -526,66 +521,54 @@ def suite_core(max_n: int = 6) -> SuiteResult:
     return SuiteResult("core", not cex, checked, cex, f"all (p,q) with p+q <= {max_n}")
 
 
-_SUITE_FUNCS = {
-    "tables": suite_tables,
-    "example1": suite_example1,
-    "example2": suite_example2,
-    **{name: functools.partial(_sweep_suite, name) for name in _SWEEPS},
-    "salingaros": suite_salingaros,
-    "quotient": suite_quotient,
-    "core": suite_core,
+# name -> (body, default p+q bound, size check: ValueError above the cap), in
+# the order of `verify --suite all`.  _sweep_pass runs the sweeps, whose default
+# is the acceptance gate's domain; a fixed-domain suite has no default bound.
+_SUITES = {
+    "tables": (suite_tables, None, None),
+    "example1": (suite_example1, None, None),
+    "example2": (suite_example2, None, None),
+    **{name: (None, 8, check_spinor_size) for name in _SWEEPS},
+    "salingaros": (suite_salingaros, 6, check_vee_size),
+    "quotient": (suite_quotient, 7, None),
+    "core": (suite_core, 6, _check_core_size),
 }
-SUITE_NAMES = tuple(_SUITE_FUNCS)
-
-# the size check that each capped suite also runs on entry
-_SIZE_CHECKS = {
-    **dict.fromkeys(_SWEEPS, check_spinor_size),
-    "salingaros": check_vee_size,
-    "core": _check_core_size,
-}
-
-
-# the suites of a fixed domain (the printed grids, the bundled gamma basis),
-# which read no bound
-_FIXED_DOMAIN = ("tables", "example1", "example2")
-
-
-def check_suite_bounds(names: Sequence[str], max_n: Optional[int]) -> None:
-    """Raise the first suite's ValueError when max_n passes the cap of any
-    named suite, so that a run of several suites fails before the first one
-    starts, and a ValueError naming the suite when no named suite reads a
-    bound (a lone fixed-domain suite).  None (every suite's default bound)
-    is within every cap."""
-    if max_n is None:
-        return
-    if names and all(name in _FIXED_DOMAIN for name in names):
-        raise ValueError(f"the {names[0]} suite checks a fixed domain and takes no "
-                         f"p+q bound, got {max_n}")
-    for name in names:
-        check = _SIZE_CHECKS.get(name)
-        if check is not None:
-            check(max_n)
-
-
-def run_suite(name: str, max_n: Optional[int] = None) -> SuiteResult:
-    """Run one suite at p+q <= max_n, or at the suite's own default bound
-    when max_n is None (0 is a bound like any other).  A fixed-domain suite
-    reads no bound and ignores max_n.  Its elapsed is the whole call."""
-    if name not in _SUITE_FUNCS:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    suite = _SUITE_FUNCS[name]
-    t0 = time.monotonic()
-    result = suite() if max_n is None or name in _FIXED_DOMAIN else suite(max_n)
-    result.elapsed = time.monotonic() - t0
-    return result
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(names: Sequence[str], max_n: Optional[int] = None) -> List[SuiteResult]:
-    """Run the named suites after check_suite_bounds, giving results in the
-    order of names: the sweeps in one pass over the quaternionic stream, so
-    each (basis, report) pair is built once, and the others by run_suite."""
-    check_suite_bounds(names, max_n)
+    """The named suites' results, in order, at p+q <= max_n or at each one's
+    default when max_n is None.  ValueError, before any suite starts, for an
+    unknown name, a bound that is not a nonnegative int, one above a named
+    suite's cap, or one given to fixed-domain suites alone (beside a bounded
+    suite they ignore it).  The sweeps share one pass; each other suite's
+    elapsed is its whole run."""
+    for name in names:
+        if name not in _SUITES:
+            raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if max_n is not None:
+        if type(max_n) is not int or max_n < 0:  # neither a bool nor a float such as 2.0
+            raise ValueError(f"the p+q bound must be a nonnegative int, got {max_n!r}")
+        if names and all(_SUITES[name][1] is None for name in names):
+            raise ValueError(f"the {names[0]} suite checks a fixed domain and takes no "
+                             f"p+q bound, got {max_n}")
+        for name in names:
+            if _SUITES[name][2] is not None:
+                _SUITES[name][2](max_n)
     sweeps = [name for name in names if name in _SWEEPS]
-    bound = _SWEEP_MAX_N if max_n is None else max_n
-    shared = dict(zip(sweeps, _sweep_pass(sweeps, bound))) if sweeps else {}
-    return [shared[name] if name in shared else run_suite(name, max_n) for name in names]
+    results = {}
+    if sweeps:  # the sweeps share one default bound
+        bound = _SUITES[sweeps[0]][1] if max_n is None else max_n
+        results.update(zip(sweeps, _sweep_pass(sweeps, bound)))
+    for name in names:
+        if name not in results:
+            body, default, _ = _SUITES[name]
+            t0 = time.monotonic()
+            results[name] = body() if default is None else body(default if max_n is None else max_n)
+            results[name].elapsed = time.monotonic() - t0
+    return [results[name] for name in names]
+
+
+def run_suite(name: str, max_n: Optional[int] = None) -> SuiteResult:
+    """The one result of run_suites([name], max_n)."""
+    return run_suites([name], max_n)[0]

@@ -1,5 +1,7 @@
 """Classification tables against the frozen printed grids."""
 
+import re
+
 import pytest
 
 from cliffork.classification import (
@@ -89,6 +91,10 @@ def test_negative_counts_are_rejected(cell):
 def test_negative_complex_dimension_is_named(label):
     with pytest.raises(ValueError, match="complex dimension -2 is negative"):
         label(-2)
+    # nor is a dimension that is not an int truncated: 4.5 is not read as 4
+    for n in (4.5, True, "4"):
+        with pytest.raises(TypeError, match=re.escape(f"complex dimension must be an int, got {n!r}")):
+            label(n)
 
 
 def test_representation_cell_eps_prefix():

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import importlib.util
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +44,8 @@ from fixtures_tables import (
     SALINGAROS_8x8,
 )
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
 GRID_BY_KIND = {
     "rings": RINGS_8x8,
     "salingaros": SALINGAROS_8x8,
@@ -54,6 +58,16 @@ def run_text(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def _no_suite_body_runs(monkeypatch):
+    """Make every suite body, and the stream the sweeps start from, raise."""
+    def suite_body(max_n=None):
+        raise AssertionError("a suite body ran")
+
+    for name in SUITE_NAMES:
+        monkeypatch.setitem(verify._SUITES, name, (suite_body, *verify._SUITES[name][1:]))
+    monkeypatch.setattr(verify, "quaternionic_signatures", suite_body)
 
 
 def run_json(capsys, argv):
@@ -155,14 +169,7 @@ class TestExitCodes:
     )
     def test_bad_inputs_exit_two_with_one_error_line(self, capsys, monkeypatch, tmp_path, argv,
                                                      message, basis):
-        def suite_body(max_n=None):
-            raise AssertionError("a suite body ran")
-
-        # every bound is checked before the first suite body runs; the sweeps
-        # of `verify --suite all` start from the stream, not from their bodies
-        for name in SUITE_NAMES:
-            monkeypatch.setitem(verify._SUITE_FUNCS, name, suite_body)
-        monkeypatch.setattr(verify, "quaternionic_signatures", suite_body)
+        _no_suite_body_runs(monkeypatch)
         path = str(tmp_path / "basis.json")
         if basis is not None:
             with open(path, "w") as fh:
@@ -248,16 +255,35 @@ class TestExitCodes:
         assert run(["verify"]) == 2
         assert run(["verify", "--suite", "nonsense"]) == 2
 
-    def test_run_suite_rejects_unknown_names(self):
+    def test_run_suite_rejects_unknown_names(self, monkeypatch):
+        _no_suite_body_runs(monkeypatch)
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("nonsense")
+        # every name is checked before the first suite starts
+        with pytest.raises(ValueError, match="unknown suite 'nonsense'"):
+            verify.run_suites(["tables", "pseudo", "nonsense"])
 
     def test_capped_suites_check_their_bound_on_entry(self, monkeypatch):
-        monkeypatch.setattr(verify, "vee_factor_check", None)  # a call would raise TypeError
-        with pytest.raises(ValueError, match=r"vee groups .* only up to p\+q=8"):
-            run_suite("salingaros", 9)
-        with pytest.raises(ValueError, match=r"core suite .* only up to p\+q = 8, got 9"):
-            run_suite("core", 9)
+        _no_suite_body_runs(monkeypatch)
+        for names, bound, message in (
+            (["salingaros"], 9, r"vee groups .* only up to p\+q=8"),
+            (["core"], 9, r"core suite .* only up to p\+q = 8, got 9"),
+            (["tables"], 5, r"the tables suite checks a fixed domain and takes no p\+q bound"),
+            (["pseudo"], -1, r"p\+q bound must be a nonnegative int, got -1"),
+            (["core"], -1, r"p\+q bound must be a nonnegative int, got -1"),
+            (["salingaros"], -3, r"p\+q bound must be a nonnegative int, got -3"),
+            (["quotient"], -1, r"p\+q bound must be a nonnegative int, got -1"),
+            (["core"], 2.5, r"p\+q bound must be a nonnegative int, got 2\.5"),
+            (["pseudo"], 2.5, r"p\+q bound must be a nonnegative int, got 2\.5"),
+            (["quotient"], True, r"p\+q bound must be a nonnegative int, got True"),
+            (["tables"], -1, r"p\+q bound must be a nonnegative int, got -1"),
+            (list(SUITE_NAMES), -1, r"p\+q bound must be a nonnegative int, got -1"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                verify.run_suites(names, bound)
+            if len(names) == 1:
+                with pytest.raises(ValueError, match=message):
+                    run_suite(names[0], bound)
 
 
 _SMALL = st.integers(0, 5)
@@ -533,7 +559,7 @@ class TestVerifyVerb:
                 counterexamples=[{"cell": [0, 0], "got": "?", "want": "R"}],
             )
 
-        monkeypatch.setitem(verify._SUITE_FUNCS, "tables", broken)
+        monkeypatch.setitem(verify._SUITES, "tables", (broken, None, None))
         code, out = run_text(capsys, ["verify", "--suite", "tables"])
         assert code == 1
         lines = out.splitlines()
@@ -570,11 +596,12 @@ class TestVerifyVerb:
 
     def test_negative_bound_is_usage_error(self, capsys):
         assert run(["verify", "--suite", "core", "--max", "-1"]) == 2
-        assert "--max" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: the p+q bound must be a nonnegative int, got -1\n"
 
     def test_every_announced_suite_is_runnable(self):
         assert len(SUITE_NAMES) == 10
-        assert set(SUITE_NAMES) == set(verify._SUITE_FUNCS)
+        assert set(SUITE_NAMES) == set(verify._SUITES)
 
     @pytest.mark.parametrize("name", ["tables", "example1", "example2"])
     def test_printed_oracle_suites_pass(self, name):
@@ -756,6 +783,45 @@ class TestAlgebraSuites:
             {"sig": str(ctx.sig), "check": "idempotents", "error": "idempotency failed"}
             for ctx in verify._quotient_contexts(3)
         ]
+
+
+def test_pins_match_the_benchmark_table():
+    """bench/run.py checks each suite's count on every operation; a pin here
+    that drifts from its (suite, bound, count) rows fails the ordinary test
+    run, not only the benchmark.  No suite runs."""
+    spec = importlib.util.spec_from_file_location("cliffork_bench_run", BENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert {(name, bound): count for rows in bench.SUITES.values()
+            for name, bound, count in rows} == \
+        {**{(name, 6): pin[0] for name, pin in SWEEP_PINS.items()},
+         **{key: pin[1] for key, pin in ALGEBRA_PINS.items()}}
+
+
+# (ok, checked, detail) of every suite at its default bound
+DEFAULT_PINS = {
+    "tables": (True, 256, ""),
+    "example1": (True, 132, ""),
+    "example2": (True, 139, "construction signs: W+, E+, C+, Pi+, K+, S-, F-"),
+    "pseudo": (True, 1968, "12 signature cells, p+q <= 8"),
+    "defining": (True, 7014, "12 signature cells, p+q <= 8"),
+    "commutation": (True, 11700, "12 signature cells, p+q <= 8"),
+    "census": (True, 26, "25 distinct signatures realized (bound 64), p+q <= 8"),
+    "salingaros": (True, 28, "all (p,q) with p+q <= 6"),
+    "quotient": (True, 10362, "odd contexts to p+q <= 7, collapse maps to 5"),
+    "core": (True, 40107, "all (p,q) with p+q <= 6"),
+}
+
+
+@pytest.fixture(scope="module")
+def suites_at_default():
+    return verify.run_suites(SUITE_NAMES)
+
+
+def test_every_suite_at_its_default_bound(suites_at_default):
+    assert [r.name for r in suites_at_default] == list(DEFAULT_PINS)
+    assert {r.name: (r.ok, r.checked, r.detail) for r in suites_at_default} == DEFAULT_PINS
+    assert all(r.counterexamples == [] for r in suites_at_default)
 
 
 class TestDeterminism:

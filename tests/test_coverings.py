@@ -56,6 +56,14 @@ def test_complex_rule():
     # the complex report depends on n alone: a marked signature is refused
     with pytest.raises(ValueError, match="pass the dimension 2"):
         pt_structure(SignatureSpec(1, 1, "C"))
+    # dimensions and counts reach their checks as given, not truncated
+    with pytest.raises(ValueError, match="complex dimension -2 is negative"):
+        pt_structure(-2)
+    for n in (4.7, True):
+        with pytest.raises(TypeError, match=re.escape(f"complex dimension must be an int, got {n!r}")):
+            pt_structure(n)
+    with pytest.raises(TypeError, match="signature count p must be an int"):
+        pt_structure(1.5, 3.9)
 
 
 def test_complex_signature_realized_by_some_mark():

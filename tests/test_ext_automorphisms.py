@@ -656,7 +656,7 @@ def test_universal_rule_and_comm_sign_helpers():
     assert matrix_comm_sign(a, a) == 1
     assert matrix_comm_sign(a, b) == -1
     with pytest.raises(ValueError):
-        matrix_comm_sign(a, a + b)
+        matrix_comm_sign(a, SpinMatrix([[1, 1], [1, -1]]))  # a + b
 
 
 def test_pi_bar_rule_forms():
