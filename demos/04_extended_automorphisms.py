@@ -47,7 +47,7 @@ print("\ncensus-predicted K and S squares match the direct matrix squares")
 profile = report.commutation
 for pair in [("W", "E"), ("K", "S"), ("S", "F")]:
     got = profile[pair]
-    x, y = (report.matrices[n].factors for n in pair)
+    x, y = (sum(1 << i for i in report.matrices[n].factors) for n in pair)
     predicted = universal_comm_sign(x, y)
     word = "commute" if got > 0 else "anticommute"
     assert got == predicted

@@ -23,16 +23,20 @@ survivors of a collapse.
 
 Each matrix is a product of unit matrices selected by the census (real or
 imaginary, symmetric or skew, read from SpinBasis.unit_species); every
-defining relation is verified on construction.  `ext_group_report` keeps
-the matrices' `sign_cocycle` c, M_a M_b = c(a, b) M_(a^b), and a product
-outside the signed span raises, so each square is exactly +-I.  On signed
-Pauli words (every built basis) each relation and each entry of c is a
-parity of the words' ints, read with no matrix product; a dense matrix (a
-user-loaded basis) takes the products.  The report's squares are the
-diagonal of c, its commutation ledger is c(a, b) c(b, a), and it names
-from c the cover of a code subgroup (`ExtGroupReport.cover`, through
-COVER_TABLE), its `matrix_group` and its `letter_table`.  The construction
-checks keep every caller right-or-raise, a user-supplied basis
+defining relation is verified on construction, at every unit.
+`ext_group_report` keeps the matrices' `sign_cocycle` c,
+M_a M_b = c(a, b) M_(a^b), and a product outside the signed span raises, so
+each square is exactly +-I.  On signed Pauli words (every built basis) no
+matrix product is taken.  A relation is decided for all units at once
+(`Relation.failures`): one failure mask per matrix, an XOR of unit masks
+that the basis keeps per qubit.  The eight matrices are closed up to sign
+exactly when their x, z and c mod 2 are linear on the codes, four
+comparisons, and then c is eight 8-bit row masks (`_word_cocycle`).  A
+dense matrix (a user-loaded basis) takes the products.  The report's
+squares are the diagonal of c, its commutation ledger is c(a, b) c(b, a),
+and it names from c the cover of a code subgroup (`ExtGroupReport.cover`,
+through COVER_TABLE), its `matrix_group` and its `letter_table`.  The
+construction checks keep every caller right-or-raise, a user-supplied basis
 (`ext-group --basis FILE`) included.  The `pseudo` and `defining` sweeps
 check the same relations again only to count the checks: a failed relation
 raises in `ext_group_report` before any sweep check runs, so it surfaces as
@@ -48,7 +52,7 @@ sweeps confirm that both routes agree with the matrix truth on every variant.
 
 from __future__ import annotations
 
-from functools import cached_property
+from itertools import product
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .classification import type_index
@@ -107,7 +111,7 @@ class CoverRow(NamedTuple):
 def cover_row(signature: Sequence[int], abelian: bool) -> CoverRow:
     """The COVER_TABLE row of the letters' squares and their abelianness;
     ValueError for any key outside the table."""
-    if any(s not in (1, -1) for s in signature):
+    if not {*signature} <= {1, -1}:
         raise ValueError("signature entries must be +-1")
     key = (len(signature), list(signature).count(-1), bool(abelian))
     if key not in COVER_TABLE:
@@ -122,6 +126,9 @@ class ExtMatrix(NamedTuple):
     form: str  # census form tag
 
 
+_SQUARES = tuple((c, c) for c in range(1, 8))  # the codes of W..F, paired with themselves
+
+
 class ExtGroupReport:
     def __init__(self, sig: SignatureSpec, census: UnitCensus, matrices: Dict[str, ExtMatrix],
                  cocycle: Dict[Tuple[int, int], int], pi_bar_sign: int):
@@ -131,20 +138,11 @@ class ExtGroupReport:
         self.cocycle = cocycle  # c(a, b) over the codes 0..7; all below read it
         self.pi_bar_sign = pi_bar_sign  # sign of Pi * conj(Pi)
         self.notes: List[str] = []
-
-    # computed from the cocycle once per report, then read by `group_name`,
-    # `order_structure` and the sweeps
-    @cached_property
-    def signature(self) -> Tuple[int, ...]:  # signs of (W,E,C,Pi,K,S,F)^2
-        return tuple(self.cocycle[c, c] for c in range(1, 8))
-
-    @cached_property
-    def commutation(self) -> Dict[Tuple[str, str], int]:
-        return commutation_profile(self.cocycle)
-
-    @cached_property
-    def abelian(self) -> bool:
-        return all(s == 1 for s in self.commutation.values())
+        # read from the cocycle once, then by `group_name`, `order_structure`
+        # and the sweeps
+        self.signature = tuple(map(cocycle.__getitem__, _SQUARES))  # signs of (W..F)^2
+        self.commutation = commutation_profile(cocycle)
+        self.abelian = -1 not in self.commutation.values()
 
     @property
     def order_structure(self) -> Tuple[int, int]:  # (# square +I, # square -I)
@@ -204,31 +202,48 @@ class ExtGroupReport:
 class Relation(NamedTuple):
     """The defining relation u x = sign * x T(u) of one of W..F at the unit
     u, where T(u) is u, u^T, conj(u) or conj(u)^T as `transpose` and `conj`
-    say.  Called as relation(u, x), true when x satisfies it at u.
+    say.  Called as relation(u, x), true when x satisfies it at u, from the
+    products; `failures` decides it at every unit of a basis at once.
 
     When u and x are both words, each side is a word with the same (x, z)
     part, and their phases differ by (-1)^(|x_x & z_u| + |x_u & z_x|) (the
     symplectic form: u x = +-x u), by (-1)^|x_u & z_u| for the transpose
-    (u^T = +-u) and by (-1)^c_u for conj (conj(u) = +-u).  So the relation
-    is one parity, read off the ints with no product.  Any dense operand
-    takes the products.  ValueError on a dimension mismatch either way."""
+    (u^T = +-u) and by (-1)^c_u for conj (conj(u) = +-u).  So on a basis
+    of words the relation fails at a unit exactly when these parities and
+    the sign's (1 for -1) add up to an odd number.  Each parity, taken over
+    all units, is a unit mask read off the basis's per-qubit columns
+    (`SpinBasis._unit_columns`), so the failures at all n units are one XOR
+    of masks, with no product.  ValueError on a dimension mismatch either
+    way."""
 
     sign: int
     transpose: bool = False
     conj: bool = False
 
+    def failures(self, basis: SpinBasis, x: SpinMatrix) -> int:
+        """The units at which x fails the relation, bit i-1 for unit i: one
+        XOR of unit masks when x and the units are words, one relation(u, x)
+        per unit otherwise."""
+        columns = basis._unit_columns()
+        if columns is None or x.word is None:
+            return sum(1 << i for i, u in enumerate(basis.mats) if not self(u, x))
+        d, _, xx, zx = x.word
+        if d != basis.dim:
+            raise ValueError("dimension mismatch")
+        qubits, transposed, conjugated, every = columns
+        failed = every if self.sign < 0 else 0
+        for bit, x_col, z_col in qubits:  # the units that anticommute with x
+            if xx & bit:
+                failed ^= z_col
+            if zx & bit:
+                failed ^= x_col
+        if self.transpose:
+            failed ^= transposed
+        if self.conj:
+            failed ^= conjugated
+        return failed
+
     def __call__(self, u: SpinMatrix, x: SpinMatrix) -> bool:
-        if u.word is not None and x.word is not None:
-            d, cu, xu, zu = u.word
-            e, _, xx, zx = x.word
-            if d != e:
-                raise ValueError("dimension mismatch")
-            parity = (xx & zu).bit_count() + (xu & zx).bit_count() + (self.sign < 0)
-            if self.transpose:
-                parity += (xu & zu).bit_count()
-            if self.conj:
-                parity += cu
-            return parity % 2 == 0
         t = u.conj() if self.conj else u
         rhs = x * (t.transpose() if self.transpose else t)
         return u * x == (rhs if self.sign > 0 else -rhs)
@@ -252,10 +267,9 @@ def _symdiff(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
 
 def _checked(basis: SpinBasis, name: str, matrix: SpinMatrix,
              factors: Tuple[int, ...], form: str) -> ExtMatrix:
-    relation = DEFINING_RELATIONS[name]
-    for i, u in enumerate(basis.mats, start=1):
-        if not relation(u, matrix):
-            raise AssertionError(f"{name} relation failed at unit {i}")
+    failed = DEFINING_RELATIONS[name].failures(basis, matrix)
+    if failed:  # name the lowest failing unit
+        raise AssertionError(f"{name} relation failed at unit {(failed & -failed).bit_length()}")
     return ExtMatrix(name, matrix, factors, form)
 
 
@@ -300,21 +314,73 @@ def _code_matrices(mats: Dict[str, ExtMatrix]) -> List[SpinMatrix]:
     return [SpinMatrix.identity(mats["W"].matrix.dim)] + [mats[n].matrix for n in MATRIX_NAMES]
 
 
+# bit b of _LINEAR[v] is the parity of |b & v|: the eight linear forms on
+# the codes, as row masks
+_LINEAR = tuple(sum(((b & v).bit_count() & 1) << b for b in range(8)) for v in range(8))
+# the signs c(a, 0..7) of a row mask, -1 where its bit is set (product
+# counts in binary with the last entry as bit 0)
+_ROW_SIGNS = tuple(signs[::-1] for signs in product((1, -1), repeat=8))
+_CODE_PAIRS = tuple((a, b) for a in range(8) for b in range(8))
+
+
 def _word_cocycle(words: List[Tuple[int, int, int, int]]) -> Optional[Dict[Tuple[int, int], int]]:
-    """The sign cocycle of eight words (d, c, x, z) of one dimension, read
-    off their ints: M_a M_b has the phase c_a + c_b + 2|x_a & z_b| (as in
-    SpinMatrix.__mul__) and the part (x_a ^ x_b, z_a ^ z_b), so c(a, b) is
-    i^k for the phase difference k to M_(a^b).  None when a product is not
-    +-M_(a^b): an odd k, or another (x, z) part."""
-    out = {}
-    for a, (_, ca, xa, za) in enumerate(words):
-        for b, (_, cb, xb, zb) in enumerate(words):
-            _, ct, xt, zt = words[a ^ b]
-            k = ca + cb + 2 * (xa & zb).bit_count() - ct
-            if k & 1 or xa ^ xb != xt or za ^ zb != zt:
-                return None
-            out[a, b] = -1 if k & 2 else 1
-    return out
+    """The sign cocycle of eight words (d, c, x, z) of one dimension,
+    words[0] the identity, read off their ints; None when a product is not
+    +-M_(a^b).
+
+    M_a M_b has the phase c_a + c_b + 2|x_a & z_b| (as in SpinMatrix.__mul__)
+    and the part (x_a ^ x_b, z_a ^ z_b), so it is +-M_(a^b) exactly when
+    the parts match and k = c_a + c_b + 2|x_a & z_b| - c_(a^b) is even, and
+    then c(a, b) = i^k.  That holds for every a, b exactly when x, z and
+    c mod 2 are linear on the codes, f(a ^ b) = f(a) ^ f(b): with M_0 = I
+    that is four comparisons, at the codes 3, 5, 6 and 7, of the three
+    packed into one int.
+
+    Write c = 2h + l.  A linear l gives l_a + l_b - l_(a^b) = 2 l_a l_b, so
+    c(a, b) = -1 exactly when k/2 is odd:
+
+        l_a l_b + |x_a & z_b| + h_a + h_b + h_(a^b)   (mod 2).
+
+    Row a is the 8-bit mask of the b where this is odd.  The first two terms
+    are bilinear, so the generator rows a = 1, 2, 4 give them: each is the
+    linear form in b fixed by its values at b = 1, 2, 4, and the others are
+    XORs of these.  The last three are all of the row when h_a, the mask H
+    of the codes with h set, and H with its bits permuted by b -> a ^ b
+    (swaps of bits, bit pairs and nibbles for the bits of a).  _ROW_SIGNS
+    expands the rows into the 64 signs."""
+    (d, c0, _, _), (_, c1, x1, z1), (_, c2, x2, z2), (_, c3, x3, z3), \
+        (_, c4, x4, z4), (_, c5, x5, z5), (_, c6, x6, z6), (_, c7, x7, z7) = words
+    # x, z and c mod 2 of a code packed into one int, so that XOR adds them
+    k = d.bit_length()
+    k1, k2, k4 = ((x1 << k | z1) << 1 | c1 & 1, (x2 << k | z2) << 1 | c2 & 1,
+                  (x4 << k | z4) << 1 | c4 & 1)
+    if ((x3 << k | z3) << 1 | c3 & 1 != k1 ^ k2 or (x5 << k | z5) << 1 | c5 & 1 != k1 ^ k4
+            or (x6 << k | z6) << 1 | c6 & 1 != k2 ^ k4
+            or (x7 << k | z7) << 1 | c7 & 1 != k1 ^ k2 ^ k4):
+        return None
+    # l_a l_b + |x_a & z_b| = |(x_a << 1 | l_a) & (z_b << 1 | l_b)|, linear in b
+    p1, p2, p4 = z1 << 1 | c1 & 1, z2 << 1 | c2 & 1, z4 << 1 | c4 & 1
+    b1, b2, b4 = (_LINEAR[(q & p1).bit_count() & 1 | ((q & p2).bit_count() & 1) << 1
+                          | ((q & p4).bit_count() & 1) << 2]
+                  for q in (x1 << 1 | c1 & 1, x2 << 1 | c2 & 1, x4 << 1 | c4 & 1))
+    H = (c0 >> 1 | (c1 >> 1) << 1 | (c2 >> 1) << 2 | (c3 >> 1) << 3 | (c4 >> 1) << 4
+         | (c5 >> 1) << 5 | (c6 >> 1) << 6 | (c7 >> 1) << 7)
+    # s_a: H with bit b moved to a ^ b, from swaps of bits, bit pairs, nibbles
+    s1 = (H & 0x55) << 1 | H >> 1 & 0x55
+    s2 = (H & 0x33) << 2 | H >> 2 & 0x33
+    s3 = (s1 & 0x33) << 2 | s1 >> 2 & 0x33
+    s4, s5, s6, s7 = ((H & 0x0F) << 4 | H >> 4, (s1 & 0x0F) << 4 | s1 >> 4,
+                      (s2 & 0x0F) << 4 | s2 >> 4, (s3 & 0x0F) << 4 | s3 >> 4)
+    row, every = _ROW_SIGNS, 0xFF  # c_a & 2 is h_a
+    return dict(zip(_CODE_PAIRS,
+                    row[every if c0 & 2 else 0]
+                    + row[b1 ^ H ^ s1 ^ (every if c1 & 2 else 0)]
+                    + row[b2 ^ H ^ s2 ^ (every if c2 & 2 else 0)]
+                    + row[b1 ^ b2 ^ H ^ s3 ^ (every if c3 & 2 else 0)]
+                    + row[b4 ^ H ^ s4 ^ (every if c4 & 2 else 0)]
+                    + row[b1 ^ b4 ^ H ^ s5 ^ (every if c5 & 2 else 0)]
+                    + row[b2 ^ b4 ^ H ^ s6 ^ (every if c6 & 2 else 0)]
+                    + row[b1 ^ b2 ^ b4 ^ H ^ s7 ^ (every if c7 & 2 else 0)]))
 
 
 def sign_cocycle(mats: Dict[str, ExtMatrix]) -> Dict[Tuple[int, int], int]:
@@ -405,19 +471,43 @@ def product_square_sign(total: int, negatives: int) -> int:
 # commutation: the cocycle's ledger, universal rule, printed predicates
 
 
-def universal_comm_sign(factors_x: Sequence[int], factors_y: Sequence[int]) -> int:
+def universal_comm_sign(mask_x: int, mask_y: int) -> int:
     """Products of distinct anticommuting units X (x factors) and Y (y
-    factors) sharing t of them satisfy XY = (-1)^(xy - t) YX."""
-    x, y = len(factors_x), len(factors_y)
-    t = len(set(factors_x) & set(factors_y))
-    return -1 if (x * y - t) % 2 else 1
+    factors) sharing t of them satisfy XY = (-1)^(xy - t) YX.  Each factor
+    set is given as a mask, bit i for unit i."""
+    t = (mask_x & mask_y).bit_count()
+    return -1 if (mask_x.bit_count() * mask_y.bit_count() - t) % 2 else 1
+
+
+# each pair of W..F in MATRIX_NAMES order, with its codes
+_LETTER_PAIRS = tuple(((MATRIX_NAMES[a - 1], MATRIX_NAMES[b - 1]), a, b)
+                      for a in range(1, 8) for b in range(a + 1, 8))
 
 
 def commutation_profile(cocycle: Dict[Tuple[int, int], int]) -> Dict[Tuple[str, str], int]:
     """+1 or -1 as each pair of W..F, in MATRIX_NAMES order, commutes or
     anticommutes: M_a M_b = c(a, b) c(b, a) M_b M_a."""
-    return {(MATRIX_NAMES[a - 1], MATRIX_NAMES[b - 1]): cocycle[a, b] * cocycle[b, a]
-            for a in range(1, 8) for b in range(a + 1, 8)}
+    return {pair: cocycle[a, b] * cocycle[b, a] for pair, a, b in _LETTER_PAIRS}
+
+
+# the printed clause of each pair among W, Pi, K, S and F, as a function of
+# the census n and of whether Pi and K are imaginary and S and F of form c
+_PRINTED_CLAUSES = {
+    ("W", "Pi"): lambda n, pi_im, k_im, s_c, f_c: 0 if pi_im else 1,
+    ("W", "K"): lambda n, pi_im, k_im, s_c, f_c: 1 if k_im else 0,
+    ("W", "S"): lambda n, pi_im, k_im, s_c, f_c: 0 if s_c else 1,
+    ("W", "F"): lambda n, pi_im, k_im, s_c, f_c: 1 if f_c else 0,
+    ("Pi", "K"): lambda n, pi_im, k_im, s_c, f_c: n.a * n.b,
+    ("Pi", "S"): lambda n, pi_im, k_im, s_c, f_c:
+        (n.m if s_c else n.l) if pi_im else ((n.v + 1) if s_c else n.u),
+    ("Pi", "F"): lambda n, pi_im, k_im, s_c, f_c:
+        (n.m if f_c else n.l) if pi_im else (n.v if f_c else (n.u + 1)),
+    ("K", "S"): lambda n, pi_im, k_im, s_c, f_c:
+        ((n.m + 1) if s_c else n.l) if k_im else (n.v if s_c else n.u),
+    ("K", "F"): lambda n, pi_im, k_im, s_c, f_c:
+        (n.m if f_c else (n.l + 1)) if k_im else (n.v if f_c else n.u),
+    ("S", "F"): lambda n, pi_im, k_im, s_c, f_c: (n.l + n.u) * (n.m + n.v),
+}
 
 
 def comm_parity_terms(pair: Tuple[str, str], forms: Dict[str, str],
@@ -438,11 +528,11 @@ def comm_parity_terms(pair: Tuple[str, str], forms: Dict[str, str],
     examples use.  None for the three pairs inside {W, E, C}, whose
     relations the universal factor-count rule fixes.
     """
-    v, l, u, m = census.v, census.l, census.u, census.m
     x, y = pair
     if pair in (("W", "E"), ("W", "C"), ("E", "C")):
         return None
     if x in ("E", "C") and y in ("Pi", "K", "S", "F"):
+        v, l, u, m = census
         skew = forms[x] == "skew"
         if y in ("Pi", "K"):
             im = forms[y] == "imaginary"
@@ -453,20 +543,9 @@ def comm_parity_terms(pair: Tuple[str, str], forms: Dict[str, str],
             a = (u if skew else l) if cf else (m if skew else v)
             b, c = (l, m) if cf == skew else (u, v)
         return a * (b + c) % 2, b * c % 2
-    pi_im, k_im = forms["Pi"] == "imaginary", forms["K"] == "imaginary"
-    s_c, f_c = forms["S"] == "c", forms["F"] == "c"
-    printed = {
-        ("W", "Pi"): 0 if pi_im else 1,
-        ("W", "K"): 1 if k_im else 0,
-        ("W", "S"): 0 if s_c else 1,
-        ("W", "F"): 1 if f_c else 0,
-        ("Pi", "K"): census.a * census.b,
-        ("Pi", "S"): (m if s_c else l) if pi_im else ((v + 1) if s_c else u),
-        ("Pi", "F"): (m if f_c else l) if pi_im else (v if f_c else (u + 1)),
-        ("K", "S"): ((m + 1) if s_c else l) if k_im else (v if s_c else u),
-        ("K", "F"): (m if f_c else (l + 1)) if k_im else (v if f_c else u),
-        ("S", "F"): (l + u) * (m + v),
-    }[x, y]
+    printed = _PRINTED_CLAUSES[pair](census, forms["Pi"] == "imaginary",
+                                     forms["K"] == "imaginary", forms["S"] == "c",
+                                     forms["F"] == "c")
     return printed % 2, 0
 
 
@@ -513,7 +592,7 @@ def admissible_groups(signature: Sequence[int], typ: int) -> frozenset:
     """Groups the detailed case table allows for this 7-signature and type.
     Raises when the (pattern, type) slot does not occur."""
     abc = tuple(signature[:3])
-    dm = sum(1 for s in signature[3:] if s == -1)
+    dm = list(signature[3:]).count(-1)
     key = (abc, dm, typ)
     if key not in ADMISSIBLE_DETAILED:
         raise ValueError(
@@ -540,8 +619,9 @@ def ext_group_report(basis: SpinBasis) -> ExtGroupReport:
         pi_bar_sign=(pi * pi.conj()).sign_of_identity_multiple(),
     )
     group = report.group_name
-    if basis.sig.field == "R" and type_index(basis.sig.p, basis.sig.q) in (4, 6):
-        allowed = admissible_groups(report.signature, type_index(basis.sig.p, basis.sig.q))
+    typ = type_index(basis.sig.p, basis.sig.q)
+    if basis.sig.field == "R" and typ in (4, 6):
+        allowed = admissible_groups(report.signature, typ)
         if group not in allowed:
             raise AssertionError(
                 f"classified {group} but the case table admits {sorted(allowed)}"

@@ -25,8 +25,10 @@ entries:
   * word form, the four ints (d, c, x, z), on which products, -, conj,
     transpose, scaling by i^k, kron, the +-I test, == and hash are O(1)
     int work.  `classify_matrix` reads a unit's census species off c and
-    |x & z|, and the extended automorphism report reads its defining
-    relations and its sign cocycle off the ints too, with no matrix product;
+    |x & z|.  `SpinBasis.product_of` folds a product of units on the ints
+    into one matrix, and the extended automorphism report decides each
+    defining relation at every unit at once from the basis's per-qubit unit
+    masks and reads its sign cocycle as row masks, with no matrix product;
   * dense form, d x d exact Gaussian rationals, for every other matrix: a
     user-loaded basis that is not made of words (`ext-group --basis FILE`),
     such as a signed permutation conjugate.
@@ -154,12 +156,7 @@ class SpinMatrix:
             return self._scaled(GaussianScalar.of(other))
         a, b = self.word, other.word
         if a is not None and b is not None:
-            d, c1, x1, z1 = a
-            e, c2, x2, z2 = b
-            if d != e:
-                raise ValueError("dimension mismatch")
-            # X^x1 Z^z2 = (-1)^|x1 & z2| Z^z2 X^x1
-            return _word(d, c1 + c2 + 2 * (x1 & z2).bit_count(), x1 ^ x2, z1 ^ z2)
+            return _word(*_word_product(a, b))
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
         return SpinMatrix(_dense_product(self.rows, other.rows))
@@ -245,6 +242,22 @@ class SpinMatrix:
 
     def __repr__(self) -> str:
         return f"<SpinMatrix {self.dim}x{self.dim}>"
+
+
+def _word_product(first: Tuple[int, int, int, int],
+                  *rest: Tuple[int, int, int, int]) -> Tuple[int, int, int, int]:
+    """The word (d, c, x, z) of the product of the words, in order, folded
+    on the ints; its phase c is not yet reduced mod 4.  ValueError on a
+    dimension mismatch."""
+    d, c, x, z = first
+    for e, c2, x2, z2 in rest:
+        if d != e:
+            raise ValueError("dimension mismatch")
+        # X^x Z^z2 = (-1)^|x & z2| Z^z2 X^x
+        c += c2 + 2 * (x & z2).bit_count()
+        x ^= x2
+        z ^= z2
+    return d, c, x, z
 
 
 def _word(d: int, c: int, x: int, z: int) -> SpinMatrix:
@@ -351,19 +364,61 @@ class SpinBasis:
         self.mats = list(mats)
         self.name = name
         self._species: Optional[Dict[str, Tuple[int, ...]]] = None
+        self._columns: Optional[tuple] = None
         if len(self.mats) != sig.n:
             raise ValueError(f"{sig} needs {sig.n} units, got {len(self.mats)}")
         self.dim = self.mats[0].dim if self.mats else 1
+        for i, m in enumerate(self.mats, start=1):
+            if m.dim != self.dim:
+                raise ValueError(f"unit {i} is {m.dim}x{m.dim}, unit 1 is {self.dim}x{self.dim}")
 
     def unit(self, i: int) -> SpinMatrix:
+        """Unit E_i, 1-based; TypeError or ValueError for no such i."""
+        if type(i) is not int:  # neither a bool nor a float such as 2.0
+            raise TypeError(f"unit index {i!r} is not an int")
+        if not 1 <= i <= len(self.mats):
+            raise ValueError(f"unit index {i} outside 1..{len(self.mats)}")
         return self.mats[i - 1]
 
     def product_of(self, indices: Iterable[int]) -> SpinMatrix:
-        """Product of the listed units (1-based), in the order given."""
+        """Product of the listed units (1-based), in the order given: folded
+        on the word ints into one SpinMatrix when the units are words, else
+        one matrix product per unit."""
+        indices = tuple(indices)
+        words = [self.unit(i).word for i in indices]
+        if words and None not in words:
+            return _word(*_word_product(*words))
         out = SpinMatrix.identity(self.dim)
         for i in indices:
             out = out * self.unit(i)
         return out
+
+    def _unit_columns(self) -> Optional[tuple]:
+        """The units read one bit per unit, bit i-1 for unit i, when every
+        unit is a word; None otherwise.  It holds (2^k, x_k, z_k) for each
+        qubit k, with x_k and z_k the units whose x or z part has bit k;
+        then the units with u^T = -u (odd |x & z|), those with
+        conj(u) = -u (odd c), and all n.  Computed once per basis and
+        memoised, as `unit_species` is."""
+        if self._columns is None and all(u.word is not None for u in self.mats):
+            q = self.dim.bit_length() - 1
+            x_cols, z_cols = [0] * q, [0] * q
+            transposed = conjugated = 0
+            for i, u in enumerate(self.mats):
+                _, c, x, z = u.word
+                bit = 1 << i
+                for k in range(q):
+                    if x >> k & 1:
+                        x_cols[k] |= bit
+                    if z >> k & 1:
+                        z_cols[k] |= bit
+                if (x & z).bit_count() & 1:
+                    transposed |= bit
+                if c & 1:
+                    conjugated |= bit
+            self._columns = (tuple(zip([1 << k for k in range(q)], x_cols, z_cols)),
+                             transposed, conjugated, (1 << len(self.mats)) - 1)
+        return self._columns
 
     def unit_species(self) -> Dict[str, Tuple[int, ...]]:
         """1-based unit indices per census species (v, u, l, m).

@@ -243,10 +243,12 @@ def _check_pseudo(sig: SignatureSpec, basis: SpinBasis, report: ExtGroupReport) 
     mod-4 rule on its applicable subdomain."""
     census = report.census
     pi, form = report.matrices["Pi"].matrix, report.matrices["Pi"].form
-    for i, u in enumerate(basis.mats):
-        yield DEFINING_RELATIONS["Pi"](u, pi) or {"check": "defining", "unit": i + 1}
+    failed = DEFINING_RELATIONS["Pi"].failures(basis, pi)
+    for i in range(sig.n):
+        yield not failed >> i & 1 or {"check": "defining", "unit": i + 1}
     want = predicted_pi_bar(census, form)
-    yield pi * pi.conj() == SpinMatrix.identity(basis.dim) * want or \
+    ident = SpinMatrix.identity(basis.dim)
+    yield pi * pi.conj() == (ident if want > 0 else -ident) or \
         {"check": "pi_bar_vs_prediction", "predicted": want}
     # an antilinear intertwiner over ring H
     yield report.pi_bar_sign == -1 or {"check": "pi_bar_commutant", "got": report.pi_bar_sign}
@@ -264,14 +266,16 @@ def _check_defining(sig: SignatureSpec, basis: SpinBasis, report: ExtGroupReport
     mats, census = report.matrices, report.census
     squares = dict(zip(MATRIX_NAMES, report.signature))
     ident = SpinMatrix.identity(basis.dim)
+    signed = {1: ident, -1: -ident}
     for name, predict in _SQUARE_PREDICTORS.items():
-        x, rel = mats[name].matrix, DEFINING_RELATIONS[name]
-        for i, u in enumerate(basis.mats):
-            yield rel(u, x) or {"check": "defining", "matrix": name, "unit": i + 1}
+        x = mats[name].matrix
+        failed = DEFINING_RELATIONS[name].failures(basis, x)
+        for i in range(sig.n):
+            yield not failed >> i & 1 or {"check": "defining", "matrix": name, "unit": i + 1}
         want = predict(census, mats[name].form)
         yield squares[name] == want or {"check": "square_predicate", "matrix": name,
                                          "got": squares[name], "predicted": want}
-        yield x * x == ident * squares[name] or {"check": "square_direct", "matrix": name}
+        yield x * x == signed[squares[name]] or {"check": "square_direct", "matrix": name}
     for name in MATRIX_NAMES:
         m = mats[name]
         negatives = sum(1 for i in m.factors if i > sig.p)
@@ -284,8 +288,9 @@ def _check_commutation(sig: SignatureSpec, basis: SpinBasis, report: ExtGroupRep
     parity predicates and the universal factor-count rule."""
     mats = report.matrices
     forms = {name: mats[name].form for name in MATRIX_NAMES}
+    factors = {name: sum(1 << i for i in mats[name].factors) for name in MATRIX_NAMES}
     for pair, got in report.commutation.items():
-        yield got == universal_comm_sign(mats[pair[0]].factors, mats[pair[1]].factors) or \
+        yield got == universal_comm_sign(factors[pair[0]], factors[pair[1]]) or \
             {"check": "universal_rule", "pair": list(pair), "got": got}
         terms = comm_parity_terms(pair, forms, report.census)
         if terms is None:

@@ -11,6 +11,7 @@ import sys
 import time
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -574,7 +575,8 @@ class TestVerifyVerb:
         # ext_group_report checks every defining relation before any sweep
         # check runs, so a failed relation exits 1 through the internal check
         # path and never reaches the suite's counterexample list
-        monkeypatch.setitem(ext_automorphisms.DEFINING_RELATIONS, "Pi", lambda u, x: False)
+        monkeypatch.setitem(ext_automorphisms.DEFINING_RELATIONS, "Pi", SimpleNamespace(
+            failures=lambda basis, x: (1 << basis.sig.n) - 1))
         assert run(["verify", "--suite", suite, "--max", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: verify: internal check failed: Pi relation failed at unit 1\n"

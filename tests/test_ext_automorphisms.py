@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from cliffork.ext_automorphisms import (
     DEFINING_RELATIONS,
     MATRIX_NAMES,
     ExtMatrix,
+    Relation,
     admissible_groups,
     comm_parity_terms,
     commutation_profile,
@@ -40,6 +42,11 @@ from cliffork.spinor_repr import (
     signed_lookup,
 )
 from small_group_catalog import matrix_comm_sign
+from word_oracle import loop_word_cocycle, word_relation
+
+
+def _factor_mask(factors):
+    return sum(1 << i for i in factors)
 
 
 def _subset_products(basis):
@@ -242,7 +249,7 @@ def test_two_negative_units():
 def test_failed_relation_raises_naming_matrix_and_unit(monkeypatch):
     basis = build_spinbasis(SignatureSpec(1, 3))
     monkeypatch.setitem(ext_automorphisms.DEFINING_RELATIONS, "S",
-                        lambda u, x: u is not basis.mats[2])
+                        SimpleNamespace(failures=lambda b, x: 1 << 2))
     with pytest.raises(AssertionError, match="^S relation failed at unit 3$"):
         ext_matrices(basis)
 
@@ -351,8 +358,9 @@ def _code_rows(mats):
 
 def test_word_relations_and_cocycle_match_dense_products_on_the_sweep():
     # every sweep basis with p+q <= 8 and the gamma basis: the cocycle, and
-    # each relation of its own matrix at every unit, once per distinct pair
-    # of words (the random words below also meet relations that fail)
+    # the word oracle of each relation of its own matrix at every unit, once
+    # per distinct pair of words (the random words below also meet relations
+    # that fail)
     bases = [basis for _, basis, _ in quaternionic_signatures(8)] + [load_spinbasis("gamma")]
     seen = set()
     for basis in bases:
@@ -363,8 +371,64 @@ def test_word_relations_and_cocycle_match_dense_products_on_the_sweep():
             for u in basis.mats:
                 if (name, u, x) not in seen:
                     seen.add((name, u, x))
-                    assert relation(u, x) == REF_RELATIONS[name](u.rows, x.rows), basis.name
+                    assert word_relation(relation, u, x) == \
+                        REF_RELATIONS[name](u.rows, x.rows), basis.name
         assert sign_cocycle(mats) == _ref_cocycle(_code_rows(mats)), basis.name
+
+
+# all eight relations u x = sign x T(u), the seven defining ones and u x = x u
+ALL_RELATIONS = [Relation(sign, transpose, conj) for sign in (1, -1)
+                 for transpose in (False, True) for conj in (False, True)]
+
+
+def _oracle_failures(relation, basis, x):
+    return sum(1 << i for i, u in enumerate(basis.mats) if not word_relation(relation, u, x))
+
+
+def test_relation_masks_match_the_word_oracle_on_the_sweep():
+    # every sweep basis with p+q <= 10, against all eight relations: each of
+    # W..F and each unit as x, so masks that fail at some units are met too
+    failing = 0
+    for _, basis, report in quaternionic_signatures(10):
+        xs = [m.matrix for m in report.matrices.values()] + basis.mats
+        for relation in ALL_RELATIONS:
+            for x in xs:
+                got = relation.failures(basis, x)
+                assert got == _oracle_failures(relation, basis, x), (basis.name, relation)
+                failing += 0 < got < (1 << basis.sig.n) - 1
+    assert failing > 1000
+
+
+def _ref_failures(relation, units, x):
+    """The mask of the units at which u x = sign x T(u) fails, on entry rows."""
+    mask = 0
+    for i, u in enumerate(units):
+        t = _rconj(u.rows) if relation.conj else u.rows
+        rhs = _rmul(x.rows, _rt(t) if relation.transpose else t)
+        if _rmul(u.rows, x.rows) != (rhs if relation.sign > 0 else _rneg(rhs)):
+            mask |= 1 << i
+    return mask
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_relation_masks_match_per_unit_relations_on_random_units(data):
+    # random word units (a basis need not be valid to be read) and a word x;
+    # with one unit made dense, the mask takes one product per unit
+    d = 1 << data.draw(st.integers(0, 3), label="log d")
+    n = data.draw(st.integers(1, 6), label="n")
+    units = [data.draw(words(d), label=f"u{i}") for i in range(n)]
+    x = data.draw(words(d), label="x")
+    sig = SignatureSpec(n, 0)
+    for relation in ALL_RELATIONS:
+        want = _ref_failures(relation, units, x)
+        assert relation.failures(SpinBasis(sig, units), x) == want, relation
+        assert _oracle_failures(relation, SpinBasis(sig, units), x) == want, relation
+    k = data.draw(st.integers(0, n - 1), label="dense unit")
+    units[k] = units[k] * 2
+    assert units[k].word is None
+    for relation in ALL_RELATIONS:
+        assert relation.failures(SpinBasis(sig, units), x) == _ref_failures(relation, units, x)
 
 
 PHASES = (1, GaussianScalar.I, -1, -GaussianScalar.I)  # i^k
@@ -385,12 +449,16 @@ def test_word_relations_match_dense_products_on_random_words(data):
     u, x = data.draw(words(d), label="u"), data.draw(words(d), label="x")
     assert u.word is not None and x.word is not None
     for name, relation in DEFINING_RELATIONS.items():
+        assert word_relation(relation, u, x) == REF_RELATIONS[name](u.rows, x.rows), name
         assert relation(u, x) == REF_RELATIONS[name](u.rows, x.rows), name
     y = data.draw(words(2 * d), label="y")
     for relation in DEFINING_RELATIONS.values():
         for a, b in ((u, y), (y, x)):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 relation(a, b)
+        for units, b in (([u], y), ([y], x)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                relation.failures(SpinBasis(SignatureSpec(1, 0), units), b)
 
 
 @given(data=st.data())
@@ -411,6 +479,9 @@ def test_word_cocycle_matches_dense_products_on_random_words(data):
         m[data.draw(st.integers(0, 6))] = data.draw(words(d))
     mats = {name: ExtMatrix(name, x, (), "x") for name, x in zip(MATRIX_NAMES, m)}
     want = _ref_cocycle(_code_rows(mats))
+    # the row masks against the 64-pair loop they replaced, closed or not
+    ints = [x.word for x in ext_automorphisms._code_matrices(mats)]
+    assert ext_automorphisms._word_cocycle(ints) == loop_word_cocycle(ints) == want
     if want is None:
         with pytest.raises(AssertionError, match="leaves the signed span"):
             sign_cocycle(mats)
@@ -434,7 +505,7 @@ def test_dense_matrices_take_the_product_route(monkeypatch):
         calls.clear()
         for name, relation in DEFINING_RELATIONS.items():
             x = mats[name].matrix
-            assert all(relation(u, x) == REF_RELATIONS[name](u.rows, x.rows) for u in b.mats)
+            assert relation.failures(b, x) == _ref_failures(relation, b.mats, x)
         relation_products = len(calls)
         calls.clear()
         assert sign_cocycle(mats) == _ref_cocycle(_code_rows(mats))
@@ -457,7 +528,7 @@ def test_sweep_with_tweaked_variants():
         assert squares["S"] == predicted_S_square(census, mats["S"].form)
         for pair, got in report.commutation.items():
             assert got == universal_comm_sign(
-                mats[pair[0]].factors, mats[pair[1]].factors
+                _factor_mask(mats[pair[0]].factors), _factor_mask(mats[pair[1]].factors)
             )
 
 
@@ -649,8 +720,8 @@ def test_admissible_lookup_rejects_unknown_slot():
 
 
 def test_universal_rule_and_comm_sign_helpers():
-    assert universal_comm_sign((1, 2, 4), (3,)) == -1
-    assert universal_comm_sign((1, 2, 4), (2, 4)) == 1
+    assert universal_comm_sign(_factor_mask((1, 2, 4)), _factor_mask((3,))) == -1
+    assert universal_comm_sign(_factor_mask((1, 2, 4)), _factor_mask((2, 4))) == 1
     a = SpinMatrix([[0, 1], [1, 0]])
     b = SpinMatrix([[1, 0], [0, -1]])
     assert matrix_comm_sign(a, a) == 1

@@ -59,8 +59,30 @@ KEPT_UNREACHABLE = {
 }
 
 
+# the operator methods an expression calls, by its operator: a binary
+# operator reaches both operands' methods, a += b the in-place one too
+_OPERATOR_METHODS = {
+    ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.MatMult: "matmul",
+    ast.Div: "truediv", ast.FloorDiv: "floordiv", ast.Mod: "mod", ast.Pow: "pow",
+    ast.LShift: "lshift", ast.RShift: "rshift", ast.BitOr: "or", ast.BitXor: "xor",
+    ast.BitAnd: "and",
+}
+_UNARY_METHODS = {ast.USub: "__neg__", ast.UAdd: "__pos__", ast.Invert: "__invert__"}
+
+# the dunder methods Python calls with no operator or name in the source:
+# construction, comparison, hashing, repr/str, bool, pickling, the attribute
+# guards and __call__; every other dunder method is reached like a method
+IMPLICIT_DUNDERS = {
+    "__new__", "__init__", "__init_subclass__", "__eq__", "__ne__", "__lt__", "__le__",
+    "__gt__", "__ge__", "__hash__", "__repr__", "__str__", "__format__", "__bool__",
+    "__reduce__", "__reduce_ex__", "__getstate__", "__setstate__", "__getnewargs__",
+    "__getattr__", "__getattribute__", "__setattr__", "__delattr__", "__call__",
+}
+
+
 def _reads(*nodes):
-    """Names read under the nodes: 'x' for a bare name, '.x' for an attribute."""
+    """Names read under the nodes: 'x' for a bare name, '.x' for an attribute
+    and '.__op__' for each method an operator expression calls."""
     out = set()
     for node in nodes:
         for sub in ast.walk(node):
@@ -68,6 +90,13 @@ def _reads(*nodes):
                 out.add(sub.id)
             elif isinstance(sub, ast.Attribute):
                 out.add("." + sub.attr)
+            elif isinstance(sub, (ast.BinOp, ast.AugAssign)):
+                op = _OPERATOR_METHODS[type(sub.op)]
+                out |= {f".__{op}__", f".__r{op}__"}
+                if isinstance(sub, ast.AugAssign):
+                    out.add(f".__i{op}__")
+            elif isinstance(sub, ast.UnaryOp) and type(sub.op) in _UNARY_METHODS:
+                out.add("." + _UNARY_METHODS[type(sub.op)])
     return out
 
 
@@ -85,12 +114,13 @@ def unreachable_definitions(paths):
     """Labels 'module.name' of the top-level functions, classes and assigned
     names, and 'module.Class.method' of the methods, that no chain of reads
     reaches from the roots: every name cli.py reads, the module-level code of
-    each module, every dunder method and each __all__ (dunder names such as
-    __version__ are not definitions).  A bare name resolves in the module
-    that reads it, through its `from .module import` lines.  A method is its
-    own node, reached by attribute name only, so sibling methods do not
-    reach each other; a top-level definition is also reached as an
-    attribute."""
+    each module, every dunder method in IMPLICIT_DUNDERS and each __all__
+    (dunder names such as __version__ are not definitions).  An operator
+    method such as __mul__ is reached by the operator expressions that call
+    it.  A bare name resolves in the module that reads it, through its
+    `from .module import` lines.  A method is its own node, reached by
+    attribute name only, so sibling methods do not reach each other; a
+    top-level definition is also reached as an attribute."""
     defs = {}  # label -> (module, keys that reach it, reads it makes)
     roots = []  # (module, reads)
     imported = {}  # (module, local name) -> (defining module, name)
@@ -108,7 +138,7 @@ def unreachable_definitions(paths):
                 for item in node.body:
                     if not isinstance(item, ast.FunctionDef):
                         rest.append(item)
-                    elif _is_dunder(item.name):
+                    elif item.name in IMPLICIT_DUNDERS:
                         roots.append((mod, _reads(item)))
                     else:
                         defs[f"{mod}.{node.name}.{item.name}"] = (mod, {"." + item.name},
@@ -147,3 +177,21 @@ def unreachable_definitions(paths):
 
 def test_every_definition_reaches_a_verb_or_a_suite():
     assert unreachable_definitions(SOURCES) == set(KEPT_UNREACHABLE)
+
+
+@pytest.mark.parametrize("use,unreachable", [
+    ("", {"num.Num.__pow__", "num.Num.__neg__"}),
+    ("print(-Num(1))", {"num.Num.__pow__"}),
+    ("x = Num(2)\nx **= 3", {"num.Num.__neg__"}),
+], ids=["unused", "negated", "powered"])
+def test_an_operator_nothing_uses_is_unreachable(tmp_path, use, unreachable):
+    (tmp_path / "num.py").write_text(
+        "class Num:\n"
+        "    def __init__(self, v):\n        self.v = v\n"
+        "    def __repr__(self):\n        return f'Num({self.v})'\n"
+        "    def __mul__(self, other):\n        return Num(self.v * other.v)\n"
+        "    def __pow__(self, k):\n        return Num(self.v ** k)\n"
+        "    def __neg__(self):\n        return Num(-self.v)\n"
+    )
+    (tmp_path / "cli.py").write_text(f"from .num import Num\nprint(Num(2) * Num(3))\n{use}\n")
+    assert unreachable_definitions(sorted(tmp_path.glob("*.py"))) == unreachable

@@ -455,6 +455,45 @@ def test_quaternionic_variant_bounds():
         quaternionic_splits(2, 0)
 
 
+@pytest.mark.parametrize("bad,error,message", [
+    (0, ValueError, "unit index 0 outside 1..4"),
+    (-1, ValueError, "unit index -1 outside 1..4"),
+    (5, ValueError, "unit index 5 outside 1..4"),
+    (True, TypeError, "unit index True is not an int"),
+    (2.0, TypeError, "unit index 2.0 is not an int"),
+], ids=["zero", "negative", "past-n", "bool", "float"])
+def test_unit_indices_are_checked(bad, error, message):
+    basis = build_spinbasis(SignatureSpec(1, 3))
+    with pytest.raises(error, match=f"^{message}$"):
+        basis.unit(bad)
+    with pytest.raises(error, match=f"^{message}$"):
+        basis.product_of([2, bad])
+
+
+def test_units_of_different_sizes_are_rejected():
+    with pytest.raises(ValueError, match="^unit 2 is 4x4, unit 1 is 2x2$"):
+        SpinBasis(SignatureSpec(2, 0), [SpinMatrix.identity(2), SpinMatrix.identity(4)])
+    with pytest.raises(ValueError, match="^unit 3 is 3x3, unit 1 is 2x2$"):
+        SpinBasis(SignatureSpec(1, 2), [MAT_A, MAT_B, SpinMatrix.identity(3)])
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_folded_products_match_entry_products(data):
+    # the word fold, and the matrix products once a unit is dense (R, which
+    # is no word, in place of one unit)
+    basis = data.draw(st.sampled_from(kernel_bases()), label="basis")
+    indices = data.draw(st.lists(st.integers(1, basis.sig.n), max_size=6), label="indices")
+    mats = list(basis.mats)
+    if data.draw(st.booleans(), label="dense"):
+        k = data.draw(st.integers(0, basis.sig.n - 1), label="dense unit")
+        mats[k] = R.kron(SpinMatrix.identity(basis.dim // 2))
+    want = SpinMatrix.identity(basis.dim).rows
+    for i in indices:
+        want = ref_mul(want, mats[i - 1].rows)
+    assert_matches(SpinBasis(basis.sig, mats).product_of(iter(indices)), want)
+
+
 def test_sweep_variants_all_valid():
     for sig in [SignatureSpec(1, 3), SignatureSpec(4, 0), SignatureSpec(0, 4)]:
         variants = sweep_spinbasis_variants(sig)
