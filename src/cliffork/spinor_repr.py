@@ -1,30 +1,32 @@
 """Exact spinor representations: signed Pauli word bases for Cl(p,q).
 
-Construction routes:
+Every route builds its units on the word ints (d, c, x, z) of i^c Z^z X^x
+on d = 2^k, and makes SpinMatrix words only at the end:
   * types 0,2 (ring R): an all-real basis via the doubling chain
-    Cl(p,q) -> Cl(p+1,q+1) from the seeds Cl(0,0), Cl(2,0), followed by
-    four-unit swaps (multiply a quartet of same-square units by their
-    product) to move along p - q in steps of 8;
+    Cl(r,s) -> Cl(r+1,s+1) from the seeds Cl(0,0), Cl(2,0) = {Z, X}.  Each
+    doubling puts a new leading qubit in front: X on it is the new positive
+    unit, ZX the new negative one, and every old unit gets Z on it.  Then
+    four-unit swaps (a quartet of same-square units, each multiplied by
+    their product, a word product) move along p - q in steps of 8;
   * types 4,6 (ring H): an all-real reference basis with x symmetric and
     y skew units multiplied by i (the census split (x,y) indexes variants);
   * types 3,7 and complex algebras of odd dimension: a basis for the first
     n-1 generators plus E_n = c * E_1...E_{n-1} with c in {1, i};
-  * complex algebras of even dimension: the alternating tensor ladder over
-    the 2x2 blocks.
+  * complex algebras of even dimension: the ladder of two units per qubit,
+    Z on every qubit before it and X or iZX on it.
 
 Types 1 and 5 are semi-simple and have no faithful irreducible of the table
 dimension; build_spinbasis rejects them (the quotient module handles the
 split), and it rejects any basis above MAX_SPINOR_DIM.
 
-Every constructed unit is a signed Pauli word i^c Z^z X^x on d = 2^k: the
-2x2 blocks are words, and so is every kron and product of words (products
-of units, the W..F matrices, their closure: the image of Salingaros' vee
-group).  SpinMatrix therefore has two internal forms, chosen from the
-entries:
+So every constructed unit is a signed Pauli word, and so is every product
+of words (products of units, the W..F matrices, their closure: the image of
+Salingaros' vee group).  SpinMatrix therefore has two internal forms,
+chosen from the entries:
 
   * word form, the four ints (d, c, x, z), on which products, -, conj,
-    transpose, scaling by i^k, kron, the +-I test, == and hash are O(1)
-    int work.  `classify_matrix` reads a unit's census species off c and
+    transpose, scaling by i^k, the +-I test, == and hash are O(1) int
+    work.  `classify_matrix` reads a unit's census species off c and
     |x & z|.  `SpinBasis.product_of` folds a product of units on the ints
     into one matrix, and the extended automorphism report decides each
     defining relation at every unit at once from the basis's per-qubit unit
@@ -57,6 +59,7 @@ _I = GaussianScalar.I
 
 _UNITS = (_ONE, _I, -_ONE, -_I)  # i^k for k = 0..3
 _PHASE = {u: k for k, u in enumerate(_UNITS)}
+Word = Tuple[int, int, int, int]  # (d, c, x, z): the word i^c Z^z X^x of dimension d
 
 
 def _word_rows(d: int, c: int, x: int, z: int) -> Tuple[Tuple[GaussianScalar, ...], ...]:
@@ -70,7 +73,7 @@ def _word_rows(d: int, c: int, x: int, z: int) -> Tuple[Tuple[GaussianScalar, ..
     return tuple(out)
 
 
-def _word_form(rows) -> Optional[Tuple[int, int, int, int]]:
+def _word_form(rows) -> Optional[Word]:
     """(d, c, x, z) when the tuple rows is the signed Pauli word
     i^c Z^z X^x of a dimension d = 2^k; None otherwise."""
     d = len(rows)
@@ -113,8 +116,8 @@ class SpinMatrix:
     basis builders make is a word, and so is every product of words (the
     symplectic form of the Pauli group that stabilizer simulators use:
     Aaronson and Gottesman, Phys. Rev. A 70, 052328, 2004).  Products, -,
-    conj, transpose, scaling by i^k, kron, the +-I test, == and hash are
-    O(1) int work on it.
+    conj, transpose, scaling by i^k, the +-I test, == and hash are O(1)
+    int work on it.
 
     Dense form: every other matrix, for instance a user-loaded unit such as
     [[3/5,4/5],[4/5,-3/5]], a signed permutation that is not a word, or any
@@ -201,16 +204,6 @@ class SpinMatrix:
         d, c, x, z = self.word
         return _word(d, -c, x, z)
 
-    def kron(self, other: "SpinMatrix") -> "SpinMatrix":
-        if self.word is None or other.word is None:
-            return SpinMatrix(
-                [[a * b for a in r1 for b in r2] for r1 in self.rows for r2 in other.rows]
-            )
-        d1, c1, x1, z1 = self.word
-        d2, c2, x2, z2 = other.word
-        k = d2.bit_length() - 1
-        return _word(d1 * d2, c1 + c2, x1 << k | x2, z1 << k | z2)
-
     def scalar_multiple_of_identity(self) -> Optional[GaussianScalar]:
         """c with self == c*I, or None."""
         if self.word is not None:
@@ -244,8 +237,7 @@ class SpinMatrix:
         return f"<SpinMatrix {self.dim}x{self.dim}>"
 
 
-def _word_product(first: Tuple[int, int, int, int],
-                  *rest: Tuple[int, int, int, int]) -> Tuple[int, int, int, int]:
+def _word_product(first: Word, *rest: Word) -> Word:
     """The word (d, c, x, z) of the product of the words, in order, folded
     on the ints; its phase c is not yet reduced mod 4.  ValueError on a
     dimension mismatch."""
@@ -266,12 +258,6 @@ def _word(d: int, c: int, x: int, z: int) -> SpinMatrix:
     m.word = (d, c & 3, x, z)
     m._dense = None
     return m
-
-
-# the 2x2 building blocks
-MAT_A = SpinMatrix([[1, 0], [0, -1]])  # real symmetric, squares to +I
-MAT_B = SpinMatrix([[0, 1], [1, 0]])  # real symmetric, squares to +I
-MAT_J = SpinMatrix([[0, 1], [-1, 0]])  # real skew, squares to -I
 
 
 def signed_lookup(pool: Dict[str, SpinMatrix]) -> Dict[SpinMatrix, str]:
@@ -466,55 +452,46 @@ class SpinBasis:
 
 
 # ---------------------------------------------------------------------------
-# all-real construction for types 0 and 2
+# basis construction on the word ints
+#
+# Every route builds its units as word tuples (d, c, x, z), each step O(1)
+# int work with the phase c reduced mod 4 only at the end: build_spinbasis
+# and sweep_spinbasis_variants make the SpinMatrix words through _word.
 
 
-def _double(pos: List[SpinMatrix], neg: List[SpinMatrix]) -> Tuple[List[SpinMatrix], List[SpinMatrix]]:
-    d = pos[0].dim if pos else (neg[0].dim if neg else 1)
-    ident = SpinMatrix.identity(d)
-    new_pos = [MAT_B.kron(ident)] + [MAT_A.kron(m) for m in pos]
-    new_neg = [MAT_J.kron(ident)] + [MAT_A.kron(m) for m in neg]
-    return new_pos, new_neg
+def _times_i(words: Sequence[Word]) -> List[Word]:
+    return [(d, c + 1, x, z) for d, c, x, z in words]
 
 
-def _four_swap(block: List[SpinMatrix]) -> Tuple[List[SpinMatrix], List[SpinMatrix]]:
-    """Convert the first four units of a same-square block; returns
-    (converted_four, remaining)."""
-    if len(block) < 4:
-        raise ValueError("need four units of equal square to swap")
-    k = block[0] * block[1] * block[2] * block[3]
-    converted = [k * m for m in block[:4]]
-    return converted, block[4:]
+def _four_swap(four: Sequence[Word]) -> List[Word]:
+    """Four units of one square, each multiplied by their product k: the
+    square of each flips, and they still anticommute with each other and
+    with every other unit."""
+    k = _word_product(*four)
+    return [_word_product(k, u) for u in four]
 
 
-def _all_real_basis(p: int, q: int) -> List[SpinMatrix]:
-    """All-real spinor basis for types 0 and 2, positives first."""
-    t = (p - q) % 8
-    if t not in (0, 2):
-        raise ValueError(f"all-real basis exists only for types 0 and 2, got type {t}")
+def _real_words(p: int, q: int) -> List[Word]:
+    """All-real basis for types 0 and 2, positives first: the doubling
+    chain from the seed Cl(0,0) or Cl(2,0) to Cl(r,s) with r+s = p+q and
+    r-s in {0, 2}, then four-swaps to walk p-q by steps of 8."""
     n = p + q
-    # chain target with the same n and p-q in {0, 2}
-    r = n // 2 + (1 if t == 2 else 0)
-    s = n - r
-    if r == s:
-        pos: List[SpinMatrix] = []
-        neg: List[SpinMatrix] = []
-    else:  # seed Cl(2,0)
-        pos, neg = [MAT_A, MAT_B], []
+    r = n // 2 + ((p - q) % 8 == 2)
+    if 2 * r == n:
+        d, pos, neg = 1, [], []
+    else:  # seed Cl(2,0): Z and X
+        d, pos, neg = 2, [(2, 0, 0, 1), (2, 0, 1, 0)], []
     while len(pos) + len(neg) < n:
-        pos, neg = _double(pos, neg)
-    # four-swaps to walk p-q by steps of 8
+        # Cl(r,s) -> Cl(r+1,s+1): a new leading qubit (bit d) holds X for the
+        # new positive unit, ZX for the new negative one and Z under the rest
+        pos = [(2 * d, 0, d, 0)] + [(2 * d, c, x, z | d) for _, c, x, z in pos]
+        neg = [(2 * d, 0, d, d)] + [(2 * d, c, x, z | d) for _, c, x, z in neg]
+        d *= 2
     while len(pos) > p:
-        converted, pos = _four_swap(pos)
-        neg = converted + neg
+        pos, neg = pos[4:], _four_swap(pos[:4]) + neg
     while len(pos) < p:
-        converted, neg = _four_swap(neg)
-        pos = pos + converted
+        pos, neg = pos + _four_swap(neg[:4]), neg[4:]
     return pos + neg
-
-
-# ---------------------------------------------------------------------------
-# quaternionic variants: census splits of an all-real reference
 
 
 def quaternionic_splits(p: int, q: int) -> List[Tuple[int, int, int, int]]:
@@ -535,43 +512,61 @@ def quaternionic_splits(p: int, q: int) -> List[Tuple[int, int, int, int]]:
     return out
 
 
-def _quaternionic_basis(p: int, q: int, split: Tuple[int, int, int, int]) -> List[SpinMatrix]:
-    r, s, x, y = split
-    ref = _all_real_basis(r, s)
-    pos_ref, neg_ref = ref[:r], ref[r:]
-    new_pos = [m for m in pos_ref[x:]] + [mat * _I for mat in neg_ref[:y]]
-    new_neg = [mat for mat in neg_ref[y:]] + [mat * _I for mat in pos_ref[:x]]
-    return new_pos + new_neg
+def _split_words(p: int, q: int, split: Tuple[int, int, int, int],
+                 ref: List[Word]) -> Tuple[List[Word], str]:
+    """The census split (r, s, x, y) of ref, the all-real basis of Cl(r,s):
+    its first x positive and first y negative units times i, positives
+    first; and the basis name."""
+    r, _, x, y = split
+    pos, neg = ref[:r], ref[r:]
+    return (pos[x:] + _times_i(neg[:y]) + neg[y:] + _times_i(pos[:x]),
+            f"quat({p},{q},split={split})")
 
 
-# ---------------------------------------------------------------------------
-# complex ladder and odd extension
+def _ladder_words(n: int) -> List[Word]:
+    """n even: anticommuting units all squaring to +I on n/2 qubits, two
+    per qubit (slot): Z on every qubit before the slot, then X or iZX at it."""
+    d = 1 << (n // 2)
+    out = []
+    for slot in range(n // 2):
+        bit = d >> (slot + 1)
+        before = d - 2 * bit
+        out += [(d, 0, bit, before), (d, 1, bit, before | bit)]
+    return out
 
 
-def _complex_even_basis(n: int) -> List[SpinMatrix]:
-    """n even; anticommuting units all squaring to +I (entries 0, +-1, +-i)."""
-    k = n // 2
-    iJ = MAT_J * _I  # imaginary, squares to +I
-    mats = []
-    for slot in range(k):
-        for block in (MAT_B, iJ):
-            m = None
-            for pos in range(k):
-                factor = MAT_A if pos < slot else (block if pos == slot else SpinMatrix.identity(2))
-                m = factor if m is None else m.kron(factor)
-            mats.append(m)
-    return mats
+def _volume_word(sub: List[Word], d: int, square: int) -> Word:
+    """The last unit of an odd basis: the product v of the sub-basis, times
+    i when v*v is not square * I."""
+    v = _word_product((d, 0, 0, 0), *sub)
+    sign = -1 if _word_product(v, v)[1] & 2 else 1
+    return v if sign == square else _times_i([v])[0]
 
 
-def _extend_with_volume(sub: List[SpinMatrix], target_square: int) -> SpinMatrix:
-    """Last unit as c * (product of the sub-basis), c in {1, i}."""
-    z = SpinMatrix.identity(sub[0].dim if sub else 1)
-    for m in sub:
-        z = z * m
-    sq = (z * z).sign_of_identity_multiple()
-    if sq == target_square:
-        return z
-    return z * _I
+def _basis_words(sig: SignatureSpec) -> Tuple[List[Word], str]:
+    """The units and name of build_spinbasis(sig)."""
+    p, q, n = sig.p, sig.q, sig.n
+    if sig.field == "C":
+        words = _ladder_words(n - n % 2)
+        if n % 2:
+            words.append(_volume_word(words, 1 << (n // 2), 1))
+        # mark the real form: generators past p pick up a factor of i
+        return words[:p] + _times_i(words[p:]), f"complex(n={n},mark=({p},{q}))"
+
+    t = type_index(p, q)
+    if t in (1, 5):
+        raise ValueError(
+            f"Cl({p},{q}) has type {t} (semi-simple); no faithful irreducible "
+            "basis of the table dimension exists, use the idempotent split"
+        )
+    if t in (0, 2):
+        return _real_words(p, q), f"real({p},{q})"
+    if t in (4, 6):
+        split = quaternionic_splits(p, q)[0]
+        return _split_words(p, q, split, _real_words(*split[:2]))
+    # types 3, 7: odd, ring C
+    sub, _ = _basis_words(SignatureSpec(*odd_reduction(p, q)[0]))
+    return sub + [_volume_word(sub, 1 << (n // 2), sig.metric(n))], f"odd({p},{q})"
 
 
 # ---------------------------------------------------------------------------
@@ -597,76 +592,38 @@ def check_spinor_size(n: int) -> None:
         )
 
 
-def build_spinbasis(sig: SignatureSpec, variant: Optional[int] = None) -> SpinBasis:
-    """Construct an exact spinor basis for sig.
-
-    variant indexes the census split for quaternionic types (default 0, the
-    first admissible split); other types have a single canonical construction
-    and reject variant != 0.  Raises ValueError above MAX_SPINOR_DIM.
+def build_spinbasis(sig: SignatureSpec) -> SpinBasis:
+    """Construct an exact spinor basis for sig: the single canonical basis,
+    or for the quaternionic types 4 and 6 the first census split.  Raises
+    ValueError for the semi-simple types 1 and 5 and above MAX_SPINOR_DIM.
     """
-    p, q, n = sig.p, sig.q, sig.n
-    check_spinor_size(n)
-
-    if sig.field == "C":
-        if variant not in (None, 0):
-            raise ValueError("complex algebras have a single canonical basis")
-        if n % 2 == 0:
-            plus = _complex_even_basis(n)
-        else:
-            sub = _complex_even_basis(n - 1)
-            plus = sub + [_extend_with_volume(sub, 1)]
-        # mark the real form: generators past p pick up a factor of i
-        mats = [m if i <= p else m * _I for i, m in enumerate(plus, start=1)]
-        return SpinBasis(sig, mats, name=f"complex(n={n},mark=({p},{q}))")
-
-    t = type_index(p, q)
-    if t in (1, 5):
-        raise ValueError(
-            f"Cl({p},{q}) has type {t} (semi-simple); no faithful irreducible "
-            "basis of the table dimension exists, use the idempotent split"
-        )
-
-    if t in (0, 2):
-        if variant not in (None, 0):
-            raise ValueError("types 0 and 2 have a single all-real construction")
-        return SpinBasis(sig, _all_real_basis(p, q), name=f"real({p},{q})")
-
-    if t in (4, 6):
-        splits = quaternionic_splits(p, q)
-        idx = 0 if variant is None else variant
-        if not 0 <= idx < len(splits):
-            raise ValueError(f"variant {idx} outside 0..{len(splits) - 1} for Cl({p},{q})")
-        split = splits[idx]
-        return SpinBasis(
-            sig,
-            _quaternionic_basis(p, q, split),
-            name=f"quat({p},{q},split={split})",
-        )
-
-    # types 3, 7: odd, ring C
-    sub = build_spinbasis(SignatureSpec(*odd_reduction(p, q)[0])).mats
-    last = _extend_with_volume(sub, sig.metric(n))
-    return SpinBasis(sig, sub + [last], name=f"odd({p},{q})")
+    check_spinor_size(sig.n)
+    words, name = _basis_words(sig)
+    return SpinBasis(sig, [_word(*w) for w in words], name=name)
 
 
 def sweep_spinbasis_variants(sig: SignatureSpec) -> List[SpinBasis]:
     """All census-split variants for quaternionic types, each followed by
     its order-reversed and sign-flipped tweaks (other types and complex
-    marks return the single canonical basis)."""
-    t = type_index(sig.p, sig.q)
-    if t not in (4, 6) or sig.field == "C":
+    marks return the single canonical basis).  Each all-real reference is
+    built once per (r, s) within the call, and kept no longer."""
+    p, q = sig.p, sig.q
+    if type_index(p, q) not in (4, 6) or sig.field == "C":
         return [build_spinbasis(sig)]
+    check_spinor_size(sig.n)
+    refs: Dict[Tuple[int, int], List[Word]] = {}
     out = []
-    for idx, split in enumerate(quaternionic_splits(sig.p, sig.q)):
-        base = build_spinbasis(sig, variant=idx)
-        out.append(base)
-        p = sig.p
-        pos, neg = base.mats[:p], base.mats[p:]
-        out.append(
-            SpinBasis(sig, pos[::-1] + neg[::-1], name=base.name + ",reversed")
-        )
-        flipped = [(-m if i % 2 else m) for i, m in enumerate(base.mats)]
-        out.append(SpinBasis(sig, flipped, name=base.name + ",flipped"))
+    for split in quaternionic_splits(p, q):
+        rs = split[:2]
+        if rs not in refs:
+            refs[rs] = _real_words(*rs)
+        words, name = _split_words(p, q, split, refs[rs])
+        mats = [_word(*w) for w in words]
+        flipped = mats[:]
+        flipped[1::2] = [_word(d, c + 2, x, z) for d, c, x, z in words[1::2]]
+        out += [SpinBasis(sig, mats, name=name),
+                SpinBasis(sig, mats[:p][::-1] + mats[p:][::-1], name=name + ",reversed"),
+                SpinBasis(sig, flipped, name=name + ",flipped")]
     return out
 
 

@@ -26,14 +26,13 @@ from cliffork.ext_automorphisms import (
 )
 from cliffork.finite_groups import cocycle_group, identify_small_group
 from cliffork.spinor_repr import (
-    MAT_A,
-    MAT_J,
     SpinBasis,
     SpinMatrix,
     build_spinbasis,
     load_spinbasis,
     sweep_spinbasis_variants,
 )
+from kron_oracle import MAT_A, MAT_J
 from small_group_catalog import matrix_comm_sign, matrix_square_sign, signed_cover_group
 
 

@@ -32,14 +32,12 @@ from cliffork.finite_groups import (
     _signed_blade_label,
 )
 from cliffork.spinor_repr import (
-    MAT_A,
-    MAT_B,
-    MAT_J,
     SpinMatrix,
     build_spinbasis,
     sweep_spinbasis_variants,
 )
 from blade_oracle import oracle_blade_product
+from kron_oracle import MAT_A, MAT_B, MAT_J
 from small_group_catalog import (
     _catalog,
     _cyclic,

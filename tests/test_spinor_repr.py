@@ -7,13 +7,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cliffork import spinor_repr
 from cliffork.classification import matrix_dimension, type_index
 from cliffork.core_algebra import GaussianScalar, SignatureSpec, blade_indices, parse_gaussian
 from cliffork.ext_automorphisms import ext_matrices
 from cliffork.spinor_repr import (
-    MAT_A,
-    MAT_B,
-    MAT_J,
     MAX_SPINOR_DIM,
     SpinBasis,
     SpinMatrix,
@@ -25,6 +23,14 @@ from cliffork.spinor_repr import (
     quaternionic_splits,
     save_spinbasis,
     sweep_spinbasis_variants,
+)
+from kron_oracle import (
+    MAT_A,
+    MAT_B,
+    MAT_J,
+    kron,
+    oracle_build_spinbasis,
+    oracle_sweep_spinbasis_variants,
 )
 from monomial_oracle import MonomialMatrix
 from monomial_oracle import _dense_product as oracle_dense_product
@@ -65,11 +71,7 @@ def test_matrix_classify():
     assert classify_matrix(SpinMatrix([[0, 0], [0, 0]])).reality == "zero"
 
 
-def test_matrix_kron_and_scalar_detection():
-    ident = SpinMatrix.identity(2)
-    k = MAT_A.kron(ident)
-    assert k.dim == 4
-    assert (k * k).scalar_multiple_of_identity() == GaussianScalar.ONE
+def test_matrix_scalar_detection():
     assert (MAT_J * MAT_J).sign_of_identity_multiple() == -1
     assert MAT_A.scalar_multiple_of_identity() is None
     with pytest.raises(ValueError):
@@ -217,9 +219,6 @@ def test_unit_words_match_dense_reference(data):
     assert m.scalar_multiple_of_identity() == ref_scalar_of_identity(ref)
     c = classify_matrix(m)
     assert (c.reality, c.symmetry) == ref_class(ref)
-    block = data.draw(st.sampled_from([MAT_A, MAT_B, MAT_J, MAT_J * I_, SpinMatrix.identity(2)]))
-    assert_matches(m.kron(block), ref_kron(ref, block.rows))
-    assert_matches(block.kron(m), ref_kron(block.rows, ref))
 
 
 @given(data=st.data())
@@ -248,10 +247,6 @@ def test_word_kernel_matches_the_monomial_oracle(data):
             c = data.draw(st.sampled_from([1, -1]))
             m, o = c * m, c * o
         pairs.append((m, o))
-    block = data.draw(st.sampled_from([MAT_A, MAT_B, MAT_J, MAT_J * I_, SpinMatrix.identity(2)]))
-    oblock = MonomialMatrix(block.rows)
-    m, o = pairs[-1]
-    pairs += [(m.kron(block), o.kron(oblock)), (block.kron(m), oblock.kron(o))]
     for m, o in pairs:
         assert m.word is not None and o.perm is not None
         assert m.rows == o.rows
@@ -289,7 +284,6 @@ def test_general_monomials_match_dense_reference(data):
     assert a.word == ref_word(a.rows)
     assert_matches(a * b, ref_mul(a.rows, b.rows))
     assert_matches(a.transpose().conj(), ref_map(lambda x: x.conjugate(), ref_transpose(a.rows)))
-    assert_matches(a.kron(b), ref_kron(a.rows, b.rows))
 
 
 # a real symmetric unit that is not monomial
@@ -318,17 +312,17 @@ def test_dense_product_landing_on_identity_is_canonical():
 def test_dense_path_matches_reference_and_lands_canonically(data):
     basis = data.draw(st.sampled_from(kernel_bases()), label="basis")
     m = basis.product_of(data.draw(st.lists(st.integers(1, basis.sig.n), min_size=1, max_size=5)))
-    rd = R.kron(SpinMatrix.identity(basis.dim // 2))  # dense, squares to +I
+    rd = kron(R, SpinMatrix.identity(basis.dim // 2))  # dense, squares to +I
     assert rd.word is None
     assert_matches(rd * m, ref_mul(rd.rows, m.rows))
     assert_matches(m * rd, ref_mul(m.rows, rd.rows))
     assert_matches(-rd, ref_map(lambda a: -a, rd.rows))
     assert_matches(rd.transpose().conj(), ref_transpose(rd.rows))
     # dense results that land on a monomial compare and hash like it
-    wide = m.kron(SpinMatrix.identity(2))
+    wide = kron(m, SpinMatrix.identity(2))
     for back, want in ((rd * (rd * m), m), ((m * rd) * rd, m),
                        ((m * 2) * GaussianScalar.of("1/2"), m),
-                       (m.kron(R) * SpinMatrix.identity(basis.dim).kron(R), wide)):
+                       (kron(m, R) * kron(SpinMatrix.identity(basis.dim), R), wide)):
         assert back.word is not None
         assert back == want and hash(back) == hash(want)
 
@@ -359,7 +353,6 @@ def test_identity_of_a_size_that_is_not_a_power_of_two_is_dense():
         assert ident * ident == ident and -ident * -ident == ident
         assert ident.scalar_multiple_of_identity() == ONE
         assert (ident * I_).transpose().conj() == -(ident * I_)
-        assert ident.kron(SpinMatrix.identity(2)) == SpinMatrix.identity(2 * n)
     assert SpinMatrix.identity(4).word == (4, 0, 0, 0)
 
 
@@ -419,6 +412,66 @@ def test_size_limit_names_itself():
             build_spinbasis(sig)
 
 
+def _bases_or_error(route, sig):
+    """(name, unit words) of each basis the route builds for sig, or the
+    text of the ValueError it raises."""
+    try:
+        out = route(sig)
+    except ValueError as exc:
+        return str(exc)
+    return [(b.name, [m.word for m in b.mats]) for b in (out if isinstance(out, list) else [out])]
+
+
+def test_word_constructors_match_the_kron_oracle():
+    """Every basis both constructors build, for every cell with p+q <= 16
+    in both fields (complex marks, odd cells and the rejected semi-simple
+    types included), is the matrix route's, unit word by unit word and
+    name by name."""
+    built = 0
+    for field in ("R", "C"):
+        for n in range(17):
+            for p in range(n + 1):
+                sig = SignatureSpec(p, n - p, field=field)
+                for route, oracle in ((build_spinbasis, oracle_build_spinbasis),
+                                      (sweep_spinbasis_variants, oracle_sweep_spinbasis_variants)):
+                    got = _bases_or_error(route, sig)
+                    assert got == _bases_or_error(oracle, sig), (sig, route.__name__)
+                    built += len(got) if isinstance(got, list) else 0
+    assert built == 2480
+
+
+def test_sweep_builds_one_reference_per_split_signature(monkeypatch):
+    calls = []
+    real_words = spinor_repr._real_words
+    monkeypatch.setattr(spinor_repr, "_real_words",
+                        lambda r, s: calls.append((r, s)) or real_words(r, s))
+    for sig, splits, refs in ((SignatureSpec(1, 3), 4, [(3, 1), (2, 2)]),
+                              (SignatureSpec(2, 4), 7, [(4, 2), (3, 3), (0, 6)])):
+        assert len(quaternionic_splits(sig.p, sig.q)) == splits
+        for _ in range(2):  # no memo outlives a call: the second builds again
+            calls.clear()
+            assert len(sweep_spinbasis_variants(sig)) == 3 * splits
+            assert calls == refs
+    with pytest.raises(ValueError, match="above the limit MAX_SPINOR_DIM = 4096"):
+        sweep_spinbasis_variants(SignatureSpec(15, 11))
+    assert calls == refs  # the size check comes before any build
+
+
+def test_construction_makes_no_matrix_product(monkeypatch):
+    """Every basis of every constructible cell with p+q <= 12, the 756
+    sweep bases included, is built on the word ints alone."""
+    products = []
+    mul = SpinMatrix.__mul__
+    monkeypatch.setattr(SpinMatrix, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    bases = [basis for n in range(13) for p in range(n + 1) for field in ("R", "C")
+             if field == "C" or (2 * p - n) % 8 not in (1, 5)
+             for basis in sweep_spinbasis_variants(SignatureSpec(p, n - p, field=field))]
+    assert sum(",flipped" in basis.name for basis in bases) == 252
+    assert products == []
+    bases[-1].unit(1) * bases[-1].unit(1)
+    assert products == [1]  # the counter sees a product
+
+
 def test_semi_simple_types_rejected():
     for sig in (SignatureSpec(1, 0), SignatureSpec(0, 3), SignatureSpec(4, 3)):
         with pytest.raises(ValueError):
@@ -443,14 +496,15 @@ def test_blade_images_distinct_up_to_sign(sig):
 
 def test_census_matches_quaternionic_split():
     for sig in [SignatureSpec(1, 3), SignatureSpec(0, 2), SignatureSpec(6, 0)]:
-        for idx, (r, s, x, y) in enumerate(quaternionic_splits(sig.p, sig.q)):
-            census = build_spinbasis(sig, variant=idx).unit_census()
+        bases = sweep_spinbasis_variants(sig)[::3]
+        splits = quaternionic_splits(sig.p, sig.q)
+        assert len(bases) == len(splits)
+        for basis, (r, s, x, y) in zip(bases, splits):
+            census = basis.unit_census()
             assert (census.v, census.l, census.u, census.m) == (r - x, x, s - y, y)
 
 
 def test_quaternionic_variant_bounds():
-    with pytest.raises(ValueError):
-        build_spinbasis(SignatureSpec(0, 2), variant=99)
     with pytest.raises(ValueError):
         quaternionic_splits(2, 0)
 
@@ -487,7 +541,7 @@ def test_folded_products_match_entry_products(data):
     mats = list(basis.mats)
     if data.draw(st.booleans(), label="dense"):
         k = data.draw(st.integers(0, basis.sig.n - 1), label="dense unit")
-        mats[k] = R.kron(SpinMatrix.identity(basis.dim // 2))
+        mats[k] = kron(R, SpinMatrix.identity(basis.dim // 2))
     want = SpinMatrix.identity(basis.dim).rows
     for i in indices:
         want = ref_mul(want, mats[i - 1].rows)
