@@ -631,7 +631,7 @@ def ext_group_report(basis: SpinBasis) -> ExtGroupReport:
     return report
 
 
-def quaternionic_signatures(max_n: int = 10) -> Iterator[Tuple]:
+def quaternionic_signatures(max_n: int) -> Iterator[Tuple]:
     """(sig, basis, report), built one pair at a time, for each census-split
     variant (with its reversed and sign-flipped tweaks) of each quaternionic
     cell with p + q <= max_n; every cell has one or more.  ValueError past the

@@ -383,27 +383,27 @@ class SpinBasis:
         """The units read one bit per unit, bit i-1 for unit i, when every
         unit is a word; None otherwise.  It holds (2^k, x_k, z_k) for each
         qubit k, with x_k and z_k the units whose x or z part has bit k;
-        then the units with u^T = -u (odd |x & z|), those with
-        conj(u) = -u (odd c), and all n.  Computed once per basis and
-        memoised, as `unit_species` is."""
+        then the units with u^T = -u (species u and m), those with
+        conj(u) = -u (species l and m), both read from `unit_species`, and
+        all n.  Computed once per basis and memoised, as `unit_species` is."""
         if self._columns is None and all(u.word is not None for u in self.mats):
             q = self.dim.bit_length() - 1
             x_cols, z_cols = [0] * q, [0] * q
-            transposed = conjugated = 0
             for i, u in enumerate(self.mats):
-                _, c, x, z = u.word
+                _, _, x, z = u.word
                 bit = 1 << i
                 for k in range(q):
                     if x >> k & 1:
                         x_cols[k] |= bit
                     if z >> k & 1:
                         z_cols[k] |= bit
-                if (x & z).bit_count() & 1:
-                    transposed |= bit
-                if c & 1:
-                    conjugated |= bit
+            species = self.unit_species()
+
+            def units(*letters: str) -> int:
+                return sum(1 << (idx - 1) for letter in letters for idx in species[letter])
+
             self._columns = (tuple(zip([1 << k for k in range(q)], x_cols, z_cols)),
-                             transposed, conjugated, (1 << len(self.mats)) - 1)
+                             units("u", "m"), units("l", "m"), (1 << len(self.mats)) - 1)
         return self._columns
 
     def unit_species(self) -> Dict[str, Tuple[int, ...]]:

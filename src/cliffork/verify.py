@@ -2,14 +2,23 @@
 
 Each suite recomputes one family of results against an independent route
 (the printed tables under `data/`, the census predicates, or a direct
-matrix or multivector check) and returns a SuiteResult with its check count
-and counterexamples.  One table, `_SUITES`, holds each suite's body, default
-p+q bound and cap, and `run_suites` is the one runner (`run_suite` runs one
-name through it): it checks every name and the bound before the first suite
-starts, as `verify --max` does, a negative bound included.  A run of the
-four sweeps walks their one stream of (basis, report) pairs,
-`quaternionic_signatures`, once: pseudo, defining and commutation check each
-pair, census the signatures the pairs realize.
+matrix or multivector check).  Every suite follows one protocol: its body
+(for a sweep, its per-basis check and its end-of-stream check) is a
+generator that yields one outcome per check, True when the check holds or
+the dict of its counterexample when it fails, and returns the suite's
+detail, or nothing for an empty one.  `SuiteResult.add` is the one place
+outcomes are counted; a result is ok when it holds no counterexample.  The
+one exception to one check per outcome is in `suite_quotient`:
+`central_idempotents` checks four identities and raises on the first that
+fails, so each context gives four outcomes with at most one counterexample.
+
+One table, `_SUITES`, holds each suite's body, default p+q bound and cap,
+and `run_suites` is the one runner (`run_suite` runs one name through it):
+it checks every name and the bound before the first suite starts, as
+`verify --max` does, a negative bound included.  A run of the four sweeps
+walks their one stream of (basis, report) pairs, `quaternionic_signatures`,
+once: pseudo, defining and commutation check each pair, census the
+signatures the pairs realize.
 """
 
 from __future__ import annotations
@@ -69,14 +78,34 @@ def _bundle() -> dict:
 
 
 class SuiteResult:
-    def __init__(self, name: str, ok: bool, checked: int, counterexamples: List[dict],
-                 detail: str = ""):
+    """One suite's run: its check count and counterexamples, added by `add`,
+    its detail and its elapsed time, set by `run_suites` or the sweep pass."""
+
+    def __init__(self, name: str):
         self.name = name
-        self.ok = ok
-        self.checked = checked
-        self.counterexamples = counterexamples
-        self.detail = detail
-        self.elapsed = 0.0  # set by run_suites or the sweep pass
+        self.checked = 0
+        self.counterexamples: List[dict] = []
+        self.detail = ""
+        self.elapsed = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return not self.counterexamples
+
+    def add(self, outcomes: list, sig: Optional[SignatureSpec] = None,
+            basis: Optional[SpinBasis] = None) -> None:
+        """Count one check per outcome.  Each outcome that is not True is a
+        counterexample; a sweep's gets its sig and basis name first."""
+        self.checked += len(outcomes)
+        self.counterexamples += [outcome if basis is None else
+                                 {"sig": str(sig), "basis": basis.name, **outcome}
+                                 for outcome in outcomes if outcome is not True]
+
+    def run(self, body: Iterator) -> None:
+        """Add all of a suite body's outcomes; its return value is the detail."""
+        def drain():
+            self.detail = (yield from body) or ""
+        self.add(list(drain()))
 
     def to_dict(self) -> dict:
         return {
@@ -94,25 +123,19 @@ def _gamma_product(basis, text: str) -> SpinMatrix:
     return basis.product_of([int(ch) + 1 for ch in text[1:]])
 
 
-def suite_tables() -> SuiteResult:
+def suite_tables() -> Iterator:
     """Generated classification grids vs the printed 8x8 references."""
     want_all = _bundle()["tables"]
-    cex: List[dict] = []
-    checked = 0
     for kind in TABLE_KINDS:
         got = build_table(kind, 7)
         want = want_all[kind]
         for q in range(8):
             for p in range(8):
-                checked += 1
-                if got[q][p] != want[q][p]:
-                    cex.append(
-                        {"kind": kind, "p": p, "q": q, "generated": got[q][p], "printed": want[q][p]}
-                    )
-    return SuiteResult("tables", not cex, checked, cex)
+                yield got[q][p] == want[q][p] or \
+                    {"kind": kind, "p": p, "q": q, "generated": got[q][p], "printed": want[q][p]}
 
 
-def suite_example1() -> SuiteResult:
+def suite_example1() -> Iterator:
     """The worked discrete-symmetry set of the spacetime algebra: its 8x8
     products against both printed tables, and the group classification."""
     data = _bundle()["example1"]
@@ -126,22 +149,19 @@ def suite_example1() -> SuiteResult:
     by_gamma = signed_lookup(pool)
     by_letters = signed_lookup({l: pool[e] for l, e in by_letter.items()})
 
-    cex: List[dict] = []
-    checked = 0
+    # a typo cell counts as a check but is not compared
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):
             got = by_gamma.get(pool[a] * pool[b])
-            checked += 1
-            if (i, j) not in gamma_typos and got != data["gamma_table"][i][j]:
-                cex.append({"table": "gamma", "row": a, "col": b, "got": got,
-                            "printed": data["gamma_table"][i][j]})
+            yield (i, j) in gamma_typos or got == data["gamma_table"][i][j] or \
+                {"table": "gamma", "row": a, "col": b, "got": got,
+                 "printed": data["gamma_table"][i][j]}
             la, lb = letters[i], letters[j]
             prod = pool[by_letter[la]] * pool[by_letter[lb]]
             got_l = by_letters.get(prod)
-            checked += 1
-            if (i, j) not in letter_typos and got_l != data["letter_table"][i][j]:
-                cex.append({"table": "letters", "row": la, "col": lb, "got": got_l,
-                            "printed": data["letter_table"][i][j]})
+            yield (i, j) in letter_typos or got_l == data["letter_table"][i][j] or \
+                {"table": "letters", "row": la, "col": lb, "got": got_l,
+                 "printed": data["letter_table"][i][j]}
 
     ident = pool[elements[0]]
     squares = tuple(
@@ -157,13 +177,10 @@ def suite_example1() -> SuiteResult:
         ("group", row.group, data["group"]),
         ("abelian", abelian, False),
     ):
-        checked += 1
-        if got != want:
-            cex.append({"table": "classification", "check": key, "got": got, "printed": want})
-    return SuiteResult("example1", not cex, checked, cex)
+        yield got == want or {"table": "classification", "check": key, "got": got, "printed": want}
 
 
-def suite_example2() -> SuiteResult:
+def suite_example2() -> Iterator:
     """End-to-end run on the bundled gamma spinbasis: constructed matrices vs
     the printed monomials (signs reported), realized signature and group, and
     the printed 8x8 table up to those per-element signs."""
@@ -172,38 +189,31 @@ def suite_example2() -> SuiteResult:
     report = ext_group_report(basis)
     letters = data["letters"]
 
-    cex: List[dict] = []
-    checked = 0
     signs: Dict[str, int] = {"I": 1}
     for name in letters[1:]:
         actual = report.matrices[name].matrix
         printed = basis.product_of([k + 1 for k in data["monomials"][name]])
-        checked += 1
-        if actual == printed:
-            signs[name] = 1
-        elif actual == -printed:
-            signs[name] = -1
-        else:
-            signs[name] = 0
-            cex.append({"check": "monomial", "name": name,
-                        "printed_units": data["monomials"][name]})
-
-    for key, got, want in (
-        ("signature", list(report.signature), data["signature"]),
-        ("group", report.group_name, data["group"]),
-        ("order_structure", list(report.order_structure), data["order_structure"]),
-        ("abelian", report.abelian, False),
-    ):
-        checked += 1
-        if got != want:
-            cex.append({"check": key, "got": got, "printed": want})
+        signs[name] = 1 if actual == printed else -1 if actual == -printed else 0
+    found = [signs[name] != 0 or {"check": "monomial", "name": name,
+                                  "printed_units": data["monomials"][name]}
+             for name in letters[1:]]
+    found += [got == want or {"check": key, "got": got, "printed": want}
+              for key, got, want in (
+                  ("signature", list(report.signature), data["signature"]),
+                  ("group", report.group_name, data["group"]),
+                  ("order_structure", list(report.order_structure), data["order_structure"]),
+                  ("abelian", report.abelian, False),
+              )]
+    yield from found
 
     letter_typos = {tuple(c) for c in data["letter_typos"]}
     gamma_typos = {tuple(c) for c in data["gamma_typos"]}
     # the printed gamma table names each letter by its monomial: W -> g0123
     gamma_names = {"I": "I", **{name: "g" + "".join(map(str, units))
                                 for name, units in data["monomials"].items()}}
-    if not cex:
+    # the tables are compared only when every check above held; a typo cell
+    # counts as a check but is not compared
+    if all(outcome is True for outcome in found):
         elements, cells = report.letter_table
         if elements != letters:
             raise AssertionError(f"printed letters {letters} are not {elements}")
@@ -211,32 +221,25 @@ def suite_example2() -> SuiteResult:
             for j, b in enumerate(letters):
                 got = cells[i][j]
                 target = got[1:]
-                got_sign = 1 if got[0] == "+" else -1
                 # printed tables list the products of the printed monomials;
                 # the actual set differs by the recorded per-letter signs
                 adjust = signs[a] * signs[b] * signs[target]
-                checked += 2
-                if (i, j) not in letter_typos:
-                    want = data["letter_table"][i][j]
-                    want_sign = 1 if want[0] == "+" else -1
-                    if target != want[1:] or got_sign * adjust != want_sign:
-                        cex.append({"table": "letters", "row": a, "col": b,
-                                    "got": got, "sign_adjust": adjust, "printed": want})
-                if (i, j) not in gamma_typos:
-                    want = data["gamma_table"][i][j]
-                    want_sign = 1 if want[0] == "+" else -1
-                    if gamma_names[target] != want[1:] or got_sign * adjust != want_sign:
-                        cex.append({"table": "gamma", "row": a, "col": b,
-                                    "got": got, "sign_adjust": adjust, "printed": want})
-    detail = "construction signs: " + ", ".join(
+                sign = "+" if (got[0] == "+") == (adjust > 0) else "-"
+                want = data["letter_table"][i][j]
+                yield (i, j) in letter_typos or sign + target == want or \
+                    {"table": "letters", "row": a, "col": b,
+                     "got": got, "sign_adjust": adjust, "printed": want}
+                want = data["gamma_table"][i][j]
+                yield (i, j) in gamma_typos or sign + gamma_names[target] == want or \
+                    {"table": "gamma", "row": a, "col": b,
+                     "got": got, "sign_adjust": adjust, "printed": want}
+    return "construction signs: " + ", ".join(
         f"{n}{'+' if signs[n] > 0 else '-'}" for n in letters[1:]
     )
-    return SuiteResult("example2", not cex, checked, cex, detail)
 
 
-# A per-basis check yields one outcome per check it makes on one
-# (sig, basis, report): True when the check holds, else the fields of its
-# counterexample, which the pass prefixes with the basis's sig and name.
+# A per-basis check yields its outcomes on one (sig, basis, report); the pass
+# puts the basis's sig and name before each counterexample's fields.
 def _check_pseudo(sig: SignatureSpec, basis: SpinBasis, report: ExtGroupReport) -> Iterator:
     """Coefficient-conjugation matrix: defining relation, square of the
     induced antilinear map both by prediction and directly, and the printed
@@ -303,29 +306,34 @@ def _check_commutation(sig: SignatureSpec, basis: SpinBasis, report: ExtGroupRep
                 {"check": "printed_clause", "pair": list(pair), "got": got}
 
 
-def _cells_total(cells: int, realized: set, max_n: int) -> Tuple[list, str]:
-    return [], f"{cells} signature cells, p+q <= {max_n}"
+def _no_check(sig: SignatureSpec, basis: SpinBasis, report: ExtGroupReport) -> Iterator:
+    yield from ()
 
 
-def _census_total(cells: int, realized: set, max_n: int) -> Tuple[list, str]:
+def _cells_total(cells: int, realized: set, max_n: int) -> Iterator:
+    yield from ()
+    return f"{cells} signature cells, p+q <= {max_n}"
+
+
+def _census_total(cells: int, realized: set, max_n: int) -> Iterator:
     """Each realized seven-sign vector in one of the four admissible minus
     counts, and at most 64 of them.  Each is already inside the admissible
     case table: `ext_group_report` raises on a real type-4/6 one outside."""
-    outcomes = [signature.count(-1) in (0, 2, 4, 6)
-                or {"signature": list(signature), "minus_count": signature.count(-1)}
-                for signature in sorted(realized)]
-    outcomes.append(len(realized) <= 64 or {"check": "count", "distinct": len(realized)})
-    return outcomes, f"{len(realized)} distinct signatures realized (bound 64), p+q <= {max_n}"
+    for signature in sorted(realized):
+        yield signature.count(-1) in (0, 2, 4, 6) or \
+            {"signature": list(signature), "minus_count": signature.count(-1)}
+    yield len(realized) <= 64 or {"check": "count", "distinct": len(realized)}
+    return f"{len(realized)} distinct signatures realized (bound 64), p+q <= {max_n}"
 
 
-# the quaternionic sweeps: name -> (per-basis check, outcomes and detail from
-# the stream's cell count and realized signatures once the stream ends); the
-# census checks only the realized signatures
+# the quaternionic sweeps: name -> (per-basis check, check of the stream's
+# cell count and realized signatures once the stream ends, which returns the
+# detail); the census checks only the realized signatures
 _SWEEPS = {
     "pseudo": (_check_pseudo, _cells_total),
     "defining": (_check_defining, _cells_total),
     "commutation": (_check_commutation, _cells_total),
-    "census": (lambda sig, basis, report: (), _census_total),
+    "census": (_no_check, _census_total),
 }
 
 
@@ -335,41 +343,31 @@ def _sweep_pass(names: Sequence[str], max_n: int) -> List[SuiteResult]:
     its own checks' time plus an equal share of the stream's, so the sweeps'
     values add up to the pass."""
     t0 = time.monotonic()
-    results = [SuiteResult(name, True, 0, []) for name in names]
+    results = [SuiteResult(name) for name in names]
     cells, realized = set(), set()
     for sig, basis, report in quaternionic_signatures(max_n):
         cells.add(sig)
         realized.add(report.signature)
         for result in results:
             t = time.monotonic()
-            outcomes = list(_SWEEPS[result.name][0](sig, basis, report))
-            result.checked += len(outcomes)
-            result.counterexamples += [{"sig": str(sig), "basis": basis.name, **outcome}
-                                       for outcome in outcomes if outcome is not True]
+            result.add(list(_SWEEPS[result.name][0](sig, basis, report)), sig, basis)
             result.elapsed += time.monotonic() - t
     share = (time.monotonic() - t0 - sum(result.elapsed for result in results)) / len(results)
     for result in results:
         t = time.monotonic()
-        outcomes, result.detail = _SWEEPS[result.name][1](len(cells), realized, max_n)
-        result.checked += len(outcomes)
-        result.counterexamples += [outcome for outcome in outcomes if outcome is not True]
-        result.ok = not result.counterexamples
+        result.run(_SWEEPS[result.name][1](len(cells), realized, max_n))
         result.elapsed += share + time.monotonic() - t
     return results
 
 
-def suite_salingaros(max_n: int) -> SuiteResult:
+def suite_salingaros(max_n: int) -> Iterator:
     """G(p,q)/Z(p,q) elementary abelian of the predicted order, exhaustively."""
-    cex: List[dict] = []
-    checked = 0
     for n in range(max_n + 1):
         for p in range(n + 1):
             sig = SignatureSpec(p, n - p)
             rep = vee_factor_check(sig)
-            checked += 1
-            if not rep.passed:
-                cex.append({"sig": str(sig), "failures": rep.failures})
-    return SuiteResult("salingaros", not cex, checked, cex, f"all (p,q) with p+q <= {max_n}")
+            yield rep.passed or {"sig": str(sig), "failures": rep.failures}
+    return f"all (p,q) with p+q <= {max_n}"
 
 
 # printed covering labels of the odd-dimensional collapse
@@ -396,66 +394,57 @@ def _quotient_contexts(max_n: int):
             yield epsilon_context(SignatureSpec(p, q, "C"))
 
 
-def suite_quotient(max_n: int) -> SuiteResult:
+def suite_quotient(max_n: int) -> Iterator:
     """Idempotent identities, collapse-map homomorphism law, transfer
     predicates vs direct fixed-point tests, and the printed covering labels."""
-    cex: List[dict] = []
-    checked = 0
-
     for ctx in _quotient_contexts(max_n):
-        # lam+^2 = lam+, lam-^2 = lam-, lam+ lam- = 0 and lam+ + lam- = 1,
-        # each checked inside central_idempotents
-        checked += 4
+        # central_idempotents checks lam+^2 = lam+, lam-^2 = lam-,
+        # lam+ lam- = 0 and lam+ + lam- = 1 and raises on the first that
+        # fails, so its four checks give four outcomes with at most one
+        # counterexample: the one place outcomes are not one per check
         try:
             central_idempotents(ctx)
+            failed = None
         except AssertionError as exc:
-            cex.append({"sig": str(ctx.sig), "check": "idempotents", "error": str(exc)})
+            failed = {"sig": str(ctx.sig), "check": "idempotents", "error": str(exc)}
+        yield from (failed or True, True, True, True)
 
         rep = ctx.transfers
         for name in PHYSICAL_NAMES[1:]:
             direct = (apply_transformation(ctx.ew, name) - ctx.ew).is_zero()
-            checked += 1
-            if rep.entries[name].transfers != direct:
-                cex.append({"sig": str(ctx.sig), "check": "transfer", "name": name})
-        checked += 1
-        if rep.entries["P"].transfers:
-            cex.append({"sig": str(ctx.sig), "check": "involution transferred"})
+            yield rep.entries[name].transfers == direct or \
+                {"sig": str(ctx.sig), "check": "transfer", "name": name}
+        yield not rep.entries["P"].transfers or \
+            {"sig": str(ctx.sig), "check": "involution transferred"}
 
         if ctx.sig.n <= 5:
             blades = [MultiVector.from_mask(ctx.sig, m) for m in range(1 << ctx.sig.n)]
             images = [epsilon_map(x, ctx) for x in blades]
-            checked += 1
-            if epsilon_map(ctx.ew, ctx) != MultiVector.scalar(ctx.target, 1):
-                cex.append({"sig": str(ctx.sig), "check": "eps(ew) != 1"})
+            yield epsilon_map(ctx.ew, ctx) == MultiVector.scalar(ctx.target, 1) or \
+                {"sig": str(ctx.sig), "check": "eps(ew) != 1"}
             for a, xa in enumerate(blades):
-                checked += 1
-                if not epsilon_map(xa - ctx.ew * xa, ctx).is_zero():
-                    cex.append({"sig": str(ctx.sig), "check": "kernel", "mask": a})
-                for b, xb in enumerate(blades):
-                    checked += 1
+                yield epsilon_map(xa - ctx.ew * xa, ctx).is_zero() or \
+                    {"sig": str(ctx.sig), "check": "kernel", "mask": a}
+                for b, xb in enumerate(blades):  # to the first failure in the row
                     if epsilon_map(xa * xb, ctx) != images[a] * images[b]:
-                        cex.append({"sig": str(ctx.sig), "check": "homomorphism",
-                                    "a": a, "b": b})
+                        yield {"sig": str(ctx.sig), "check": "homomorphism", "a": a, "b": b}
                         break
+                    yield True
 
     for fld, p, q, label, survivors in _TODD_CASES:
         ctx = epsilon_context(SignatureSpec(p, q, fld))
         g = quotient_group(ctx)
-        checked += 2
-        if g.label != label:
-            cex.append({"sig": str(ctx.sig), "check": "covering label",
-                        "got": g.label, "printed": label})
-        if g.survivors != survivors:
-            cex.append({"sig": str(ctx.sig), "check": "survivors",
-                        "got": list(g.survivors), "printed": list(survivors)})
-        checked += 1
+        yield g.label == label or \
+            {"sig": str(ctx.sig), "check": "covering label", "got": g.label, "printed": label}
+        yield g.survivors == survivors or \
+            {"sig": str(ctx.sig), "check": "survivors",
+             "got": list(g.survivors), "printed": list(survivors)}
         if len(survivors) == 3:
-            if g.cayley is not None:
-                cex.append({"sig": str(ctx.sig), "check": "non-closed set got a table"})
-        elif g.cayley is None or g.abstract not in ("Z2", "Z2xZ2"):
-            cex.append({"sig": str(ctx.sig), "check": "cayley", "abstract": g.abstract})
-    return SuiteResult("quotient", not cex, checked, cex,
-                       f"odd contexts to p+q <= {max_n}, collapse maps to 5")
+            yield g.cayley is None or {"sig": str(ctx.sig), "check": "non-closed set got a table"}
+        else:
+            yield (g.cayley is not None and g.abstract in ("Z2", "Z2xZ2")) or \
+                {"sig": str(ctx.sig), "check": "cayley", "abstract": g.abstract}
+    return f"odd contexts to p+q <= {max_n}, collapse maps to 5"
 
 
 # the core suite multiplies every pair of blades of every signature, so each
@@ -471,12 +460,10 @@ def _check_core_size(max_n: int) -> None:
                          f"got {max_n}")
 
 
-def suite_core(max_n: int) -> SuiteResult:
+def suite_core(max_n: int) -> Iterator:
     """Per-blade involution signs, involution-by-volume agreement, the
     multiplicativity of coefficient conjugation, volume squares and the
     center, exhaustively over all signatures with p+q <= the bound."""
-    cex: List[dict] = []
-    checked = 0
     for n in range(max_n + 1):
         for p in range(n + 1):
             sig = SignatureSpec(p, n - p)
@@ -485,45 +472,39 @@ def suite_core(max_n: int) -> SuiteResult:
 
             for mask, x in enumerate(blades):
                 k = mask.bit_count()
-                checked += 4
-                if x.grade_involution() != x * involution_sign(k):
-                    cex.append({"sig": str(sig), "mask": mask, "check": "involution sign"})
-                if x.reversion() != x * reversion_sign(k):
-                    cex.append({"sig": str(sig), "mask": mask, "check": "reversion sign"})
-                if x.clifford_conjugation() != x * conjugation_sign(k):
-                    cex.append({"sig": str(sig), "mask": mask, "check": "conjugation sign"})
-                if x.clifford_conjugation() != x.grade_involution().reversion():
-                    cex.append({"sig": str(sig), "mask": mask, "check": "composite"})
+                involuted, conjugated = x.grade_involution(), x.clifford_conjugation()
+                yield involuted == x * involution_sign(k) or \
+                    {"sig": str(sig), "mask": mask, "check": "involution sign"}
+                yield x.reversion() == x * reversion_sign(k) or \
+                    {"sig": str(sig), "mask": mask, "check": "reversion sign"}
+                yield conjugated == x * conjugation_sign(k) or \
+                    {"sig": str(sig), "mask": mask, "check": "conjugation sign"}
+                yield conjugated == involuted.reversion() or \
+                    {"sig": str(sig), "mask": mask, "check": "composite"}
                 if n % 2 == 0 and n > 0:
-                    checked += 1
-                    if x.involution_by_omega() != x.grade_involution():
-                        cex.append({"sig": str(sig), "mask": mask, "check": "omega involution"})
+                    yield x.involution_by_omega() == involuted or \
+                        {"sig": str(sig), "mask": mask, "check": "omega involution"}
 
             pseudo = [y.pseudo_conjugation() for y in blades]
             for a in range(dim):
                 x = MultiVector.from_mask(sig, a, GaussianScalar.I if a & 1 else 1)
                 xb = x.pseudo_conjugation()
-                for b, y in enumerate(blades):
-                    checked += 1
+                for b, y in enumerate(blades):  # to the first failure in the row
                     if (x * y).pseudo_conjugation() != xb * pseudo[b]:
-                        cex.append({"sig": str(sig), "check": "pseudo multiplicativity",
-                                    "a": a, "b": b})
+                        yield {"sig": str(sig), "check": "pseudo multiplicativity", "a": a, "b": b}
                         break
+                    yield True
 
-            checked += 1
-            if volume_square(sig) != GaussianScalar.of(volume_square_sign(p, n - p)):
-                cex.append({"sig": str(sig), "check": "volume square"})
+            yield volume_square(sig) == GaussianScalar.of(volume_square_sign(p, n - p)) or \
+                {"sig": str(sig), "check": "volume square"}
             if n > 0:
                 gens = [MultiVector.unit(sig, i) for i in range(1, n + 1)]
                 central = [m for m, x in enumerate(blades) if all(x * g == g * x for g in gens)]
                 expected = [0] if n % 2 == 0 else [0, dim - 1]
-                checked += 1
-                if central != expected:
-                    cex.append({"sig": str(sig), "check": "center", "got": central})
-                checked += 1
-                if len(center_basis(sig)) != len(expected):
-                    cex.append({"sig": str(sig), "check": "center basis size"})
-    return SuiteResult("core", not cex, checked, cex, f"all (p,q) with p+q <= {max_n}")
+                yield central == expected or {"sig": str(sig), "check": "center", "got": central}
+                yield len(center_basis(sig)) == len(expected) or \
+                    {"sig": str(sig), "check": "center basis size"}
+    return f"all (p,q) with p+q <= {max_n}"
 
 
 # name -> (body, default p+q bound, size check: ValueError above the cap), in
@@ -569,8 +550,9 @@ def run_suites(names: Sequence[str], max_n: Optional[int] = None) -> List[SuiteR
         if name not in results:
             body, default, _ = _SUITES[name]
             t0 = time.monotonic()
-            results[name] = body() if default is None else body(default if max_n is None else max_n)
-            results[name].elapsed = time.monotonic() - t0
+            results[name] = result = SuiteResult(name)
+            result.run(body() if default is None else body(default if max_n is None else max_n))
+            result.elapsed = time.monotonic() - t0
     return [results[name] for name in names]
 
 

@@ -3,8 +3,8 @@ form of `spinor_repr.SpinMatrix`.
 
 Before the word form, SpinMatrix kept a monomial matrix (one nonzero per row
 and per column, each a unit i^k) as a (column permutation, Z/4 phase) pair
-of int tuples, with O(d) products, -, conj, transpose, scaling by i^k, kron,
-the +-I test, == and hash, and every other matrix in dense form.  This is
+of int tuples, with O(d) products, -, conj, transpose, scaling by i^k, the
++-I test, == and hash, and every other matrix in dense form.  This is
 that kernel as it was, renamed MonomialMatrix; `classify_matrix` returns the
 (reality, symmetry) pair.  It treats every monomial alike, word or not, so
 the tests compare the word kernel with it.
@@ -63,8 +63,8 @@ class MonomialMatrix:
     Monomial form: one nonzero entry per row and per column, each a unit
     i^k.  It is stored as two int tuples, `perm` (row r holds its entry in
     column perm[r]) and `phase` (that entry is i^phase[r]).  Products, -,
-    conj, transpose, scaling by i^k, kron, the +-I test, == and hash are
-    O(d) integer tuple work on it.
+    conj, transpose, scaling by i^k, the +-I test, == and hash are O(d)
+    integer tuple work on it.
 
     Dense form: every other matrix, for instance the image of a general
     multivector or a user-loaded unit such as [[3/5,4/5],[4/5,-3/5]].  It
@@ -183,17 +183,6 @@ class MonomialMatrix:
         if self.perm is None:
             return MonomialMatrix([[a.conjugate() for a in row] for row in self._dense])
         return _monomial(self.perm, tuple([-x & 3 for x in self.phase]))
-
-    def kron(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        if self.perm is None or other.perm is None:
-            return MonomialMatrix(
-                [[a * b for a in r1 for b in r2] for r1 in self.rows for r2 in other.rows]
-            )
-        d = len(other.perm)
-        return _monomial(
-            tuple([c1 * d + c2 for c1 in self.perm for c2 in other.perm]),
-            tuple([(k1 + k2) & 3 for k1 in self.phase for k2 in other.phase]),
-        )
 
     def scalar_multiple_of_identity(self) -> Optional[GaussianScalar]:
         """c with self == c*I, or None."""

@@ -1,8 +1,10 @@
 """Command line front end: exit codes, payload pins, determinism, suites."""
 
 import contextlib
+import copy
 import errno
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -20,7 +22,6 @@ from cliffork import cli, ext_automorphisms, verify
 from cliffork.cli import SCHEMA, run
 from cliffork.verify import (
     SUITE_NAMES,
-    SuiteResult,
     run_suite,
 )
 from cliffork.classification import TABLE_KINDS
@@ -29,6 +30,7 @@ from cliffork.spinor_repr import (
     SignatureSpec,
     SpinBasis,
     SpinMatrix,
+    UnitCensus,
     build_spinbasis,
     load_spinbasis,
     save_spinbasis,
@@ -553,12 +555,7 @@ class TestVerifyVerb:
 
     def test_failing_suite_exits_one_with_counterexample_json(self, capsys, monkeypatch):
         def broken(max_n=None):
-            return SuiteResult(
-                name="tables",
-                ok=False,
-                checked=1,
-                counterexamples=[{"cell": [0, 0], "got": "?", "want": "R"}],
-            )
+            yield {"cell": [0, 0], "got": "?", "want": "R"}
 
         monkeypatch.setitem(verify._SUITES, "tables", (broken, None, None))
         code, out = run_text(capsys, ["verify", "--suite", "tables"])
@@ -756,7 +753,7 @@ class TestAlgebraSuites:
             return MultiVector(image.sig, {m: -c if m == 0b1 else c for m, c in image.items()})
 
         monkeypatch.setattr(MultiVector, "pseudo_conjugation", e1_flipped)
-        result = verify.suite_core(3)
+        result = run_suite("core", 3)
         assert not result.ok
         assert {c["check"] for c in result.counterexamples} == {"pseudo multiplicativity"}
 
@@ -768,23 +765,128 @@ class TestAlgebraSuites:
             return -image if list(x.items()) == [(0b10, GaussianScalar.ONE)] else image
 
         monkeypatch.setattr(verify, "epsilon_map", e2_negated)
-        result = verify.suite_quotient(3)
+        result = run_suite("quotient", 3)
         assert not result.ok
         assert {c["check"] for c in result.counterexamples} == {"homomorphism"}
 
     def test_quotient_reports_failed_idempotents_and_keeps_counting(self, monkeypatch):
-        checked = verify.suite_quotient(3).checked
+        checked = run_suite("quotient", 3).checked
 
         def failing(ctx):
             raise AssertionError("idempotency failed")
 
         monkeypatch.setattr(verify, "central_idempotents", failing)
-        result = verify.suite_quotient(3)
+        result = run_suite("quotient", 3)
         assert (result.ok, result.checked) == (False, checked)
         assert result.counterexamples == [
             {"sig": str(ctx.sig), "check": "idempotents", "error": "idempotency failed"}
             for ctx in verify._quotient_contexts(3)
         ]
+
+
+def test_every_suite_body_yields_its_outcomes():
+    """Each suite counts its checks through the one protocol: a body, a
+    per-basis sweep check or an end-of-stream check is a generator, never a
+    hand-kept tally."""
+    bodies = [body for body, _, _ in verify._SUITES.values() if body is not None]
+    bodies += [check for pair in verify._SWEEPS.values() for check in pair]
+    assert len(bodies) == 14
+    assert [f.__name__ for f in bodies if not inspect.isgeneratorfunction(f)] == []
+
+
+class TestPlantedFailures:
+    """One wrong answer planted under a name each suite reads: the suite
+    reports exactly that counterexample, in order, and keeps its count."""
+
+    @staticmethod
+    def outcome(result):
+        return result.ok, result.checked, result.detail, result.counterexamples
+
+    def test_tables_reports_one_flipped_cell(self, monkeypatch):
+        real = verify.build_table
+
+        def flipped(kind, max_index=7):
+            grid = real(kind, max_index)
+            if kind == "rings":
+                grid[2][3] = "?"
+            return grid
+
+        monkeypatch.setattr(verify, "build_table", flipped)
+        assert self.outcome(run_suite("tables")) == (False, 256, "", [
+            {"kind": "rings", "p": 3, "q": 2, "generated": "?", "printed": "2R(4)"}])
+
+    def test_example1_reports_one_changed_printed_cell(self, monkeypatch):
+        bundle = copy.deepcopy(verify._bundle())
+        assert (2, 5) not in EXAMPLE1_GAMMA_TYPOS
+        bundle["example1"]["gamma_table"][2][5] = "-g213"
+        monkeypatch.setattr(verify, "_bundle", lambda: bundle)
+        assert self.outcome(run_suite("example1")) == (False, 132, "", [
+            {"table": "gamma", "row": "g13", "col": "g2", "got": "+g213", "printed": "-g213"}])
+
+    def test_example2_reports_a_changed_monomial_and_skips_the_tables(self, monkeypatch):
+        bundle = copy.deepcopy(verify._bundle())
+        bundle["example2"]["monomials"]["K"] = [1]
+        monkeypatch.setattr(verify, "_bundle", lambda: bundle)
+        # 7 monomials and 4 classification checks; the 128 table checks wait
+        # until those all hold
+        assert self.outcome(run_suite("example2")) == (
+            False, 11, "construction signs: W+, E+, C+, Pi+, K-, S-, F-",
+            [{"check": "monomial", "name": "K", "printed_units": [1]}])
+
+    def test_salingaros_reports_one_failed_signature(self, monkeypatch):
+        real = verify.vee_factor_check
+
+        def fails_at_1_2(sig):
+            if sig == SignatureSpec(1, 2):
+                return SimpleNamespace(passed=False, failures=["planted"])
+            return real(sig)
+
+        monkeypatch.setattr(verify, "vee_factor_check", fails_at_1_2)
+        assert self.outcome(run_suite("salingaros", 3)) == (
+            False, 10, "all (p,q) with p+q <= 3", [{"sig": "Cl(1,2)", "failures": ["planted"]}])
+
+    def test_pseudo_reports_a_wrong_prediction_on_one_census(self, monkeypatch):
+        real = verify.predicted_pi_bar
+
+        def wrong_on_one(census, form):
+            want = real(census, form)
+            return -want if census == UnitCensus(v=0, l=1, u=1, m=0) else want
+
+        monkeypatch.setattr(verify, "predicted_pi_bar", wrong_on_one)
+        split = "quat(0,2,split=(1, 1, 1, 0))"
+        assert self.outcome(run_suite("pseudo", 2)) == (
+            False, 27, "1 signature cells, p+q <= 2",
+            [{"sig": "Cl(0,2)", "basis": split + tweak, "check": "pi_bar_vs_prediction",
+              "predicted": 1} for tweak in ("", ",reversed", ",flipped")])
+
+    def test_commutation_reports_one_flipped_pair(self, monkeypatch):
+        real = verify.universal_comm_sign
+
+        def flipped(mask_x, mask_y):
+            sign = real(mask_x, mask_y)
+            return -sign if (mask_x, mask_y) == (0b110, 0b010) else sign
+
+        monkeypatch.setattr(verify, "universal_comm_sign", flipped)
+        split = "quat(0,2,split=(1, 1, 1, 0))"
+        assert self.outcome(run_suite("commutation", 2)) == (
+            False, 336, "1 signature cells, p+q <= 2",
+            [{"sig": "Cl(0,2)", "basis": split + tweak, "check": "universal_rule",
+              "pair": ["W", other], "got": -1}
+             for tweak, others in (("", "C Pi"), (",reversed", "E K"), (",flipped", "C Pi"))
+             for other in others.split()])
+
+    def test_census_reports_one_odd_signature(self, monkeypatch):
+        real = verify.quaternionic_signatures
+
+        def stream(max_n):
+            for sig, basis, report in real(max_n):
+                yield sig, basis, report
+            yield sig, basis, SimpleNamespace(signature=(-1, 1, 1, 1, 1, 1, 1))
+
+        monkeypatch.setattr(verify, "quaternionic_signatures", stream)
+        assert self.outcome(run_suite("census", 2)) == (
+            False, 4, "3 distinct signatures realized (bound 64), p+q <= 2",
+            [{"signature": [-1, 1, 1, 1, 1, 1, 1], "minus_count": 1}])
 
 
 def test_pins_match_the_benchmark_table():
